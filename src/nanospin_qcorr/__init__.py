@@ -6,6 +6,8 @@ states of the nanopore model, together with a dense brute-force engine
 that validates every closed form.
 """
 
+__version__ = "0.1.0"
+
 from .cs_matrix import (
     BlochDecomposition,
     CSDensityMatrix,
@@ -60,6 +62,7 @@ from .nanopore import (
     CorrelationSet,
     NanoporeParams,
     beta_from_temperature,
+    concurrence_from_correlations,
     concurrence_nanopore,
     correlations,
     cs_from_correlations,
@@ -82,5 +85,3 @@ from .verification import (
     format_report,
     run_verification,
 )
-
-__version__ = "0.1.0"

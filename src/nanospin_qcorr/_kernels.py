@@ -9,29 +9,20 @@ measurement along direction n(theta, phi) on qubit B:
 with (x, y, T) the Bloch data of the state and H2 the binary entropy in
 bits.  Minimizing f over n yields the classical correlation.
 
-Two implementations are provided: numba-jitted scalar loops and a
-vectorized pure-numpy fallback.  Selection happens at import time; set the
-environment variable NANOSPIN_QCORR_DISABLE_NUMBA=1 to force the fallback
-(or it is used automatically when numba is not importable).  Both variants
-stay importable for side-by-side benchmarking when numba is present.
+The grid objective is vectorized with numpy; the single-direction one is
+plain Python, which is far cheaper than a 1x1 grid for the golden-section
+refinement.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "NUMBA_DISABLED",
     "conditional_entropy_grid",
     "conditional_entropy_point",
-    "conditional_entropy_grid_numpy",
-    "conditional_entropy_point_numpy",
-    "conditional_entropy_grid_numba",
-    "conditional_entropy_point_numba",
     "kernel_backend",
 ]
 
@@ -42,16 +33,8 @@ LOG2 = math.log(2.0)
 _P_FLOOR = 1e-15
 _H_FLOOR = 1e-14
 
-_ENV_FLAG = "NANOSPIN_QCORR_DISABLE_NUMBA"
-NUMBA_DISABLED = os.environ.get(_ENV_FLAG, "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
 
-
-def conditional_entropy_point_numpy(x, y, T, theta: float, phi: float) -> float:
+def conditional_entropy_point(x, y, T, theta: float, phi: float) -> float:
     """Scalar objective at a single measurement direction (pure python)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -83,7 +66,7 @@ def conditional_entropy_point_numpy(x, y, T, theta: float, phi: float) -> float:
     return total
 
 
-def conditional_entropy_grid_numpy(x, y, T, thetas, phis, out=None):
+def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
     """Objective on a full (theta, phi) grid, vectorized with numpy."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -116,91 +99,6 @@ def conditional_entropy_grid_numpy(x, y, T, thetas, phis, out=None):
     return res
 
 
-HAVE_NUMBA = False
-conditional_entropy_point_numba = None
-conditional_entropy_grid_numba = None
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _branch_term(p, b0, b1, b2):
-        if p < _P_FLOOR:
-            return 0.0
-        r = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2) / (2.0 * p)
-        if r > 1.0:
-            r = 1.0
-        h = 0.0
-        lo = 0.5 * (1.0 - r)
-        hi = 0.5 * (1.0 + r)
-        if lo > _H_FLOOR:
-            h -= lo * math.log(lo)
-        if hi > _H_FLOOR:
-            h -= hi * math.log(hi)
-        return p * (h / LOG2)
-
-    @njit(cache=True)
-    def _point_numba(x, y, T, theta, phi):
-        st = math.sin(theta)
-        n0 = st * math.cos(phi)
-        n1 = st * math.sin(phi)
-        n2 = math.cos(theta)
-        t0 = T[0, 0] * n0 + T[0, 1] * n1 + T[0, 2] * n2
-        t1 = T[1, 0] * n0 + T[1, 1] * n1 + T[1, 2] * n2
-        t2 = T[2, 0] * n0 + T[2, 1] * n1 + T[2, 2] * n2
-        yn = y[0] * n0 + y[1] * n1 + y[2] * n2
-        pp = 0.5 * (1.0 + yn)
-        pm = 0.5 * (1.0 - yn)
-        return _branch_term(pp, x[0] + t0, x[1] + t1, x[2] + t2) + _branch_term(
-            pm, x[0] - t0, x[1] - t1, x[2] - t2
-        )
-
-    @njit(cache=True)
-    def _grid_numba(x, y, T, thetas, phis, out):
-        for i in range(thetas.shape[0]):
-            for j in range(phis.shape[0]):
-                out[i, j] = _point_numba(x, y, T, thetas[i], phis[j])
-        return out
-
-    def conditional_entropy_point_numba(x, y, T, theta, phi):
-        return _point_numba(
-            np.ascontiguousarray(x, dtype=float),
-            np.ascontiguousarray(y, dtype=float),
-            np.ascontiguousarray(T, dtype=float),
-            float(theta),
-            float(phi),
-        )
-
-    def conditional_entropy_grid_numba(x, y, T, thetas, phis, out=None):
-        thetas = np.ascontiguousarray(thetas, dtype=float)
-        phis = np.ascontiguousarray(phis, dtype=float)
-        if out is None:
-            out = np.empty((thetas.size, phis.size))
-        return _grid_numba(
-            np.ascontiguousarray(x, dtype=float),
-            np.ascontiguousarray(y, dtype=float),
-            np.ascontiguousarray(T, dtype=float),
-            thetas,
-            phis,
-            out,
-        )
-
-
-if HAVE_NUMBA:
-    conditional_entropy_point = conditional_entropy_point_numba
-    conditional_entropy_grid = conditional_entropy_grid_numba
-else:
-    conditional_entropy_point = conditional_entropy_point_numpy
-    conditional_entropy_grid = conditional_entropy_grid_numpy
-
-
 def kernel_backend() -> str:
     """Name of the backend the discord solver dispatches to."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"

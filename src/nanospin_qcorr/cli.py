@@ -15,37 +15,26 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
-from .discord import discord_bell_diagonal, discord_numeric
-from .entanglement import concurrence_numeric
-from .exact_oracle import (
-    N_MAX_DEFAULT,
-    ResourceLimitError,
-    evolve,
-    measure_correlations,
-    partial_trace_pair,
-    thermal_initial,
-)
-from .geometric_discord import geometric_discord_cs, geometric_discord_generic
+from . import __version__
+from .exact_oracle import N_MAX_DEFAULT, ResourceLimitError, evolve, thermal_initial
 from .nanopore import (
     OMEGA0_DEFAULT,
     NanoporeParams,
     beta_from_temperature,
-    concurrence_nanopore,
     correlations,
-    reduced_density,
     tau_special,
     temperature_from_beta,
 )
-from .verification import format_report, run_verification
+from .verification import analytic_row, format_report, oracle_row, run_verification
 
-__all__ = ["VERSION", "main", "run_sweep"]
+__all__ = ["main", "run_sweep"]
 
-VERSION = "0.1.0"
-_HEADER = f"# nanospin-qcorr v{VERSION}"
+_HEADER = f"# nanospin-qcorr v{__version__}"
 
 _CORR_FIELDS = ("p", "q", "r", "u", "v")
 _SCALARS = ("concurrence", "discord", "geometric_discord")
@@ -64,6 +53,8 @@ def _parse_range(text: str, flag: str):
     if len(parts) != 3:
         raise ValueError(f"{flag} expects lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"{flag} needs finite lo:hi:step, got {text!r}")
     if step <= 0.0:
         raise ValueError(f"{flag} step must be > 0, got {step}")
     if hi < lo:
@@ -83,39 +74,6 @@ def _parse_n(tokens):
     return values
 
 
-def _analytic_row(params: NanoporeParams, needed):
-    corr = correlations(params)
-    out = {}
-    for f in _CORR_FIELDS:
-        out[f] = getattr(corr, f)
-    if "concurrence" in needed:
-        out["concurrence"] = concurrence_nanopore(params)
-    if "geometric_discord" in needed:
-        out["geometric_discord"] = geometric_discord_cs(reduced_density(params))
-    if "discord" in needed:
-        if math.isinf(params.n):
-            out["discord"] = discord_bell_diagonal(corr.q)
-        else:
-            rho = reduced_density(params).to_matrix()
-            out["discord"] = discord_numeric(rho, validate=False).discord
-    return out
-
-
-def _oracle_row(state, needed):
-    corr = measure_correlations(state)
-    out = {}
-    for f in _CORR_FIELDS:
-        out[f] = getattr(corr, f)
-    rho = partial_trace_pair(state)
-    if "concurrence" in needed:
-        out["concurrence"] = concurrence_numeric(rho).concurrence
-    if "geometric_discord" in needed:
-        out["geometric_discord"] = geometric_discord_generic(rho)
-    if "discord" in needed:
-        out["discord"] = discord_numeric(rho, validate=False).discord
-    return out
-
-
 def run_sweep(
     quantity: str,
     n_values,
@@ -130,7 +88,6 @@ def run_sweep(
     Returns (columns, rows); rows iterate n (outer), beta, tau (inner).
     """
     base = _base_columns(quantity)
-    needed = [c for c in base if c in _SCALARS]
     columns = ["N", "beta", "T_K", "tau"]
     for col in base:
         columns.append(col)
@@ -156,13 +113,14 @@ def run_sweep(
                     temperature_from_beta(beta, omega0),
                     tau,
                 ]
+                # Built for every engine: it rejects non-finite input.
+                params = NanoporeParams(n=n, beta=beta, tau=tau, omega0=omega0)
                 analytic = None
                 oracle = None
                 if engine in ("analytic", "both"):
-                    params = NanoporeParams(n=n, beta=beta, tau=tau, omega0=omega0)
-                    analytic = _analytic_row(params, needed)
+                    analytic = analytic_row(correlations(params), params.n, base)
                 if engine in ("oracle", "both"):
-                    oracle = _oracle_row(evolve(rho0, tau), needed)
+                    oracle = oracle_row(evolve(rho0, tau), base)
                 for col in base:
                     if engine == "analytic":
                         row.append(analytic[col])
@@ -206,7 +164,7 @@ def _json_safe(value):
 def _write_json(columns, rows, engine, stream) -> None:
     doc = {
         "tool": "nanospin-qcorr",
-        "version": VERSION,
+        "version": __version__,
         "engine": engine,
         "columns": columns,
         "rows": [[_json_safe(v) for v in row] for row in rows],
@@ -346,16 +304,14 @@ def _cmd_sweep(args) -> int:
         n_max=args.n_max,
     )
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            if args.format == "csv":
-                _write_csv(columns, rows, fh)
-            else:
-                _write_json(columns, rows, args.engine, fh)
+        stream = open(args.out, "w", newline="")
     else:
+        stream = contextlib.nullcontext(sys.stdout)
+    with stream as fh:
         if args.format == "csv":
-            _write_csv(columns, rows, sys.stdout)
+            _write_csv(columns, rows, fh)
         else:
-            _write_json(columns, rows, args.engine, sys.stdout)
+            _write_json(columns, rows, args.engine, fh)
     return 0
 
 

@@ -28,6 +28,7 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _qubit_side,
     binary_entropy,
     bloch_data,
     check_density_matrix,
@@ -133,16 +134,11 @@ def _resolve_bloch(rho, measured: str, validate: bool):
     if validate:
         rho = check_density_matrix(rho)
     x, y, T = bloch_data(rho)
-    side = measured.strip().lower()
-    if side in ("second", "b", "2"):
-        pass
-    elif side in ("first", "a", "1"):
+    if _qubit_side(measured, "measured") == "first":
         # Measuring the first qubit of rho is the same problem with the
         # qubit roles exchanged: swap local vectors, transpose T.
         x, y = y, x
         T = T.T.copy()
-    else:
-        raise ValueError(f"measured must name a qubit, got {measured!r}")
     return rho, x, y, T
 
 

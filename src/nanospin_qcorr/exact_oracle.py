@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nanopore import CorrelationSet
-from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z, bloch_data
+from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z, _check_density, bloch_data
 
 __all__ = [
     "N_MAX_DEFAULT",
@@ -72,18 +72,9 @@ class DenseState:
                 f"matrix shape {self.matrix.shape} does not match n = {self.n}"
             )
 
-    def validate(self, eps_herm=1e-12, eps_trace=1e-12, eps_psd=1e-10) -> None:
-        """Assert Hermiticity, unit trace and positivity; raises on failure."""
-        m = self.matrix
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > eps_herm:
-            raise ValueError(f"not Hermitian: {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > eps_trace:
-            raise ValueError(f"trace {tr:.17g} != 1")
-        lo = np.linalg.eigvalsh(m)[0]
-        if lo < -eps_psd:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
+    def validate(self) -> None:
+        """Assert Hermiticity, unit trace and positivity within states.EPS_*."""
+        _check_density(self.matrix)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cs_matrix import CSDensityMatrix
-from .states import bloch_data, check_density_matrix
+from .states import _qubit_side, bloch_data, check_density_matrix
 
 __all__ = [
     "KMatrixSpectrum",
@@ -99,13 +99,10 @@ def geometric_discord_generic(rho, side: str = "first", validate: bool = True) -
     if validate:
         rho = check_density_matrix(rho)
     x, y, T = bloch_data(rho)
-    s = side.strip().lower()
-    if s in ("first", "a", "1"):
+    if _qubit_side(side, "side") == "first":
         v, M = x, T
-    elif s in ("second", "b", "2"):
-        v, M = y, T.T
     else:
-        raise ValueError(f"side must name a qubit, got {side!r}")
+        v, M = y, T.T
     K = np.outer(v, v) + M @ M.T
     k_max = float(np.linalg.eigvalsh(K)[-1])
     return 0.5 * (float(v @ v) + float(np.sum(M * M)) - k_max)

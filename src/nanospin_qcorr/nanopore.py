@@ -42,6 +42,7 @@ __all__ = [
     "special_time_correlations",
     "cs_from_correlations",
     "reduced_density",
+    "concurrence_from_correlations",
     "concurrence_nanopore",
     "concurrence_nanopore_full",
 ]
@@ -92,9 +93,9 @@ class NanoporeParams:
     """Model parameters: pore occupancy n, inverse temperature, time.
 
     n is an integer >= 2 or math.inf for the large-reservoir limit;
-    beta >= 0 (math.inf selects zero temperature); tau is the
-    dimensionless interaction time; omega0 the resonance frequency used
-    for temperature conversions.
+    beta >= 0 (math.inf selects zero temperature); tau is the finite
+    dimensionless interaction time; omega0 the finite, positive resonance
+    frequency used for temperature conversions.
     """
 
     n: float
@@ -112,8 +113,10 @@ class NanoporeParams:
             object.__setattr__(self, "n", int(n))
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
+        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
+            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
 
     @property
     def temperature(self) -> float:
@@ -235,11 +238,15 @@ def reduced_density(params: NanoporeParams) -> CSDensityMatrix:
     return cs_from_correlations(correlations(params))
 
 
-def concurrence_nanopore(params: NanoporeParams) -> float:
+def concurrence_from_correlations(corr: CorrelationSet) -> float:
     """Pair concurrence, max(0, 2 (sqrt(r^2 + 4 u^2) + q) - 1/2)."""
-    corr = correlations(params)
     w = math.sqrt(corr.r * corr.r + 4.0 * corr.u * corr.u)
     return max(0.0, 2.0 * (w + corr.q) - 0.5)
+
+
+def concurrence_nanopore(params: NanoporeParams) -> float:
+    """Pair concurrence at the given pore parameters."""
+    return concurrence_from_correlations(correlations(params))
 
 
 def concurrence_nanopore_full(params: NanoporeParams) -> ConcurrenceResult:

@@ -75,6 +75,12 @@ def check_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    _check_density(rho, eps_herm, eps_trace, eps_psd)
+    return rho
+
+
+def _check_density(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE, eps_psd=EPS_PSD):
+    """Hermiticity, unit trace and positivity of a square complex matrix."""
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > eps_herm:
         raise InvalidStateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
@@ -84,7 +90,16 @@ def check_density_matrix(
     evals = np.linalg.eigvalsh(rho)
     if evals[0] < -eps_psd:
         raise InvalidStateError(f"negative eigenvalue {evals[0]:.3e}")
-    return rho
+
+
+def _qubit_side(name: str, arg: str) -> str:
+    """Map a qubit name (first/a/1 or second/b/2) to "first" or "second"."""
+    key = name.strip().lower()
+    if key in ("first", "a", "1"):
+        return "first"
+    if key in ("second", "b", "2"):
+        return "second"
+    raise ValueError(f"{arg} must name a qubit, got {name!r}")
 
 
 def reduced_first(rho) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Cross-validation of the closed forms against the dense engine.
+"""Closed forms and the dense engine, evaluated row by row.
 
-Runs the analytic model and the brute-force reference side by side over a
-grid of (n, beta, tau) and tracks the worst absolute discrepancy per
-quantity.  This is the machinery behind the ``verify`` CLI subcommand.
+``analytic_row`` and ``oracle_row`` are the one evaluation path behind both
+CLI subcommands: ``sweep`` writes their values, and ``verify`` runs them side
+by side over a grid of (n, beta, tau), adds checks of its own and tracks the
+worst absolute discrepancy per quantity.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .discord import discord_bell_diagonal, discord_numeric
 from .entanglement import concurrence_cs, concurrence_numeric
 from .exact_oracle import (
     N_MAX_DEFAULT,
@@ -20,14 +22,21 @@ from .exact_oracle import (
     partial_trace_pair,
     thermal_initial,
 )
-from .discord import discord_numeric
 from .geometric_discord import geometric_discord_cs, geometric_discord_generic
-from .nanopore import NanoporeParams, correlations, cs_from_correlations
+from .nanopore import (
+    CorrelationSet,
+    NanoporeParams,
+    concurrence_from_correlations,
+    correlations,
+    cs_from_correlations,
+)
 from .states import expansion_coefficients
 
 __all__ = [
     "DEFAULT_TOLERANCES",
     "VerificationReport",
+    "analytic_row",
+    "oracle_row",
     "run_verification",
     "format_report",
 ]
@@ -44,6 +53,42 @@ DEFAULT_TOLERANCES = {
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
 _ZERO_ALPHA_INDICES = ((0, 3), (3, 0), (1, 2), (2, 1), (3, 1), (1, 3))
+
+
+def analytic_row(corr: CorrelationSet, n, needed) -> dict:
+    """Closed-form values for one state of pore occupancy n.
+
+    Returns the correlators p, q, r, u, v of ``corr`` and each of
+    concurrence, geometric_discord and discord that ``needed`` names.
+    Everything is derived from ``corr``, so an offset applied to it
+    reaches every quantity.  n = inf takes the Bell-diagonal discord.
+    """
+    out = corr.as_dict()
+    if "concurrence" in needed:
+        out["concurrence"] = concurrence_from_correlations(corr)
+    if "geometric_discord" in needed or "discord" in needed:
+        m = cs_from_correlations(corr)
+        if "geometric_discord" in needed:
+            out["geometric_discord"] = geometric_discord_cs(m)
+        if "discord" in needed:
+            if math.isinf(n):
+                out["discord"] = discord_bell_diagonal(corr.q)
+            else:
+                out["discord"] = discord_numeric(m.to_matrix(), validate=False).discord
+    return out
+
+
+def oracle_row(state, needed) -> dict:
+    """Dense-engine values for one n-spin state, keyed as in analytic_row."""
+    out = measure_correlations(state).as_dict()
+    rho = partial_trace_pair(state)
+    if "concurrence" in needed:
+        out["concurrence"] = concurrence_numeric(rho).concurrence
+    if "geometric_discord" in needed:
+        out["geometric_discord"] = geometric_discord_generic(rho)
+    if "discord" in needed:
+        out["discord"] = discord_numeric(rho, validate=False).discord
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,61 +128,50 @@ def run_verification(
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).
     """
+    if n_tau < 1 or not n_values or not betas:
+        raise ValueError(
+            "verification needs at least one N, one beta and one tau point"
+        )
     taus = np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)
     worst = {name: 0.0 for name in DEFAULT_TOLERANCES}
     if not include_discord:
         worst.pop("discord")
+    needed = tuple(worst)
     states = 0
     for n in n_values:
         for beta in betas:
             rho0 = thermal_initial(n, beta, n_max=n_max)
             for tau in taus:
                 state = evolve(rho0, float(tau))
+                ref = oracle_row(state, needed)
                 rho_ref = partial_trace_pair(state)
-                corr_ref = measure_correlations(state)
 
-                params = NanoporeParams(n=n, beta=beta, tau=float(tau))
-                corr = correlations(params)
+                corr = correlations(NanoporeParams(n=n, beta=beta, tau=float(tau)))
                 if corruption:
                     corr = replace(corr, q=corr.q + corruption)
+                model = analytic_row(corr, n, needed)
                 m = cs_from_correlations(corr)
-                rho = m.to_matrix()
 
-                diff_corr = max(
-                    abs(corr.p - corr_ref.p),
-                    abs(corr.q - corr_ref.q),
-                    abs(corr.r - corr_ref.r),
-                    abs(corr.u - corr_ref.u),
-                    abs(corr.v - corr_ref.v),
-                )
+                diff_corr = max(abs(model[f] - ref[f]) for f in corr.as_dict())
                 worst["correlations"] = max(worst["correlations"], diff_corr)
 
-                diff_rho = float(np.max(np.abs(rho - rho_ref)))
+                diff_rho = float(np.max(np.abs(m.to_matrix() - rho_ref)))
                 worst["reduced_matrix"] = max(worst["reduced_matrix"], diff_rho)
 
-                c_model = max(
-                    0.0,
-                    2.0 * (math.sqrt(corr.r**2 + 4.0 * corr.u**2) + corr.q) - 0.5,
-                )
                 c_closed = concurrence_cs(m).concurrence
-                c_ref = concurrence_numeric(rho_ref).concurrence
-                diff_c = max(abs(c_model - c_closed), abs(c_closed - c_ref))
+                diff_c = max(
+                    abs(model["concurrence"] - c_closed),
+                    abs(c_closed - ref["concurrence"]),
+                )
                 worst["concurrence"] = max(worst["concurrence"], diff_c)
 
-                g_closed = geometric_discord_cs(m)
-                g_ref = geometric_discord_generic(rho_ref)
-                worst["geometric_discord"] = max(
-                    worst["geometric_discord"], abs(g_closed - g_ref)
-                )
-
-                if include_discord:
-                    q_closed = discord_numeric(rho, validate=False).discord
-                    q_ref = discord_numeric(rho_ref, validate=False).discord
-                    worst["discord"] = max(worst["discord"], abs(q_closed - q_ref))
+                for name in ("geometric_discord", "discord"):
+                    if name in worst:
+                        worst[name] = max(worst[name], abs(model[name] - ref[name]))
 
                 alpha = expansion_coefficients(rho_ref)
                 zero_terms = [abs(alpha[i, j]) for i, j in _ZERO_ALPHA_INDICES]
-                zero_terms.append(abs(corr_ref.v))
+                zero_terms.append(abs(ref["v"]))
                 worst["structural_zeros"] = max(
                     worst["structural_zeros"], max(zero_terms)
                 )

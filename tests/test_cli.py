@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from nanospin_qcorr import __version__
 from nanospin_qcorr.cli import main, run_sweep
 
 SWEEP_BASE = [
@@ -71,6 +72,13 @@ def test_json_output(tmp_path):
     for json_row, row in zip(doc["rows"], rows):
         for a, b in zip(json_row, row):
             assert float(a) == float(b)
+
+
+def test_version_matches_package(tmp_path):
+    csv = run_to_file(tmp_path, "v.csv", SWEEP_BASE)
+    js = run_to_file(tmp_path, "v.json", SWEEP_BASE + ["--format", "json"])
+    assert csv.read_text().splitlines()[0] == f"# nanospin-qcorr v{__version__}"
+    assert json.loads(js.read_text())["version"] == __version__
 
 
 def test_json_encodes_infinite_pore(tmp_path):
@@ -234,6 +242,24 @@ def test_bad_range_syntax(capsys):
     rc = main(["sweep", "--N", "4", "--beta-range", "1:2", "--tau", "0"])
     assert rc == 2
     assert "lo:hi:step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--beta-range", "3:3:1", "--tau", "nan"],
+        ["--beta-range", "3:3:1", "--tau", "inf"],
+        ["--beta-range", "3:3:1", "--tau", "nan", "--engine", "oracle"],
+        ["--beta-range", "3:3:1", "--tau", "1", "--omega0", "nan"],
+        ["--beta-range", "nan:nan:1", "--tau", "1"],
+    ],
+)
+def test_non_finite_input_rejected(capsys, grid):
+    rc = main(["sweep", "--quantity", "concurrence", "--N", "6"] + grid)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_small_pore_rejected(capsys):

@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from nanospin_qcorr import bloch_data
 from nanospin_qcorr._kernels import (
-    HAVE_NUMBA,
-    conditional_entropy_grid_numpy,
-    conditional_entropy_point_numpy,
+    conditional_entropy_grid,
+    conditional_entropy_point,
     kernel_backend,
 )
 from helpers import BELL_PHI_PLUS, random_density4
@@ -21,9 +16,7 @@ def bloch_of(rho):
 
 
 def test_backend_report():
-    assert kernel_backend() in ("numba", "numpy")
-    if kernel_backend() == "numba":
-        assert HAVE_NUMBA
+    assert kernel_backend() == "numpy"
 
 
 def test_grid_agrees_with_point(rng):
@@ -31,11 +24,11 @@ def test_grid_agrees_with_point(rng):
     phis = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
     for _ in range(5):
         x, y, T = bloch_of(random_density4(rng))
-        grid = conditional_entropy_grid_numpy(x, y, T, thetas, phis)
+        grid = conditional_entropy_grid(x, y, T, thetas, phis)
         assert grid.shape == (9, 10)
         for i in (0, 4, 8):
             for j in (0, 3, 7):
-                pt = conditional_entropy_point_numpy(
+                pt = conditional_entropy_point(
                     x, y, T, float(thetas[i]), float(phis[j])
                 )
                 assert grid[i, j] == pytest.approx(pt, abs=1e-15)
@@ -47,7 +40,7 @@ def test_objective_bounds(rng):
     phis = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     for _ in range(20):
         x, y, T = bloch_of(random_density4(rng))
-        grid = conditional_entropy_grid_numpy(x, y, T, thetas, phis)
+        grid = conditional_entropy_grid(x, y, T, thetas, phis)
         assert np.all(grid >= -1e-12)
         assert np.all(grid <= 1.0 + 1e-12)
 
@@ -58,9 +51,9 @@ def test_degenerate_outcome_guard():
     up = np.diag([1.0, 0.0]).astype(complex)
     rho = np.kron(up, up)
     x, y, T = bloch_of(rho)
-    val = conditional_entropy_point_numpy(x, y, T, 0.0, 0.0)
+    val = conditional_entropy_point(x, y, T, 0.0, 0.0)
     assert val == pytest.approx(0.0, abs=1e-12)
-    grid = conditional_entropy_grid_numpy(
+    grid = conditional_entropy_grid(
         x, y, T, np.array([0.0, np.pi]), np.array([0.0])
     )
     assert np.all(np.isfinite(grid))
@@ -71,27 +64,8 @@ def test_bell_state_objective():
     x, y, T = bloch_of(BELL_PHI_PLUS)
     thetas = np.linspace(0.0, np.pi, 21)
     phis = np.linspace(0.0, 2.0 * np.pi, 21, endpoint=False)
-    grid = conditional_entropy_grid_numpy(x, y, T, thetas, phis)
+    grid = conditional_entropy_grid(x, y, T, thetas, phis)
     assert np.max(np.abs(grid)) < 1e-12
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-def test_numba_matches_numpy(rng):
-    from nanospin_qcorr._kernels import (
-        conditional_entropy_grid_numba,
-        conditional_entropy_point_numba,
-    )
-
-    thetas = np.linspace(0.0, np.pi, 24)
-    phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    for _ in range(10):
-        x, y, T = bloch_of(random_density4(rng))
-        a = conditional_entropy_grid_numpy(x, y, T, thetas, phis)
-        b = conditional_entropy_grid_numba(x, y, T, thetas, phis)
-        assert np.max(np.abs(a - b)) < 1e-12
-        pa = conditional_entropy_point_numpy(x, y, T, 0.7, 1.9)
-        pb = conditional_entropy_point_numba(x, y, T, 0.7, 1.9)
-        assert pa == pytest.approx(pb, abs=1e-14)
 
 
 def test_grid_out_parameter(rng):
@@ -99,7 +73,7 @@ def test_grid_out_parameter(rng):
     thetas = np.linspace(0.0, np.pi, 6)
     phis = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
     buf = np.empty((6, 7))
-    out = conditional_entropy_grid_numpy(x, y, T, thetas, phis, out=buf)
+    out = conditional_entropy_grid(x, y, T, thetas, phis, out=buf)
     assert out is buf
 
 
@@ -107,50 +81,6 @@ def test_determinism(rng):
     x, y, T = bloch_of(random_density4(rng))
     thetas = np.linspace(0.0, np.pi, 12)
     phis = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-    a = conditional_entropy_grid_numpy(x, y, T, thetas, phis)
-    b = conditional_entropy_grid_numpy(x, y, T, thetas, phis)
+    a = conditional_entropy_grid(x, y, T, thetas, phis)
+    b = conditional_entropy_grid(x, y, T, thetas, phis)
     assert np.array_equal(a, b)
-
-
-def test_fallback_env_flag():
-    # The env switch must flip the selected backend in a fresh process.
-    code = (
-        "from nanospin_qcorr._kernels import kernel_backend;"
-        "print(kernel_backend())"
-    )
-    env = dict(os.environ, NANOSPIN_QCORR_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_fallback_produces_same_discord():
-    from helpers import centrosymmetrize
-
-    from nanospin_qcorr import discord_numeric
-
-    rng = np.random.default_rng(11)
-    rho = centrosymmetrize(random_density4(rng))
-    here = discord_numeric(rho).discord
-    code = (
-        "import numpy as np, sys;"
-        "from nanospin_qcorr import discord_numeric;"
-        "rho = np.load(sys.argv[1]);"
-        "print(float(discord_numeric(rho).discord))"
-    )
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as td:
-        path = os.path.join(td, "rho.npy")
-        np.save(path, rho)
-        env = dict(os.environ, NANOSPIN_QCORR_DISABLE_NUMBA="yes")
-        out = subprocess.run(
-            [sys.executable, "-c", code, path],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-    assert out.returncode == 0, out.stderr
-    assert float(out.stdout.strip()) == pytest.approx(here, abs=1e-10)

@@ -1,3 +1,5 @@
+import pytest
+
 from nanospin_qcorr import (
     DEFAULT_TOLERANCES,
     VerificationReport,
@@ -39,6 +41,19 @@ def test_corruption_below_tolerance_passes():
         n_values=(3,), betas=(1.0,), n_tau=2, include_discord=False, corruption=1e-12
     )
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(n_values=(3,), betas=(1.0,), n_tau=0),
+        dict(n_values=(), betas=(1.0,), n_tau=2),
+        dict(n_values=(3,), betas=(), n_tau=2),
+    ],
+)
+def test_empty_grid_is_rejected(grid):
+    with pytest.raises(ValueError, match="at least one"):
+        run_verification(include_discord=False, **grid)
 
 
 def test_format_report_lines():
