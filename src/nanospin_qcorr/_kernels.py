@@ -9,9 +9,8 @@ measurement along direction n(theta, phi) on qubit B:
 with (x, y, T) the Bloch data of the state and H2 the binary entropy in
 bits.  Minimizing f over n yields the classical correlation.
 
-The grid objective is vectorized with numpy; the single-direction one is
-plain Python, which is far cheaper than a 1x1 grid for the golden-section
-refinement.
+The objective is written once, vectorized with numpy over a (theta, phi)
+grid; a single direction is a 1x1 grid.
 """
 
 from __future__ import annotations
@@ -32,38 +31,6 @@ LOG2 = math.log(2.0)
 # _H_FLOOR are treated as exact zeros inside the entropy.
 _P_FLOOR = 1e-15
 _H_FLOOR = 1e-14
-
-
-def conditional_entropy_point(x, y, T, theta: float, phi: float) -> float:
-    """Scalar objective at a single measurement direction (pure python)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    T = np.asarray(T, dtype=float)
-    st = math.sin(theta)
-    n0 = st * math.cos(phi)
-    n1 = st * math.sin(phi)
-    n2 = math.cos(theta)
-    t0 = T[0, 0] * n0 + T[0, 1] * n1 + T[0, 2] * n2
-    t1 = T[1, 0] * n0 + T[1, 1] * n1 + T[1, 2] * n2
-    t2 = T[2, 0] * n0 + T[2, 1] * n1 + T[2, 2] * n2
-    yn = y[0] * n0 + y[1] * n1 + y[2] * n2
-    total = 0.0
-    for sign in (1.0, -1.0):
-        p = 0.5 * (1.0 + sign * yn)
-        if p < _P_FLOOR:
-            continue
-        b0 = x[0] + sign * t0
-        b1 = x[1] + sign * t1
-        b2 = x[2] + sign * t2
-        r = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2) / (2.0 * p)
-        if r > 1.0:
-            r = 1.0
-        h = 0.0
-        for w in (0.5 * (1.0 - r), 0.5 * (1.0 + r)):
-            if w > _H_FLOOR:
-                h -= w * math.log(w)
-        total += p * (h / LOG2)
-    return total
 
 
 def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
@@ -97,6 +64,11 @@ def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
         out[...] = res
         return out
     return res
+
+
+def conditional_entropy_point(x, y, T, theta: float, phi: float) -> float:
+    """Objective at a single measurement direction (a 1x1 grid)."""
+    return float(conditional_entropy_grid(x, y, T, [theta], [phi])[0, 0])
 
 
 def kernel_backend() -> str:

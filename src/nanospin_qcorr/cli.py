@@ -36,6 +36,10 @@ __all__ = ["main", "run_sweep"]
 
 _HEADER = f"# nanospin-qcorr v{__version__}"
 
+# Most points one lo:hi:step range may expand to.  _parse_range checks the
+# count, which may be inf for a tiny step, before it builds the list.
+MAX_RANGE_POINTS = 1_000_000
+
 _CORR_FIELDS = ("p", "q", "r", "u", "v")
 _SCALARS = ("concurrence", "discord", "geometric_discord")
 
@@ -59,7 +63,12 @@ def _parse_range(text: str, flag: str):
         raise ValueError(f"{flag} step must be > 0, got {step}")
     if hi < lo:
         raise ValueError(f"{flag} needs hi >= lo, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < MAX_RANGE_POINTS:
+        raise ValueError(
+            f"{flag} spans more than {MAX_RANGE_POINTS} points, got {text!r}"
+        )
+    count = int(math.floor(span + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 
 

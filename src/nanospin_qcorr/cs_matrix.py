@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import EPS_PSD, InvalidStateError, check_density_matrix
+from .states import EPS_PSD, InvalidStateError, _check_hermitian_trace
 
 __all__ = [
     "CSDensityMatrix",
@@ -102,18 +102,14 @@ def is_centrosymmetric(rho, tol: float = 1e-12) -> bool:
 def cs_from_matrix(rho, tol: float = 1e-10) -> CSDensityMatrix:
     """Extract parameters from a dense matrix of the centrosymmetric family.
 
-    The matrix must be Hermitian with unit trace, centrosymmetric, and have
-    equal middle diagonal entries; deviations beyond ``tol`` raise
+    The matrix must be finite, Hermitian with unit trace, centrosymmetric,
+    and have equal middle diagonal entries; deviations beyond ``tol`` raise
     InvalidStateError.  Positivity is not required here.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > tol:
-        raise InvalidStateError(f"not Hermitian: max deviation {herm:.3e}")
-    if abs(rho.trace() - 1.0) > tol:
-        raise InvalidStateError(f"trace is {rho.trace():.17g}, expected 1")
+    _check_hermitian_trace(rho, tol, tol)
     if not is_centrosymmetric(rho, tol):
         dev = np.max(np.abs(rho - rho[::-1, ::-1]))
         raise InvalidStateError(f"not centrosymmetric: max deviation {dev:.3e}")

@@ -8,8 +8,9 @@ Discord is the gap between total and classical correlations,
 
 where the maximum runs over projective measurements on one qubit (the
 second by convention here).  The general solver works in Bloch form: a
-coarse grid over the measurement sphere followed by coordinate-wise
-golden-section refinement.  A closed form is available for the
+coarse grid over the measurement sphere followed by a zoom of small grids
+in a rotated frame centred on the best grid direction, away from the
+coordinate poles.  A closed form is available for the
 symmetric-correlator states that arise in the large-reservoir limit of
 the nanopore model, together with its low- and high-temperature
 asymptotes.
@@ -45,10 +46,16 @@ __all__ = [
     "measurement_conditional_entropy",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 DEFAULT_GRID = (64, 128)
-DEFAULT_REFINE_TOL = 1e-8
+
+# Zoom refinement: a _ZOOM_POINTS^2 box of half-width h about the best
+# direction.  h shrinks by _ZOOM_SHRINK unless the box minimum lies on its
+# edge; with 9 points and a factor 4 each new box still spans +-1 spacing of
+# the previous one, so a thin valley cannot slip between two boxes.
+_ZOOM_POINTS = 9
+_ZOOM_SHRINK = 4.0
+_ZOOM_MIN_H = 1e-9
+_ZOOM_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -150,29 +157,17 @@ def measurement_conditional_entropy(
     return conditional_entropy_point(x, y, T, theta, phi)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-11):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+def _chart(n0: np.ndarray) -> np.ndarray:
+    """Orthogonal matrix with rows (n0, e1, n0 x e1), e1 perpendicular to n0."""
+    helper = np.array([1.0, 0.0, 0.0] if abs(n0[2]) >= 0.9 else [0.0, 0.0, 1.0])
+    e1 = np.cross(helper, n0)
+    e1 /= np.linalg.norm(e1)
+    return np.array([n0, e1, np.cross(n0, e1)])
 
 
 def discord_numeric(
     rho,
     grid=DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     measured: str = "second",
     validate: bool = True,
 ) -> DiscordResult:
@@ -185,17 +180,16 @@ def discord_numeric(
     grid : (int, int)
         Number of polar x azimuthal samples of the initial sweep.  The
         polar grid includes both poles; the azimuthal one is periodic.
-    refine_tol : float
-        Refinement stops once a full coordinate cycle improves the
-        measurement objective by less than this.
     measured : str
         Which qubit is measured, "second" (default) or "first".
     validate : bool
         Validate rho before use.
 
-    Deterministic: ties on the initial grid resolve to the first point
-    in (theta, phi) lexicographic order, and the refinement is exact
-    golden-section with fixed brackets.
+    The best grid direction n0 is refined by zooming 9x9 grids in a
+    rotated frame whose equator passes through n0, so the search never
+    sits on a coordinate pole.  Deterministic: ties on every grid resolve
+    to the first point in (theta, phi) lexicographic order, and the zoom
+    has fixed box sizes and a fixed step cap.
     """
     rho, x, y, T = _resolve_bloch(rho, measured, validate)
     s_a = binary_entropy(0.5 * (1.0 + float(np.linalg.norm(x))))
@@ -207,37 +201,40 @@ def discord_numeric(
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
     values = conditional_entropy_grid(x, y, T, thetas, phis)
-    flat = int(np.argmin(values))
-    i, j = divmod(flat, n_ph)
-    theta = float(thetas[i])
-    phi = float(phis[j])
+    i, j = divmod(int(np.argmin(values)), n_ph)
     best = float(values[i, j])
 
-    dth = float(thetas[1] - thetas[0])
-    dph = float(phis[1] - phis[0])
-    for _ in range(8):
-        prev = best
-        t_lo = max(0.0, theta - dth)
-        t_hi = min(math.pi, theta + dth)
-        t_new, f_t = _golden_min(
-            lambda t: conditional_entropy_point(x, y, T, t, phi), t_lo, t_hi
-        )
-        if f_t < best:
-            theta, best = t_new, f_t
-        p_new, f_p = _golden_min(
-            lambda p: conditional_entropy_point(x, y, T, theta, p),
-            phi - dph,
-            phi + dph,
-        )
-        if f_p < best:
-            phi, best = p_new, f_p
-        if prev - best < refine_tol:
+    # The objective at m for data (x, R y, T R^T) is the objective at R^T m
+    # for (x, y, T); R maps n0 to (theta, phi) = (pi/2, 0).
+    R = _chart(MeasurementBasis(float(thetas[i]), float(phis[j])).axis)
+    y_r, T_r = R @ y, T @ R.T
+    theta, phi = 0.5 * math.pi, 0.0
+    h = max(float(thetas[1] - thetas[0]), float(phis[1] - phis[0]))
+    edge = (0, _ZOOM_POINTS - 1)
+    for _ in range(_ZOOM_MAX_STEPS):
+        if h < _ZOOM_MIN_H:
             break
+        ts = np.linspace(theta - h, theta + h, _ZOOM_POINTS)
+        ps = np.linspace(phi - h, phi + h, _ZOOM_POINTS)
+        box = conditional_entropy_grid(x, y_r, T_r, ts, ps)
+        k, l = divmod(int(np.argmin(box)), _ZOOM_POINTS)
+        if box[k, l] < best:
+            theta, phi, best = float(ts[k]), float(ps[l]), float(box[k, l])
+            if k in edge or l in edge:
+                continue
+        h /= _ZOOM_SHRINK
 
+    n = R.T @ MeasurementBasis(theta, phi).axis
+    # atan2 keeps the polar angle accurate near the poles; a tiny negative
+    # azimuth would round to 2 pi under %, so that case wraps to 0.
+    phi = math.atan2(n[1], n[0]) % (2.0 * math.pi)
     classical = s_a - best
     return DiscordResult(
         mutual_information=mutual,
         classical_correlation=classical,
         discord=mutual - classical,
-        basis=MeasurementBasis(theta=theta, phi=phi % (2.0 * math.pi)),
+        basis=MeasurementBasis(
+            theta=math.atan2(math.hypot(n[0], n[1]), n[2]),
+            phi=0.0 if phi == 2.0 * math.pi else phi,
+        ),
     )

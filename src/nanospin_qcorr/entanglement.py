@@ -91,20 +91,17 @@ def spin_flip(rho) -> np.ndarray:
 def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit state.
 
-    The eigenvalues of rho rho~ equal those of the Hermitian PSD matrix
-    A rho~ A with A = sqrt(rho), so a symmetric eigensolver can be used
-    throughout; this is markedly more stable near degeneracies than
-    feeding the non-normal product to a general eigensolver.
+    With rho = psi psi^dag (psi = V sqrt(evals) from a symmetric
+    eigensolver), the lambdas are the singular values of the complex
+    symmetric matrix psi^T (sigma_y x sigma_y) psi.  This never squares
+    the spectrum, so pure and near-pure states keep full precision.
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
         rho = check_density_matrix(rho)
     evals, vecs = np.linalg.eigh(rho)
-    root = vecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    prod = root @ spin_flip(rho) @ root
-    mu = np.linalg.eigvalsh(prod)
-    mu = np.clip(mu, 0.0, None)
-    return _result_from_lambdas(np.sqrt(mu))
+    psi = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    return _result_from_lambdas(np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False))
 
 
 def _safe_sqrt(radicand: float, label: str) -> float:

@@ -79,14 +79,21 @@ def check_density_matrix(
     return rho
 
 
-def _check_density(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE, eps_psd=EPS_PSD):
-    """Hermiticity, unit trace and positivity of a square complex matrix."""
+def _check_hermitian_trace(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE):
+    """Finite entries, Hermiticity and unit trace of a square complex matrix."""
+    if not np.all(np.isfinite(rho)):
+        raise InvalidStateError("matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > eps_herm:
         raise InvalidStateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = rho.trace()
     if abs(tr - 1.0) > eps_trace:
         raise InvalidStateError(f"trace is {tr:.17g}, expected 1")
+
+
+def _check_density(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE, eps_psd=EPS_PSD):
+    """Finite entries, Hermiticity, unit trace and positivity."""
+    _check_hermitian_trace(rho, eps_herm, eps_trace)
     evals = np.linalg.eigvalsh(rho)
     if evals[0] < -eps_psd:
         raise InvalidStateError(f"negative eigenvalue {evals[0]:.3e}")

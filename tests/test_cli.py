@@ -262,6 +262,28 @@ def test_non_finite_input_rejected(capsys, grid):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tau_range", ["0:1:1e-320", "0:1e9:1e-3"])
+def test_oversized_range_rejected(capsys, tau_range):
+    rc = main(
+        [
+            "sweep",
+            "--quantity",
+            "correlations",
+            "--N",
+            "3",
+            "--beta-range",
+            "1:1:1",
+            "--tau-range",
+            tau_range,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "points" in captured.err
+    assert captured.out == ""
+
+
 def test_small_pore_rejected(capsys):
     rc = main(["sweep", "--N", "1", "--beta-range", "1:1:1", "--tau", "0"])
     assert rc == 2
@@ -389,3 +411,9 @@ def test_module_entry_point():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("# nanospin-qcorr v0.1.0\n")
+
+
+def test_verify_pure_states(capsys):
+    rc = main(["verify", "--N", "3", "--beta", "inf", "--tau-points", "2"])
+    assert rc == 0
+    assert "FAIL" not in capsys.readouterr().out

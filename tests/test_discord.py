@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import BELL_PHI_PLUS, random_density4, random_qubit_density, random_su2
+from helpers import (
+    BELL_PHI_PLUS,
+    random_cs,
+    random_density4,
+    random_qubit_density,
+    random_su2,
+)
 from nanospin_qcorr import (
     MeasurementBasis,
     NanoporeParams,
@@ -129,6 +135,19 @@ def test_local_unitary_invariance(rng):
         q1 = discord_numeric(rho).discord
         q2 = discord_numeric(rotated).discord
         assert abs(q1 - q2) < 1e-6
+
+
+def test_optimum_near_a_pole_is_found():
+    # Rotating the measured qubit moves the optimum of some CS states close
+    # to a pole of the (theta, phi) grid; discord must not change.
+    c, s = math.cos(0.4), math.sin(0.4)
+    u = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        rho = random_cs(rng).to_matrix()
+        q1 = discord_numeric(rho).discord
+        q2 = discord_numeric(u @ rho @ u.conj().T).discord
+        assert abs(q1 - q2) < 1e-9
 
 
 def test_reported_basis_reproduces_objective(rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import BELL_PHI_PLUS, random_cs, random_qubit_density
 from nanospin_qcorr import (
+    NanoporeParams,
     concurrence_cs,
     concurrence_numeric,
     cs_block_diagonalize,
@@ -14,9 +15,11 @@ from nanospin_qcorr import (
     cs_from_params,
     entanglement_of_formation,
     is_centrosymmetric,
+    reduced_density,
     spin_flip,
 )
 from nanospin_qcorr.entanglement import BLOCK_ROTATION
+from nanospin_qcorr.exact_oracle import evolve, partial_trace_pair, thermal_initial
 from nanospin_qcorr.states import InvalidStateError
 
 
@@ -75,6 +78,17 @@ def test_closed_form_matches_numeric(rng):
         )
         worst = max(worst, diff)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_numeric_matches_closed_form_on_pure_pair_states(n):
+    # At beta = inf the n-spin state is pure and its pair states are often
+    # rank deficient; the numeric route must keep full precision there.
+    for tau in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+        rho = partial_trace_pair(evolve(thermal_initial(n, math.inf), tau))
+        m = reduced_density(NanoporeParams(n=n, beta=math.inf, tau=tau))
+        diff = concurrence_numeric(rho).concurrence - concurrence_cs(m).concurrence
+        assert abs(diff) < 1e-12
 
 
 def test_lambdas_descending(rng):

@@ -4,6 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_density4, random_qubit_density
+from nanospin_qcorr import (
+    concurrence_numeric,
+    cs_from_matrix,
+    discord_numeric,
+    geometric_discord_generic,
+)
 from nanospin_qcorr.states import (
     ID2,
     InvalidStateError,
@@ -58,6 +64,22 @@ def test_check_density_matrix_rejects_negative_eigenvalue():
     rho = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
     with pytest.raises(InvalidStateError, match="negative eigenvalue"):
         check_density_matrix(rho)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_density_matrix,
+        discord_numeric,
+        concurrence_numeric,
+        geometric_discord_generic,
+        cs_from_matrix,
+    ],
+)
+def test_non_finite_matrix_rejected(check, value):
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        check(np.full((4, 4), value))
 
 
 def test_partial_traces_of_product(rng):
