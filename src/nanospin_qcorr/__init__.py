@@ -27,6 +27,7 @@ from .discord import (
     DiscordResult,
     MeasurementBasis,
     discord_bell_diagonal,
+    discord_cs,
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
     discord_numeric,
@@ -48,6 +49,7 @@ from .exact_oracle import (
     dipolar_hamiltonian,
     evolve,
     measure_correlations,
+    pair_correlations,
     partial_trace_pair,
     thermal_initial,
 )

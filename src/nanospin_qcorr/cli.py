@@ -21,7 +21,13 @@ import math
 import sys
 
 from . import __version__
-from .exact_oracle import N_MAX_DEFAULT, ResourceLimitError, evolve, thermal_initial
+from .exact_oracle import (
+    N_MAX_DEFAULT,
+    ResourceLimitError,
+    evolve,
+    partial_trace_pair,
+    thermal_initial,
+)
 from .nanopore import (
     OMEGA0_DEFAULT,
     NanoporeParams,
@@ -39,6 +45,9 @@ _HEADER = f"# nanospin-qcorr v{__version__}"
 # Most points one lo:hi:step range may expand to.  _parse_range checks the
 # count, which may be inf for a tiny step, before it builds the list.
 MAX_RANGE_POINTS = 1_000_000
+# Most rows (N x beta x tau points) one sweep may evaluate; _cmd_sweep checks
+# the product before it evaluates any row.
+MAX_SWEEP_ROWS = 1_000_000
 
 _CORR_FIELDS = ("p", "q", "r", "u", "v")
 _SCALARS = ("concurrence", "discord", "geometric_discord")
@@ -127,9 +136,9 @@ def run_sweep(
                 analytic = None
                 oracle = None
                 if engine in ("analytic", "both"):
-                    analytic = analytic_row(correlations(params), params.n, base)
+                    analytic = analytic_row(correlations(params), base)
                 if engine in ("oracle", "both"):
-                    oracle = oracle_row(evolve(rho0, tau), base)
+                    oracle = oracle_row(partial_trace_pair(evolve(rho0, tau)), base)
                 for col in base:
                     if engine == "analytic":
                         row.append(analytic[col])
@@ -303,6 +312,11 @@ def _cmd_sweep(args) -> int:
             taus = [tau_special(int(tok.split(":", 1)[1]))]
         else:
             taus = [float(tok)]
+    n_rows = len(n_values) * len(betas) * len(taus)
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ValueError(
+            f"the sweep grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}"
+        )
     columns, rows = run_sweep(
         args.quantity,
         n_values,

@@ -42,7 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CSDensityMatrix:
-    """Seven-parameter centrosymmetric two-qubit density matrix."""
+    """Seven-parameter centrosymmetric two-qubit density matrix.
+
+    Every parameter must be finite; InvalidStateError otherwise.
+    """
 
     p1: float
     p2: float
@@ -51,6 +54,15 @@ class CSDensityMatrix:
     p5: float
     p6: float
     p7: float
+
+    def __post_init__(self):
+        # One sum is non-finite when any parameter is; it also overflows for
+        # parameters near 1e308, which no density matrix has.
+        total = self.p1 + self.p2 + self.p3 + self.p4 + self.p5 + self.p6 + self.p7
+        if not math.isfinite(total):
+            raise InvalidStateError(
+                f"non-finite or overflowing CS parameters {self.params}"
+            )
 
     @property
     def params(self) -> np.ndarray:

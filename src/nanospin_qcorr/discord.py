@@ -7,13 +7,22 @@ Discord is the gap between total and classical correlations,
     C = max_basis [ S(rho_A) - sum_s p_s S(rho_A | outcome s) ],
 
 where the maximum runs over projective measurements on one qubit (the
-second by convention here).  The general solver works in Bloch form: a
-coarse grid over the measurement sphere followed by a zoom of small grids
-in a rotated frame centred on the best grid direction, away from the
-coordinate poles.  A closed form is available for the
-symmetric-correlator states that arise in the large-reservoir limit of
-the nanopore model, together with its low- and high-temperature
-asymptotes.
+second by convention here).  Both solvers minimise one objective, the
+conditional entropy in Bloch form (``_kernels``):
+
+* ``discord_cs`` for the centrosymmetric states of the nanopore model.
+  Rotating each qubit about x turns such a state into an X-state of the
+  same discord, and the search reduces exactly to one variable, the
+  measured direction's x component.  A fixed grid over it, whose ends
+  are the two closed-form endpoints, is zoomed only when its minimum is
+  interior.
+* ``discord_numeric`` for any two-qubit state: a coarse grid over the
+  measurement sphere followed by a zoom of small grids in a rotated frame
+  centred on the best grid direction, away from the coordinate poles.
+
+A closed form is available for the symmetric-correlator states that arise
+in the large-reservoir limit of the nanopore model, together with its low-
+and high-temperature asymptotes; it is kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -24,15 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import conditional_entropy_grid, conditional_entropy_point
+from .cs_matrix import CSDensityMatrix, bloch_decompose, validate_density
 from .states import (
     ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    InvalidStateError,
     _qubit_side,
     binary_entropy,
     bloch_data,
     check_density_matrix,
+    entropy_bits,
     von_neumann_entropy,
 )
 
@@ -43,6 +55,7 @@ __all__ = [
     "discord_low_t_asymptotic",
     "discord_high_t_asymptotic",
     "discord_numeric",
+    "discord_cs",
     "measurement_conditional_entropy",
 ]
 
@@ -56,6 +69,14 @@ _ZOOM_POINTS = 9
 _ZOOM_SHRINK = 4.0
 _ZOOM_MIN_H = 1e-9
 _ZOOM_MAX_STEPS = 64
+
+# Points of the fixed grid over phi = arccos(n_x) in [0, pi/2] in discord_cs:
+# the spacing of DEFAULT_GRID's azimuthal grid.
+_CS_POINTS = 33
+# A grid whose values spread by no more than _CS_FLAT is flat to rounding (the
+# large-pore limit, product states): an interior minimum there is noise and
+# is not zoomed.
+_CS_FLAT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -165,6 +186,43 @@ def _chart(n0: np.ndarray) -> np.ndarray:
     return np.array([n0, e1, np.cross(n0, e1)])
 
 
+def _zoom(x, y, T, theta, phi, h, best, polar=True):
+    """Refine a grid minimum (theta, phi, best) by zooming boxes of half-width h.
+
+    A box has _ZOOM_POINTS points along phi and, when ``polar``, along theta
+    too.  The search moves only on a strict improvement and keeps h while the
+    box minimum lies on a zoomed edge.  Returns the refined (theta, phi, best).
+    """
+    edge = (0, _ZOOM_POINTS - 1)
+    for _ in range(_ZOOM_MAX_STEPS):
+        if h < _ZOOM_MIN_H:
+            break
+        if polar:
+            ts = np.linspace(theta - h, theta + h, _ZOOM_POINTS)
+        else:
+            ts = np.array([theta])
+        ps = np.linspace(phi - h, phi + h, _ZOOM_POINTS)
+        box = conditional_entropy_grid(x, y, T, ts, ps)
+        k, l = divmod(int(np.argmin(box)), _ZOOM_POINTS)
+        if box[k, l] < best:
+            theta, phi, best = float(ts[k]), float(ps[l]), float(box[k, l])
+            if (polar and k in edge) or l in edge:
+                continue
+        h /= _ZOOM_SHRINK
+    return theta, phi, best
+
+
+def _basis(n: np.ndarray) -> MeasurementBasis:
+    """The measurement basis along the unit vector n."""
+    # atan2 keeps the polar angle accurate near the poles; a tiny negative
+    # azimuth would round to 2 pi under %, so that case wraps to 0.
+    phi = math.atan2(n[1], n[0]) % (2.0 * math.pi)
+    return MeasurementBasis(
+        theta=math.atan2(math.hypot(n[0], n[1]), n[2]),
+        phi=0.0 if phi == 2.0 * math.pi else phi,
+    )
+
+
 def discord_numeric(
     rho,
     grid=DEFAULT_GRID,
@@ -202,39 +260,68 @@ def discord_numeric(
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
     values = conditional_entropy_grid(x, y, T, thetas, phis)
     i, j = divmod(int(np.argmin(values)), n_ph)
-    best = float(values[i, j])
 
     # The objective at m for data (x, R y, T R^T) is the objective at R^T m
     # for (x, y, T); R maps n0 to (theta, phi) = (pi/2, 0).
     R = _chart(MeasurementBasis(float(thetas[i]), float(phis[j])).axis)
-    y_r, T_r = R @ y, T @ R.T
-    theta, phi = 0.5 * math.pi, 0.0
     h = max(float(thetas[1] - thetas[0]), float(phis[1] - phis[0]))
-    edge = (0, _ZOOM_POINTS - 1)
-    for _ in range(_ZOOM_MAX_STEPS):
-        if h < _ZOOM_MIN_H:
-            break
-        ts = np.linspace(theta - h, theta + h, _ZOOM_POINTS)
-        ps = np.linspace(phi - h, phi + h, _ZOOM_POINTS)
-        box = conditional_entropy_grid(x, y_r, T_r, ts, ps)
-        k, l = divmod(int(np.argmin(box)), _ZOOM_POINTS)
-        if box[k, l] < best:
-            theta, phi, best = float(ts[k]), float(ps[l]), float(box[k, l])
-            if k in edge or l in edge:
-                continue
-        h /= _ZOOM_SHRINK
-
-    n = R.T @ MeasurementBasis(theta, phi).axis
-    # atan2 keeps the polar angle accurate near the poles; a tiny negative
-    # azimuth would round to 2 pi under %, so that case wraps to 0.
-    phi = math.atan2(n[1], n[0]) % (2.0 * math.pi)
+    theta, phi, best = _zoom(
+        x, R @ y, T @ R.T, 0.5 * math.pi, 0.0, h, float(values[i, j])
+    )
     classical = s_a - best
     return DiscordResult(
         mutual_information=mutual,
         classical_correlation=classical,
         discord=mutual - classical,
-        basis=MeasurementBasis(
-            theta=math.atan2(math.hypot(n[0], n[1]), n[2]),
-            phi=0.0 if phi == 2.0 * math.pi else phi,
-        ),
+        basis=_basis(R.T @ MeasurementBasis(theta, phi).axis),
+    )
+
+
+def discord_cs(m: CSDensityMatrix) -> DiscordResult:
+    """Discord of a centrosymmetric state, second qubit measured.
+
+    Both local Bloch vectors of m lie along x and T is T_xx plus a 2x2 yz
+    block B, so the objective depends on the measured direction n only
+    through t = n_x and |B n_yz|.  At fixed t it is least with all the
+    transverse weight on the larger singular value s_max of B, and it is
+    even in t, so the measurement search is exact on t in [0, 1].  It runs
+    on the rotated data x = (x1, 0, 0), y = (y1, 0, 0),
+    T = diag(T_xx, s_max, s_min) along theta = pi/2, phi = arccos t: a
+    fixed grid whose ends are the endpoints t = 1 and t = 0, zoomed with
+    discord_numeric's box rule only when its minimum is interior and the
+    grid is not flat to rounding.  The basis is reported in the original
+    frame, (t, sqrt(1 - t^2) v_max) with v_max the right singular vector
+    of B for s_max.
+
+    Raises InvalidStateError when m is not positive semidefinite.
+    """
+    report = validate_density(m)
+    if not report.ok:
+        raise InvalidStateError(
+            "not a density matrix: " + "; ".join(report.violations)
+        )
+    b = bloch_decompose(m)
+    s_a = binary_entropy(0.5 * (1.0 + abs(float(b.x[0]))))
+    s_b = binary_entropy(0.5 * (1.0 + abs(float(b.y[0]))))
+    mutual = s_a + s_b - entropy_bits(report.eigenvalues)
+    _, s, vt = np.linalg.svd(b.T[1:, 1:])
+    T = np.diag([b.T[0, 0], s[0], s[1]])
+
+    theta = 0.5 * math.pi
+    phis = np.linspace(0.0, 0.5 * math.pi, _CS_POINTS)
+    values = conditional_entropy_grid(b.x, b.y, T, [theta], phis)[0]
+    j = int(np.argmin(values))
+    phi, best = float(phis[j]), float(values[j])
+    if 0 < j < _CS_POINTS - 1 and np.ptp(values) > _CS_FLAT:
+        h = float(phis[1] - phis[0])
+        _, phi, best = _zoom(b.x, b.y, T, theta, phi, h, best, polar=False)
+
+    # The zoom may step past an end; the objective is mirror symmetric there.
+    t, w = abs(math.cos(phi)), abs(math.sin(phi))
+    classical = s_a - best
+    return DiscordResult(
+        mutual_information=mutual,
+        classical_correlation=classical,
+        discord=mutual - classical,
+        basis=_basis(np.array([t, w * vt[0, 0], w * vt[0, 1]])),
     )

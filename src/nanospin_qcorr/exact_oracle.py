@@ -35,6 +35,7 @@ __all__ = [
     "evolve",
     "partial_trace_pair",
     "measure_correlations",
+    "pair_correlations",
     "dipolar_hamiltonian",
 ]
 
@@ -156,7 +157,12 @@ def partial_trace_pair(state: DenseState) -> np.ndarray:
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:
-    """The five pair correlators read off the reduced pair state.
+    """The five pair correlators of an n-spin state's first two spins."""
+    return pair_correlations(partial_trace_pair(state))
+
+
+def pair_correlations(rho) -> CorrelationSet:
+    """The five pair correlators read off a 4x4 pair state.
 
     Conventions: p = <I_1^x>, q = <I_1^x I_2^x>, r = <I_1^y I_2^y>,
     u = <I_1^y I_2^z>, v = <I_1^z I_2^z>, with spin operators
@@ -165,7 +171,7 @@ def measure_correlations(state: DenseState) -> CorrelationSet:
     agree to 1e-12, which guards the pair-exchange symmetry of the
     model.
     """
-    x, y, T = bloch_data(partial_trace_pair(state))
+    x, y, T = bloch_data(rho)
     p_first, p_second = 0.5 * x[0], 0.5 * y[0]
     u_first, u_second = 0.25 * T[1, 2], 0.25 * T[2, 1]
     if abs(p_first - p_second) > 1e-12 or abs(u_first - u_second) > 1e-12:

@@ -32,6 +32,7 @@ __all__ = [
     "bloch_data",
     "bloch_to_matrix",
     "expansion_coefficients",
+    "entropy_bits",
     "binary_entropy",
     "von_neumann_entropy",
     "density_to_json",
@@ -193,23 +194,23 @@ def expansion_coefficients(rho) -> np.ndarray:
     return alpha
 
 
+def entropy_bits(weights) -> float:
+    """Shannon entropy -sum w log2 w in bits, with 0 log 0 = 0."""
+    s = 0.0
+    for w in weights:
+        if w > _ENTROPY_CLAMP:
+            s -= w * math.log2(w)
+    return s
+
+
 def binary_entropy(x: float) -> float:
     """Shannon entropy -x log2 x - (1-x) log2(1-x), with 0 log 0 = 0."""
-    h = 0.0
-    for t in (x, 1.0 - x):
-        if t > _ENTROPY_CLAMP:
-            h -= t * math.log2(t)
-    return h
+    return entropy_bits((x, 1.0 - x))
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a Hermitian PSD matrix of any dimension."""
-    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    s = 0.0
-    for lam in evals:
-        if lam > _ENTROPY_CLAMP:
-            s -= lam * math.log2(lam)
-    return s
+    return entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
 def density_to_json(rho) -> list:

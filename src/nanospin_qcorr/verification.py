@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discord import discord_bell_diagonal, discord_numeric
+from .discord import discord_cs, discord_numeric
 from .entanglement import concurrence_cs, concurrence_numeric
 from .exact_oracle import (
     N_MAX_DEFAULT,
     evolve,
-    measure_correlations,
+    pair_correlations,
     partial_trace_pair,
     thermal_initial,
 )
@@ -55,13 +55,14 @@ DEFAULT_TOLERANCES = {
 _ZERO_ALPHA_INDICES = ((0, 3), (3, 0), (1, 2), (2, 1), (3, 1), (1, 3))
 
 
-def analytic_row(corr: CorrelationSet, n, needed) -> dict:
-    """Closed-form values for one state of pore occupancy n.
+def analytic_row(corr: CorrelationSet, needed) -> dict:
+    """Closed-form values for the pair state of one set of correlators.
 
     Returns the correlators p, q, r, u, v of ``corr`` and each of
     concurrence, geometric_discord and discord that ``needed`` names.
     Everything is derived from ``corr``, so an offset applied to it
-    reaches every quantity.  n = inf takes the Bell-diagonal discord.
+    reaches every quantity.  Discord takes the exact CS reduction for
+    every pore occupancy, the large-pore limit included.
     """
     out = corr.as_dict()
     if "concurrence" in needed:
@@ -71,17 +72,17 @@ def analytic_row(corr: CorrelationSet, n, needed) -> dict:
         if "geometric_discord" in needed:
             out["geometric_discord"] = geometric_discord_cs(m)
         if "discord" in needed:
-            if math.isinf(n):
-                out["discord"] = discord_bell_diagonal(corr.q)
-            else:
-                out["discord"] = discord_numeric(m.to_matrix(), validate=False).discord
+            out["discord"] = discord_cs(m).discord
     return out
 
 
-def oracle_row(state, needed) -> dict:
-    """Dense-engine values for one n-spin state, keyed as in analytic_row."""
-    out = measure_correlations(state).as_dict()
-    rho = partial_trace_pair(state)
+def oracle_row(rho, needed) -> dict:
+    """Dense-engine values for one 4x4 pair state, keyed as in analytic_row.
+
+    ``rho`` is the pair state traced out of an n-spin state by
+    ``partial_trace_pair``.
+    """
+    out = pair_correlations(rho).as_dict()
     if "concurrence" in needed:
         out["concurrence"] = concurrence_numeric(rho).concurrence
     if "geometric_discord" in needed:
@@ -142,14 +143,13 @@ def run_verification(
         for beta in betas:
             rho0 = thermal_initial(n, beta, n_max=n_max)
             for tau in taus:
-                state = evolve(rho0, float(tau))
-                ref = oracle_row(state, needed)
-                rho_ref = partial_trace_pair(state)
+                rho_ref = partial_trace_pair(evolve(rho0, float(tau)))
+                ref = oracle_row(rho_ref, needed)
 
                 corr = correlations(NanoporeParams(n=n, beta=beta, tau=float(tau)))
                 if corruption:
                     corr = replace(corr, q=corr.q + corruption)
-                model = analytic_row(corr, n, needed)
+                model = analytic_row(corr, needed)
                 m = cs_from_correlations(corr)
 
                 diff_corr = max(abs(model[f] - ref[f]) for f in corr.as_dict())

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nanospin_qcorr import __version__
-from nanospin_qcorr.cli import main, run_sweep
+from nanospin_qcorr.cli import MAX_SWEEP_ROWS, main, run_sweep
 
 SWEEP_BASE = [
     "sweep",
@@ -282,6 +282,20 @@ def test_oversized_range_rejected(capsys, tau_range):
     assert captured.err.startswith("error: ")
     assert "points" in captured.err
     assert captured.out == ""
+
+
+def test_oversized_grid_rejected(tmp_path, capsys):
+    # Each range is within MAX_RANGE_POINTS; their product is not.
+    out = tmp_path / "big.csv"
+    argv = ["sweep", "--N", "3", "6", "--beta-range", "1:1000:1"]
+    argv += ["--tau-range", "0:999:1", "--out", str(out)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert f"more than {MAX_SWEEP_ROWS}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_small_pore_rejected(capsys):

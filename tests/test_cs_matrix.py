@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from helpers import centrosymmetrize, random_cs, random_density4
 from nanospin_qcorr import (
+    CorrelationSet,
     bloch_decompose,
     cs_eigenvalues,
     cs_eigenvalues_sorted,
+    cs_from_correlations,
     cs_from_json,
     cs_from_matrix,
     cs_from_params,
     cs_from_vector,
     cs_to_json,
+    discord_cs,
     is_centrosymmetric,
     validate_density,
 )
@@ -107,6 +110,28 @@ def test_validate_density_reports_violation():
     assert not report.ok
     assert not bool(report)
     assert any("L4" in v for v in report.violations)
+
+
+# Each entry point builds the CS state with p2 = bad (p = 2 bad for the
+# correlator map) and the other parameters of a valid state.
+_NON_FINITE_ENTRY_POINTS = {
+    "cs_from_params": lambda bad: cs_from_params(0.25, bad, 0, 0, 0, 0.1, 0.1),
+    "cs_from_vector": lambda bad: cs_from_vector([0.25, bad, 0, 0, 0, 0.1, 0.1]),
+    "cs_from_json": lambda bad: cs_from_json({"p": [0.25, bad, 0, 0, 0, 0.1, 0.1]}),
+    "cs_from_correlations": lambda bad: cs_from_correlations(
+        CorrelationSet(p=2.0 * bad, q=0.1, r=0.0, u=0.0)
+    ),
+    "discord_cs": lambda bad: discord_cs(
+        cs_from_params(0.25, bad, 0, 0, 0, 0.1, 0.1)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRY_POINTS))
+def test_non_finite_parameters_rejected(entry, bad):
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        _NON_FINITE_ENTRY_POINTS[entry](bad)
 
 
 def test_validate_density_tolerance_override():

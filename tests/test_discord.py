@@ -15,7 +15,9 @@ from helpers import (
 from nanospin_qcorr import (
     MeasurementBasis,
     NanoporeParams,
+    cs_from_params,
     discord_bell_diagonal,
+    discord_cs,
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
     discord_numeric,
@@ -25,6 +27,7 @@ from nanospin_qcorr import (
 from nanospin_qcorr.states import InvalidStateError, binary_entropy, bloch_data
 
 SATURATION = 0.75 * math.log2(4.0 / 3.0)
+TEMPERATURE_BETAS = (0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 5.0, 10.0, 30.0)
 
 
 def large_pore_state(beta):
@@ -97,7 +100,7 @@ def test_product_state_has_no_discord(rng):
 
 def test_matches_closed_form_across_temperatures():
     worst = 0.0
-    for beta in (0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 5.0, 10.0, 30.0):
+    for beta in TEMPERATURE_BETAS:
         got = discord_numeric(large_pore_state(beta)).discord
         want = discord_bell_diagonal(large_pore_q(beta))
         worst = max(worst, abs(got - want))
@@ -196,3 +199,83 @@ def test_result_as_dict():
         "theta",
         "phi",
     }
+
+
+def nanopore_grid():
+    for n in (3, 6, 9, 25):
+        for beta in range(1, 11):
+            for tau in np.linspace(0.0, 2.8, 15):
+                yield reduced_density(NanoporeParams(n=n, beta=beta, tau=tau))
+
+
+@pytest.mark.parametrize("rank", [4, 2, 1])
+def test_cs_reduction_matches_sphere_search(rank):
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        m = random_cs(rng, rank)
+        got = discord_cs(m)
+        want = discord_numeric(m.to_matrix())
+        assert abs(got.discord - want.discord) < 1e-9
+        assert got.mutual_information == pytest.approx(
+            want.mutual_information, abs=1e-12
+        )
+
+
+def test_cs_reduction_on_nanopore_grid():
+    # The reduction is exact, so it may sit below the sphere search by that
+    # search's own error but never above it beyond rounding.
+    for m in nanopore_grid():
+        gap = discord_cs(m).discord - discord_numeric(m.to_matrix()).discord
+        assert -1e-6 < gap < 1e-12
+
+
+def test_cs_reduction_matches_closed_form_at_large_pore():
+    for beta in TEMPERATURE_BETAS:
+        m = reduced_density(NanoporeParams(n=math.inf, beta=beta, tau=0.0))
+        assert abs(
+            discord_cs(m).discord - discord_bell_diagonal(large_pore_q(beta))
+        ) < 1e-12
+
+
+# A CS state whose optimal n_x lies strictly inside (0, 1): the conditional
+# entropy there is 1.6e-6 below its value along x.
+INTERIOR_OPTIMUM = (
+    0.231472, -0.06464, 0.007498, 0.132626, -0.00637, -0.079911, -0.036353
+)
+
+
+def unmeasured_entropy(rho):
+    x, _, _ = bloch_data(rho)
+    return binary_entropy(0.5 * (1.0 + np.linalg.norm(x)))
+
+
+def test_cs_reduction_basis_reproduces_objective():
+    rng = np.random.default_rng(11)
+    states = [random_cs(rng) for _ in range(20)]
+    states += [cs_from_params(*INTERIOR_OPTIMUM)]
+    states += list(nanopore_grid())[::7]
+    for m in states:
+        res = discord_cs(m)
+        rho = m.to_matrix()
+        val = measurement_conditional_entropy(rho, res.basis.theta, res.basis.phi)
+        assert res.classical_correlation == pytest.approx(
+            unmeasured_entropy(rho) - val, abs=1e-12
+        )
+
+
+def test_cs_reduction_finds_interior_optimum():
+    m = cs_from_params(*INTERIOR_OPTIMUM)
+    res = discord_cs(m)
+    rho = m.to_matrix()
+    assert 0.1 < abs(res.basis.axis[0]) < 0.9
+    # Without the zoom the grid point alone sits 4e-10 above the sphere search.
+    gap = res.discord - discord_numeric(rho).discord
+    assert -1e-9 < gap < 1e-12
+    best = unmeasured_entropy(rho) - res.classical_correlation
+    along_x = measurement_conditional_entropy(rho, 0.5 * math.pi, 0.0)
+    assert along_x - best > 1e-6
+
+
+def test_cs_reduction_rejects_non_psd_state():
+    with pytest.raises(InvalidStateError, match="L4"):
+        discord_cs(cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0))
