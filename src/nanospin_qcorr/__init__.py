@@ -13,12 +13,14 @@ from .cs_matrix import (
     CSDensityMatrix,
     ValidationReport,
     bloch_decompose,
+    cs_bloch,
     cs_eigenvalues,
     cs_eigenvalues_sorted,
     cs_from_json,
     cs_from_matrix,
     cs_from_params,
     cs_from_vector,
+    cs_spectrum,
     cs_to_json,
     is_centrosymmetric,
     validate_density,
@@ -28,6 +30,7 @@ from .discord import (
     MeasurementBasis,
     discord_bell_diagonal,
     discord_cs,
+    discord_cs_rows,
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
     discord_numeric,

@@ -10,7 +10,9 @@ with (x, y, T) the Bloch data of the state and H2 the binary entropy in
 bits.  Minimizing f over n yields the classical correlation.
 
 The objective is written once, vectorized with numpy over a (theta, phi)
-grid; a single direction is a 1x1 grid.
+grid and over any leading batch axes of (x, y, T): a batch of states is
+evaluated in one call, a single state is the unbatched case and a single
+direction is a 1x1 grid.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ _H_FLOOR = 1e-14
 
 
 def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
-    """Objective on a full (theta, phi) grid, vectorized with numpy."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    T = np.asarray(T, dtype=float)
+    """Objective on a full (theta, phi) grid, vectorized with numpy.
+
+    x and y have shape (..., 3) and T shape (..., 3, 3); the leading batch
+    axes, if any, must match.  Returns shape (..., len(thetas), len(phis)).
+    """
+    x = np.asarray(x, dtype=float)[..., None, None, :]
+    y = np.asarray(y, dtype=float)[..., None, :, None]
+    T = np.swapaxes(np.asarray(T, dtype=float), -1, -2)[..., None, :, :]
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     n = np.empty((thetas.size, phis.size, 3))
@@ -45,12 +51,14 @@ def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
     n[..., 0] = st * np.cos(phis)[None, :]
     n[..., 1] = st * np.sin(phis)[None, :]
     n[..., 2] = np.cos(thetas)[:, None]
-    tn = n @ T.T
-    yn = n @ y
-    res = np.zeros((thetas.size, phis.size))
+    # Each theta row of n is one matrix of a stacked matmul with the state's
+    # (transposed) T and y, broadcast over the batch axes.
+    tn = n @ T
+    yn = (n @ y)[..., 0]
+    res = np.zeros(yn.shape)
     for sign in (1.0, -1.0):
         p = 0.5 * (1.0 + sign * yn)
-        b = x[None, None, :] + sign * tn
+        b = x + sign * tn
         r = np.linalg.norm(b, axis=-1) / np.maximum(2.0 * p, 1e-300)
         np.minimum(r, 1.0, out=r)
         h = np.zeros_like(p)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .nanopore import (
     tau_special,
     temperature_from_beta,
 )
-from .verification import analytic_row, format_report, oracle_row, run_verification
+from .verification import analytic_rows, format_report, oracle_row, run_verification
 
 __all__ = ["main", "run_sweep"]
 
@@ -45,8 +46,9 @@ _HEADER = f"# nanospin-qcorr v{__version__}"
 # Most points one lo:hi:step range may expand to.  _parse_range checks the
 # count, which may be inf for a tiny step, before it builds the list.
 MAX_RANGE_POINTS = 1_000_000
-# Most rows (N x beta x tau points) one sweep may evaluate; _cmd_sweep checks
-# the product before it evaluates any row.
+# Most rows (N x beta x tau points) one sweep may evaluate, and most states
+# one verify may check; _cmd_sweep and _cmd_verify check the product before
+# they build any grid.
 MAX_SWEEP_ROWS = 1_000_000
 
 _CORR_FIELDS = ("p", "q", "r", "u", "v")
@@ -118,37 +120,41 @@ def run_sweep(
             if math.isinf(n):
                 raise ValueError("the oracle engine requires finite N")
 
-    rows = []
-    for n in n_values:
-        for beta in betas:
-            rho0 = None
-            if engine in ("oracle", "both"):
+    # Built for every engine, as a generator so that no per-row object
+    # outlives its row: it rejects non-finite input.
+    params = (
+        NanoporeParams(n=n, beta=b, tau=t, omega0=omega0)
+        for n, b, t in itertools.product(n_values, betas, taus)
+    )
+    analytic = oracle = None
+    if engine in ("analytic", "both"):
+        analytic = analytic_rows(map(correlations, params), base)
+    else:
+        for _ in params:
+            pass
+    if engine in ("oracle", "both"):
+        oracle = []
+        for n in n_values:
+            for beta in betas:
                 rho0 = thermal_initial(n, beta, n_max=n_max)
-            for tau in taus:
-                row = [
-                    n,
-                    beta,
-                    temperature_from_beta(beta, omega0),
-                    tau,
-                ]
-                # Built for every engine: it rejects non-finite input.
-                params = NanoporeParams(n=n, beta=beta, tau=tau, omega0=omega0)
-                analytic = None
-                oracle = None
-                if engine in ("analytic", "both"):
-                    analytic = analytic_row(correlations(params), base)
-                if engine in ("oracle", "both"):
-                    oracle = oracle_row(partial_trace_pair(evolve(rho0, tau)), base)
-                for col in base:
-                    if engine == "analytic":
-                        row.append(analytic[col])
-                    elif engine == "oracle":
-                        row.append(oracle[col])
-                    else:
-                        row.append(analytic[col])
-                        row.append(oracle[col])
-                        row.append(analytic[col] - oracle[col])
-                rows.append(row)
+                for tau in taus:
+                    rho = partial_trace_pair(evolve(rho0, tau))
+                    oracle.append(oracle_row(rho, base))
+
+    cells = []  # one list per output column after tau
+    for col in base:
+        if engine == "analytic":
+            cells.append(analytic[col])
+        elif engine == "oracle":
+            cells.append([row[col] for row in oracle])
+        else:
+            dense = [row[col] for row in oracle]
+            diff = [a - o for a, o in zip(analytic[col], dense)]
+            cells += [analytic[col], dense, diff]
+    grid = itertools.product(n_values, betas, taus)
+    rows = []
+    for (n, beta, tau), *values in zip(grid, *cells):
+        rows.append([n, beta, temperature_from_beta(beta, omega0), tau, *values])
     return columns, rows
 
 
@@ -343,6 +349,11 @@ def _cmd_verify(args) -> int:
     for n in n_values:
         if math.isinf(n):
             raise ValueError("verify requires finite N")
+    n_states = len(n_values) * len(args.beta) * args.tau_points
+    if n_states > MAX_SWEEP_ROWS:
+        raise ValueError(
+            f"the verify grid has {n_states} states, more than {MAX_SWEEP_ROWS}"
+        )
     report = run_verification(
         n_values=n_values,
         betas=tuple(args.beta),

@@ -11,7 +11,9 @@ entries this leaves seven real parameters p1..p7:
     [ p6       p4+i p5   p2+i p3   p1      ]
 
 The spectrum splits into two branches with closed-form eigenvalues; no
-dense eigensolver is needed for states of this family.
+dense eigensolver is needed for states of this family.  The spectrum and
+the Bloch data are written once, for arrays of parameter vectors
+(``cs_spectrum``, ``cs_bloch``); a single state is the unbatched case.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ __all__ = [
     "cs_from_vector",
     "cs_from_matrix",
     "is_centrosymmetric",
+    "cs_spectrum",
     "cs_eigenvalues",
     "cs_eigenvalues_sorted",
     "validate_density",
+    "cs_bloch",
     "bloch_decompose",
     "cs_to_json",
     "cs_from_json",
@@ -142,6 +146,24 @@ def cs_from_matrix(rho, tol: float = 1e-10) -> CSDensityMatrix:
     return m
 
 
+def cs_spectrum(params) -> np.ndarray:
+    """Closed-form eigenvalues of centrosymmetric parameter vectors.
+
+    ``params`` has shape (..., 7); returns shape (..., 4) in the order of
+    ``cs_eigenvalues``.
+    """
+    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    s1 = 0.5 * (p6 + p7 + 0.5)
+    r1 = np.sqrt(
+        0.25 * (2.0 * p1 + p6 - p7 - 0.5) ** 2 + (p2 + p4) ** 2 + (p3 + p5) ** 2
+    )
+    s2 = 0.5 * (0.5 - p6 - p7)
+    r2 = np.sqrt(
+        0.25 * (2.0 * p1 - p6 + p7 - 0.5) ** 2 + (p2 - p4) ** 2 + (p3 - p5) ** 2
+    )
+    return np.stack([s1 + r1, s1 - r1, s2 + r2, s2 - r2], axis=-1)
+
+
 def cs_eigenvalues(m: CSDensityMatrix) -> tuple:
     """Closed-form eigenvalues (L1, L2, L3, L4) of a centrosymmetric matrix.
 
@@ -149,16 +171,7 @@ def cs_eigenvalues(m: CSDensityMatrix) -> tuple:
     the branch with mean (1/2 - p6 - p7)/2; within each pair the '+' root
     comes first.  The four values always sum to 1.
     """
-    p1, p2, p3, p4, p5, p6, p7 = m.params
-    s1 = 0.5 * (p6 + p7 + 0.5)
-    r1 = math.sqrt(
-        0.25 * (2.0 * p1 + p6 - p7 - 0.5) ** 2 + (p2 + p4) ** 2 + (p3 + p5) ** 2
-    )
-    s2 = 0.5 * (0.5 - p6 - p7)
-    r2 = math.sqrt(
-        0.25 * (2.0 * p1 - p6 + p7 - 0.5) ** 2 + (p2 - p4) ** 2 + (p3 - p5) ** 2
-    )
-    return (s1 + r1, s1 - r1, s2 + r2, s2 - r2)
+    return tuple(cs_spectrum(m.params).tolist())
 
 
 def cs_eigenvalues_sorted(m: CSDensityMatrix) -> np.ndarray:
@@ -210,19 +223,31 @@ class BlochDecomposition:
     T: np.ndarray
 
 
+def cs_bloch(params):
+    """Closed-form Bloch data (x, y, T) of centrosymmetric parameter vectors.
+
+    ``params`` has shape (..., 7); returns arrays of shapes (..., 3),
+    (..., 3) and (..., 3, 3).
+    """
+    p = np.asarray(params, dtype=float)
+    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(p, -1, 0)
+    zero = np.zeros_like(p1)
+    x = np.stack([4.0 * p4, zero, zero], axis=-1)
+    y = np.stack([4.0 * p2, zero, zero], axis=-1)
+    T = np.stack(
+        [
+            2.0 * (p6 + p7), zero, zero,
+            zero, 2.0 * (p7 - p6), -4.0 * p5,
+            zero, -4.0 * p3, 4.0 * p1 - 1.0,
+        ],
+        axis=-1,
+    ).reshape(p.shape[:-1] + (3, 3))
+    return x, y, T
+
+
 def bloch_decompose(m: CSDensityMatrix) -> BlochDecomposition:
     """Closed-form Bloch data of a centrosymmetric state."""
-    p1, p2, p3, p4, p5, p6, p7 = m.params
-    x = np.array([4.0 * p4, 0.0, 0.0])
-    y = np.array([4.0 * p2, 0.0, 0.0])
-    T = np.array(
-        [
-            [2.0 * (p6 + p7), 0.0, 0.0],
-            [0.0, 2.0 * (p7 - p6), -4.0 * p5],
-            [0.0, -4.0 * p3, 4.0 * p1 - 1.0],
-        ]
-    )
-    return BlochDecomposition(x=x, y=y, T=T)
+    return BlochDecomposition(*cs_bloch(m.params))
 
 
 def cs_to_json(m: CSDensityMatrix) -> dict:

@@ -10,12 +10,13 @@ where the maximum runs over projective measurements on one qubit (the
 second by convention here).  Both solvers minimise one objective, the
 conditional entropy in Bloch form (``_kernels``):
 
-* ``discord_cs`` for the centrosymmetric states of the nanopore model.
-  Rotating each qubit about x turns such a state into an X-state of the
-  same discord, and the search reduces exactly to one variable, the
-  measured direction's x component.  A fixed grid over it, whose ends
-  are the two closed-form endpoints, is zoomed only when its minimum is
-  interior.
+* ``discord_cs_rows`` for arrays of centrosymmetric states of the
+  nanopore model (``discord_cs`` is its one-row case).  Rotating each
+  qubit about x turns such a state into an X-state of the same discord,
+  and the search reduces exactly to one variable, the measured
+  direction's x component.  A fixed grid over it, whose ends are the two
+  closed-form endpoints, is evaluated for every row in one kernel call
+  and zoomed only for rows whose minimum is interior.
 * ``discord_numeric`` for any two-qubit state: a coarse grid over the
   measurement sphere followed by a zoom of small grids in a rotated frame
   centred on the best grid direction, away from the coordinate poles.
@@ -33,8 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import conditional_entropy_grid, conditional_entropy_point
-from .cs_matrix import CSDensityMatrix, bloch_decompose, validate_density
+from .cs_matrix import (
+    CSDensityMatrix,
+    cs_bloch,
+    cs_from_vector,
+    cs_spectrum,
+    validate_density,
+)
 from .states import (
+    EPS_PSD,
     ID2,
     PAULI_X,
     PAULI_Y,
@@ -56,6 +64,7 @@ __all__ = [
     "discord_high_t_asymptotic",
     "discord_numeric",
     "discord_cs",
+    "discord_cs_rows",
     "measurement_conditional_entropy",
 ]
 
@@ -70,13 +79,16 @@ _ZOOM_SHRINK = 4.0
 _ZOOM_MIN_H = 1e-9
 _ZOOM_MAX_STEPS = 64
 
-# Points of the fixed grid over phi = arccos(n_x) in [0, pi/2] in discord_cs:
-# the spacing of DEFAULT_GRID's azimuthal grid.
+# Points of the fixed grid over phi = arccos(n_x) in [0, pi/2] in
+# discord_cs_rows: the spacing of DEFAULT_GRID's azimuthal grid.
 _CS_POINTS = 33
 # A grid whose values spread by no more than _CS_FLAT is flat to rounding (the
 # large-pore limit, product states): an interior minimum there is noise and
 # is not zoomed.
 _CS_FLAT = 1e-14
+# Rows per kernel call in discord_cs_rows: the kernel's temporaries hold
+# about 100 floats per row each, so a chunk keeps them near 1 MB apiece.
+_CS_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -277,51 +289,91 @@ def discord_numeric(
     )
 
 
-def discord_cs(m: CSDensityMatrix) -> DiscordResult:
-    """Discord of a centrosymmetric state, second qubit measured.
+def discord_cs_rows(params):
+    """Discord of centrosymmetric states, second qubit measured, row by row.
 
-    Both local Bloch vectors of m lie along x and T is T_xx plus a 2x2 yz
-    block B, so the objective depends on the measured direction n only
-    through t = n_x and |B n_yz|.  At fixed t it is least with all the
+    ``params`` holds one parameter vector p1..p7 per row, shape (R, 7).
+    Returns the arrays (mutual_information, classical_correlation, axis) of
+    shapes (R,), (R,) and (R, 3); the discord of a row is its mutual
+    information minus its classical correlation, and axis is the optimal
+    measured direction.
+
+    Both local Bloch vectors of a CS state lie along x and T is T_xx plus a
+    2x2 yz block B, so the objective depends on the measured direction n
+    only through t = n_x and |B n_yz|.  At fixed t it is least with all the
     transverse weight on the larger singular value s_max of B, and it is
     even in t, so the measurement search is exact on t in [0, 1].  It runs
     on the rotated data x = (x1, 0, 0), y = (y1, 0, 0),
     T = diag(T_xx, s_max, s_min) along theta = pi/2, phi = arccos t: a
-    fixed grid whose ends are the endpoints t = 1 and t = 0, zoomed with
-    discord_numeric's box rule only when its minimum is interior and the
-    grid is not flat to rounding.  The basis is reported in the original
-    frame, (t, sqrt(1 - t^2) v_max) with v_max the right singular vector
-    of B for s_max.
+    fixed grid whose ends are the endpoints t = 1 and t = 0, evaluated for
+    all rows in one kernel call and zoomed, one row at a time, with
+    discord_numeric's box rule only when a row's minimum is interior and
+    its grid is not flat to rounding.  The axis is reported in the
+    original frame, (t, sqrt(1 - t^2) v_max) with v_max the right singular
+    vector of B for s_max.
 
-    Raises InvalidStateError when m is not positive semidefinite.
+    Rows are evaluated in chunks of _CS_CHUNK, so the kernel's temporaries
+    stay bounded for any R.  Raises InvalidStateError, naming the negative
+    eigenvalue, when a row is not positive semidefinite.
     """
-    report = validate_density(m)
-    if not report.ok:
+    params = np.asarray(params, dtype=float).reshape(-1, 7)
+    rows = len(params)
+    mutual, classical, axis = np.empty(rows), np.empty(rows), np.empty((rows, 3))
+    for lo in range(0, rows, _CS_CHUNK):
+        chunk = slice(lo, lo + _CS_CHUNK)
+        mutual[chunk], classical[chunk], axis[chunk] = _discord_cs_chunk(
+            params[chunk]
+        )
+    return mutual, classical, axis
+
+
+def _discord_cs_chunk(params):
+    evals = cs_spectrum(params)
+    bad = np.flatnonzero(np.any(evals < -EPS_PSD, axis=1))
+    if bad.size:
+        report = validate_density(cs_from_vector(params[bad[0]]))
         raise InvalidStateError(
             "not a density matrix: " + "; ".join(report.violations)
         )
-    b = bloch_decompose(m)
-    s_a = binary_entropy(0.5 * (1.0 + abs(float(b.x[0]))))
-    s_b = binary_entropy(0.5 * (1.0 + abs(float(b.y[0]))))
-    mutual = s_a + s_b - entropy_bits(report.eigenvalues)
-    _, s, vt = np.linalg.svd(b.T[1:, 1:])
-    T = np.diag([b.T[0, 0], s[0], s[1]])
+    x, y, T = cs_bloch(params)
+    half = 0.5 * (1.0 + np.abs(np.stack([x[:, 0], y[:, 0]], axis=-1)))
+    s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
+    mutual = s_a + s_b - entropy_bits(evals)
+    _, s, vt = np.linalg.svd(T[:, 1:, 1:])
+    diag = np.zeros_like(T)
+    diag[:, 0, 0] = T[:, 0, 0]
+    diag[:, 1, 1] = s[:, 0]
+    diag[:, 2, 2] = s[:, 1]
 
     theta = 0.5 * math.pi
     phis = np.linspace(0.0, 0.5 * math.pi, _CS_POINTS)
-    values = conditional_entropy_grid(b.x, b.y, T, [theta], phis)[0]
-    j = int(np.argmin(values))
-    phi, best = float(phis[j]), float(values[j])
-    if 0 < j < _CS_POINTS - 1 and np.ptp(values) > _CS_FLAT:
-        h = float(phis[1] - phis[0])
-        _, phi, best = _zoom(b.x, b.y, T, theta, phi, h, best, polar=False)
+    values = conditional_entropy_grid(x, y, diag, [theta], phis)[:, 0]
+    j = np.argmin(values, axis=1)
+    phi = phis[j]
+    best = values[np.arange(len(values)), j]
+    interior = (j > 0) & (j < _CS_POINTS - 1) & (np.ptp(values, axis=1) > _CS_FLAT)
+    h = float(phis[1] - phis[0])
+    for i in np.flatnonzero(interior):
+        _, phi[i], best[i] = _zoom(
+            x[i], y[i], diag[i], theta, float(phi[i]), h, float(best[i]), polar=False
+        )
 
     # The zoom may step past an end; the objective is mirror symmetric there.
-    t, w = abs(math.cos(phi)), abs(math.sin(phi))
-    classical = s_a - best
+    t, w = np.abs(np.cos(phi)), np.abs(np.sin(phi))
+    axis = np.stack([t, w * vt[:, 0, 0], w * vt[:, 0, 1]], axis=-1)
+    return mutual, s_a - best, axis
+
+
+def discord_cs(m: CSDensityMatrix) -> DiscordResult:
+    """Discord of a centrosymmetric state, second qubit measured.
+
+    The one-row case of ``discord_cs_rows``, with the optimal basis.
+    Raises InvalidStateError when m is not positive semidefinite.
+    """
+    mutual, classical, axis = discord_cs_rows(m.params)
     return DiscordResult(
-        mutual_information=mutual,
-        classical_correlation=classical,
-        discord=mutual - classical,
-        basis=_basis(np.array([t, w * vt[0, 0], w * vt[0, 1]])),
+        mutual_information=float(mutual[0]),
+        classical_correlation=float(classical[0]),
+        discord=float(mutual[0] - classical[0]),
+        basis=_basis(axis[0]),
     )

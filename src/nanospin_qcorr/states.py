@@ -12,8 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -194,23 +192,24 @@ def expansion_coefficients(rho) -> np.ndarray:
     return alpha
 
 
-def entropy_bits(weights) -> float:
-    """Shannon entropy -sum w log2 w in bits, with 0 log 0 = 0."""
-    s = 0.0
-    for w in weights:
-        if w > _ENTROPY_CLAMP:
-            s -= w * math.log2(w)
-    return s
+def entropy_bits(weights):
+    """Shannon entropy -sum w log2 w in bits, with 0 log 0 = 0.
+
+    Sums over the last axis of ``weights``, so an (..., k) array gives an
+    entropy per leading index.
+    """
+    w = np.asarray(weights, dtype=float)
+    return -np.sum(w * np.log2(np.where(w > _ENTROPY_CLAMP, w, 1.0)), axis=-1)
 
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy -x log2 x - (1-x) log2(1-x), with 0 log 0 = 0."""
-    return entropy_bits((x, 1.0 - x))
+    return float(entropy_bits((x, 1.0 - x)))
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a Hermitian PSD matrix of any dimension."""
-    return entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
+    return float(entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 def density_to_json(rho) -> list:

@@ -1,19 +1,20 @@
-"""Closed forms and the dense engine, evaluated row by row.
+"""Closed forms for a whole grid at once, the dense engine state by state.
 
-``analytic_row`` and ``oracle_row`` are the one evaluation path behind both
+``analytic_rows`` and ``oracle_row`` are the one evaluation path behind both
 CLI subcommands: ``sweep`` writes their values, and ``verify`` runs them side
 by side over a grid of (n, beta, tau), adds checks of its own and tracks the
-worst absolute discrepancy per quantity.
+worst absolute discrepancy per quantity and where it occurred.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discord import discord_cs, discord_numeric
+from .discord import discord_cs_rows, discord_numeric
 from .entanglement import concurrence_cs, concurrence_numeric
 from .exact_oracle import (
     N_MAX_DEFAULT,
@@ -24,7 +25,6 @@ from .exact_oracle import (
 )
 from .geometric_discord import geometric_discord_cs, geometric_discord_generic
 from .nanopore import (
-    CorrelationSet,
     NanoporeParams,
     concurrence_from_correlations,
     correlations,
@@ -35,7 +35,7 @@ from .states import expansion_coefficients
 __all__ = [
     "DEFAULT_TOLERANCES",
     "VerificationReport",
-    "analytic_row",
+    "analytic_rows",
     "oracle_row",
     "run_verification",
     "format_report",
@@ -50,34 +50,56 @@ DEFAULT_TOLERANCES = {
     "structural_zeros": 1e-12,
 }
 
+_CORR_FIELDS = ("p", "q", "r", "u", "v")
+
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
 _ZERO_ALPHA_INDICES = ((0, 3), (3, 0), (1, 2), (2, 1), (3, 1), (1, 3))
 
 
-def analytic_row(corr: CorrelationSet, needed) -> dict:
-    """Closed-form values for the pair state of one set of correlators.
+def analytic_rows(corrs, needed) -> dict:
+    """Closed-form values for the pair states of a sequence of correlator sets.
 
-    Returns the correlators p, q, r, u, v of ``corr`` and each of
-    concurrence, geometric_discord and discord that ``needed`` names.
-    Everything is derived from ``corr``, so an offset applied to it
-    reaches every quantity.  Discord takes the exact CS reduction for
-    every pore occupancy, the large-pore limit included.
+    Returns one list, in the order of ``corrs``, for each column that
+    ``needed`` names among the correlators p, q, r, u, v, concurrence,
+    geometric_discord, discord and state (the CSDensityMatrix).  Everything
+    is derived from ``corrs``, so an offset applied to them reaches every
+    quantity.  Discord takes the exact CS reduction for every pore
+    occupancy, the large-pore limit included, for all rows at once.
+
+    ``corrs`` is read once, so it may be a generator: no per-row object
+    outlives its row unless a column holds it.
     """
-    out = corr.as_dict()
-    if "concurrence" in needed:
-        out["concurrence"] = concurrence_from_correlations(corr)
-    if "geometric_discord" in needed or "discord" in needed:
-        m = cs_from_correlations(corr)
-        if "geometric_discord" in needed:
-            out["geometric_discord"] = geometric_discord_cs(m)
-        if "discord" in needed:
-            out["discord"] = discord_cs(m).discord
+    per_row = _CORR_FIELDS + ("concurrence", "geometric_discord", "state")
+    out = {name: [] for name in per_row if name in needed}
+    fields = [(out[f], f) for f in _CORR_FIELDS if f in out]
+    concurrence = out.get("concurrence")
+    geometric = out.get("geometric_discord")
+    states = out.get("state")
+    # p1..p7 of every row, packed as doubles for the discord batch.
+    params = array("d") if "discord" in needed else None
+    need_state = any(col is not None for col in (geometric, states, params))
+    for c in corrs:
+        for column, f in fields:
+            column.append(getattr(c, f))
+        if concurrence is not None:
+            concurrence.append(concurrence_from_correlations(c))
+        if need_state:
+            m = cs_from_correlations(c)
+            if states is not None:
+                states.append(m)
+            if geometric is not None:
+                geometric.append(geometric_discord_cs(m))
+            if params is not None:
+                params.extend(m.params)
+    if params is not None:
+        mutual, classical, _ = discord_cs_rows(np.asarray(params).reshape(-1, 7))
+        out["discord"] = (mutual - classical).tolist()
     return out
 
 
 def oracle_row(rho, needed) -> dict:
-    """Dense-engine values for one 4x4 pair state, keyed as in analytic_row.
+    """Dense-engine values for one 4x4 pair state, keyed as analytic_rows' columns.
 
     ``rho`` is the pair state traced out of an n-spin state by
     ``partial_trace_pair``.
@@ -94,11 +116,17 @@ def oracle_row(rho, needed) -> dict:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Worst-case |analytic - reference| per quantity over a grid."""
+    """Worst-case |analytic - reference| per quantity over a grid.
+
+    ``worst_at`` maps a quantity to the (n, beta, tau) of the first state
+    where its worst discrepancy occurred; a quantity that never differs has
+    no entry.
+    """
 
     max_discrepancies: dict
     tolerances: dict
     states_checked: int
+    worst_at: dict = field(default_factory=dict)
 
     @property
     def failures(self) -> tuple:
@@ -127,66 +155,85 @@ def run_verification(
     q before any derived quantity is computed, so a nonzero value must
     make the comparison fail.
 
-    Tau values cover one full period, ``n_tau`` points in [0, 2 pi).
+    Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
+    closed forms are evaluated for the whole grid, and so its parameters
+    checked, before the dense engine runs.
     """
     if n_tau < 1 or not n_values or not betas:
         raise ValueError(
             "verification needs at least one N, one beta and one tau point"
         )
-    taus = np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)
+    taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)]
     worst = {name: 0.0 for name in DEFAULT_TOLERANCES}
     if not include_discord:
         worst.pop("discord")
-    needed = tuple(worst)
-    states = 0
+    worst_at = {}
+    needed = tuple(worst) + _CORR_FIELDS + ("state",)
+
+    corrs = (
+        correlations(NanoporeParams(n=n, beta=beta, tau=tau))
+        for n in n_values
+        for beta in betas
+        for tau in taus
+    )
+    if corruption:
+        corrs = (replace(corr, q=corr.q + corruption) for corr in corrs)
+    model = analytic_rows(corrs, needed)
+
+    k = 0
     for n in n_values:
         for beta in betas:
             rho0 = thermal_initial(n, beta, n_max=n_max)
             for tau in taus:
-                rho_ref = partial_trace_pair(evolve(rho0, float(tau)))
+                rho_ref = partial_trace_pair(evolve(rho0, tau))
                 ref = oracle_row(rho_ref, needed)
-
-                corr = correlations(NanoporeParams(n=n, beta=beta, tau=float(tau)))
-                if corruption:
-                    corr = replace(corr, q=corr.q + corruption)
-                model = analytic_row(corr, needed)
-                m = cs_from_correlations(corr)
-
-                diff_corr = max(abs(model[f] - ref[f]) for f in corr.as_dict())
-                worst["correlations"] = max(worst["correlations"], diff_corr)
-
-                diff_rho = float(np.max(np.abs(m.to_matrix() - rho_ref)))
-                worst["reduced_matrix"] = max(worst["reduced_matrix"], diff_rho)
-
+                m = model["state"][k]
+                diffs = {
+                    "correlations": max(
+                        abs(model[f][k] - ref[f]) for f in _CORR_FIELDS
+                    ),
+                    "reduced_matrix": float(np.max(np.abs(m.to_matrix() - rho_ref))),
+                }
                 c_closed = concurrence_cs(m).concurrence
-                diff_c = max(
-                    abs(model["concurrence"] - c_closed),
+                diffs["concurrence"] = max(
+                    abs(model["concurrence"][k] - c_closed),
                     abs(c_closed - ref["concurrence"]),
                 )
-                worst["concurrence"] = max(worst["concurrence"], diff_c)
-
                 for name in ("geometric_discord", "discord"):
                     if name in worst:
-                        worst[name] = max(worst[name], abs(model[name] - ref[name]))
-
+                        diffs[name] = abs(model[name][k] - ref[name])
                 alpha = expansion_coefficients(rho_ref)
                 zero_terms = [abs(alpha[i, j]) for i, j in _ZERO_ALPHA_INDICES]
                 zero_terms.append(abs(ref["v"]))
-                worst["structural_zeros"] = max(
-                    worst["structural_zeros"], max(zero_terms)
-                )
-                states += 1
+                diffs["structural_zeros"] = max(zero_terms)
+
+                for name, diff in diffs.items():
+                    if diff > worst[name]:
+                        worst[name] = diff
+                        worst_at[name] = (n, beta, tau)
+                k += 1
     tols = {name: DEFAULT_TOLERANCES[name] for name in worst}
     return VerificationReport(
-        max_discrepancies=worst, tolerances=tols, states_checked=states
+        max_discrepancies=worst, tolerances=tols, states_checked=k, worst_at=worst_at
     )
 
 
 def format_report(report: VerificationReport) -> str:
-    """Human-readable per-quantity summary, one line each."""
+    """Human-readable per-quantity summary, one line each.
+
+    The first line is ``checked N states``; each quantity line gives the
+    worst discrepancy, where it occurred, the tolerance, and ends in ``ok``
+    or ``FAIL``.
+    """
     lines = [f"checked {report.states_checked} states"]
     for name, val in report.max_discrepancies.items():
         tol = report.tolerances[name]
         verdict = "ok" if val <= tol else "FAIL"
-        lines.append(f"{name}: max |diff| = {val:.3e} (tolerance {tol:.0e}) {verdict}")
+        where = ""
+        if name in report.worst_at:
+            n, beta, tau = report.worst_at[name]
+            where = f" at N={n}, beta={beta:g}, tau={tau:.4f}"
+        lines.append(
+            f"{name}: max |diff| = {val:.3e}{where} (tolerance {tol:.0e}) {verdict}"
+        )
     return "\n".join(lines)

@@ -298,6 +298,12 @@ def test_oversized_grid_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_grid_gives_no_rows():
+    columns, rows = run_sweep("all", [3, math.inf], [1.0], [])
+    assert columns[:4] == ["N", "beta", "T_K", "tau"]
+    assert rows == []
+
+
 def test_small_pore_rejected(capsys):
     rc = main(["sweep", "--N", "1", "--beta-range", "1:1:1", "--tau", "0"])
     assert rc == 2
@@ -402,6 +408,32 @@ def test_verify_rejects_infinite_pore(capsys):
     rc = main(["verify", "--N", "inf", "--skip-discord"])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 3 x 4 x 1e9 states: over the cap before any tau grid is built.
+        ["--N", "3", "--tau-points", "1000000000"],
+        ["--N", "3", "4", "--beta", "1", "2", "--tau-points", str(MAX_SWEEP_ROWS)],
+    ],
+)
+def test_verify_oversized_grid_rejected(capsys, argv):
+    rc = main(["verify"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert f"more than {MAX_SWEEP_ROWS}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("beta", ["nan", "-1"])
+def test_verify_rejects_bad_beta(capsys, beta):
+    rc = main(["verify", "--N", "3", "--beta", "1", beta, "--tau-points", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: beta must be >= 0")
+    assert captured.out == ""
 
 
 def test_module_entry_point():

@@ -18,13 +18,22 @@ from nanospin_qcorr import (
     cs_from_params,
     discord_bell_diagonal,
     discord_cs,
+    discord_cs_rows,
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
     discord_numeric,
     measurement_conditional_entropy,
     reduced_density,
 )
-from nanospin_qcorr.states import InvalidStateError, binary_entropy, bloch_data
+from nanospin_qcorr._kernels import conditional_entropy_grid
+from nanospin_qcorr.discord import _CS_CHUNK
+from nanospin_qcorr.states import (
+    InvalidStateError,
+    binary_entropy,
+    bloch_data,
+    reduced_first,
+    von_neumann_entropy,
+)
 
 SATURATION = 0.75 * math.log2(4.0 / 3.0)
 TEMPERATURE_BETAS = (0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 5.0, 10.0, 30.0)
@@ -279,3 +288,89 @@ def test_cs_reduction_finds_interior_optimum():
 def test_cs_reduction_rejects_non_psd_state():
     with pytest.raises(InvalidStateError, match="L4"):
         discord_cs(cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0))
+
+
+def cs_batch():
+    rng = np.random.default_rng(7)
+    states = [random_cs(rng, rank) for rank in (4, 2, 1) for _ in range(30)]
+    return states + list(nanopore_grid())
+
+
+def params_of(states):
+    return np.array([m.params for m in states])
+
+
+def test_cs_rows_equal_per_state_results():
+    states = cs_batch()
+    mutual, classical, axis = discord_cs_rows(params_of(states))
+    for k, m in enumerate(states):
+        res = discord_cs(m)
+        assert mutual[k] == res.mutual_information
+        assert classical[k] == res.classical_correlation
+        assert mutual[k] - classical[k] == res.discord
+        assert np.allclose(axis[k], res.basis.axis, rtol=0.0, atol=1e-15)
+
+
+def test_cs_rows_span_chunks():
+    params = params_of(cs_batch())
+    reps = _CS_CHUNK // len(params) + 2
+    assert len(params) * reps > _CS_CHUNK
+    small = discord_cs_rows(params)
+    big = discord_cs_rows(np.tile(params, (reps, 1)))
+    for a, b in zip(small, big):
+        assert np.array_equal(np.tile(a, (reps,) + (1,) * (a.ndim - 1)), b)
+
+
+def test_cs_rows_reject_one_non_psd_state():
+    states = cs_batch()[:20]
+    states.insert(11, cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0))
+    with pytest.raises(InvalidStateError, match="eigenvalue L4 = "):
+        discord_cs_rows(params_of(states))
+
+
+def test_cs_rows_zoom_interior_optimum_in_a_batch():
+    states = cs_batch()[:40]
+    inner = cs_from_params(*INTERIOR_OPTIMUM)
+    states.insert(17, inner)
+    mutual, classical, axis = discord_cs_rows(params_of(states))
+    res = discord_cs(inner)
+    assert classical[17] == res.classical_correlation
+    assert 0.1 < abs(axis[17, 0]) < 0.9
+    gap = mutual[17] - classical[17] - discord_numeric(inner.to_matrix()).discord
+    assert -1e-9 < gap < 1e-12
+
+
+def test_cs_rows_empty_batch():
+    mutual, classical, axis = discord_cs_rows(np.empty((0, 7)))
+    assert mutual.shape == classical.shape == (0,)
+    assert axis.shape == (0, 3)
+
+
+def explicit_conditional_entropy(rho, basis):
+    """sum_s p_s S(rho_A | s) from the projectors, not the Bloch kernel."""
+    total = 0.0
+    for proj in basis.projectors():
+        op = np.kron(np.eye(2), proj)
+        post = op @ rho @ op
+        p = post.trace().real
+        if p > 1e-15:
+            total += p * von_neumann_entropy(reduced_first(post) / p)
+    return total
+
+
+@pytest.mark.parametrize("rank", [4, 2, 1])
+def test_numeric_optimum_on_generic_states(rank):
+    # A finer grid than DEFAULT_GRID never beats the refined optimum, and the
+    # reported basis reproduces it through explicit projectors.
+    thetas = np.linspace(0.0, math.pi, 181)
+    phis = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        rho = random_density4(rng, rank)
+        res = discord_numeric(rho)
+        x, y, T = bloch_data(rho)
+        best = unmeasured_entropy(rho) - res.classical_correlation
+        assert best <= np.min(conditional_entropy_grid(x, y, T, thetas, phis)) + 1e-12
+        s_a = von_neumann_entropy(reduced_first(rho))
+        explicit = s_a - explicit_conditional_entropy(rho, res.basis)
+        assert res.classical_correlation == pytest.approx(explicit, abs=1e-12)

@@ -34,6 +34,18 @@ def test_grid_agrees_with_point(rng):
                 assert grid[i, j] == pytest.approx(pt, abs=1e-15)
 
 
+def test_batch_axes_match_single_states(rng):
+    thetas = np.linspace(0.0, np.pi, 9)
+    phis = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
+    data = [bloch_of(random_density4(rng)) for _ in range(6)]
+    x, y, T = (np.array(a).reshape((2, 3) + a[0].shape) for a in zip(*data))
+    grid = conditional_entropy_grid(x, y, T, thetas, phis)
+    assert grid.shape == (2, 3, 9, 10)
+    for k, (xk, yk, Tk) in enumerate(data):
+        single = conditional_entropy_grid(xk, yk, Tk, thetas, phis)
+        assert np.array_equal(grid.reshape(6, 9, 10)[k], single)
+
+
 def test_objective_bounds(rng):
     # Conditional entropy of a qubit lands in [0, 1].
     thetas = np.linspace(0.0, np.pi, 16)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from nanospin_qcorr import (
@@ -64,6 +66,9 @@ def test_format_report_lines():
     lines = text.splitlines()
     assert lines[0] == "checked 2 states"
     assert any(line.startswith("correlations: max |diff| = ") for line in lines)
+    for name, (n, beta, tau) in report.worst_at.items():
+        assert f"{name}: " in text
+        assert f" at N={n}, beta={beta:g}, tau={tau:.4f} (" in text
     assert all(line.endswith(" ok") for line in lines[1:])
     assert "FAIL" not in text
 
@@ -77,3 +82,27 @@ def test_format_report_marks_failure():
     text = format_report(report)
     assert "FAIL" in text
     assert not report.ok
+
+
+def test_worst_discrepancy_is_located():
+    grid = dict(n_tau=3, include_discord=False)
+    report = run_verification(n_values=(3, 4), betas=(1.0, 2.0), **grid)
+    assert report.worst_at
+    taus = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+    for name, (n, beta, tau) in report.worst_at.items():
+        assert tau in taus
+        # The (n, beta) slice holding the worst state reproduces it.
+        part = run_verification(n_values=(n,), betas=(beta,), **grid)
+        assert part.max_discrepancies[name] == report.max_discrepancies[name]
+        assert part.worst_at[name] == (n, beta, tau)
+
+
+def test_report_without_locations_formats():
+    report = VerificationReport(
+        max_discrepancies={"concurrence": 0.0},
+        tolerances={"concurrence": 1e-10},
+        states_checked=1,
+    )
+    assert format_report(report).splitlines()[1] == (
+        "concurrence: max |diff| = 0.000e+00 (tolerance 1e-10) ok"
+    )
