@@ -16,28 +16,31 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
+import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .exact_oracle import (
-    N_MAX_DEFAULT,
-    ResourceLimitError,
-    evolve,
-    partial_trace_pair,
-    thermal_initial,
-)
+from .exact_oracle import N_MAX_DEFAULT, ResourceLimitError
 from .nanopore import (
     OMEGA0_DEFAULT,
-    NanoporeParams,
     beta_from_temperature,
-    correlations,
+    check_axes,
+    correlation_grid,
     tau_special,
     temperature_from_beta,
 )
-from .verification import analytic_rows, format_report, oracle_row, run_verification
+from .verification import (
+    CORR_FIELDS,
+    analytic_rows,
+    format_report,
+    oracle_row,
+    pair_states,
+    run_verification,
+)
 
 __all__ = ["main", "run_sweep"]
 
@@ -51,15 +54,18 @@ MAX_RANGE_POINTS = 1_000_000
 # they build any grid.
 MAX_SWEEP_ROWS = 1_000_000
 
-_CORR_FIELDS = ("p", "q", "r", "u", "v")
+# Rows formatted per write: the CSV writer holds the text of at most this
+# many rows, however long the sweep.
+CSV_CHUNK_ROWS = 4096
+
 _SCALARS = ("concurrence", "discord", "geometric_discord")
 
 
 def _base_columns(quantity: str):
     if quantity == "correlations":
-        return list(_CORR_FIELDS)
+        return list(CORR_FIELDS)
     if quantity == "all":
-        return list(_SCALARS) + list(_CORR_FIELDS)
+        return list(_SCALARS) + list(CORR_FIELDS)
     return [quantity]
 
 
@@ -105,93 +111,62 @@ def run_sweep(
 ):
     """Evaluate the requested quantity over the grid.
 
-    Returns (columns, rows); rows iterate n (outer), beta, tau (inner).
+    Returns (columns, table): ``table`` holds one sequence per column, each
+    with one value per row, and rows iterate n (outer), beta, tau (inner).
+    The N column is a list of int (or inf); the others are float arrays.
     """
     base = _base_columns(quantity)
+    if engine in ("oracle", "both") and any(math.isinf(n) for n in n_values):
+        raise ValueError("the oracle engine requires finite N")
+    n_values = check_axes(n_values, betas, taus, omega0)
+
+    temps = [temperature_from_beta(b, omega0) for b in betas]
+    per_n = len(betas) * len(taus)
     columns = ["N", "beta", "T_K", "tau"]
+    table = [
+        [n for n in n_values for _ in range(per_n)],
+        np.tile(np.repeat(betas, len(taus)), len(n_values)),
+        np.tile(np.repeat(temps, len(taus)), len(n_values)),
+        np.tile(taus, len(n_values) * len(betas)),
+    ]
+    if engine != "oracle":
+        analytic = analytic_rows(correlation_grid(n_values, betas, taus), base)
+    if engine != "analytic":
+        states = pair_states(n_values, betas, taus, n_max=n_max)
+        rows = [oracle_row(rho, base) for _, rho in states]
+        oracle = {col: np.array([row[col] for row in rows]) for col in base}
     for col in base:
-        columns.append(col)
         if engine == "both":
-            columns.append(f"{col}_oracle")
-            columns.append(f"{col}_diff")
-
-    if engine in ("oracle", "both"):
-        for n in n_values:
-            if math.isinf(n):
-                raise ValueError("the oracle engine requires finite N")
-
-    # Built for every engine, as a generator so that no per-row object
-    # outlives its row: it rejects non-finite input.
-    params = (
-        NanoporeParams(n=n, beta=b, tau=t, omega0=omega0)
-        for n, b, t in itertools.product(n_values, betas, taus)
-    )
-    analytic = oracle = None
-    if engine in ("analytic", "both"):
-        analytic = analytic_rows(map(correlations, params), base)
-    else:
-        for _ in params:
-            pass
-    if engine in ("oracle", "both"):
-        oracle = []
-        for n in n_values:
-            for beta in betas:
-                rho0 = thermal_initial(n, beta, n_max=n_max)
-                for tau in taus:
-                    rho = partial_trace_pair(evolve(rho0, tau))
-                    oracle.append(oracle_row(rho, base))
-
-    cells = []  # one list per output column after tau
-    for col in base:
-        if engine == "analytic":
-            cells.append(analytic[col])
-        elif engine == "oracle":
-            cells.append([row[col] for row in oracle])
+            columns += [col, f"{col}_oracle", f"{col}_diff"]
+            table += [analytic[col], oracle[col], analytic[col] - oracle[col]]
         else:
-            dense = [row[col] for row in oracle]
-            diff = [a - o for a, o in zip(analytic[col], dense)]
-            cells += [analytic[col], dense, diff]
-    grid = itertools.product(n_values, betas, taus)
-    rows = []
-    for (n, beta, tau), *values in zip(grid, *cells):
-        rows.append([n, beta, temperature_from_beta(beta, omega0), tau, *values])
-    return columns, rows
+            columns.append(col)
+            table.append(analytic[col] if engine == "analytic" else oracle[col])
+    return columns, table
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
-
-
-def _write_csv(columns, rows, stream) -> None:
+def _write_csv(columns, table, stream) -> None:
     stream.write(_HEADER + "\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(v) for v in row) + "\n")
+    for lo in range(0, len(table[0]), CSV_CHUNK_ROWS):
+        n_col, *values = (col[lo : lo + CSV_CHUNK_ROWS] for col in table)
+        cells = [map(str, n_col)]
+        cells += ([format(v, ".17g") for v in col.tolist()] for col in values)
+        stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def _json_safe(value):
-    if isinstance(value, int):
-        return value
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return v
+    # JSON has no inf or nan; they are written as "inf", "-inf" and "nan".
+    return value if isinstance(value, int) or math.isfinite(value) else str(value)
 
 
-def _write_json(columns, rows, engine, stream) -> None:
+def _write_json(columns, table, engine, stream) -> None:
     doc = {
         "tool": "nanospin-qcorr",
         "version": __version__,
         "engine": engine,
         "columns": columns,
-        "rows": [[_json_safe(v) for v in row] for row in rows],
+        "rows": [[_json_safe(v) for v in row] for row in zip(*table)],
     }
     json.dump(doc, stream, indent=2)
     stream.write("\n")
@@ -299,9 +274,6 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"N must be >= 2, got {n}")
     if args.beta_range:
         betas = _parse_range(args.beta_range, "--beta-range")
-        for b in betas:
-            if b < 0:
-                raise ValueError(f"beta must be >= 0, got {b}")
     else:
         temps = _parse_range(args.temp_range, "--temp-range")
         betas = [beta_from_temperature(t, args.omega0) for t in temps]
@@ -323,7 +295,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(
             f"the sweep grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}"
         )
-    columns, rows = run_sweep(
+    columns, table = run_sweep(
         args.quantity,
         n_values,
         betas,
@@ -338,9 +310,9 @@ def _cmd_sweep(args) -> int:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as fh:
         if args.format == "csv":
-            _write_csv(columns, rows, fh)
+            _write_csv(columns, table, fh)
         else:
-            _write_json(columns, rows, args.engine, fh)
+            _write_json(columns, table, args.engine, fh)
     return 0
 
 
@@ -381,6 +353,11 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout at
+        # devnull so that the interpreter's final flush stays silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

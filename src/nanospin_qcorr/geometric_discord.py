@@ -12,7 +12,8 @@ by the maximal value is applied.
 
 For the centrosymmetric family K is block-diagonal (an isolated xx entry
 plus a symmetric 2x2 block in the yz sector), so the spectrum has a
-closed form.
+closed form.  It is evaluated for arrays of parameter rows; a single
+state is the one-row case.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .states import _qubit_side, bloch_data, check_density_matrix
 
 __all__ = [
     "KMatrixSpectrum",
+    "k_spectrum_rows",
+    "geometric_discord_rows",
     "k_spectrum_cs",
     "geometric_discord_cs",
     "geometric_discord_generic",
@@ -51,41 +54,49 @@ class KMatrixSpectrum:
     k3: float
 
     @property
-    def max(self) -> float:
-        return max(self.k1, self.k2, self.k3)
-
-    @property
     def total(self) -> float:
         return self.k1 + self.k2 + self.k3
 
 
-def k_spectrum_cs(m: CSDensityMatrix) -> KMatrixSpectrum:
-    """Closed-form spectrum of K for a centrosymmetric state."""
-    p1, p2, p3, p4, p5, p6, p7 = m.params
+def k_spectrum_rows(params) -> np.ndarray:
+    """Closed-form spectra (k1, k2, k3) of K for rows of CS parameters.
+
+    ``params`` has shape (R, 7); returns shape (R, 3).  Rows whose yz-block
+    discriminant cancels beyond _CANCEL_GUARD recompute it with
+    compensated summation, one row at a time.
+    """
+    p1, p2, p3, p4, p5, p6, p7 = np.asarray(params, dtype=float).T
     k1 = 16.0 * p4 * p4 + 4.0 * (p6 + p7) ** 2
-    # yz block of K: [[a, c], [c, b]].
-    a = 4.0 * (p7 - p6) ** 2 + 16.0 * p5 * p5
-    b = 16.0 * p3 * p3 + (4.0 * p1 - 1.0) ** 2
+    # yz block of K: [[a, c], [c, b]], with a = a1 + a2 and b = b1 + b2.
+    a1 = 4.0 * (p7 - p6) ** 2
+    a2 = 16.0 * p5 * p5
+    b1 = 16.0 * p3 * p3
+    b2 = (4.0 * p1 - 1.0) ** 2
+    a = a1 + a2
+    b = b1 + b2
     c = -8.0 * p3 * (p7 - p6) - 4.0 * p5 * (4.0 * p1 - 1.0)
     diff = a - b
-    if abs(diff) < _CANCEL_GUARD * (abs(a) + abs(b)):
-        diff = math.fsum(
-            [
-                4.0 * (p7 - p6) ** 2,
-                16.0 * p5 * p5,
-                -16.0 * p3 * p3,
-                -((4.0 * p1 - 1.0) ** 2),
-            ]
-        )
+    for k in np.flatnonzero(np.abs(diff) < _CANCEL_GUARD * (np.abs(a) + np.abs(b))):
+        diff[k] = math.fsum([a1[k], a2[k], -b1[k], -b2[k]])
     half_sum = 0.5 * (a + b)
-    half_gap = 0.5 * math.sqrt(diff * diff + 4.0 * c * c)
-    return KMatrixSpectrum(k1=k1, k2=half_sum + half_gap, k3=half_sum - half_gap)
+    half_gap = 0.5 * np.sqrt(diff * diff + 4.0 * c * c)
+    return np.stack([k1, half_sum + half_gap, half_sum - half_gap], axis=1)
+
+
+def geometric_discord_rows(params) -> np.ndarray:
+    """Closed-form geometric discord of rows of CS parameters, shape (R, 7)."""
+    ks = k_spectrum_rows(params)
+    return 0.5 * (ks[:, 0] + ks[:, 1] + ks[:, 2] - ks.max(axis=1))
+
+
+def k_spectrum_cs(m: CSDensityMatrix) -> KMatrixSpectrum:
+    """Closed-form spectrum of K for a centrosymmetric state."""
+    return KMatrixSpectrum(*k_spectrum_rows(m.params[None]).tolist()[0])
 
 
 def geometric_discord_cs(m: CSDensityMatrix) -> float:
     """Closed-form geometric discord of a centrosymmetric state."""
-    ks = k_spectrum_cs(m)
-    return 0.5 * (ks.total - ks.max)
+    return float(geometric_discord_rows(m.params[None])[0])
 
 
 def geometric_discord_generic(rho, side: str = "first", validate: bool = True) -> float:

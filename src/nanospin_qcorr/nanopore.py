@@ -17,15 +17,25 @@ grows linearly with physical time.
 
 n = inf selects the large-reservoir limit, where only q = r survive and
 the pair state becomes Bell-diagonal and time-independent.
+
+The closed forms take a whole grid as arrays; one point is the one-row
+case.  The per-axis factors tanh(beta / 2), cos(tau), cos(2 tau), sin(tau)
+and ``cos_power`` stay on ``math``, whose results numpy's tanh, exp and log
+miss by one ulp for some inputs; the elementwise products and sums after
+them round as on floats, so a value does not depend on its batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .cs_matrix import CSDensityMatrix, cs_from_params
+import numpy as np
+
+from .cs_matrix import CSDensityMatrix, cs_from_vector
 from .entanglement import ConcurrenceResult, concurrence_cs
+from .states import InvalidStateError
 
 __all__ = [
     "H_PLANCK",
@@ -38,10 +48,14 @@ __all__ = [
     "temperature_from_beta",
     "tau_special",
     "cos_power",
+    "check_axes",
+    "correlation_grid",
     "correlations",
     "special_time_correlations",
+    "cs_rows",
     "cs_from_correlations",
     "reduced_density",
+    "concurrence_rows",
     "concurrence_from_correlations",
     "concurrence_nanopore",
     "concurrence_nanopore_full",
@@ -134,7 +148,7 @@ class NanoporeParams:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """The five pair correlators of the nanopore model."""
+    """The five pair correlators of the nanopore model (arrays for a grid)."""
 
     p: float
     q: float
@@ -164,32 +178,60 @@ def cos_power(c: float, k) -> float:
     return mag
 
 
+def check_axes(n_values, betas, taus, omega0: float = OMEGA0_DEFAULT) -> list:
+    """Check each axis value once by NanoporeParams' rules; return n as int or inf."""
+    ns = [NanoporeParams(n, 0.0, 0.0, omega0).n for n in n_values]
+    for beta, tau in itertools.zip_longest(betas, taus, fillvalue=0.0):
+        NanoporeParams(2, beta, tau, omega0)
+    return ns
+
+
+def correlation_grid(n_values, betas, taus) -> CorrelationSet:
+    """Pair correlators over the (n, beta, tau) grid, as arrays.
+
+    Returns a CorrelationSet whose fields are float arrays in sweep order:
+    n outer, then beta, then tau inner.  The axes must pass check_axes.
+    """
+    return _correlation_table(
+        n_values,
+        [math.tanh(beta / 2.0) for beta in betas],
+        [math.cos(tau) for tau in taus],
+        [math.cos(2.0 * tau) for tau in taus],
+        [math.sin(tau) for tau in taus],
+    )
+
+
+def _correlation_table(n_values, th, cos_tau, cos_2tau, sin_tau) -> CorrelationSet:
+    # correlation_grid from its factors: tanh(beta / 2) per beta, the rest per tau.
+    th = np.asarray(th, dtype=float)
+    q_plus_r = (0.25 * th * th)[:, None]
+    p, q, r, u = (np.zeros((len(n_values), len(th), len(cos_tau))) for _ in "pqru")
+    for k, n in enumerate(n_values):
+        if math.isinf(n):
+            q[k] = r[k] = (th * th / 8.0)[:, None]
+            continue
+        p[k] = np.multiply.outer(0.5 * th, [cos_power(c, n - 1) for c in cos_tau])
+        q_minus_r = q_plus_r * [cos_power(c, n - 2) for c in cos_2tau]
+        u[k] = np.multiply.outer(0.25 * th, [cos_power(c, n - 2) for c in cos_tau])
+        u[k] *= sin_tau
+        q[k] = 0.5 * (q_plus_r + q_minus_r)
+        r[k] = 0.5 * (q_plus_r - q_minus_r)
+    return CorrelationSet(
+        p=p.ravel(), q=q.ravel(), r=r.ravel(), u=u.ravel(), v=np.zeros(p.size)
+    )
+
+
 def correlations(params: NanoporeParams) -> CorrelationSet:
     """Pair correlators at time tau for the given pore parameters."""
-    th = math.tanh(params.beta / 2.0)
-    if math.isinf(params.n):
-        qr = th * th / 8.0
-        return CorrelationSet(p=0.0, q=qr, r=qr, u=0.0, v=0.0)
-    n = int(params.n)
-    tau = params.tau
-    c = math.cos(tau)
-    p = 0.5 * th * cos_power(c, n - 1)
-    q_plus_r = 0.25 * th * th
-    q_minus_r = 0.25 * th * th * cos_power(math.cos(2.0 * tau), n - 2)
-    u = 0.25 * th * cos_power(c, n - 2) * math.sin(tau)
-    return CorrelationSet(
-        p=p,
-        q=0.5 * (q_plus_r + q_minus_r),
-        r=0.5 * (q_plus_r - q_minus_r),
-        u=u,
-        v=0.0,
-    )
+    grid = correlation_grid((params.n,), (params.beta,), (params.tau,))
+    return CorrelationSet(**{f: float(a[0]) for f, a in grid.as_dict().items()})
 
 
 def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet:
     """Correlators at the flickering time tau_l = (1 + 2 l) pi / 2.
 
-    Evaluated in exact arithmetic rather than through cos(tau_l): the
+    Evaluated with the exact cos(tau_l) = 0, cos(2 tau_l) = -1 and
+    sin(tau_l) = (-1)^l rather than through floating tau_l: the
     transverse polarization vanishes identically, u survives only for
     n = 2, and the pair correlators alternate with the parity of n
     (even n keeps q, odd n keeps r).
@@ -202,35 +244,31 @@ def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     th = math.tanh(beta / 2.0)
-    q_plus_r = 0.25 * th * th
-    # cos(2 tau_l) = -1, so q - r = (q + r) (-1)^(n - 2) = (q + r) (-1)^n.
-    q_minus_r = q_plus_r if n % 2 == 0 else -q_plus_r
-    # sin(tau_l) = (-1)^l; cos(tau_l)^(n-2) is 1 for n = 2, else 0.
-    u = 0.25 * th * (1.0 if l % 2 == 0 else -1.0) if n == 2 else 0.0
-    return CorrelationSet(
-        p=0.0,
-        q=0.5 * (q_plus_r + q_minus_r),
-        r=0.5 * (q_plus_r - q_minus_r),
-        u=u,
-        v=0.0,
+    grid = _correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** l])
+    return CorrelationSet(**{f: float(a[0]) for f, a in grid.as_dict().items()})
+
+
+def cs_rows(corr: CorrelationSet) -> np.ndarray:
+    """CS parameter rows p1..p7, shape (R, 7), for R sets of correlators.
+
+    The fields of ``corr`` are arrays of length R, or floats for one row.
+    The map is p1 = 1/4, p2 = p4 = p/2, p3 = p5 = -u, p6 = q - r,
+    p7 = q + r; v enters only through its being zero for this model.
+    Raises InvalidStateError when a parameter is not finite.
+    """
+    p, q, r, u = (np.atleast_1d(getattr(corr, f)).astype(float) for f in "pqru")
+    rows = np.stack(
+        [np.full_like(p, 0.25), p / 2.0, -u, p / 2.0, -u, q - r, q + r], axis=1
     )
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise InvalidStateError(f"non-finite CS parameters {rows[~finite][0]}")
+    return rows
 
 
 def cs_from_correlations(corr: CorrelationSet) -> CSDensityMatrix:
-    """Reduced pair density matrix for a set of correlators.
-
-    The map is p1 = 1/4, p2 = p4 = p/2, p3 = p5 = -u, p6 = q - r,
-    p7 = q + r; v enters only through its being zero for this model.
-    """
-    return cs_from_params(
-        0.25,
-        corr.p / 2.0,
-        -corr.u,
-        corr.p / 2.0,
-        -corr.u,
-        corr.q - corr.r,
-        corr.q + corr.r,
-    )
+    """Reduced pair density matrix for a set of correlators (see cs_rows)."""
+    return cs_from_vector(cs_rows(corr)[0])
 
 
 def reduced_density(params: NanoporeParams) -> CSDensityMatrix:
@@ -238,10 +276,16 @@ def reduced_density(params: NanoporeParams) -> CSDensityMatrix:
     return cs_from_correlations(correlations(params))
 
 
+def concurrence_rows(corr: CorrelationSet) -> np.ndarray:
+    """Pair concurrence max(0, 2 (sqrt(r^2 + 4 u^2) + q) - 1/2) per row of corr."""
+    q, r, u = (np.atleast_1d(getattr(corr, f)) for f in "qru")
+    w = np.sqrt(r * r + 4.0 * u * u)
+    return np.maximum(0.0, 2.0 * (w + q) - 0.5)
+
+
 def concurrence_from_correlations(corr: CorrelationSet) -> float:
-    """Pair concurrence, max(0, 2 (sqrt(r^2 + 4 u^2) + q) - 1/2)."""
-    w = math.sqrt(corr.r * corr.r + 4.0 * corr.u * corr.u)
-    return max(0.0, 2.0 * (w + corr.q) - 0.5)
+    """Pair concurrence of one set of correlators (see concurrence_rows)."""
+    return float(concurrence_rows(corr)[0])
 
 
 def concurrence_nanopore(params: NanoporeParams) -> float:

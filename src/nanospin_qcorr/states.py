@@ -159,16 +159,9 @@ def bloch_data(rho):
 
 def bloch_to_matrix(x, y, T) -> np.ndarray:
     """Reassemble a two-qubit matrix from its Bloch data."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    T = np.asarray(T, dtype=float)
-    rho = np.eye(4, dtype=complex)
-    for i, si in enumerate(_PAULIS):
-        rho += x[i] * np.kron(si, ID2)
-        rho += y[i] * np.kron(ID2, si)
-        for j, sj in enumerate(_PAULIS):
-            rho += T[i, j] * np.kron(si, sj)
-    return rho / 4.0
+    coeffs = np.concatenate([np.ravel(x), np.ravel(y), np.ravel(T)]).astype(float)
+    # Each row of _BLOCH_OPS conjugated is its (Hermitian) operator, flattened.
+    return (np.eye(4) + (coeffs @ _BLOCH_OPS.conj()).reshape(4, 4)) / 4.0
 
 
 def expansion_coefficients(rho) -> np.ndarray:
@@ -178,17 +171,16 @@ def expansion_coefficients(rho) -> np.ndarray:
     ``(1, I^x, I^y, I^z)`` with spin operators ``I^k = sigma_k / 2``.
     Index 0 is the identity.  ``alpha[0, 0]`` is 1/4 for any unit-trace
     state; a vanishing ``alpha[a, b]`` certifies that the corresponding
-    operator product is absent from the state.
+    operator product is absent from the state.  In Bloch data the
+    coefficients are Tr(rho)/4, x_i/2, y_j/2 and T_ij.
     """
     rho = np.asarray(rho, dtype=complex)
-    ops = [ID2, PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0]
-    # Dual-basis weights: Tr[1 . 1] = 2, Tr[I^k I^k] = 1/2 per factor.
-    wt = [0.5, 2.0, 2.0, 2.0]
+    x, y, T = bloch_data(rho)
     alpha = np.empty((4, 4))
-    for a, oa in enumerate(ops):
-        for b, ob in enumerate(ops):
-            tr = np.einsum("ij,ji->", rho, np.kron(oa, ob))
-            alpha[a, b] = (wt[a] * wt[b] * tr).real
+    alpha[0, 0] = rho.trace().real / 4.0
+    alpha[1:, 0] = x / 2.0
+    alpha[0, 1:] = y / 2.0
+    alpha[1:, 1:] = T
     return alpha
 
 

@@ -1,19 +1,20 @@
 """Closed forms for a whole grid at once, the dense engine state by state.
 
-``analytic_rows`` and ``oracle_row`` are the one evaluation path behind both
-CLI subcommands: ``sweep`` writes their values, and ``verify`` runs them side
-by side over a grid of (n, beta, tau), adds checks of its own and tracks the
-worst absolute discrepancy per quantity and where it occurred.
+``analytic_rows`` (fed by ``correlation_grid``) and ``pair_states`` with
+``oracle_row`` are the one evaluation path behind both CLI subcommands:
+``sweep`` writes their values, and ``verify`` runs them side by side over a
+grid of (n, beta, tau), adds checks of its own and tracks the worst absolute
+discrepancy per quantity and where it occurred.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cs_matrix import cs_from_vector
 from .discord import discord_cs_rows, discord_numeric
 from .entanglement import concurrence_cs, concurrence_numeric
 from .exact_oracle import (
@@ -23,19 +24,16 @@ from .exact_oracle import (
     partial_trace_pair,
     thermal_initial,
 )
-from .geometric_discord import geometric_discord_cs, geometric_discord_generic
-from .nanopore import (
-    NanoporeParams,
-    concurrence_from_correlations,
-    correlations,
-    cs_from_correlations,
-)
+from .geometric_discord import geometric_discord_generic, geometric_discord_rows
+from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
 from .states import expansion_coefficients
 
 __all__ = [
+    "CORR_FIELDS",
     "DEFAULT_TOLERANCES",
     "VerificationReport",
     "analytic_rows",
+    "pair_states",
     "oracle_row",
     "run_verification",
     "format_report",
@@ -50,52 +48,43 @@ DEFAULT_TOLERANCES = {
     "structural_zeros": 1e-12,
 }
 
-_CORR_FIELDS = ("p", "q", "r", "u", "v")
+CORR_FIELDS = ("p", "q", "r", "u", "v")
 
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
 _ZERO_ALPHA_INDICES = ((0, 3), (3, 0), (1, 2), (2, 1), (3, 1), (1, 3))
 
 
-def analytic_rows(corrs, needed) -> dict:
-    """Closed-form values for the pair states of a sequence of correlator sets.
+def analytic_rows(corr, needed) -> dict:
+    """Closed-form columns for the rows of correlator arrays ``corr``.
 
-    Returns one list, in the order of ``corrs``, for each column that
-    ``needed`` names among the correlators p, q, r, u, v, concurrence,
-    geometric_discord, discord and state (the CSDensityMatrix).  Everything
-    is derived from ``corrs``, so an offset applied to them reaches every
-    quantity.  Discord takes the exact CS reduction for every pore
-    occupancy, the large-pore limit included, for all rows at once.
-
-    ``corrs`` is read once, so it may be a generator: no per-row object
-    outlives its row unless a column holds it.
+    Returns an array per column that ``needed`` names among p, q, r, u, v,
+    concurrence, geometric_discord and discord, and a list of CSDensityMatrix
+    for state.  All derive from ``corr``, so an offset on it reaches every
+    quantity.  Discord takes the exact CS reduction for every pore occupancy.
     """
-    per_row = _CORR_FIELDS + ("concurrence", "geometric_discord", "state")
-    out = {name: [] for name in per_row if name in needed}
-    fields = [(out[f], f) for f in _CORR_FIELDS if f in out]
-    concurrence = out.get("concurrence")
-    geometric = out.get("geometric_discord")
-    states = out.get("state")
-    # p1..p7 of every row, packed as doubles for the discord batch.
-    params = array("d") if "discord" in needed else None
-    need_state = any(col is not None for col in (geometric, states, params))
-    for c in corrs:
-        for column, f in fields:
-            column.append(getattr(c, f))
-        if concurrence is not None:
-            concurrence.append(concurrence_from_correlations(c))
-        if need_state:
-            m = cs_from_correlations(c)
-            if states is not None:
-                states.append(m)
-            if geometric is not None:
-                geometric.append(geometric_discord_cs(m))
-            if params is not None:
-                params.extend(m.params)
-    if params is not None:
-        mutual, classical, _ = discord_cs_rows(np.asarray(params).reshape(-1, 7))
-        out["discord"] = (mutual - classical).tolist()
+    out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
+    if "concurrence" in needed:
+        out["concurrence"] = concurrence_rows(corr)
+    if not {"geometric_discord", "discord", "state"}.isdisjoint(needed):
+        params = cs_rows(corr)
+        if "geometric_discord" in needed:
+            out["geometric_discord"] = geometric_discord_rows(params)
+        if "discord" in needed:
+            mutual, classical, _ = discord_cs_rows(params)
+            out["discord"] = mutual - classical
+        if "state" in needed:
+            out["state"] = [cs_from_vector(row) for row in params]
     return out
+
+
+def pair_states(n_values, betas, taus, n_max: int = N_MAX_DEFAULT):
+    """Yield ((n, beta, tau), dense pair state) per grid point, n outer, tau inner."""
+    for n in n_values:
+        for beta in betas:
+            rho0 = thermal_initial(n, beta, n_max=n_max)
+            for tau in taus:
+                yield (n, beta, tau), partial_trace_pair(evolve(rho0, tau))
 
 
 def oracle_row(rho, needed) -> dict:
@@ -156,66 +145,51 @@ def run_verification(
     make the comparison fail.
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
-    closed forms are evaluated for the whole grid, and so its parameters
-    checked, before the dense engine runs.
+    grid's axes are checked and the closed forms evaluated for the whole
+    grid before the dense engine runs.
     """
     if n_tau < 1 or not n_values or not betas:
         raise ValueError(
             "verification needs at least one N, one beta and one tau point"
         )
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)]
+    n_values = check_axes(n_values, betas, taus)
     worst = {name: 0.0 for name in DEFAULT_TOLERANCES}
     if not include_discord:
         worst.pop("discord")
     worst_at = {}
-    needed = tuple(worst) + _CORR_FIELDS + ("state",)
+    needed = tuple(worst) + CORR_FIELDS + ("state",)
 
-    corrs = (
-        correlations(NanoporeParams(n=n, beta=beta, tau=tau))
-        for n in n_values
-        for beta in betas
-        for tau in taus
-    )
-    if corruption:
-        corrs = (replace(corr, q=corr.q + corruption) for corr in corrs)
-    model = analytic_rows(corrs, needed)
+    corr = correlation_grid(n_values, betas, taus)
+    model = analytic_rows(replace(corr, q=corr.q + corruption), needed)
 
-    k = 0
-    for n in n_values:
-        for beta in betas:
-            rho0 = thermal_initial(n, beta, n_max=n_max)
-            for tau in taus:
-                rho_ref = partial_trace_pair(evolve(rho0, tau))
-                ref = oracle_row(rho_ref, needed)
-                m = model["state"][k]
-                diffs = {
-                    "correlations": max(
-                        abs(model[f][k] - ref[f]) for f in _CORR_FIELDS
-                    ),
-                    "reduced_matrix": float(np.max(np.abs(m.to_matrix() - rho_ref))),
-                }
-                c_closed = concurrence_cs(m).concurrence
-                diffs["concurrence"] = max(
-                    abs(model["concurrence"][k] - c_closed),
-                    abs(c_closed - ref["concurrence"]),
-                )
-                for name in ("geometric_discord", "discord"):
-                    if name in worst:
-                        diffs[name] = abs(model[name][k] - ref[name])
-                alpha = expansion_coefficients(rho_ref)
-                zero_terms = [abs(alpha[i, j]) for i, j in _ZERO_ALPHA_INDICES]
-                zero_terms.append(abs(ref["v"]))
-                diffs["structural_zeros"] = max(zero_terms)
+    states = pair_states(n_values, betas, taus, n_max=n_max)
+    for k, (point, rho_ref) in enumerate(states):
+        ref = oracle_row(rho_ref, needed)
+        m = model["state"][k]
+        diffs = {
+            "correlations": max(abs(model[f][k] - ref[f]) for f in CORR_FIELDS),
+            "reduced_matrix": float(np.max(np.abs(m.to_matrix() - rho_ref))),
+        }
+        c_closed = concurrence_cs(m).concurrence
+        diffs["concurrence"] = max(
+            abs(model["concurrence"][k] - c_closed),
+            abs(c_closed - ref["concurrence"]),
+        )
+        for name in ("geometric_discord", "discord"):
+            if name in worst:
+                diffs[name] = abs(model[name][k] - ref[name])
+        alpha = expansion_coefficients(rho_ref)
+        zero_terms = [abs(alpha[i, j]) for i, j in _ZERO_ALPHA_INDICES]
+        zero_terms.append(abs(ref["v"]))
+        diffs["structural_zeros"] = max(zero_terms)
 
-                for name, diff in diffs.items():
-                    if diff > worst[name]:
-                        worst[name] = diff
-                        worst_at[name] = (n, beta, tau)
-                k += 1
+        for name, diff in diffs.items():
+            if diff > worst[name]:
+                worst[name] = diff
+                worst_at[name] = point
     tols = {name: DEFAULT_TOLERANCES[name] for name in worst}
-    return VerificationReport(
-        max_discrepancies=worst, tolerances=tols, states_checked=k, worst_at=worst_at
-    )
+    return VerificationReport(worst, tols, len(model["state"]), worst_at)
 
 
 def format_report(report: VerificationReport) -> str:

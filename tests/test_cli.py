@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -6,7 +7,14 @@ import sys
 import pytest
 
 from nanospin_qcorr import __version__
-from nanospin_qcorr.cli import MAX_SWEEP_ROWS, main, run_sweep
+from nanospin_qcorr.cli import (
+    CSV_CHUNK_ROWS,
+    MAX_SWEEP_ROWS,
+    _write_csv,
+    _write_json,
+    main,
+    run_sweep,
+)
 
 SWEEP_BASE = [
     "sweep",
@@ -48,11 +56,12 @@ def test_csv_shape_and_header(tmp_path):
 def test_csv_floats_round_trip(tmp_path):
     path = run_to_file(tmp_path, "out.csv", SWEEP_BASE)
     lines = path.read_text().splitlines()
-    columns, rows = run_sweep(
+    columns, table = run_sweep(
         "all", [4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], engine="analytic"
     )
     assert lines[1].split(",") == columns
-    for text_row, row in zip(lines[2:], rows):
+    assert len(lines[2:]) == len(table[0]) == 9
+    for text_row, row in zip(lines[2:], zip(*table)):
         parsed = [float(cell) for cell in text_row.split(",")]
         assert parsed == [float(v) for v in row]
 
@@ -65,11 +74,12 @@ def test_json_output(tmp_path):
     assert doc["tool"] == "nanospin-qcorr"
     assert doc["version"] == "0.1.0"
     assert doc["engine"] == "analytic"
-    columns, rows = run_sweep(
+    columns, table = run_sweep(
         "all", [4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], engine="analytic"
     )
     assert doc["columns"] == columns
-    for json_row, row in zip(doc["rows"], rows):
+    assert len(doc["rows"]) == len(table[0]) == 9
+    for json_row, row in zip(doc["rows"], zip(*table)):
         for a, b in zip(json_row, row):
             assert float(a) == float(b)
 
@@ -299,9 +309,16 @@ def test_oversized_grid_rejected(tmp_path, capsys):
 
 
 def test_empty_grid_gives_no_rows():
-    columns, rows = run_sweep("all", [3, math.inf], [1.0], [])
+    columns, table = run_sweep("all", [3, math.inf], [1.0], [])
     assert columns[:4] == ["N", "beta", "T_K", "tau"]
-    assert rows == []
+    assert len(table) == len(columns)
+    assert all(len(col) == 0 for col in table)
+    text = io.StringIO()
+    _write_csv(columns, table, text)
+    assert text.getvalue().splitlines()[1:] == [",".join(columns)]
+    text = io.StringIO()
+    _write_json(columns, table, "analytic", text)
+    assert json.loads(text.getvalue())["rows"] == []
 
 
 def test_small_pore_rejected(capsys):
@@ -463,3 +480,39 @@ def test_verify_pure_states(capsys):
     rc = main(["verify", "--N", "3", "--beta", "inf", "--tau-points", "2"])
     assert rc == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_sweep_longer_than_a_chunk_matches_chunk_sized_sweeps(tmp_path):
+    # 2 x 2 x 1100 rows span two writer chunks; each per-N sweep fits in one.
+    grid = ["--beta-range", "1:2:1", "--tau-range", "0:1.099:0.001"]
+    assert 2 * 1100 <= CSV_CHUNK_ROWS < 2 * 2 * 1100
+    whole = run_to_file(tmp_path, "whole.csv", ["sweep", "--N", "3", "inf", *grid])
+    parts = [
+        run_to_file(tmp_path, f"part{n}.csv", ["sweep", "--N", n, *grid])
+        for n in ("3", "inf")
+    ]
+    whole_lines = whole.read_text().splitlines(keepends=True)
+    body = "".join(whole_lines[2:])
+    assert len(whole_lines) == 2 + 2 * 2 * 1100
+    assert body == "".join(
+        "".join(p.read_text().splitlines(keepends=True)[2:]) for p in parts
+    )
+
+
+def test_closed_pipe_exits_without_traceback():
+    argv = ["sweep", "--quantity", "correlations", "--N", "2", "3"]
+    argv += ["--beta-range", "1:30:1", "--tau-range", "0:6:0.01"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nanospin_qcorr", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # The output (about 3 MB) is far larger than a pipe buffer, so the
+    # writer is still running when the reader goes away.
+    assert proc.stdout.readline().startswith(b"# nanospin-qcorr")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err

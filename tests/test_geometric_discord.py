@@ -15,6 +15,7 @@ from nanospin_qcorr import (
     k_spectrum_cs,
     reduced_density,
 )
+from nanospin_qcorr.geometric_discord import geometric_discord_rows, k_spectrum_rows
 from nanospin_qcorr.states import InvalidStateError
 
 
@@ -140,3 +141,17 @@ def test_non_psd_input_rejected():
     bad = np.diag([0.7, 0.4, 0.0, -0.1]).astype(complex)
     with pytest.raises(InvalidStateError):
         geometric_discord_generic(bad)
+
+
+def test_one_state_equals_its_batched_row(rng):
+    # The last state has equal yz-block diagonal entries, so its row takes
+    # the compensated-summation path inside the batch.
+    states = [random_cs(rng) for _ in range(200)]
+    states.append(cs_from_params(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01))
+    params = np.array([m.params for m in states])
+    batched = geometric_discord_rows(params)
+    spectra = k_spectrum_rows(params)
+    for k, m in enumerate(states):
+        assert geometric_discord_cs(m).hex() == float(batched[k]).hex()
+        ks = k_spectrum_cs(m)
+        assert [ks.k1, ks.k2, ks.k3] == spectra[k].tolist()

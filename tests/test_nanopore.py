@@ -23,8 +23,13 @@ from nanospin_qcorr.nanopore import (
     HBAR,
     K_BOLTZMANN,
     OMEGA0_DEFAULT,
+    check_axes,
+    concurrence_from_correlations,
     concurrence_nanopore_full,
+    concurrence_rows,
+    correlation_grid,
     cos_power,
+    cs_rows,
 )
 from nanospin_qcorr.states import swap_qubits
 
@@ -272,3 +277,83 @@ def test_full_route_helper():
 def test_correlation_set_as_dict():
     corr = CorrelationSet(p=0.1, q=0.02, r=0.01, u=0.005)
     assert corr.as_dict() == {"p": 0.1, "q": 0.02, "r": 0.01, "u": 0.005, "v": 0.0}
+
+
+grid_n = st.sampled_from([2, 3, 4, 7, 60, 10**6, math.inf])
+grid_beta = st.one_of(
+    st.just(0.0), st.just(math.inf), st.floats(min_value=0.0, max_value=50.0)
+)
+# Random times and the odd half-periods tau_l, where cos(tau) is nearly 0.
+grid_tau = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.integers(min_value=-20, max_value=20).map(lambda l: (1 + 2 * l) * math.pi / 2),
+)
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+def _scalar_reference(n, beta, tau):
+    """The correlators for one state, operation by operation on floats."""
+    th = math.tanh(beta / 2.0)
+    if math.isinf(n):
+        qr = th * th / 8.0
+        return (0.0, qr, qr, 0.0, 0.0)
+    c = math.cos(tau)
+    q_plus_r = 0.25 * th * th
+    q_minus_r = 0.25 * th * th * cos_power(math.cos(2.0 * tau), n - 2)
+    return (
+        0.5 * th * cos_power(c, n - 1),
+        0.5 * (q_plus_r + q_minus_r),
+        0.5 * (q_plus_r - q_minus_r),
+        0.25 * th * cos_power(c, n - 2) * math.sin(tau),
+        0.0,
+    )
+
+
+@given(
+    st.lists(grid_n, min_size=1, max_size=4),
+    st.lists(grid_beta, min_size=1, max_size=3),
+    st.lists(grid_tau, min_size=1, max_size=5),
+)
+def test_grid_matches_one_point_calls_bit_for_bit(ns, betas, taus):
+    grid = correlation_grid(ns, betas, taus)
+    rows = cs_rows(grid)
+    concurrence = concurrence_rows(grid)
+    assert rows.shape == (len(ns) * len(betas) * len(taus), 7)
+    k = 0
+    for n in ns:
+        for beta in betas:
+            for tau in taus:
+                point = correlations(NanoporeParams(n=n, beta=beta, tau=tau))
+                got = [getattr(grid, f)[k] for f in ("p", "q", "r", "u", "v")]
+                expected = list(point.as_dict().values())
+                assert list(map(_bits, got)) == list(map(_bits, expected))
+                assert list(map(_bits, expected)) == list(
+                    map(_bits, _scalar_reference(n, beta, tau))
+                )
+                params = cs_from_correlations(point).params
+                assert list(map(_bits, rows[k])) == list(map(_bits, params))
+                one = concurrence_from_correlations(point)
+                assert _bits(concurrence[k]) == _bits(one)
+                k += 1
+
+
+def test_check_axes_uses_params_rules():
+    assert check_axes([2, 3.0, math.inf], [0.0, math.inf], [1.0]) == [2, 3, math.inf]
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        check_axes([3, 1], [1.0], [0.0])
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        check_axes([3], [1.0, math.nan], [0.0])
+    with pytest.raises(ValueError, match="tau must be finite"):
+        check_axes([3], [1.0], [0.0, math.inf])
+    with pytest.raises(ValueError, match="omega0"):
+        check_axes([3], [1.0], [0.0], omega0=-1.0)
+
+
+def test_empty_grid_has_no_rows():
+    grid = correlation_grid([3, math.inf], [1.0], [])
+    assert all(len(a) == 0 for a in grid.as_dict().values())
+    assert cs_rows(grid).shape == (0, 7)
+    assert concurrence_rows(grid).shape == (0,)
