@@ -9,10 +9,10 @@ measurement along direction n(theta, phi) on qubit B:
 with (x, y, T) the Bloch data of the state and H2 the binary entropy in
 bits.  Minimizing f over n yields the classical correlation.
 
-The objective is written once, vectorized with numpy over a (theta, phi)
-grid and over any leading batch axes of (x, y, T): a batch of states is
-evaluated in one call, a single state is the unbatched case and a single
-direction is a 1x1 grid.
+The objective is written once, ``conditional_entropy_dirs``, vectorized
+with numpy over a batch of states, each with its own array of directions.
+A (theta, phi) grid shared by every state and a single direction (a 1x1
+grid) are thin wrappers that build the directions.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "conditional_entropy_dirs",
     "conditional_entropy_grid",
     "conditional_entropy_point",
     "kernel_backend",
@@ -35,39 +36,50 @@ _P_FLOOR = 1e-15
 _H_FLOOR = 1e-14
 
 
+def _directions(thetas, phis):
+    """Unit vectors n(theta, phi), thetas (..., A) by phis (..., B): (..., A, B, 3)."""
+    st = np.sin(thetas)[..., :, None]
+    n = np.empty(st.shape[:-1] + np.shape(phis)[-1:] + (3,))
+    n[..., 0] = st * np.cos(phis)[..., None, :]
+    n[..., 1] = st * np.sin(phis)[..., None, :]
+    n[..., 2] = np.cos(thetas)[..., :, None]
+    return n
+
+
+def conditional_entropy_dirs(x, y, T, n):
+    """Objective along unit directions n (..., M, 3), shape (..., M).
+
+    x and y have shape (..., 3) and T shape (..., 3, 3), batch axes as n's.
+    """
+    x = np.asarray(x, dtype=float)[..., :, None]
+    y = np.asarray(y, dtype=float)[..., None, :]
+    T = np.asarray(T, dtype=float)
+    n = np.swapaxes(np.asarray(n, dtype=float), -1, -2)
+    # Directions as columns: T n and y.n get one contiguous row per component.
+    tn = T @ n
+    yn = (y @ n)[..., 0, :]
+    res = np.zeros(yn.shape)
+    for p, b in ((0.5 * (1.0 + yn), x + tn), (0.5 * (1.0 - yn), x - tn)):
+        b0, b1, b2 = np.moveaxis(b, -2, 0)
+        r = np.sqrt(b0 * b0 + b1 * b1 + b2 * b2) / np.maximum(2.0 * p, 1e-300)
+        np.minimum(r, 1.0, out=r)
+        h = np.zeros_like(p)
+        for w in (0.5 * (1.0 - r), 0.5 * (1.0 + r)):
+            live = w > _H_FLOOR
+            h -= np.where(live, w * np.log(np.where(live, w, 1.0)), 0.0)
+        res += np.where(p < _P_FLOOR, 0.0, p * (h / LOG2))
+    return res
+
+
 def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
-    """Objective on a full (theta, phi) grid, vectorized with numpy.
+    """Objective on a full (theta, phi) grid shared by every state.
 
     x and y have shape (..., 3) and T shape (..., 3, 3); the leading batch
     axes, if any, must match.  Returns shape (..., len(thetas), len(phis)).
     """
-    x = np.asarray(x, dtype=float)[..., None, None, :]
-    y = np.asarray(y, dtype=float)[..., None, :, None]
-    T = np.swapaxes(np.asarray(T, dtype=float), -1, -2)[..., None, :, :]
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    n = np.empty((thetas.size, phis.size, 3))
-    st = np.sin(thetas)[:, None]
-    n[..., 0] = st * np.cos(phis)[None, :]
-    n[..., 1] = st * np.sin(phis)[None, :]
-    n[..., 2] = np.cos(thetas)[:, None]
-    # Each theta row of n is one matrix of a stacked matmul with the state's
-    # (transposed) T and y, broadcast over the batch axes.
-    tn = n @ T
-    yn = (n @ y)[..., 0]
-    res = np.zeros(yn.shape)
-    for sign in (1.0, -1.0):
-        p = 0.5 * (1.0 + sign * yn)
-        b = x + sign * tn
-        r = np.linalg.norm(b, axis=-1) / np.maximum(2.0 * p, 1e-300)
-        np.minimum(r, 1.0, out=r)
-        h = np.zeros_like(p)
-        for w in (0.5 * (1.0 - r), 0.5 * (1.0 + r)):
-            mask = w > _H_FLOOR
-            h[mask] -= w[mask] * np.log(w[mask])
-        term = p * (h / LOG2)
-        term[p < _P_FLOOR] = 0.0
-        res += term
+    n = _directions(np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float))
+    res = conditional_entropy_dirs(x, y, T, n.reshape(-1, 3))
+    res = res.reshape(res.shape[:-1] + n.shape[:2])
     if out is not None:
         out[...] = res
         return out

@@ -37,7 +37,7 @@ from .verification import (
     CORR_FIELDS,
     analytic_rows,
     format_report,
-    oracle_row,
+    oracle_rows,
     pair_states,
     run_verification,
 )
@@ -119,6 +119,12 @@ def run_sweep(
     if engine in ("oracle", "both") and any(math.isinf(n) for n in n_values):
         raise ValueError("the oracle engine requires finite N")
     n_values = check_axes(n_values, betas, taus, omega0)
+    if engine != "analytic":
+        states = pair_states(n_values, betas, taus, n_max=n_max)
+        parts = [oracle_rows(rhos, base) for _, rhos in states]
+        oracle = {c: np.concatenate([[]] + [p[c] for p in parts]) for c in base}
+    if engine != "oracle":
+        analytic = analytic_rows(correlation_grid(n_values, betas, taus), base)
 
     temps = [temperature_from_beta(b, omega0) for b in betas]
     per_n = len(betas) * len(taus)
@@ -129,12 +135,6 @@ def run_sweep(
         np.tile(np.repeat(temps, len(taus)), len(n_values)),
         np.tile(taus, len(n_values) * len(betas)),
     ]
-    if engine != "oracle":
-        analytic = analytic_rows(correlation_grid(n_values, betas, taus), base)
-    if engine != "analytic":
-        states = pair_states(n_values, betas, taus, n_max=n_max)
-        rows = [oracle_row(rho, base) for _, rho in states]
-        oracle = {col: np.array([row[col] for row in rows]) for col in base}
     for col in base:
         if engine == "both":
             columns += [col, f"{col}_oracle", f"{col}_diff"]
@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser(
-        "verify", help="cross-check closed forms against the dense engine"
+        "verify", help="cross-check closed forms against the pair oracle"
     )
     verify.add_argument(
         "--N", nargs="+", default=None, metavar="N", help="pore occupancies (default 3..9)"

@@ -7,8 +7,9 @@ Discord is the gap between total and classical correlations,
     C = max_basis [ S(rho_A) - sum_s p_s S(rho_A | outcome s) ],
 
 where the maximum runs over projective measurements on one qubit (the
-second by convention here).  Both solvers minimise one objective, the
-conditional entropy in Bloch form (``_kernels``):
+second by convention here).  Both solvers take arrays of states, minimise
+one objective, the conditional entropy in Bloch form (``_kernels``), and
+refine grid minima with one zoom loop that steps all rows in lockstep:
 
 * ``discord_cs_rows`` for arrays of centrosymmetric states of the
   nanopore model (``discord_cs`` is its one-row case).  Rotating each
@@ -17,9 +18,10 @@ conditional entropy in Bloch form (``_kernels``):
   direction's x component.  A fixed grid over it, whose ends are the two
   closed-form endpoints, is evaluated for every row in one kernel call
   and zoomed only for rows whose minimum is interior.
-* ``discord_numeric`` for any two-qubit state: a coarse grid over the
-  measurement sphere followed by a zoom of small grids in a rotated frame
-  centred on the best grid direction, away from the coordinate poles.
+* ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
+  is its one-row case): a coarse grid over the measurement sphere, then a
+  zoom in a rotated frame centred on each row's best grid direction, away
+  from the coordinate poles.
 
 A closed form is available for the symmetric-correlator states that arise
 in the large-reservoir limit of the nanopore model, together with its low-
@@ -33,28 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import conditional_entropy_grid, conditional_entropy_point
-from .cs_matrix import (
-    CSDensityMatrix,
-    cs_bloch,
-    cs_from_vector,
-    cs_spectrum,
-    validate_density,
-)
-from .states import (
-    EPS_PSD,
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    InvalidStateError,
-    _qubit_side,
-    binary_entropy,
-    bloch_data,
-    check_density_matrix,
-    entropy_bits,
-    von_neumann_entropy,
-)
+from ._kernels import _directions, conditional_entropy_dirs, conditional_entropy_grid
+from ._kernels import conditional_entropy_point
+from .cs_matrix import CSDensityMatrix, cs_bloch, cs_from_vector, cs_spectrum
+from .cs_matrix import validate_density
+from .states import EPS_PSD, ID2, PAULI_X, PAULI_Y, PAULI_Z, InvalidStateError
+from .states import _qubit_side, bloch_data, check_density_matrix, entropy_bits
 
 __all__ = [
     "MeasurementBasis",
@@ -63,6 +49,7 @@ __all__ = [
     "discord_low_t_asymptotic",
     "discord_high_t_asymptotic",
     "discord_numeric",
+    "discord_numeric_rows",
     "discord_cs",
     "discord_cs_rows",
     "measurement_conditional_entropy",
@@ -89,6 +76,8 @@ _CS_FLAT = 1e-14
 # Rows per kernel call in discord_cs_rows: the kernel's temporaries hold
 # about 100 floats per row each, so a chunk keeps them near 1 MB apiece.
 _CS_CHUNK = 512
+# Rows per first-grid kernel call in discord_numeric_rows (~1.5 MB arrays).
+_GRID_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -169,58 +158,74 @@ def discord_high_t_asymptotic(beta: float) -> float:
     return beta**4 / (128.0 * math.log(2.0))
 
 
-def _resolve_bloch(rho, measured: str, validate: bool):
-    rho = np.asarray(rho, dtype=complex)
+def _resolve_bloch(rhos, measured: str, validate: bool):
+    """Stack (R, 4, 4) of states and its Bloch data x, y (R, 3), T (R, 3, 3)."""
+    rhos = np.asarray(rhos, dtype=complex)
     if validate:
-        rho = check_density_matrix(rho)
-    x, y, T = bloch_data(rho)
+        rhos = np.array([check_density_matrix(rho) for rho in rhos])
+    rhos = rhos.reshape(-1, 4, 4)
+    (x, y), T = np.empty((2, len(rhos), 3)), np.empty((len(rhos), 3, 3))
+    for k, rho in enumerate(rhos):
+        x[k], y[k], T[k] = bloch_data(rho)
     if _qubit_side(measured, "measured") == "first":
         # Measuring the first qubit of rho is the same problem with the
         # qubit roles exchanged: swap local vectors, transpose T.
-        x, y = y, x
-        T = T.T.copy()
-    return rho, x, y, T
+        x, y, T = y, x, np.swapaxes(T, 1, 2)
+    return rhos, x, y, T
+
+
+def _entropies(x, y, evals):
+    """Per row, the unmeasured qubit's entropy and the mutual information."""
+    half = 0.5 * (1.0 + np.linalg.norm(np.stack([x, y], axis=1), axis=-1))
+    s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
+    return s_a, s_a + s_b - entropy_bits(evals)
 
 
 def measurement_conditional_entropy(
     rho, theta: float, phi: float, measured: str = "second", validate: bool = True
 ) -> float:
     """Conditional entropy of the unmeasured qubit for a fixed direction."""
-    _, x, y, T = _resolve_bloch(rho, measured, validate)
-    return conditional_entropy_point(x, y, T, theta, phi)
+    _, x, y, T = _resolve_bloch([rho], measured, validate)
+    return conditional_entropy_point(x[0], y[0], T[0], theta, phi)
 
 
 def _chart(n0: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix with rows (n0, e1, n0 x e1), e1 perpendicular to n0."""
-    helper = np.array([1.0, 0.0, 0.0] if abs(n0[2]) >= 0.9 else [0.0, 0.0, 1.0])
+    """Per row of n0 (R, 3), the orthogonal matrix with rows n0, e1, n0 x e1."""
+    helper = np.where(np.abs(n0[:, 2:]) >= 0.9, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     e1 = np.cross(helper, n0)
-    e1 /= np.linalg.norm(e1)
-    return np.array([n0, e1, np.cross(n0, e1)])
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    return np.stack([n0, e1, np.cross(n0, e1)], axis=1)
 
 
-def _zoom(x, y, T, theta, phi, h, best, polar=True):
-    """Refine a grid minimum (theta, phi, best) by zooming boxes of half-width h.
+def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
+    """Refine grid minima (theta, phi, best) by zooming boxes of half-width h.
 
-    A box has _ZOOM_POINTS points along phi and, when ``polar``, along theta
-    too.  The search moves only on a strict improvement and keeps h while the
-    box minimum lies on a zoomed edge.  Returns the refined (theta, phi, best).
+    One row per state of x, y (R, 3) and T (R, 3, 3); theta, phi and best
+    are (R,) or scalars.  A box has _ZOOM_POINTS points along phi and, when
+    ``polar``, along theta too.  A row moves only on a strict improvement
+    and keeps its h while its box minimum lies on a zoomed edge.  All rows
+    with h >= _ZOOM_MIN_H step together, in one kernel call.
     """
+    best = np.array(best, dtype=float)
+    theta, phi, h = (np.full(len(best), a, dtype=float) for a in (theta, phi, h))
     edge = (0, _ZOOM_POINTS - 1)
     for _ in range(_ZOOM_MAX_STEPS):
-        if h < _ZOOM_MIN_H:
+        act = np.flatnonzero(h >= _ZOOM_MIN_H)
+        if not act.size:
             break
+        ha, ts = h[act], theta[act, None]
+        ps = np.linspace(phi[act] - ha, phi[act] + ha, _ZOOM_POINTS, axis=-1)
         if polar:
-            ts = np.linspace(theta - h, theta + h, _ZOOM_POINTS)
-        else:
-            ts = np.array([theta])
-        ps = np.linspace(phi - h, phi + h, _ZOOM_POINTS)
-        box = conditional_entropy_grid(x, y, T, ts, ps)
-        k, l = divmod(int(np.argmin(box)), _ZOOM_POINTS)
-        if box[k, l] < best:
-            theta, phi, best = float(ts[k]), float(ps[l]), float(box[k, l])
-            if (polar and k in edge) or l in edge:
-                continue
-        h /= _ZOOM_SHRINK
+            ts = np.linspace(theta[act] - ha, theta[act] + ha, _ZOOM_POINTS, axis=-1)
+        n = _directions(ts, ps).reshape(len(act), -1, 3)
+        box = conditional_entropy_dirs(x[act], y[act], T[act], n)
+        k, l = np.divmod(np.argmin(box, axis=1), _ZOOM_POINTS)
+        low = np.min(box, axis=1)
+        up = low < best[act]
+        rows = act[up]
+        theta[rows], phi[rows], best[rows] = ts[up, k[up]], ps[up, l[up]], low[up]
+        on_edge = np.isin(l, edge) | (polar & np.isin(k, edge))
+        h[act[~(up & on_edge)]] /= _ZOOM_SHRINK
     return theta, phi, best
 
 
@@ -235,58 +240,56 @@ def _basis(n: np.ndarray) -> MeasurementBasis:
     )
 
 
-def discord_numeric(
-    rho,
-    grid=DEFAULT_GRID,
-    measured: str = "second",
-    validate: bool = True,
-) -> DiscordResult:
-    """Discord of an arbitrary two-qubit state by measurement search.
+def _first_row(mutual, classical, axis) -> DiscordResult:
+    """The DiscordResult of the first row of a solver's arrays."""
+    mi, cc = float(mutual[0]), float(classical[0])
+    return DiscordResult(mi, cc, mi - cc, _basis(axis[0]))
 
-    Parameters
-    ----------
-    rho : array_like
-        4x4 density matrix.
-    grid : (int, int)
-        Number of polar x azimuthal samples of the initial sweep.  The
-        polar grid includes both poles; the azimuthal one is periodic.
-    measured : str
-        Which qubit is measured, "second" (default) or "first".
-    validate : bool
-        Validate rho before use.
 
-    The best grid direction n0 is refined by zooming 9x9 grids in a
-    rotated frame whose equator passes through n0, so the search never
-    sits on a coordinate pole.  Deterministic: ties on every grid resolve
-    to the first point in (theta, phi) lexicographic order, and the zoom
-    has fixed box sizes and a fixed step cap.
+def discord_numeric(rho, grid=DEFAULT_GRID, measured="second", validate=True):
+    """Discord of a 4x4 state rho by measurement search, as a DiscordResult.
+
+    The one-row case of ``discord_numeric_rows``, with the optimal basis.
     """
-    rho, x, y, T = _resolve_bloch(rho, measured, validate)
-    s_a = binary_entropy(0.5 * (1.0 + float(np.linalg.norm(x))))
-    s_b = binary_entropy(0.5 * (1.0 + float(np.linalg.norm(y))))
-    s_ab = von_neumann_entropy(rho)
-    mutual = s_a + s_b - s_ab
+    return _first_row(*discord_numeric_rows([rho], grid, measured, validate))
+
+
+def discord_numeric_rows(rhos, grid=DEFAULT_GRID, measured="second", validate=True):
+    """Discord of (R, 4, 4) two-qubit states by measurement search, row by row.
+
+    ``grid`` is the (polar, azimuthal) size of the first sweep (both poles;
+    periodic in phi), ``measured`` "second" (default) or "first"; with
+    ``validate`` a row that is not a density matrix raises InvalidStateError.
+    Returns the arrays (mutual_information, classical_correlation, axis) as
+    discord_cs_rows.  The grid runs on _GRID_CHUNK rows per kernel call;
+    each row's best direction n0 is then zoomed, all rows in lockstep, with
+    9x9 boxes in a rotated frame whose equator holds n0, away from the
+    poles.  A row's result does not depend on the other rows; ties on every
+    grid go to the first point in (theta, phi) order.
+    """
+    rhos, x, y, T = _resolve_bloch(rhos, measured, validate)
+    s_a, mutual = _entropies(x, y, np.linalg.eigvalsh(rhos))
 
     n_th, n_ph = grid
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
-    values = conditional_entropy_grid(x, y, T, thetas, phis)
-    i, j = divmod(int(np.argmin(values)), n_ph)
+    at, best = np.empty(len(rhos), dtype=int), np.empty(len(rhos))
+    for lo in range(0, len(rhos), _GRID_CHUNK):
+        c = slice(lo, lo + _GRID_CHUNK)
+        values = conditional_entropy_grid(x[c], y[c], T[c], thetas, phis)
+        at[c] = np.argmin(values.reshape(len(values), -1), axis=1)
+        best[c] = np.min(values, axis=(1, 2))
+    i, j = np.divmod(at, n_ph)
 
     # The objective at m for data (x, R y, T R^T) is the objective at R^T m
     # for (x, y, T); R maps n0 to (theta, phi) = (pi/2, 0).
-    R = _chart(MeasurementBasis(float(thetas[i]), float(phis[j])).axis)
+    R = _chart(_directions(thetas[i, None], phis[j, None])[:, 0, 0])
+    Rt = np.swapaxes(R, 1, 2)
     h = max(float(thetas[1] - thetas[0]), float(phis[1] - phis[0]))
-    theta, phi, best = _zoom(
-        x, R @ y, T @ R.T, 0.5 * math.pi, 0.0, h, float(values[i, j])
-    )
-    classical = s_a - best
-    return DiscordResult(
-        mutual_information=mutual,
-        classical_correlation=classical,
-        discord=mutual - classical,
-        basis=_basis(R.T @ MeasurementBasis(theta, phi).axis),
-    )
+    Ry = (R @ y[..., None])[..., 0]
+    theta, phi, best = _zoom_rows(x, Ry, T @ Rt, 0.5 * math.pi, 0.0, h, best)
+    axis = (Rt @ _directions(theta[:, None], phi[:, None]).reshape(-1, 3, 1))[..., 0]
+    return mutual, s_a - best, axis
 
 
 def discord_cs_rows(params):
@@ -306,9 +309,9 @@ def discord_cs_rows(params):
     on the rotated data x = (x1, 0, 0), y = (y1, 0, 0),
     T = diag(T_xx, s_max, s_min) along theta = pi/2, phi = arccos t: a
     fixed grid whose ends are the endpoints t = 1 and t = 0, evaluated for
-    all rows in one kernel call and zoomed, one row at a time, with
-    discord_numeric's box rule only when a row's minimum is interior and
-    its grid is not flat to rounding.  The axis is reported in the
+    all rows in one kernel call and zoomed, with discord_numeric's box
+    rule and in lockstep, only for the rows whose minimum is interior and
+    whose grid is not flat to rounding.  The axis is reported in the
     original frame, (t, sqrt(1 - t^2) v_max) with v_max the right singular
     vector of B for s_max.
 
@@ -336,9 +339,7 @@ def _discord_cs_chunk(params):
             "not a density matrix: " + "; ".join(report.violations)
         )
     x, y, T = cs_bloch(params)
-    half = 0.5 * (1.0 + np.abs(np.stack([x[:, 0], y[:, 0]], axis=-1)))
-    s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
-    mutual = s_a + s_b - entropy_bits(evals)
+    s_a, mutual = _entropies(x, y, evals)
     _, s, vt = np.linalg.svd(T[:, 1:, 1:])
     diag = np.zeros_like(T)
     diag[:, 0, 0] = T[:, 0, 0]
@@ -353,10 +354,10 @@ def _discord_cs_chunk(params):
     best = values[np.arange(len(values)), j]
     interior = (j > 0) & (j < _CS_POINTS - 1) & (np.ptp(values, axis=1) > _CS_FLAT)
     h = float(phis[1] - phis[0])
-    for i in np.flatnonzero(interior):
-        _, phi[i], best[i] = _zoom(
-            x[i], y[i], diag[i], theta, float(phi[i]), h, float(best[i]), polar=False
-        )
+    rows = np.flatnonzero(interior)
+    _, phi[rows], best[rows] = _zoom_rows(
+        x[rows], y[rows], diag[rows], theta, phi[rows], h, best[rows], polar=False
+    )
 
     # The zoom may step past an end; the objective is mirror symmetric there.
     t, w = np.abs(np.cos(phi)), np.abs(np.sin(phi))
@@ -370,10 +371,4 @@ def discord_cs(m: CSDensityMatrix) -> DiscordResult:
     The one-row case of ``discord_cs_rows``, with the optimal basis.
     Raises InvalidStateError when m is not positive semidefinite.
     """
-    mutual, classical, axis = discord_cs_rows(m.params)
-    return DiscordResult(
-        mutual_information=float(mutual[0]),
-        classical_correlation=float(classical[0]),
-        discord=float(mutual[0] - classical[0]),
-        basis=_basis(axis[0]),
-    )
+    return _first_row(*discord_cs_rows(m.params))

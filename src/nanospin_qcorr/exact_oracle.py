@@ -1,16 +1,15 @@
 """Brute-force reference engine for the full n-spin problem.
 
-Everything here works with dense 2^n x 2^n matrices in the z product
-basis (bit 0 = up, bit 1 = down) and makes no use of the closed forms
-implemented elsewhere in the package: collective spin operators are
-assembled from explicit Kronecker products, the initial state is the
-exact transverse thermal product, and the dipolar evolution is applied
-through the diagonal phases of the squared collective z component.  The
-analytic correlators and reduced matrices are validated against this
-engine.
-
-Dense matrices grow as 4^n; sizes beyond n_max (default 10) raise
-ResourceLimitError rather than attempting the allocation.
+Everything here works in the z product basis (bit 0 = up, bit 1 = down)
+and uses none of the package's closed forms: the initial state is the exact
+transverse thermal product, and the dipolar evolution is applied through
+the diagonal phases of the squared collective z component.  The oracle,
+``pair_state``, sums the first two spins' evolved state over all 2^(n-2)
+configurations of the other spins in O(2^n) memory; the analytic values
+are validated against it.  The dense 2^n x 2^n engine (``thermal_initial``,
+``evolve``, ``partial_trace_pair``, collective operators from Kronecker
+products) grows as 4^n and is the reference the oracle is tested against.
+Sizes beyond n_max (default 10) raise ResourceLimitError before allocating.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ __all__ = [
     "site_operator",
     "build_operators",
     "magnetizations",
+    "pair_state",
     "thermal_initial",
     "evolve",
     "partial_trace_pair",
@@ -154,6 +154,21 @@ def partial_trace_pair(state: DenseState) -> np.ndarray:
     rest = 2 ** (state.n - 2)
     r = state.matrix.reshape(4, rest, 4, rest)
     return np.trace(r, axis1=1, axis2=3)
+
+
+def pair_state(n, beta, tau, n_max: int = N_MAX_DEFAULT, m=None) -> np.ndarray:
+    """4x4 state of the first two spins of evolve(thermal_initial(n, beta), tau).
+
+    Tracing out the other spins, whose thermal factor has diagonal 1/2 per
+    site, sums the phases ph = exp(-i tau m^2) of ``evolve`` (m, if given, is
+    magnetizations(n)): rho[a, b] = rho0[a, b] 2^-(n-2) sum_r ph[a, r] ph[b, r]^*.
+    """
+    n = _check_size(n, n_max)
+    if n < 2:
+        raise ValueError("need at least two spins to form a pair")
+    m = magnetizations(n) if m is None else m
+    ph = np.exp(-1j * tau * m * m).reshape(4, -1)
+    return thermal_initial(2, beta).matrix * (ph @ ph.conj().T) / 2 ** (n - 2)
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

@@ -78,15 +78,20 @@ def k_spectrum_rows(params) -> np.ndarray:
     diff = a - b
     for k in np.flatnonzero(np.abs(diff) < _CANCEL_GUARD * (np.abs(a) + np.abs(b))):
         diff[k] = math.fsum([a1[k], a2[k], -b1[k], -b2[k]])
-    half_sum = 0.5 * (a + b)
-    half_gap = 0.5 * np.sqrt(diff * diff + 4.0 * c * c)
-    return np.stack([k1, half_sum + half_gap, half_sum - half_gap], axis=1)
+    k2 = 0.5 * (a + b) + 0.5 * np.sqrt(diff * diff + 4.0 * c * c)
+    # k3 = det / k2: the block is the Gram matrix of (2 (p7 - p6), 4 p5) and
+    # (-4 p3, 1 - 4 p1), so det is their squared cross product, no cancelling.
+    cross = 16.0 * p3 * p5 - 2.0 * (p7 - p6) * (4.0 * p1 - 1.0)
+    return np.stack([k1, k2, cross * cross / np.maximum(k2, 1e-300)], axis=1)
 
 
 def geometric_discord_rows(params) -> np.ndarray:
-    """Closed-form geometric discord of rows of CS parameters, shape (R, 7)."""
-    ks = k_spectrum_rows(params)
-    return 0.5 * (ks[:, 0] + ks[:, 1] + ks[:, 2] - ks.max(axis=1))
+    """Closed-form geometric discord of rows of CS parameters, shape (R, 7).
+
+    Half the sum of K's two smaller eigenvalues: no k_max is subtracted.
+    """
+    k1, k2, k3 = k_spectrum_rows(params).T
+    return 0.5 * np.where(k1 >= k2, k2 + k3, k1 + k3)
 
 
 def k_spectrum_cs(m: CSDensityMatrix) -> KMatrixSpectrum:

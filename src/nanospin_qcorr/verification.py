@@ -1,29 +1,25 @@
-"""Closed forms for a whole grid at once, the dense engine state by state.
+"""Closed forms and the brute-force pair oracle, both as columns over a grid.
 
-``analytic_rows`` (fed by ``correlation_grid``) and ``pair_states`` with
-``oracle_row`` are the one evaluation path behind both CLI subcommands:
-``sweep`` writes their values, and ``verify`` runs them side by side over a
-grid of (n, beta, tau), adds checks of its own and tracks the worst absolute
-discrepancy per quantity and where it occurred.
+``analytic_rows`` (fed by ``correlation_grid``) and ``oracle_rows`` (fed by
+``pair_states``) are the one evaluation path behind both CLI subcommands:
+``sweep`` writes their values, and ``verify`` runs them side by side, chunk
+by chunk, over a grid of (n, beta, tau), adds checks of its own and tracks
+the worst absolute discrepancy per quantity and where it occurred.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cs_matrix import cs_from_vector
-from .discord import discord_cs_rows, discord_numeric
+from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs, concurrence_numeric
-from .exact_oracle import (
-    N_MAX_DEFAULT,
-    evolve,
-    pair_correlations,
-    partial_trace_pair,
-    thermal_initial,
-)
+from .exact_oracle import N_MAX_DEFAULT, _check_size, magnetizations, pair_state
+from .exact_oracle import pair_correlations
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
 from .states import expansion_coefficients
@@ -34,7 +30,7 @@ __all__ = [
     "VerificationReport",
     "analytic_rows",
     "pair_states",
-    "oracle_row",
+    "oracle_rows",
     "run_verification",
     "format_report",
 ]
@@ -49,6 +45,9 @@ DEFAULT_TOLERANCES = {
 }
 
 CORR_FIELDS = ("p", "q", "r", "u", "v")
+
+# Grid points per chunk of pair_states and verify: about 1 MiB of arrays.
+STATE_CHUNK = 256
 
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
@@ -79,27 +78,37 @@ def analytic_rows(corr, needed) -> dict:
 
 
 def pair_states(n_values, betas, taus, n_max: int = N_MAX_DEFAULT):
-    """Yield ((n, beta, tau), dense pair state) per grid point, n outer, tau inner."""
-    for n in n_values:
-        for beta in betas:
-            rho0 = thermal_initial(n, beta, n_max=n_max)
-            for tau in taus:
-                yield (n, beta, tau), partial_trace_pair(evolve(rho0, tau))
+    """(points, rhos) chunks of up to STATE_CHUNK grid points, n outer, tau inner.
 
-
-def oracle_row(rho, needed) -> dict:
-    """Dense-engine values for one 4x4 pair state, keyed as analytic_rows' columns.
-
-    ``rho`` is the pair state traced out of an n-spin state by
-    ``partial_trace_pair``.
+    rhos stacks the points' 4x4 pair states.  Every n is checked against
+    n_max before this returns, so an oversized grid fails before any work.
     """
-    out = pair_correlations(rho).as_dict()
+    mags = {n: magnetizations(_check_size(n, n_max)) for n in n_values}
+    grid = ((n, beta, tau) for n in n_values for beta in betas for tau in taus)
+
+    def chunks():
+        while points := list(itertools.islice(grid, STATE_CHUNK)):
+            yield points, np.array([pair_state(*p, n_max, mags[p[0]]) for p in points])
+
+    return chunks()
+
+
+def oracle_rows(rhos, needed) -> dict:
+    """Oracle columns for (R, 4, 4) pair states, keyed as analytic_rows'.
+
+    The five correlators always; concurrence, geometric_discord and discord
+    when ``needed`` names them.
+    """
+    corr = [pair_correlations(rho) for rho in rhos]
+    out = {f: np.array([getattr(c, f) for c in corr]) for f in CORR_FIELDS}
     if "concurrence" in needed:
-        out["concurrence"] = concurrence_numeric(rho).concurrence
+        conc = [concurrence_numeric(rho).concurrence for rho in rhos]
+        out["concurrence"] = np.array(conc)
     if "geometric_discord" in needed:
-        out["geometric_discord"] = geometric_discord_generic(rho)
+        out["geometric_discord"] = np.array(list(map(geometric_discord_generic, rhos)))
     if "discord" in needed:
-        out["discord"] = discord_numeric(rho, validate=False).discord
+        mutual, classical, _ = discord_numeric_rows(rhos, validate=False)
+        out["discord"] = mutual - classical
     return out
 
 
@@ -130,6 +139,26 @@ class VerificationReport:
         return not self.failures
 
 
+def _diffs(model, ref, rhos, names) -> dict:
+    """|analytic - reference| per quantity, an array over a chunk's rows."""
+    ms = model["state"]
+    closed = np.array([concurrence_cs(m).concurrence for m in ms])
+    alpha = np.array([expansion_coefficients(rho) for rho in rhos])
+    zeros = [alpha[:, i, j] for i, j in _ZERO_ALPHA_INDICES] + [ref["v"]]
+    diffs = {
+        "correlations": np.abs([model[f] - ref[f] for f in CORR_FIELDS]).max(0),
+        "reduced_matrix": np.abs(rhos - [m.to_matrix() for m in ms]).max((1, 2)),
+        "concurrence": np.maximum(
+            abs(model["concurrence"] - closed), abs(closed - ref["concurrence"])
+        ),
+        "structural_zeros": np.abs(zeros).max(0),
+    }
+    for name in ("geometric_discord", "discord"):
+        if name in names:
+            diffs[name] = abs(model[name] - ref[name])
+    return diffs
+
+
 def run_verification(
     n_values=(3, 4, 5, 6, 7, 8, 9),
     betas=(0.5, 1.0, 3.0, 10.0),
@@ -138,15 +167,15 @@ def run_verification(
     corruption: float = 0.0,
     n_max: int = N_MAX_DEFAULT,
 ) -> VerificationReport:
-    """Compare closed forms against the dense engine on a parameter grid.
+    """Compare closed forms against the pair oracle on a parameter grid.
 
     ``corruption`` is a test hook: it is added to the analytic correlator
     q before any derived quantity is computed, so a nonzero value must
     make the comparison fail.
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
-    grid's axes are checked and the closed forms evaluated for the whole
-    grid before the dense engine runs.
+    grid's axes and every n's size budget are checked before anything is
+    evaluated; both sides then run on STATE_CHUNK grid points at a time.
     """
     if n_tau < 1 or not n_values or not betas:
         raise ValueError(
@@ -160,36 +189,20 @@ def run_verification(
     worst_at = {}
     needed = tuple(worst) + CORR_FIELDS + ("state",)
 
-    corr = correlation_grid(n_values, betas, taus)
-    model = analytic_rows(replace(corr, q=corr.q + corruption), needed)
-
     states = pair_states(n_values, betas, taus, n_max=n_max)
-    for k, (point, rho_ref) in enumerate(states):
-        ref = oracle_row(rho_ref, needed)
-        m = model["state"][k]
-        diffs = {
-            "correlations": max(abs(model[f][k] - ref[f]) for f in CORR_FIELDS),
-            "reduced_matrix": float(np.max(np.abs(m.to_matrix() - rho_ref))),
-        }
-        c_closed = concurrence_cs(m).concurrence
-        diffs["concurrence"] = max(
-            abs(model["concurrence"][k] - c_closed),
-            abs(c_closed - ref["concurrence"]),
+    corr = correlation_grid(n_values, betas, taus)
+    corr = replace(corr, q=corr.q + corruption)
+    for lo, (points, rhos) in zip(range(0, len(corr.q), STATE_CHUNK), states):
+        part = slice(lo, lo + STATE_CHUNK)
+        model = analytic_rows(
+            replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS}), needed
         )
-        for name in ("geometric_discord", "discord"):
-            if name in worst:
-                diffs[name] = abs(model[name][k] - ref[name])
-        alpha = expansion_coefficients(rho_ref)
-        zero_terms = [abs(alpha[i, j]) for i, j in _ZERO_ALPHA_INDICES]
-        zero_terms.append(abs(ref["v"]))
-        diffs["structural_zeros"] = max(zero_terms)
-
-        for name, diff in diffs.items():
-            if diff > worst[name]:
-                worst[name] = diff
-                worst_at[name] = point
+        for name, diff in _diffs(model, oracle_rows(rhos, needed), rhos, worst).items():
+            k = int(np.argmax(diff))
+            if diff[k] > worst[name]:
+                worst[name], worst_at[name] = float(diff[k]), points[k]
     tols = {name: DEFAULT_TOLERANCES[name] for name in worst}
-    return VerificationReport(worst, tols, len(model["state"]), worst_at)
+    return VerificationReport(worst, tols, len(corr.q), worst_at)
 
 
 def format_report(report: VerificationReport) -> str:

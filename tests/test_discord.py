@@ -25,8 +25,10 @@ from nanospin_qcorr import (
     measurement_conditional_entropy,
     reduced_density,
 )
+import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_grid
-from nanospin_qcorr.discord import _CS_CHUNK
+from nanospin_qcorr.discord import _CS_CHUNK, _GRID_CHUNK, discord_numeric_rows
+from nanospin_qcorr.exact_oracle import pair_state
 from nanospin_qcorr.states import (
     InvalidStateError,
     binary_entropy,
@@ -374,3 +376,103 @@ def test_numeric_optimum_on_generic_states(rank):
         s_a = von_neumann_entropy(reduced_first(rho))
         explicit = s_a - explicit_conditional_entropy(rho, res.basis)
         assert res.classical_correlation == pytest.approx(explicit, abs=1e-12)
+
+
+def numeric_batch():
+    """Generic states of every rank and dense pair states, over two chunks."""
+    rng = np.random.default_rng(23)
+    states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(4)]
+    states += [BELL_PHI_PLUS, np.eye(4) / 4.0]
+    states += [pair_state(n, beta, 0.9) for n in (3, 8) for beta in (0.5, 3.0)]
+    states += [pair_state(9, 3.0, tau) for tau in (0.0, math.pi / 2.0)]
+    assert len(states) > 2 * _GRID_CHUNK
+    return np.array(states)
+
+
+@pytest.mark.parametrize("measured", ["second", "first"])
+def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured):
+    rhos = numeric_batch()
+    mutual, classical, axis = discord_numeric_rows(rhos, measured=measured)
+    assert mutual.shape == classical.shape == (len(rhos),)
+    assert axis.shape == (len(rhos), 3)
+    for k, rho in enumerate(rhos):
+        one = discord_numeric_rows(rho[None], measured=measured)
+        for whole, alone in zip((mutual, classical, axis), one):
+            assert np.array_equal(whole[k], alone[0])
+        res = discord_numeric(rho, measured=measured)
+        assert res.mutual_information == mutual[k]
+        assert res.classical_correlation == classical[k]
+    # Whatever rows share a batch, and wherever a row sits in it.
+    order = np.random.default_rng(5).permutation(len(rhos))
+    mixed = np.concatenate([rhos[order], rhos[:3]])
+    for whole, part in zip(
+        (mutual, classical, axis), discord_numeric_rows(mixed, measured=measured)
+    ):
+        assert np.array_equal(whole[order], part[: len(rhos)])
+        assert np.array_equal(whole[:3], part[len(rhos) :])
+
+
+def test_numeric_rows_zoom_in_lockstep(monkeypatch):
+    # Every zoom step is one kernel call over the rows still zooming; the
+    # first step takes all of them, with a 9x9 box each.
+    shapes = []
+    kernel = discord_module.conditional_entropy_dirs
+
+    def counting(x, y, T, n):
+        shapes.append(n.shape)
+        return kernel(x, y, T, n)
+
+    monkeypatch.setattr(discord_module, "conditional_entropy_dirs", counting)
+    rhos = numeric_batch()
+    discord_numeric_rows(rhos)
+    assert shapes[0] == (len(rhos), 81, 3)
+    assert 1 < len(shapes) <= discord_module._ZOOM_MAX_STEPS
+    assert all(s[0] <= len(rhos) and s[1:] == (81, 3) for s in shapes)
+
+
+def test_numeric_rows_empty_batch():
+    for validate in (True, False):
+        mutual, classical, axis = discord_numeric_rows(
+            np.empty((0, 4, 4)), validate=validate
+        )
+        assert mutual.shape == classical.shape == (0,)
+        assert axis.shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", ["nan", "non_psd"])
+def test_numeric_rows_reject_one_invalid_row(bad):
+    rhos = numeric_batch()
+    if bad == "nan":
+        rhos[5, 1, 2] = np.nan
+        match = "non-finite"
+    else:
+        rhos[5] = np.diag([0.6, 0.5, 0.0, -0.1])
+        match = "negative eigenvalue"
+    with pytest.raises(InvalidStateError, match=match):
+        discord_numeric_rows(rhos)
+
+
+def test_cs_rows_zoom_interior_optimum_with_row_boxes(monkeypatch):
+    # The interior-optimum state zooms through the lockstep loop, with a 1x9
+    # box per step, and the zoom lifts its classical correlation above the
+    # value at its best grid point.
+    states = cs_batch()[:40]
+    states.insert(17, cs_from_params(*INTERIOR_OPTIMUM))
+    params = params_of(states)
+    shapes = []
+    kernel = discord_module.conditional_entropy_dirs
+
+    def counting(x, y, T, n):
+        shapes.append(n.shape)
+        return kernel(x, y, T, n)
+
+    monkeypatch.setattr(discord_module, "conditional_entropy_dirs", counting)
+    _, zoomed, _ = discord_cs_rows(params)
+    assert shapes and all(s[1:] == (9, 3) for s in shapes)
+
+    def no_zoom(x, y, T, theta, phi, h, best, polar=True):
+        return theta, phi, best
+
+    monkeypatch.setattr(discord_module, "_zoom_rows", no_zoom)
+    _, grid_only, _ = discord_cs_rows(params)
+    assert zoomed[17] > grid_only[17]

@@ -18,6 +18,7 @@ from nanospin_qcorr.exact_oracle import (
     DenseState,
     dipolar_hamiltonian,
     magnetizations,
+    pair_state,
     site_operator,
 )
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
@@ -197,3 +198,30 @@ def test_resource_limits():
     # The cap is adjustable for bigger machines.
     ops = build_operators(11, n_max=11)
     assert ops.ix.shape == (2048, 2048)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_state_matches_dense_engine(n):
+    # The O(2^n) phase sum equals tracing the evolved 2^n x 2^n state,
+    # including the odd half-periods where the model's parity split sits.
+    taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 3.0 * math.pi / 2.0, 5.9)
+    m = magnetizations(n)
+    for beta in (0.0, 1.7, math.inf):
+        rho0 = thermal_initial(n, beta)
+        for tau in taus:
+            dense = partial_trace_pair(evolve(rho0, tau))
+            assert np.max(np.abs(pair_state(n, beta, tau) - dense)) < 1e-13
+            given_m = pair_state(n, beta, tau, m=m)
+            assert np.array_equal(given_m, pair_state(n, beta, tau))
+
+
+def test_pair_state_resource_limits():
+    with pytest.raises(ResourceLimitError, match="n = 11 exceeds"):
+        pair_state(11, 1.0, 0.5)
+    with pytest.raises(ResourceLimitError, match="n = 5 exceeds"):
+        pair_state(5, 1.0, 0.5, n_max=4)
+    with pytest.raises(ResourceLimitError, match="finite spin count"):
+        pair_state(math.inf, 1.0, 0.5)
+    with pytest.raises(ValueError, match="two spins"):
+        pair_state(1, 1.0, 0.5)
+    assert pair_state(11, 1.0, 0.5, n_max=11).shape == (4, 4)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nanospin_qcorr import (
     reduced_density,
 )
 from nanospin_qcorr.geometric_discord import geometric_discord_rows, k_spectrum_rows
+from nanospin_qcorr.nanopore import correlation_grid, cs_rows
 from nanospin_qcorr.states import InvalidStateError
 
 
@@ -155,3 +157,54 @@ def test_one_state_equals_its_batched_row(rng):
         assert geometric_discord_cs(m).hex() == float(batched[k]).hex()
         ks = k_spectrum_cs(m)
         assert [ks.k1, ks.k2, ks.k3] == spectra[k].tolist()
+
+
+def exact_when_k1_largest(params):
+    """Exact geometric discord (a + b) / 2 of a CS row whose k1 is largest.
+
+    Rational arithmetic on the row's float parameters; None when k1 is not
+    K's largest eigenvalue, k1 >= k2 = (a + b) / 2 + sqrt(((a - b) / 2)^2 + c^2).
+    """
+    p1, _, p3, p4, p5, p6, p7 = (Fraction(float(v)) for v in params)
+    k1 = 16 * p4 * p4 + 4 * (p6 + p7) ** 2
+    a = 4 * (p7 - p6) ** 2 + 16 * p5 * p5
+    b = 16 * p3 * p3 + (4 * p1 - 1) ** 2
+    c = -8 * p3 * (p7 - p6) - 4 * p5 * (4 * p1 - 1)
+    gap = k1 - (a + b) / 2
+    if gap < 0 or gap * gap < ((a - b) / 2) ** 2 + c * c:
+        return None
+    return (a + b) / 2
+
+
+def assert_within_ulps(got, exact, ulps=4):
+    assert abs(Fraction(float(got)) - exact) <= ulps * Fraction(math.ulp(exact))
+
+
+def test_k1_largest_rows_need_no_subtraction():
+    # A sweep row where k1 dominates: subtracting k_max from the trace cost
+    # it 1.3e-15 relative; the exact value is 0.06185346681370843(5).
+    params = cs_rows(correlation_grid([6], [5.26767863801948], [0.24113945956779359]))
+    exact = exact_when_k1_largest(params[0])
+    assert exact is not None
+    assert_within_ulps(geometric_discord_rows(params)[0], exact)
+
+    rng = np.random.default_rng(41)
+    rows = np.array([random_cs(rng).params for _ in range(400)])
+    exact = [exact_when_k1_largest(p) for p in rows]
+    picked = [k for k, e in enumerate(exact) if e is not None]
+    assert len(picked) >= 50
+    got = geometric_discord_rows(rows[picked])
+    for k, value in zip(picked, got):
+        assert_within_ulps(value, exact[k])
+
+
+def test_singular_yz_block_has_exact_zero_k3():
+    # p3 = 0 and p6 = p7 make the yz block of K singular: its smaller
+    # eigenvalue is exactly zero, never a rounding residue below it.
+    rng = np.random.default_rng(3)
+    params = np.zeros((50, 7))
+    params[:, 0] = rng.uniform(0.0, 0.5, 50)
+    params[:, 3:5] = rng.uniform(-0.1, 0.1, (50, 2))
+    params[:, 5] = params[:, 6] = rng.uniform(-0.05, 0.05, 50)
+    assert np.all(k_spectrum_rows(params)[:, 2] == 0.0)
+    assert np.all(geometric_discord_rows(params) >= 0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from nanospin_qcorr import bloch_data
 from nanospin_qcorr._kernels import (
+    conditional_entropy_dirs,
     conditional_entropy_grid,
     conditional_entropy_point,
     kernel_backend,
@@ -96,3 +97,28 @@ def test_determinism(rng):
     a = conditional_entropy_grid(x, y, T, thetas, phis)
     b = conditional_entropy_grid(x, y, T, thetas, phis)
     assert np.array_equal(a, b)
+
+
+def test_directions_per_state_match_the_grid(rng):
+    # Each state of a batch takes its own directions; its row equals the
+    # shared-grid objective at those directions, bit for bit.
+    data = [bloch_of(random_density4(rng)) for _ in range(4)]
+    x, y, T = (np.array(a) for a in zip(*data))
+    grids = [
+        (np.linspace(0.1, 3.0, 3 + k), rng.uniform(0.0, 6.2, 5)) for k in range(4)
+    ]
+    n = []
+    for thetas, phis in grids:
+        st = np.sin(thetas)[:, None]
+        cells = np.stack(
+            np.broadcast_arrays(
+                st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]
+            ),
+            axis=-1,
+        )
+        n.append(cells.reshape(-1, 3)[:15])
+    got = conditional_entropy_dirs(x, y, T, np.array(n))
+    assert got.shape == (4, 15)
+    for k, (thetas, phis) in enumerate(grids):
+        want = conditional_entropy_grid(x[k], y[k], T[k], thetas, phis)
+        assert np.array_equal(got[k], want.ravel()[:15])

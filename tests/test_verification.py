@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+import nanospin_qcorr.cli as cli
+import nanospin_qcorr.verification as verification
 from nanospin_qcorr import (
     DEFAULT_TOLERANCES,
+    ResourceLimitError,
     VerificationReport,
     format_report,
     run_verification,
@@ -106,3 +109,48 @@ def test_report_without_locations_formats():
     assert format_report(report).splitlines()[1] == (
         "concurrence: max |diff| = 0.000e+00 (tolerance 1e-10) ok"
     )
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count dense pair states and closed-form grids as they are built."""
+    counts = {"pair_state": 0, "correlation_grid": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(verification, "pair_state")
+    counting(verification, "correlation_grid")
+    counting(cli, "correlation_grid")
+    return counts
+
+
+def test_over_budget_n_fails_before_any_work(counted, capsys):
+    with pytest.raises(ResourceLimitError, match="n = 11 exceeds"):
+        run_verification(n_values=(10, 11), betas=(1.0, 2.0, 3.0, 4.0), n_tau=64)
+    argv = ["--N", "10", "11", "--beta-range", "1:4:1", "--tau-range", "0:6:0.1"]
+    for engine in ("oracle", "both"):
+        assert cli.main(["sweep", *argv, "--engine", engine]) == 2
+    verify = ["verify", "--N", "10", "11", "--beta", "1", "2", "--tau-points", "64"]
+    assert cli.main(verify) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: n = 11 exceeds the dense-matrix budget n_max = 10"] * 3
+    assert counted == {"pair_state": 0, "correlation_grid": 0}
+
+
+def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
+    # Both sides line up across chunk boundaries: five-point chunks give the
+    # report of a single chunk, state for state.
+    grid = dict(n_values=(3, 4), betas=(1.0, 2.5), n_tau=3)
+    whole = run_verification(**grid)
+    monkeypatch.setattr(verification, "STATE_CHUNK", 5)
+    chunked = run_verification(**grid)
+    assert chunked == whole
+    assert chunked.states_checked == 12
+    assert counted["pair_state"] == 24
