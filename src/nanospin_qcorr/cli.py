@@ -10,6 +10,15 @@ Two subcommands:
 Output is deterministic: identical configuration produces byte-identical
 files.  CSV floats carry 17 significant digits so values round-trip
 exactly.
+
+The CSV writer uses the grid's shape: rows come in blocks of one (N, beta)
+pair over every tau.  It writes ``CSV_CHUNK_ROWS`` rows at a time, and for
+each chunk it formats the "N,beta,T_K," prefix of each block it meets and
+each tau once, joins one ``%.17g`` template per row from them, and fills in
+all of the chunk's value cells with one ``%`` call.  ``'%.17g' % x`` and
+``format(x, '.17g')`` give the same text, so the bytes are those of a
+cell-by-cell writer, and the writer holds at most one chunk at a time.
+JSON output records the grid (N, beta, tau and omega0) it was built from.
 """
 
 from __future__ import annotations
@@ -54,8 +63,8 @@ MAX_RANGE_POINTS = 1_000_000
 # they build any grid.
 MAX_SWEEP_ROWS = 1_000_000
 
-# Rows formatted per write: the CSV writer holds the text of at most this
-# many rows, however long the sweep.
+# Rows formatted per write: the CSV writer holds the text, templates and
+# prefixes of at most this many rows, whatever the grid's shape.
 CSV_CHUNK_ROWS = 4096
 
 _SCALARS = ("concurrence", "discord", "geometric_discord")
@@ -145,14 +154,28 @@ def run_sweep(
     return columns, table
 
 
-def _write_csv(columns, table, stream) -> None:
+def _write_csv(columns, table, n_tau, stream) -> None:
+    # table is run_sweep's: blocks of n_tau rows, one per (N, beta).  See
+    # the module docstring.
     stream.write(_HEADER + "\n")
     stream.write(",".join(columns) + "\n")
-    for lo in range(0, len(table[0]), CSV_CHUNK_ROWS):
-        n_col, *values = (col[lo : lo + CSV_CHUNK_ROWS] for col in table)
-        cells = [map(str, n_col)]
-        cells += ([format(v, ".17g") for v in col.tolist()] for col in values)
-        stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+    n_col, beta_col, temp_col, tau_col, *values = table
+    cells = ",".join(["%.17g"] * len(values)) + "\n"
+    for lo in range(0, len(n_col), CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, len(n_col))
+        # The chunk meets min(hi - lo, n_tau) distinct taus, in axis order
+        # from row lo's (wrapping); listed twice, no block's run wraps.
+        taus = tau_col[lo : lo + min(hi - lo, n_tau)].tolist()
+        tails = [format(t, ".17g") + "," + cells for t in taus] * 2
+        rows = []
+        for start in range(lo - lo % n_tau, hi, n_tau):
+            s, e = max(start, lo), min(start + n_tau, hi)
+            beta, temp = float(beta_col[start]), float(temp_col[start])
+            prefix = f"{n_col[start]},{beta:.17g},{temp:.17g},"
+            k = (s - lo) % len(taus)
+            rows += [prefix + tail for tail in tails[k : k + e - s]]
+        chunk = np.column_stack([col[lo:hi] for col in values])
+        stream.write("".join(rows) % tuple(chunk.ravel().tolist()))
 
 
 def _json_safe(value):
@@ -160,11 +183,14 @@ def _json_safe(value):
     return value if isinstance(value, int) or math.isfinite(value) else str(value)
 
 
-def _write_json(columns, table, engine, stream) -> None:
+def _write_json(columns, table, engine, axes, omega0, stream) -> None:
+    # axes maps "N", "beta" and "tau" to the values the rows were built from.
+    grid = {name: [_json_safe(v) for v in values] for name, values in axes.items()}
     doc = {
         "tool": "nanospin-qcorr",
         "version": __version__,
         "engine": engine,
+        "grid": {**grid, "omega0": omega0},
         "columns": columns,
         "rows": [[_json_safe(v) for v in row] for row in zip(*table)],
     }
@@ -310,9 +336,10 @@ def _cmd_sweep(args) -> int:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as fh:
         if args.format == "csv":
-            _write_csv(columns, table, fh)
+            _write_csv(columns, table, len(taus), fh)
         else:
-            _write_json(columns, table, args.engine, fh)
+            axes = {"N": n_values, "beta": betas, "tau": taus}
+            _write_json(columns, table, args.engine, axes, args.omega0, fh)
     return 0
 
 

@@ -107,8 +107,8 @@ class NanoporeParams:
     """Model parameters: pore occupancy n, inverse temperature, time.
 
     n is an integer >= 2 or math.inf for the large-reservoir limit;
-    beta >= 0 (math.inf selects zero temperature); tau is the finite
-    dimensionless interaction time; omega0 the finite, positive resonance
+    beta >= 0 (math.inf selects zero temperature); tau is the dimensionless
+    interaction time, with 2 tau finite; omega0 the finite, positive resonance
     frequency used for temperature conversions.
     """
 
@@ -127,8 +127,9 @@ class NanoporeParams:
             object.__setattr__(self, "n", int(n))
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
+        if not math.isfinite(2.0 * self.tau):
+            # The model takes cos(2 tau), so 2 tau must not overflow either.
+            raise ValueError(f"tau must be finite, and 2 tau too, got {self.tau}")
         if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
             raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
 

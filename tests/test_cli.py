@@ -15,6 +15,7 @@ from nanospin_qcorr.cli import (
     main,
     run_sweep,
 )
+from nanospin_qcorr.nanopore import OMEGA0_DEFAULT, tau_special
 
 SWEEP_BASE = [
     "sweep",
@@ -82,6 +83,28 @@ def test_json_output(tmp_path):
     for json_row, row in zip(doc["rows"], zip(*table)):
         for a, b in zip(json_row, row):
             assert float(a) == float(b)
+    assert list(doc) == ["tool", "version", "engine", "grid", "columns", "rows"]
+    assert doc["grid"] == {
+        "N": [4],
+        "beta": [1.0, 2.0, 3.0],
+        "tau": [0.0, 0.5, 1.0],
+        "omega0": OMEGA0_DEFAULT,
+    }
+
+
+def test_json_grid_records_axes(tmp_path):
+    # The grid holds the betas the rows were built from (converted from the
+    # temperatures here, T = 0 giving beta = inf) and "inf" for N = inf.
+    argv = ["sweep", "--quantity", "concurrence", "--N", "3", "inf"]
+    argv += ["--temp-range", "0:0.001:0.001", "--tau", "-0", "--omega0", "2e9"]
+    path = run_to_file(tmp_path, "g.json", argv + ["--format", "json"])
+    doc = json.loads(path.read_text())
+    grid = doc["grid"]
+    assert grid["N"] == [3, "inf"]
+    assert grid["beta"][0] == "inf" and len(grid["beta"]) == 2
+    assert grid["beta"][1] == doc["rows"][1][1]
+    assert grid["tau"] == [0.0] and math.copysign(1.0, grid["tau"][0]) < 0
+    assert grid["omega0"] == 2e9
 
 
 def test_version_matches_package(tmp_path):
@@ -272,6 +295,23 @@ def test_non_finite_input_rejected(capsys, grid):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--tau", "1e308"],
+        ["--time-range", "0:1:1", "--coupling", "1e308"],
+    ],
+)
+def test_overflowing_tau_rejected(capsys, grid):
+    # tau is finite but 2 tau is not, and the model takes cos(2 tau).
+    rc = main(["sweep", "--N", "3", "--beta-range", "1:1:1"] + grid)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: tau must be finite")
+    assert "domain" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tau_range", ["0:1:1e-320", "0:1e9:1e-3"])
 def test_oversized_range_rejected(capsys, tau_range):
     rc = main(
@@ -314,10 +354,11 @@ def test_empty_grid_gives_no_rows():
     assert len(table) == len(columns)
     assert all(len(col) == 0 for col in table)
     text = io.StringIO()
-    _write_csv(columns, table, text)
+    _write_csv(columns, table, 0, text)
     assert text.getvalue().splitlines()[1:] == [",".join(columns)]
     text = io.StringIO()
-    _write_json(columns, table, "analytic", text)
+    axes = {"N": [3, math.inf], "beta": [1.0], "tau": []}
+    _write_json(columns, table, "analytic", axes, OMEGA0_DEFAULT, text)
     assert json.loads(text.getvalue())["rows"] == []
 
 
@@ -516,3 +557,90 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in err
     assert b"Exception ignored" not in err
+
+
+def _assert_matches_reference(text, columns, table):
+    # The writer cell by cell: str for N, format(v, ".17g") for the rest.
+    lines = [f"# nanospin-qcorr v{__version__}", ",".join(columns)]
+    for n, *values in zip(*table):
+        lines.append(",".join([str(n)] + [format(float(v), ".17g") for v in values]))
+    same = text == "".join(line + "\n" for line in lines)
+    # Name the first differing line; a diff of the whole text is slow.
+    got = text.splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(got, lines)) if a != b), None)
+    assert same, (len(got), len(lines), first, first is not None and got[first])
+
+
+# Grids the writer treats differently: signed zeros, N = inf, T_K = inf
+# (beta 0) and T_K = 0 (beta inf), one tau, a chunk boundary inside an
+# (N, beta) block, and a chunk that starts inside a block and holds whole
+# blocks after it (1,134 rows per N, 126 taus).
+WRITER_GRIDS = {
+    "edges": ([2, 3, math.inf], [0.0, 1.0, math.inf], [-0.0, 0.5, 1.0]),
+    "special-time": ([3, 50, 51, math.inf], [0.0, 2.0], [tau_special(1)]),
+    "single-tau": ([2, math.inf], [0.5 * k for k in range(7)], [0.3]),
+    "chunk-in-block": ([3, math.inf], [1.0, 2.0], [0.001 * k for k in range(1100)]),
+    "blocks-after-boundary": (
+        [2, 3, 6, math.inf],
+        [0.5 + 0.5 * k for k in range(9)],
+        [0.05 * k for k in range(126)],
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(WRITER_GRIDS))
+@pytest.mark.parametrize(
+    "quantity", ["all", "correlations", "concurrence", "discord", "geometric_discord"]
+)
+def test_csv_matches_cell_by_cell_reference(grid, quantity):
+    n_values, betas, taus = WRITER_GRIDS[grid]
+    columns, table = run_sweep(quantity, n_values, betas, taus)
+    text = io.StringIO()
+    _write_csv(columns, table, len(taus), text)
+    _assert_matches_reference(text.getvalue(), columns, table)
+
+
+def test_writer_grids_have_the_cases_they_name():
+    _, _, taus = WRITER_GRIDS["chunk-in-block"]
+    assert 2 * len(taus) < CSV_CHUNK_ROWS < 4 * len(taus)
+    assert CSV_CHUNK_ROWS % len(taus) != 0
+    n_values, betas, taus = WRITER_GRIDS["blocks-after-boundary"]
+    assert CSV_CHUNK_ROWS % len(taus) != 0
+    rows = len(n_values) * len(betas) * len(taus)
+    assert CSV_CHUNK_ROWS + 2 * len(taus) < rows < 2 * CSV_CHUNK_ROWS
+    columns, table = run_sweep("correlations", *WRITER_GRIDS["special-time"])
+    text = io.StringIO()
+    _write_csv(columns, table, 1, text)
+    rows = [line.split(",") for line in text.getvalue().splitlines()[2:]]
+    assert "-0" in [row[columns.index("u")] for row in rows]
+    assert {row[2] for row in rows if row[1] == "0"} == {"inf"}
+
+
+@pytest.mark.parametrize("grid", ["edges", "single-tau"])
+def test_engine_comparison_csv_matches_reference(grid):
+    # The oracle needs finite N.
+    n_values, betas, taus = WRITER_GRIDS[grid]
+    n_values = [n for n in n_values if not math.isinf(n)]
+    columns, table = run_sweep("all", n_values, betas, taus, engine="both")
+    text = io.StringIO()
+    _write_csv(columns, table, len(taus), text)
+    _assert_matches_reference(text.getvalue(), columns, table)
+
+
+class _WriteLog:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_writes_hold_at_most_one_chunk():
+    # One tau, so every row is its own (N, beta) block.
+    betas = [0.001 * k for k in range(2 * CSV_CHUNK_ROWS + 5)]
+    columns, table = run_sweep("correlations", [2], betas, [0.3])
+    log = _WriteLog()
+    _write_csv(columns, table, 1, log)
+    assert max(text.count("\n") for text in log.writes) == CSV_CHUNK_ROWS
+    assert len(log.writes) == 2 + 3
+    _assert_matches_reference("".join(log.writes), columns, table)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +349,9 @@ def test_check_axes_uses_params_rules():
         check_axes([3], [1.0, math.nan], [0.0])
     with pytest.raises(ValueError, match="tau must be finite"):
         check_axes([3], [1.0], [0.0, math.inf])
+    with pytest.raises(ValueError, match="tau must be finite"):
+        check_axes([3], [1.0], [0.0, -1e308])
+    check_axes([3], [1.0], [0.5 * sys.float_info.max])
     with pytest.raises(ValueError, match="omega0"):
         check_axes([3], [1.0], [0.0], omega0=-1.0)
 
