@@ -45,11 +45,8 @@ from .entanglement import (
     spin_flip,
 )
 from .exact_oracle import (
-    CollectiveOperators,
     DenseState,
     ResourceLimitError,
-    build_operators,
-    dipolar_hamiltonian,
     evolve,
     measure_correlations,
     pair_correlations,

@@ -71,7 +71,7 @@ def conditional_entropy_dirs(x, y, T, n):
     return res
 
 
-def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
+def conditional_entropy_grid(x, y, T, thetas, phis):
     """Objective on a full (theta, phi) grid shared by every state.
 
     x and y have shape (..., 3) and T shape (..., 3, 3); the leading batch
@@ -79,11 +79,7 @@ def conditional_entropy_grid(x, y, T, thetas, phis, out=None):
     """
     n = _directions(np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float))
     res = conditional_entropy_dirs(x, y, T, n.reshape(-1, 3))
-    res = res.reshape(res.shape[:-1] + n.shape[:2])
-    if out is not None:
-        out[...] = res
-        return out
-    return res
+    return res.reshape(res.shape[:-1] + n.shape[:2])
 
 
 def conditional_entropy_point(x, y, T, theta: float, phi: float) -> float:

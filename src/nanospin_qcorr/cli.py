@@ -18,7 +18,8 @@ each tau once, joins one ``%.17g`` template per row from them, and fills in
 all of the chunk's value cells with one ``%`` call.  ``'%.17g' % x`` and
 ``format(x, '.17g')`` give the same text, so the bytes are those of a
 cell-by-cell writer, and the writer holds at most one chunk at a time.
-JSON output records the grid (N, beta, tau and omega0) it was built from.
+JSON output records the grid (N, beta, tau and omega0) it was built from,
+and is written on one line by a single ``json.dumps`` call.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .exact_oracle import N_MAX_DEFAULT, ResourceLimitError
+from .exact_oracle import ResourceLimitError
 from .nanopore import (
     OMEGA0_DEFAULT,
     beta_from_temperature,
@@ -116,7 +117,6 @@ def run_sweep(
     taus,
     engine: str = "analytic",
     omega0: float = OMEGA0_DEFAULT,
-    n_max: int = N_MAX_DEFAULT,
 ):
     """Evaluate the requested quantity over the grid.
 
@@ -129,7 +129,7 @@ def run_sweep(
         raise ValueError("the oracle engine requires finite N")
     n_values = check_axes(n_values, betas, taus, omega0)
     if engine != "analytic":
-        states = pair_states(n_values, betas, taus, n_max=n_max)
+        states = pair_states(n_values, betas, taus)
         parts = [oracle_rows(rhos, base) for _, rhos in states]
         oracle = {c: np.concatenate([[]] + [p[c] for p in parts]) for c in base}
     if engine != "oracle":
@@ -178,24 +178,28 @@ def _write_csv(columns, table, n_tau, stream) -> None:
         stream.write("".join(rows) % tuple(chunk.ravel().tolist()))
 
 
-def _json_safe(value):
+def _json_safe(values) -> list:
     # JSON has no inf or nan; they are written as "inf", "-inf" and "nan".
-    return value if isinstance(value, int) or math.isfinite(value) else str(value)
+    if isinstance(values, np.ndarray):
+        if np.isfinite(values).all():
+            return values.tolist()
+        values = values.tolist()
+    return [v if isinstance(v, int) or math.isfinite(v) else str(v) for v in values]
 
 
 def _write_json(columns, table, engine, axes, omega0, stream) -> None:
     # axes maps "N", "beta" and "tau" to the values the rows were built from.
-    grid = {name: [_json_safe(v) for v in values] for name, values in axes.items()}
+    # One json.dumps call takes the C encoder (an indent would not).
+    grid = {name: _json_safe(values) for name, values in axes.items()}
     doc = {
         "tool": "nanospin-qcorr",
         "version": __version__,
         "engine": engine,
         "grid": {**grid, "omega0": omega0},
         "columns": columns,
-        "rows": [[_json_safe(v) for v in row] for row in zip(*table)],
+        "rows": list(zip(*map(_json_safe, table))),
     }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(doc) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,12 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    sweep.add_argument(
-        "--n-max",
-        type=int,
-        default=N_MAX_DEFAULT,
-        help="dense-engine size budget for the oracle engine",
-    )
 
     verify = sub.add_parser(
         "verify", help="cross-check closed forms against the pair oracle"
@@ -277,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BETA",
     )
     verify.add_argument("--tau-points", type=int, default=32)
-    verify.add_argument("--n-max", type=int, default=N_MAX_DEFAULT)
     verify.add_argument(
         "--skip-discord",
         action="store_true",
@@ -295,9 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     n_values = _parse_n(args.N)
-    for n in n_values:
-        if not math.isinf(n) and n < 2:
-            raise ValueError(f"N must be >= 2, got {n}")
     if args.beta_range:
         betas = _parse_range(args.beta_range, "--beta-range")
     else:
@@ -328,7 +322,6 @@ def _cmd_sweep(args) -> int:
         taus,
         engine=args.engine,
         omega0=args.omega0,
-        n_max=args.n_max,
     )
     if args.out:
         stream = open(args.out, "w", newline="")
@@ -359,7 +352,6 @@ def _cmd_verify(args) -> int:
         n_tau=args.tau_points,
         include_discord=not args.skip_discord,
         corruption=args.inject_corruption,
-        n_max=args.n_max,
     )
     print(format_report(report))
     if not report.ok:

@@ -7,9 +7,11 @@ the diagonal phases of the squared collective z component.  The oracle,
 ``pair_state``, sums the first two spins' evolved state over all 2^(n-2)
 configurations of the other spins in O(2^n) memory; the analytic values
 are validated against it.  The dense 2^n x 2^n engine (``thermal_initial``,
-``evolve``, ``partial_trace_pair``, collective operators from Kronecker
-products) grows as 4^n and is the reference the oracle is tested against.
-Sizes beyond n_max (default 10) raise ResourceLimitError before allocating.
+``evolve``, ``partial_trace_pair``) grows as 4^n and is the reference the
+oracle is tested against.
+
+Sizes are checked in bytes from n, before anything is allocated: the
+budget admits pair states up to n = 20 and dense states up to n = 10.
 """
 
 from __future__ import annotations
@@ -20,15 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nanopore import CorrelationSet
-from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z, _check_density, bloch_data
+from .states import ID2, PAULI_X, _check_density, bloch_data
 
 __all__ = [
-    "N_MAX_DEFAULT",
     "ResourceLimitError",
     "DenseState",
-    "CollectiveOperators",
-    "site_operator",
-    "build_operators",
     "magnetizations",
     "pair_state",
     "thermal_initial",
@@ -36,25 +34,37 @@ __all__ = [
     "partial_trace_pair",
     "measure_correlations",
     "pair_correlations",
-    "dipolar_hamiltonian",
 ]
 
-N_MAX_DEFAULT = 10
+# Most bytes one call may hold at its peak (see _check_size).
+BYTE_BUDGET = 64 * 2**20
 
 
 class ResourceLimitError(ValueError):
-    """Raised when a dense computation would exceed the size budget."""
+    """Raised when a computation would exceed the byte budget."""
 
 
-def _check_size(n: int, n_max: int):
+def _check_size(n, dense: bool = False) -> int:
+    """n as an int, once the peak of what its call holds fits BYTE_BUDGET.
+
+    Per basis state, ``magnetizations`` holds a Python float and its list
+    slot (32 bytes) besides the 8-byte result, and ``pair_state`` two
+    complex arrays besides the magnetizations: 40 bytes.  ``thermal_initial``
+    (dense) holds 16 bytes per matrix entry, plus a quarter of that for its
+    last Kronecker factor: 20 bytes.  Nothing is allocated before the check.
+    """
     if math.isinf(n):
         raise ResourceLimitError("the dense engine needs a finite spin count")
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > n_max:
+    entry_bytes, exponent = (20, 2 * n) if dense else (40, n)
+    # Past the budget's bit length 2^exponent alone exceeds it, and a huge
+    # n is never raised to a huge power.
+    if exponent >= BYTE_BUDGET.bit_length() or entry_bytes << exponent > BYTE_BUDGET:
         raise ResourceLimitError(
-            f"n = {n} exceeds the dense-matrix budget n_max = {n_max}"
+            f"n = {n} needs {entry_bytes} * 2^{exponent} bytes, more than "
+            f"the budget of {BYTE_BUDGET} bytes"
         )
     return n
 
@@ -78,54 +88,19 @@ class DenseState:
         _check_density(self.matrix)
 
 
-@dataclass(frozen=True)
-class CollectiveOperators:
-    """Collective spin components and total spin squared for n spins."""
-
-    n: int
-    ix: np.ndarray
-    iy: np.ndarray
-    iz: np.ndarray
-    i2: np.ndarray
-
-
-def site_operator(op2, site: int, n: int) -> np.ndarray:
-    """Embed a single-spin operator at the given site of an n-spin chain."""
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for n = {n}")
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        out = np.kron(out, op2 if k == site else ID2)
-    return out
-
-
-def build_operators(n: int, n_max: int = N_MAX_DEFAULT) -> CollectiveOperators:
-    """Collective I_x, I_y, I_z and I^2 as dense matrices."""
-    n = _check_size(n, n_max)
-    dim = 2**n
-    ix = np.zeros((dim, dim), dtype=complex)
-    iy = np.zeros((dim, dim), dtype=complex)
-    iz = np.zeros((dim, dim), dtype=complex)
-    for site in range(n):
-        ix += site_operator(PAULI_X / 2.0, site, n)
-        iy += site_operator(PAULI_Y / 2.0, site, n)
-        iz += site_operator(PAULI_Z / 2.0, site, n)
-    i2 = ix @ ix + iy @ iy + iz @ iz
-    return CollectiveOperators(n=n, ix=ix, iy=iy, iz=iz, i2=i2)
-
-
 def magnetizations(n: int) -> np.ndarray:
     """Diagonal of I_z in the product basis: m = n/2 - popcount(s)."""
+    n = _check_size(n)
     return np.array([n / 2.0 - s.bit_count() for s in range(2**n)])
 
 
-def thermal_initial(n: int, beta: float, n_max: int = N_MAX_DEFAULT) -> DenseState:
+def thermal_initial(n: int, beta: float) -> DenseState:
     """Transverse thermal product state.
 
     Exactly equal to exp(beta I_x) / Tr[...] because the single-site
     factors commute: each site carries (1 + tanh(beta/2) sigma_x) / 2.
     """
-    n = _check_size(n, n_max)
+    n = _check_size(n, dense=True)
     factor = 0.5 * (ID2 + math.tanh(beta / 2.0) * PAULI_X)
     rho = np.array([[1.0 + 0.0j]])
     for _ in range(n):
@@ -156,19 +131,18 @@ def partial_trace_pair(state: DenseState) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3)
 
 
-def pair_state(n, beta, tau, n_max: int = N_MAX_DEFAULT, m=None) -> np.ndarray:
+def pair_state(n, beta, tau, m=None) -> np.ndarray:
     """4x4 state of the first two spins of evolve(thermal_initial(n, beta), tau).
 
     Tracing out the other spins, whose thermal factor has diagonal 1/2 per
     site, sums the phases ph = exp(-i tau m^2) of ``evolve`` (m, if given, is
     magnetizations(n)): rho[a, b] = rho0[a, b] 2^-(n-2) sum_r ph[a, r] ph[b, r]^*.
     """
-    n = _check_size(n, n_max)
     if n < 2:
         raise ValueError("need at least two spins to form a pair")
     m = magnetizations(n) if m is None else m
     ph = np.exp(-1j * tau * m * m).reshape(4, -1)
-    return thermal_initial(2, beta).matrix * (ph @ ph.conj().T) / 2 ** (n - 2)
+    return thermal_initial(2, beta).matrix * (ph @ ph.conj().T) / ph.shape[1]
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:
@@ -202,13 +176,3 @@ def pair_correlations(rho) -> CorrelationSet:
         u=u_first,
         v=0.25 * T[2, 2],
     )
-
-
-def dipolar_hamiltonian(ops: CollectiveOperators, coupling: float = 1.0) -> np.ndarray:
-    """Full collective dipolar Hamiltonian (coupling/2) (3 I_z^2 - I^2).
-
-    With this normalization the dimensionless time is
-    tau = (3 coupling / 2) t.  Provided for cross-checks of the
-    diagonal-phase evolution.
-    """
-    return 0.5 * coupling * (3.0 * ops.iz @ ops.iz - ops.i2)

@@ -18,8 +18,7 @@ import numpy as np
 from .cs_matrix import cs_from_vector
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs, concurrence_numeric
-from .exact_oracle import N_MAX_DEFAULT, _check_size, magnetizations, pair_state
-from .exact_oracle import pair_correlations
+from .exact_oracle import _check_size, magnetizations, pair_correlations, pair_state
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
 from .states import expansion_coefficients
@@ -77,18 +76,21 @@ def analytic_rows(corr, needed) -> dict:
     return out
 
 
-def pair_states(n_values, betas, taus, n_max: int = N_MAX_DEFAULT):
+def pair_states(n_values, betas, taus):
     """(points, rhos) chunks of up to STATE_CHUNK grid points, n outer, tau inner.
 
     rhos stacks the points' 4x4 pair states.  Every n is checked against
-    n_max before this returns, so an oversized grid fails before any work.
+    the oracle's byte budget before any magnetizations are computed, so an
+    oversized grid fails before any work.
     """
-    mags = {n: magnetizations(_check_size(n, n_max)) for n in n_values}
+    for n in n_values:
+        _check_size(n)
+    mags = {n: magnetizations(n) for n in n_values}
     grid = ((n, beta, tau) for n in n_values for beta in betas for tau in taus)
 
     def chunks():
         while points := list(itertools.islice(grid, STATE_CHUNK)):
-            yield points, np.array([pair_state(*p, n_max, mags[p[0]]) for p in points])
+            yield points, np.array([pair_state(*p, mags[p[0]]) for p in points])
 
     return chunks()
 
@@ -165,7 +167,6 @@ def run_verification(
     n_tau: int = 32,
     include_discord: bool = True,
     corruption: float = 0.0,
-    n_max: int = N_MAX_DEFAULT,
 ) -> VerificationReport:
     """Compare closed forms against the pair oracle on a parameter grid.
 
@@ -189,7 +190,7 @@ def run_verification(
     worst_at = {}
     needed = tuple(worst) + CORR_FIELDS + ("state",)
 
-    states = pair_states(n_values, betas, taus, n_max=n_max)
+    states = pair_states(n_values, betas, taus)
     corr = correlation_grid(n_values, betas, taus)
     corr = replace(corr, q=corr.q + corruption)
     for lo, (points, rhos) in zip(range(0, len(corr.q), STATE_CHUNK), states):

@@ -365,7 +365,7 @@ def test_empty_grid_gives_no_rows():
 def test_small_pore_rejected(capsys):
     rc = main(["sweep", "--N", "1", "--beta-range", "1:1:1", "--tau", "0"])
     assert rc == 2
-    assert "N must be >= 2" in capsys.readouterr().err
+    assert "n must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_time_range_needs_coupling(capsys):

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import build_operators, dipolar_hamiltonian, site_operator
 from nanospin_qcorr import (
     NanoporeParams,
     ResourceLimitError,
-    build_operators,
     concurrence_numeric,
     correlations,
     evolve,
@@ -15,11 +16,10 @@ from nanospin_qcorr import (
     thermal_initial,
 )
 from nanospin_qcorr.exact_oracle import (
+    BYTE_BUDGET,
     DenseState,
-    dipolar_hamiltonian,
     magnetizations,
     pair_state,
-    site_operator,
 )
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 
@@ -187,17 +187,40 @@ def test_pair_exchange_guard():
 
 
 def test_resource_limits():
-    with pytest.raises(ResourceLimitError):
-        build_operators(11)
-    with pytest.raises(ResourceLimitError):
+    # Rejected from n alone, before the 4^n matrix (or the 2^n loop) exists.
+    with pytest.raises(ResourceLimitError, match=r"n = 12 needs 20 \* 2\^24 bytes"):
         thermal_initial(12, 1.0)
+    with pytest.raises(ResourceLimitError, match="n = 11 needs"):
+        thermal_initial(11, 1.0)
+    with pytest.raises(ResourceLimitError, match=f"n = 40 .* of {BYTE_BUDGET} bytes"):
+        magnetizations(40)
+    with pytest.raises(ResourceLimitError, match="n = 1000000000 needs"):
+        magnetizations(10**9)
     with pytest.raises(ValueError):
-        build_operators(0)
+        thermal_initial(0, 1.0)
     with pytest.raises(ValueError):
         thermal_initial(math.inf, 1.0)
-    # The cap is adjustable for bigger machines.
-    ops = build_operators(11, n_max=11)
-    assert ops.ix.shape == (2048, 2048)
+    assert thermal_initial(10, 1.0).matrix.shape == (1024, 1024)
+
+
+@pytest.mark.parametrize(
+    "call, charged",
+    [
+        (lambda: thermal_initial(10, 1.0), 20 * 4**10),
+        (lambda: pair_state(16, 1.0, 0.3), 40 * 2**16),
+    ],
+    ids=["thermal_initial", "pair_state"],
+)
+def test_budget_charges_the_measured_peak(call, charged):
+    # The bytes the size check charges are what the call holds at its
+    # peak, to within a few percent of fixed overhead.
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.95 * charged <= peak <= 1.05 * charged
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -216,12 +239,10 @@ def test_pair_state_matches_dense_engine(n):
 
 
 def test_pair_state_resource_limits():
-    with pytest.raises(ResourceLimitError, match="n = 11 exceeds"):
-        pair_state(11, 1.0, 0.5)
-    with pytest.raises(ResourceLimitError, match="n = 5 exceeds"):
-        pair_state(5, 1.0, 0.5, n_max=4)
+    with pytest.raises(ResourceLimitError, match=r"n = 21 needs 40 \* 2\^21 bytes"):
+        pair_state(21, 1.0, 0.5)
     with pytest.raises(ResourceLimitError, match="finite spin count"):
         pair_state(math.inf, 1.0, 0.5)
     with pytest.raises(ValueError, match="two spins"):
         pair_state(1, 1.0, 0.5)
-    assert pair_state(11, 1.0, 0.5, n_max=11).shape == (4, 4)
+    assert pair_state(20, 1.0, 0.5).shape == (4, 4)

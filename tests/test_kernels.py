@@ -81,15 +81,6 @@ def test_bell_state_objective():
     assert np.max(np.abs(grid)) < 1e-12
 
 
-def test_grid_out_parameter(rng):
-    x, y, T = bloch_of(random_density4(rng))
-    thetas = np.linspace(0.0, np.pi, 6)
-    phis = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
-    buf = np.empty((6, 7))
-    out = conditional_entropy_grid(x, y, T, thetas, phis, out=buf)
-    assert out is buf
-
-
 def test_determinism(rng):
     x, y, T = bloch_of(random_density4(rng))
     thetas = np.linspace(0.0, np.pi, 12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -113,8 +114,8 @@ def test_report_without_locations_formats():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count dense pair states and closed-form grids as they are built."""
-    counts = {"pair_state": 0, "correlation_grid": 0}
+    """Count magnetizations, pair states and closed-form grids as they are built."""
+    counts = {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -125,6 +126,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counting(verification, "magnetizations")
     counting(verification, "pair_state")
     counting(verification, "correlation_grid")
     counting(cli, "correlation_grid")
@@ -132,16 +134,26 @@ def counted(monkeypatch):
 
 
 def test_over_budget_n_fails_before_any_work(counted, capsys):
-    with pytest.raises(ResourceLimitError, match="n = 11 exceeds"):
-        run_verification(n_values=(10, 11), betas=(1.0, 2.0, 3.0, 4.0), n_tau=64)
-    argv = ["--N", "10", "11", "--beta-range", "1:4:1", "--tau-range", "0:6:0.1"]
+    message = "n = 40 needs 40 * 2^40 bytes, more than the budget of 67108864 bytes"
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        run_verification(n_values=(10, 40), betas=(1.0, 2.0, 3.0, 4.0), n_tau=64)
+    argv = ["--N", "10", "40", "--beta-range", "1:4:1", "--tau-range", "0:6:0.1"]
     for engine in ("oracle", "both"):
         assert cli.main(["sweep", *argv, "--engine", engine]) == 2
-    verify = ["verify", "--N", "10", "11", "--beta", "1", "2", "--tau-points", "64"]
+    verify = ["verify", "--N", "10", "40", "--beta", "1", "2", "--tau-points", "64"]
     assert cli.main(verify) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: n = 11 exceeds the dense-matrix budget n_max = 10"] * 3
-    assert counted == {"pair_state": 0, "correlation_grid": 0}
+    assert err == [f"error: {message}"] * 3
+    assert counted == {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
+
+
+def test_grid_past_the_dense_size_passes():
+    # n = 16 and 20 lie past what the 4^n engine can hold; the pair oracle
+    # checks the closed forms there, where cos_power runs in log space.
+    report = run_verification(n_values=(16, 20), betas=(1.0, 3.0), n_tau=4)
+    assert report.tolerances == DEFAULT_TOLERANCES
+    assert report.ok, format_report(report)
+    assert report.states_checked == 16
 
 
 def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
