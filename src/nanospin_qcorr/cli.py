@@ -45,6 +45,9 @@ from .nanopore import (
 )
 from .verification import (
     CORR_FIELDS,
+    DEFAULT_BETAS,
+    DEFAULT_N_TAU,
+    DEFAULT_N_VALUES,
     analytic_rows,
     format_report,
     oracle_rows,
@@ -83,7 +86,10 @@ def _parse_range(text: str, flag: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{flag} expects lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"{flag} takes numbers lo:hi:step, got {text!r}") from None
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"{flag} needs finite lo:hi:step, got {text!r}")
     if step <= 0.0:
@@ -103,10 +109,10 @@ def _parse_n(tokens):
     values = []
     for tok in tokens:
         t = tok.strip().lower()
-        if t == "inf":
-            values.append(math.inf)
-        else:
-            values.append(int(t))
+        try:
+            values.append(math.inf if t == "inf" else int(t))
+        except ValueError:
+            raise ValueError(f"--N takes integers or 'inf', got {tok!r}") from None
     return values
 
 
@@ -264,17 +270,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="cross-check closed forms against the pair oracle"
     )
+    lo, hi = DEFAULT_N_VALUES[0], DEFAULT_N_VALUES[-1]
     verify.add_argument(
-        "--N", nargs="+", default=None, metavar="N", help="pore occupancies (default 3..9)"
+        "--N", nargs="+", metavar="N", help=f"pore occupancies (default {lo}..{hi})"
     )
     verify.add_argument(
-        "--beta",
-        nargs="+",
-        type=float,
-        default=(0.5, 1.0, 3.0, 10.0),
-        metavar="BETA",
+        "--beta", nargs="+", type=float, default=DEFAULT_BETAS, metavar="BETA"
     )
-    verify.add_argument("--tau-points", type=int, default=32)
+    verify.add_argument("--tau-points", type=int, default=DEFAULT_N_TAU)
     verify.add_argument(
         "--skip-discord",
         action="store_true",
@@ -306,10 +309,13 @@ def _cmd_sweep(args) -> int:
         taus = [1.5 * args.coupling * t for t in times]
     else:
         tok = args.tau.strip().lower()
-        if tok.startswith("special:"):
-            taus = [tau_special(int(tok.split(":", 1)[1]))]
-        else:
-            taus = [float(tok)]
+        special = tok.startswith("special:")
+        try:
+            value = int(tok[len("special:") :]) if special else float(tok)
+        except ValueError:
+            msg = f"--tau takes a float or special:<l>, l an integer, got {args.tau!r}"
+            raise ValueError(msg) from None
+        taus = [tau_special(value) if special else value]
     n_rows = len(n_values) * len(betas) * len(taus)
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(
@@ -337,7 +343,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_values = _parse_n(args.N) if args.N else (3, 4, 5, 6, 7, 8, 9)
+    n_values = _parse_n(args.N) if args.N else DEFAULT_N_VALUES
     for n in n_values:
         if math.isinf(n):
             raise ValueError("verify requires finite N")

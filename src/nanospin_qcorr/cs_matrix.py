@@ -11,9 +11,9 @@ entries this leaves seven real parameters p1..p7:
     [ p6       p4+i p5   p2+i p3   p1      ]
 
 The spectrum splits into two branches with closed-form eigenvalues; no
-dense eigensolver is needed for states of this family.  The spectrum and
-the Bloch data are written once, for arrays of parameter vectors
-(``cs_spectrum``, ``cs_bloch``); a single state is the unbatched case.
+dense eigensolver is needed for states of this family.  The matrix, the
+spectrum and the Bloch data are written once, for arrays of parameter
+vectors (``cs_dense``, ``cs_spectrum``, ``cs_bloch``); one state is one row.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "cs_from_vector",
     "cs_from_matrix",
     "is_centrosymmetric",
+    "cs_dense",
     "cs_spectrum",
     "cs_eigenvalues",
     "cs_eigenvalues_sorted",
@@ -77,19 +78,7 @@ class CSDensityMatrix:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 4x4 complex matrix."""
-        p1, p2, p3, p4, p5, p6, p7 = self.params
-        a = p2 + 1j * p3
-        b = p4 + 1j * p5
-        d = 0.5 - p1
-        return np.array(
-            [
-                [p1, a, b, p6],
-                [a.conjugate(), d, p7, b.conjugate()],
-                [b.conjugate(), p7, d, a.conjugate()],
-                [p6, b, a, p1],
-            ],
-            dtype=complex,
-        )
+        return cs_dense(self.params)
 
 
 def cs_from_params(
@@ -144,6 +133,15 @@ def cs_from_matrix(rho, tol: float = 1e-10) -> CSDensityMatrix:
     if resid > tol:
         raise InvalidStateError(f"not of the 7-parameter form: residual {resid:.3e}")
     return m
+
+
+def cs_dense(params) -> np.ndarray:
+    """Dense matrices (..., 4, 4), laid out as above, of parameters (..., 7)."""
+    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    a, b, d = p2 + 1j * p3, p4 + 1j * p5, 0.5 - p1
+    ac, bc = np.conj(a), np.conj(b)
+    rows = [p1, a, b, p6, ac, d, p7, bc, bc, p7, d, ac, p6, b, a, p1]
+    return np.stack(rows, axis=-1).reshape(np.shape(p1) + (4, 4))
 
 
 def cs_spectrum(params) -> np.ndarray:

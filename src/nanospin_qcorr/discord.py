@@ -40,7 +40,7 @@ from ._kernels import conditional_entropy_point
 from .cs_matrix import CSDensityMatrix, cs_bloch, cs_from_vector, cs_spectrum
 from .cs_matrix import validate_density
 from .states import EPS_PSD, ID2, PAULI_X, PAULI_Y, PAULI_Z, InvalidStateError
-from .states import _qubit_side, bloch_data, check_density_matrix, entropy_bits
+from .states import bloch_data, check_density_matrix, entropy_bits
 
 __all__ = [
     "MeasurementBasis",
@@ -158,22 +158,6 @@ def discord_high_t_asymptotic(beta: float) -> float:
     return beta**4 / (128.0 * math.log(2.0))
 
 
-def _resolve_bloch(rhos, measured: str, validate: bool):
-    """Stack (R, 4, 4) of states and its Bloch data x, y (R, 3), T (R, 3, 3)."""
-    rhos = np.asarray(rhos, dtype=complex)
-    if validate:
-        rhos = np.array([check_density_matrix(rho) for rho in rhos])
-    rhos = rhos.reshape(-1, 4, 4)
-    (x, y), T = np.empty((2, len(rhos), 3)), np.empty((len(rhos), 3, 3))
-    for k, rho in enumerate(rhos):
-        x[k], y[k], T[k] = bloch_data(rho)
-    if _qubit_side(measured, "measured") == "first":
-        # Measuring the first qubit of rho is the same problem with the
-        # qubit roles exchanged: swap local vectors, transpose T.
-        x, y, T = y, x, np.swapaxes(T, 1, 2)
-    return rhos, x, y, T
-
-
 def _entropies(x, y, evals):
     """Per row, the unmeasured qubit's entropy and the mutual information."""
     half = 0.5 * (1.0 + np.linalg.norm(np.stack([x, y], axis=1), axis=-1))
@@ -181,12 +165,10 @@ def _entropies(x, y, evals):
     return s_a, s_a + s_b - entropy_bits(evals)
 
 
-def measurement_conditional_entropy(
-    rho, theta: float, phi: float, measured: str = "second", validate: bool = True
-) -> float:
-    """Conditional entropy of the unmeasured qubit for a fixed direction."""
-    _, x, y, T = _resolve_bloch([rho], measured, validate)
-    return conditional_entropy_point(x[0], y[0], T[0], theta, phi)
+def measurement_conditional_entropy(rho, theta: float, phi: float) -> float:
+    """Conditional entropy of the first qubit, second measured along (theta, phi)."""
+    x, y, T = bloch_data(check_density_matrix(rho))
+    return conditional_entropy_point(x, y, T, theta, phi)
 
 
 def _chart(n0: np.ndarray) -> np.ndarray:
@@ -246,31 +228,34 @@ def _first_row(mutual, classical, axis) -> DiscordResult:
     return DiscordResult(mi, cc, mi - cc, _basis(axis[0]))
 
 
-def discord_numeric(rho, grid=DEFAULT_GRID, measured="second", validate=True):
+def discord_numeric(rho, validate=True):
     """Discord of a 4x4 state rho by measurement search, as a DiscordResult.
 
     The one-row case of ``discord_numeric_rows``, with the optimal basis.
     """
-    return _first_row(*discord_numeric_rows([rho], grid, measured, validate))
+    return _first_row(*discord_numeric_rows([rho], validate))
 
 
-def discord_numeric_rows(rhos, grid=DEFAULT_GRID, measured="second", validate=True):
+def discord_numeric_rows(rhos, validate=True):
     """Discord of (R, 4, 4) two-qubit states by measurement search, row by row.
 
-    ``grid`` is the (polar, azimuthal) size of the first sweep (both poles;
-    periodic in phi), ``measured`` "second" (default) or "first"; with
-    ``validate`` a row that is not a density matrix raises InvalidStateError.
-    Returns the arrays (mutual_information, classical_correlation, axis) as
-    discord_cs_rows.  The grid runs on _GRID_CHUNK rows per kernel call;
+    The second qubit is measured (for the first, pass ``swap_qubits(rhos)``);
+    with ``validate`` a row that is not a density matrix raises
+    InvalidStateError.  Returns the arrays (mutual_information,
+    classical_correlation, axis) as discord_cs_rows.  The first sweep, a
+    DEFAULT_GRID over both poles and periodic in phi, runs on _GRID_CHUNK
+    rows per kernel call;
     each row's best direction n0 is then zoomed, all rows in lockstep, with
     9x9 boxes in a rotated frame whose equator holds n0, away from the
     poles.  A row's result does not depend on the other rows; ties on every
     grid go to the first point in (theta, phi) order.
     """
-    rhos, x, y, T = _resolve_bloch(rhos, measured, validate)
+    rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
+    rhos = rhos.reshape(-1, 4, 4)
+    x, y, T = bloch_data(rhos)
     s_a, mutual = _entropies(x, y, np.linalg.eigvalsh(rhos))
 
-    n_th, n_ph = grid
+    n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
     at, best = np.empty(len(rhos), dtype=int), np.empty(len(rhos))

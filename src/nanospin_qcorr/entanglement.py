@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cs_matrix import CSDensityMatrix
-from .states import (
-    InvalidStateError,
-    PAULI_Y,
-    binary_entropy,
-    check_density_matrix,
-)
+from .states import PAULI_Y, InvalidStateError, binary_entropy, check_density_matrix
 
 __all__ = [
     "ConcurrenceResult",
@@ -33,6 +28,7 @@ __all__ = [
     "spin_flip",
     "concurrence_numeric",
     "concurrence_cs",
+    "concurrence_cs_rows",
     "cs_block_diagonalize",
     "entanglement_of_formation",
 ]
@@ -40,8 +36,8 @@ __all__ = [
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
 # Negative radicands in the closed form beyond this magnitude indicate an
-# invalid (non-PSD) parameter set rather than floating-point noise.
-_RADICAND_CLAMP = 1e-12
+# invalid (non-PSD) parameter set rather than floating-point noise; smaller
+# ones are clamped to zero.
 _RADICAND_ERROR = 1e-9
 
 
@@ -72,14 +68,16 @@ def entanglement_of_formation(concurrence: float) -> float:
     return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
 
 
+def _sorted_concurrence(lambdas):
+    """Lambdas (..., 4) in descending order, and max(0, 2 max - sum) per row."""
+    lam = np.sort(lambdas, axis=-1)[..., ::-1]
+    return lam, np.maximum(0.0, 2.0 * lam[..., 0] - lam.sum(axis=-1))
+
+
 def _result_from_lambdas(lambdas) -> ConcurrenceResult:
-    lam = np.sort(np.asarray(lambdas, dtype=float))[::-1]
-    c = max(0.0, 2.0 * lam[0] - lam.sum())
-    return ConcurrenceResult(
-        lambdas=tuple(float(v) for v in lam),
-        concurrence=float(c),
-        eof=entanglement_of_formation(c),
-    )
+    lam, c = _sorted_concurrence(np.asarray(lambdas, dtype=float))
+    c = float(c)
+    return ConcurrenceResult(tuple(lam.tolist()), c, entanglement_of_formation(c))
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -104,38 +102,39 @@ def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
     return _result_from_lambdas(np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False))
 
 
-def _safe_sqrt(radicand: float, label: str) -> float:
-    if radicand < -_RADICAND_ERROR:
+def _safe_sqrt(radicand, label: str):
+    if (low := np.min(radicand, initial=0.0)) < -_RADICAND_ERROR:
         raise InvalidStateError(
-            f"inconsistent parameters: {label} radicand = {radicand:.3e} < 0"
+            f"inconsistent parameters: {label} radicand = {low:.3e} < 0"
         )
-    return math.sqrt(max(radicand, 0.0))
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def concurrence_cs(m: CSDensityMatrix) -> ConcurrenceResult:
-    """Closed-form concurrence for the centrosymmetric family.
+def _cs_lambdas(params) -> np.ndarray:
+    """Spin-flip singular values (..., 4) of CS parameter vectors (..., 7).
 
     The spin flip preserves centrosymmetry, so the four singular values
     combine pairwise sums/differences of four square roots.  Two of the
     radicands are differences of squares; they are nonnegative for every
     valid state, and small negative values from rounding are clamped.
     """
-    p1, p2, p3, p4, p5, p6, p7 = m.params
-    a = math.sqrt((2.0 * p1 + p6 - 0.5 - p7) ** 2 + 4.0 * (p3 + p5) ** 2)
-    b = _safe_sqrt(
-        (0.5 + p6 + p7) ** 2 - 4.0 * (p2 + p4) ** 2, "first-branch"
-    )
-    c = math.sqrt((2.0 * p1 - p6 - 0.5 + p7) ** 2 + 4.0 * (p3 - p5) ** 2)
-    d = _safe_sqrt(
-        (0.5 - p6 - p7) ** 2 - 4.0 * (p2 - p4) ** 2, "second-branch"
-    )
-    lambdas = (
-        0.5 * (a + b),
-        0.5 * abs(a - b),
-        0.5 * (c + d),
-        0.5 * abs(c - d),
-    )
-    return _result_from_lambdas(lambdas)
+    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    a = np.sqrt((2.0 * p1 + p6 - 0.5 - p7) ** 2 + 4.0 * (p3 + p5) ** 2)
+    b = _safe_sqrt((0.5 + p6 + p7) ** 2 - 4.0 * (p2 + p4) ** 2, "first-branch")
+    c = np.sqrt((2.0 * p1 - p6 - 0.5 + p7) ** 2 + 4.0 * (p3 - p5) ** 2)
+    d = _safe_sqrt((0.5 - p6 - p7) ** 2 - 4.0 * (p2 - p4) ** 2, "second-branch")
+    lambdas = (0.5 * (a + b), 0.5 * abs(a - b), 0.5 * (c + d), 0.5 * abs(c - d))
+    return np.stack(lambdas, axis=-1)
+
+
+def concurrence_cs_rows(params) -> np.ndarray:
+    """Closed-form concurrence of CS parameter rows, shape (R, 7) -> (R,)."""
+    return _sorted_concurrence(_cs_lambdas(params))[1]
+
+
+def concurrence_cs(m: CSDensityMatrix) -> ConcurrenceResult:
+    """Closed-form concurrence of a CS state: concurrence_cs_rows' one-row case."""
+    return _result_from_lambdas(_cs_lambdas(m.params[None])[0])
 
 
 # Orthogonal, symmetric, involutory rotation that block-diagonalizes every

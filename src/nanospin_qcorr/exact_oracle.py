@@ -47,11 +47,11 @@ class ResourceLimitError(ValueError):
 def _check_size(n, dense: bool = False) -> int:
     """n as an int, once the peak of what its call holds fits BYTE_BUDGET.
 
-    Per basis state, ``magnetizations`` holds a Python float and its list
-    slot (32 bytes) besides the 8-byte result, and ``pair_state`` two
-    complex arrays besides the magnetizations: 40 bytes.  ``thermal_initial``
-    (dense) holds 16 bytes per matrix entry, plus a quarter of that for its
-    last Kronecker factor: 20 bytes.  Nothing is allocated before the check.
+    Per basis state, ``magnetizations`` holds a one-byte popcount besides
+    the 8-byte result, and ``pair_state`` two complex arrays besides the
+    magnetizations: 40 bytes.  ``thermal_initial`` (dense) holds 16 bytes
+    per matrix entry, plus a quarter of that for its last Kronecker factor:
+    20 bytes.  Nothing is allocated before the check.
     """
     if math.isinf(n):
         raise ResourceLimitError("the dense engine needs a finite spin count")
@@ -91,7 +91,10 @@ class DenseState:
 def magnetizations(n: int) -> np.ndarray:
     """Diagonal of I_z in the product basis: m = n/2 - popcount(s)."""
     n = _check_size(n)
-    return np.array([n / 2.0 - s.bit_count() for s in range(2**n)])
+    pc = np.zeros(1, dtype=np.int8)
+    for _ in range(n):  # popcount(2^k + s) = popcount(s) + 1 for s < 2^k
+        pc = np.concatenate([pc, pc + 1])
+    return n / 2.0 - pc
 
 
 def thermal_initial(n: int, beta: float) -> DenseState:
@@ -151,28 +154,22 @@ def measure_correlations(state: DenseState) -> CorrelationSet:
 
 
 def pair_correlations(rho) -> CorrelationSet:
-    """The five pair correlators read off a 4x4 pair state.
+    """The five pair correlators read off a 4x4 pair state, or a stack of them.
 
     Conventions: p = <I_1^x>, q = <I_1^x I_2^x>, r = <I_1^y I_2^y>,
     u = <I_1^y I_2^z>, v = <I_1^z I_2^z>, with spin operators
     I^k = sigma_k / 2.  p and u have a permutation-symmetric partner
     (<I_2^x> and <I_1^z I_2^y>); both orderings are evaluated and must
-    agree to 1e-12, which guards the pair-exchange symmetry of the
-    model.
+    agree to 1e-12 on every state, which guards the pair-exchange symmetry
+    of the model.  A stack (..., 4, 4) gives arrays of correlators.
     """
     x, y, T = bloch_data(rho)
-    p_first, p_second = 0.5 * x[0], 0.5 * y[0]
-    u_first, u_second = 0.25 * T[1, 2], 0.25 * T[2, 1]
-    if abs(p_first - p_second) > 1e-12 or abs(u_first - u_second) > 1e-12:
+    p, u = 0.5 * x[..., 0], 0.25 * T[..., 1, 2]
+    dp = np.max(abs(p - 0.5 * y[..., 0]), initial=0.0)
+    du = np.max(abs(u - 0.25 * T[..., 2, 1]), initial=0.0)
+    if dp > 1e-12 or du > 1e-12:
         raise ValueError(
-            "pair-exchange symmetry violated: "
-            f"|dp| = {abs(p_first - p_second):.3e}, "
-            f"|du| = {abs(u_first - u_second):.3e}"
+            f"pair-exchange symmetry violated: |dp| = {dp:.3e}, |du| = {du:.3e}"
         )
-    return CorrelationSet(
-        p=p_first,
-        q=0.25 * T[0, 0],
-        r=0.25 * T[1, 1],
-        u=u_first,
-        v=0.25 * T[2, 2],
-    )
+    q, r, v = (0.25 * T[..., k, k] for k in range(3))
+    return CorrelationSet(p=p, q=q, r=r, u=u, v=v)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cs_matrix import CSDensityMatrix
-from .states import _qubit_side, bloch_data, check_density_matrix
+from .states import bloch_data, check_density_matrix
 
 __all__ = [
     "KMatrixSpectrum",
@@ -104,24 +104,21 @@ def geometric_discord_cs(m: CSDensityMatrix) -> float:
     return float(geometric_discord_rows(m.params[None])[0])
 
 
-def geometric_discord_generic(rho, side: str = "first", validate: bool = True) -> float:
-    """Geometric discord of an arbitrary state from its Bloch data.
+def geometric_discord_generic(rho, validate: bool = True):
+    """Geometric discord of a state, or a stack (..., 4, 4), from Bloch data.
 
-    ``side`` selects the measured qubit: "first" (default, the convention
-    of the closed form above) uses K = x x^T + T T^T, "second" uses
-    K = y y^T + T^T T.
+    The first qubit is measured, as in the closed form: K = x x^T + T T^T.
+    For the second, pass ``swap_qubits(rho)``.
     """
-    rho = np.asarray(rho, dtype=complex)
     if validate:
-        rho = check_density_matrix(rho)
-    x, y, T = bloch_data(rho)
-    if _qubit_side(side, "side") == "first":
-        v, M = x, T
-    else:
-        v, M = y, T.T
-    K = np.outer(v, v) + M @ M.T
-    k_max = float(np.linalg.eigvalsh(K)[-1])
-    return 0.5 * (float(v @ v) + float(np.sum(M * M)) - k_max)
+        check_density_matrix(rho)
+    x, _, T = bloch_data(rho)
+    row, col = x[..., None, :], x[..., :, None]
+    K = col * row + T @ np.swapaxes(T, -1, -2)
+    k_max = np.linalg.eigvalsh(K)[..., -1]
+    tt = (T * T).reshape(T.shape[:-2] + (9,))
+    # x . x as a matrix product: the sum order of a dot product.
+    return 0.5 * ((row @ col)[..., 0, 0] + np.sum(tt, axis=-1) - k_max)
 
 
 def geometric_discord_high_t_asymptotic(beta: float) -> float:

@@ -59,53 +59,38 @@ class InvalidStateError(ValueError):
     """Raised when a matrix fails a density-matrix validity check."""
 
 
-def check_density_matrix(
-    rho,
-    eps_herm: float = EPS_HERM,
-    eps_trace: float = EPS_TRACE,
-    eps_psd: float = EPS_PSD,
-) -> np.ndarray:
-    """Validate a 4x4 density matrix and return it as complex128.
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a 4x4 density matrix, or a stack (..., 4, 4); return it as complex128.
 
     Checks shape, Hermiticity, unit trace and positive semidefiniteness
-    (eigenvalues >= -eps_psd).  Raises InvalidStateError with a diagnostic
-    message on the first violated condition.
+    (eigenvalues >= -EPS_PSD).  Raises InvalidStateError with a diagnostic
+    message on the first condition that any matrix of the stack violates.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    _check_density(rho, eps_herm, eps_trace, eps_psd)
+    _check_density(rho)
     return rho
 
 
 def _check_hermitian_trace(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE):
-    """Finite entries, Hermiticity and unit trace of a square complex matrix."""
+    """Finite entries, Hermiticity and unit trace of square matrices (..., d, d)."""
     if not np.all(np.isfinite(rho)):
         raise InvalidStateError("matrix has non-finite entries")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0)
     if herm > eps_herm:
         raise InvalidStateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = rho.trace()
-    if abs(tr - 1.0) > eps_trace:
-        raise InvalidStateError(f"trace is {tr:.17g}, expected 1")
+    tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
+    if (bad := np.flatnonzero(abs(tr - 1.0) > eps_trace)).size:
+        raise InvalidStateError(f"trace is {tr[bad[0]]:.17g}, expected 1")
 
 
-def _check_density(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE, eps_psd=EPS_PSD):
-    """Finite entries, Hermiticity, unit trace and positivity."""
-    _check_hermitian_trace(rho, eps_herm, eps_trace)
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -eps_psd:
-        raise InvalidStateError(f"negative eigenvalue {evals[0]:.3e}")
-
-
-def _qubit_side(name: str, arg: str) -> str:
-    """Map a qubit name (first/a/1 or second/b/2) to "first" or "second"."""
-    key = name.strip().lower()
-    if key in ("first", "a", "1"):
-        return "first"
-    if key in ("second", "b", "2"):
-        return "second"
-    raise ValueError(f"{arg} must name a qubit, got {name!r}")
+def _check_density(rho):
+    """Finite entries, Hermiticity, unit trace and positivity (..., d, d)."""
+    _check_hermitian_trace(rho)
+    lowest = np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0)
+    if lowest < -EPS_PSD:
+        raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
 
 
 def reduced_first(rho) -> np.ndarray:
@@ -143,18 +128,22 @@ _BLOCH_OPS = np.array(
 def bloch_data(rho):
     """Full Bloch decomposition ``(x, y, T)`` of a two-qubit state.
 
+    ``rho`` is a 4x4 matrix or a stack (..., 4, 4) of them.
+
     Returns
     -------
-    x : (3,) ndarray
+    x : (..., 3) ndarray
         Local Bloch vector of the first qubit.
-    y : (3,) ndarray
+    y : (..., 3) ndarray
         Local Bloch vector of the second qubit.
-    T : (3, 3) ndarray
+    T : (..., 3, 3) ndarray
         Correlation matrix ``T_ij = Tr[rho (sigma_i x sigma_j)]``.
     """
     rho = np.asarray(rho, dtype=complex)
-    coeffs = (_BLOCH_OPS @ rho.ravel()).real
-    return coeffs[:3].copy(), coeffs[3:6].copy(), coeffs[6:].reshape(3, 3).copy()
+    # One (15, 16) @ (16, 1) product per state, whatever the stack.
+    coeffs = (_BLOCH_OPS @ rho.reshape(rho.shape[:-2] + (16, 1)))[..., 0].real
+    T = coeffs[..., 6:].reshape(coeffs.shape[:-1] + (3, 3))
+    return coeffs[..., :3].copy(), coeffs[..., 3:6].copy(), T.copy()
 
 
 def bloch_to_matrix(x, y, T) -> np.ndarray:
@@ -172,15 +161,16 @@ def expansion_coefficients(rho) -> np.ndarray:
     Index 0 is the identity.  ``alpha[0, 0]`` is 1/4 for any unit-trace
     state; a vanishing ``alpha[a, b]`` certifies that the corresponding
     operator product is absent from the state.  In Bloch data the
-    coefficients are Tr(rho)/4, x_i/2, y_j/2 and T_ij.
+    coefficients are Tr(rho)/4, x_i/2, y_j/2 and T_ij.  A stack of states
+    (..., 4, 4) gives one coefficient matrix per state.
     """
     rho = np.asarray(rho, dtype=complex)
     x, y, T = bloch_data(rho)
-    alpha = np.empty((4, 4))
-    alpha[0, 0] = rho.trace().real / 4.0
-    alpha[1:, 0] = x / 2.0
-    alpha[0, 1:] = y / 2.0
-    alpha[1:, 1:] = T
+    alpha = np.empty(rho.shape)
+    alpha[..., 0, 0] = np.trace(rho, axis1=-2, axis2=-1).real / 4.0
+    alpha[..., 1:, 0] = x / 2.0
+    alpha[..., 0, 1:] = y / 2.0
+    alpha[..., 1:, 1:] = T
     return alpha
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cs_matrix import cs_from_vector
+from .cs_matrix import cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
-from .entanglement import concurrence_cs, concurrence_numeric
+from .entanglement import concurrence_cs_rows, concurrence_numeric
 from .exact_oracle import _check_size, magnetizations, pair_correlations, pair_state
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
-from .states import expansion_coefficients
+from .states import check_density_matrix, expansion_coefficients
 
 __all__ = [
     "CORR_FIELDS",
@@ -45,6 +45,11 @@ DEFAULT_TOLERANCES = {
 
 CORR_FIELDS = ("p", "q", "r", "u", "v")
 
+# The default verify grid: n from 3 to 9, four temperatures, 32 taus.
+DEFAULT_N_VALUES = (3, 4, 5, 6, 7, 8, 9)
+DEFAULT_BETAS = (0.5, 1.0, 3.0, 10.0)
+DEFAULT_N_TAU = 32
+
 # Grid points per chunk of pair_states and verify: about 1 MiB of arrays.
 STATE_CHUNK = 256
 
@@ -57,22 +62,23 @@ def analytic_rows(corr, needed) -> dict:
     """Closed-form columns for the rows of correlator arrays ``corr``.
 
     Returns an array per column that ``needed`` names among p, q, r, u, v,
-    concurrence, geometric_discord and discord, and a list of CSDensityMatrix
-    for state.  All derive from ``corr``, so an offset on it reaches every
-    quantity.  Discord takes the exact CS reduction for every pore occupancy.
+    concurrence, geometric_discord, discord and params, the (R, 7) CS
+    parameter rows.  All derive from ``corr``, so an offset on it reaches
+    every quantity.  Discord takes the exact CS reduction for every pore
+    occupancy.
     """
     out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
     if "concurrence" in needed:
         out["concurrence"] = concurrence_rows(corr)
-    if not {"geometric_discord", "discord", "state"}.isdisjoint(needed):
+    if not {"geometric_discord", "discord", "params"}.isdisjoint(needed):
         params = cs_rows(corr)
         if "geometric_discord" in needed:
             out["geometric_discord"] = geometric_discord_rows(params)
         if "discord" in needed:
             mutual, classical, _ = discord_cs_rows(params)
             out["discord"] = mutual - classical
-        if "state" in needed:
-            out["state"] = [cs_from_vector(row) for row in params]
+        if "params" in needed:
+            out["params"] = params
     return out
 
 
@@ -99,15 +105,16 @@ def oracle_rows(rhos, needed) -> dict:
     """Oracle columns for (R, 4, 4) pair states, keyed as analytic_rows'.
 
     The five correlators always; concurrence, geometric_discord and discord
-    when ``needed`` names them.
+    when ``needed`` names them.  The stack is validated once, up front.
     """
-    corr = [pair_correlations(rho) for rho in rhos]
-    out = {f: np.array([getattr(c, f) for c in corr]) for f in CORR_FIELDS}
+    rhos = check_density_matrix(rhos)
+    corr = pair_correlations(rhos)
+    out = {f: getattr(corr, f) for f in CORR_FIELDS}
     if "concurrence" in needed:
-        conc = [concurrence_numeric(rho).concurrence for rho in rhos]
+        conc = [concurrence_numeric(rho, validate=False).concurrence for rho in rhos]
         out["concurrence"] = np.array(conc)
     if "geometric_discord" in needed:
-        out["geometric_discord"] = np.array(list(map(geometric_discord_generic, rhos)))
+        out["geometric_discord"] = geometric_discord_generic(rhos, validate=False)
     if "discord" in needed:
         mutual, classical, _ = discord_numeric_rows(rhos, validate=False)
         out["discord"] = mutual - classical
@@ -143,13 +150,12 @@ class VerificationReport:
 
 def _diffs(model, ref, rhos, names) -> dict:
     """|analytic - reference| per quantity, an array over a chunk's rows."""
-    ms = model["state"]
-    closed = np.array([concurrence_cs(m).concurrence for m in ms])
-    alpha = np.array([expansion_coefficients(rho) for rho in rhos])
+    closed = concurrence_cs_rows(model["params"])
+    alpha = expansion_coefficients(rhos)
     zeros = [alpha[:, i, j] for i, j in _ZERO_ALPHA_INDICES] + [ref["v"]]
     diffs = {
         "correlations": np.abs([model[f] - ref[f] for f in CORR_FIELDS]).max(0),
-        "reduced_matrix": np.abs(rhos - [m.to_matrix() for m in ms]).max((1, 2)),
+        "reduced_matrix": np.abs(rhos - cs_dense(model["params"])).max((1, 2)),
         "concurrence": np.maximum(
             abs(model["concurrence"] - closed), abs(closed - ref["concurrence"])
         ),
@@ -162,9 +168,9 @@ def _diffs(model, ref, rhos, names) -> dict:
 
 
 def run_verification(
-    n_values=(3, 4, 5, 6, 7, 8, 9),
-    betas=(0.5, 1.0, 3.0, 10.0),
-    n_tau: int = 32,
+    n_values=DEFAULT_N_VALUES,
+    betas=DEFAULT_BETAS,
+    n_tau: int = DEFAULT_N_TAU,
     include_discord: bool = True,
     corruption: float = 0.0,
 ) -> VerificationReport:
@@ -188,7 +194,7 @@ def run_verification(
     if not include_discord:
         worst.pop("discord")
     worst_at = {}
-    needed = tuple(worst) + CORR_FIELDS + ("state",)
+    needed = tuple(worst) + CORR_FIELDS + ("params",)
 
     states = pair_states(n_values, betas, taus)
     corr = correlation_grid(n_values, betas, taus)

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from nanospin_qcorr import __version__
+from nanospin_qcorr import __version__, cli
 from nanospin_qcorr.cli import (
     CSV_CHUNK_ROWS,
     MAX_SWEEP_ROWS,
@@ -16,6 +17,7 @@ from nanospin_qcorr.cli import (
     run_sweep,
 )
 from nanospin_qcorr.nanopore import OMEGA0_DEFAULT, tau_special
+from nanospin_qcorr.verification import VerificationReport, run_verification
 
 SWEEP_BASE = [
     "sweep",
@@ -278,6 +280,33 @@ def test_bad_range_syntax(capsys):
 
 
 @pytest.mark.parametrize(
+    "grid, named",
+    [
+        (["--N", "abc", "--tau", "0"], "--N takes integers or 'inf', got 'abc'"),
+        (["--N", "2.5", "--tau", "0"], "--N takes integers or 'inf', got '2.5'"),
+        (["--N", "4", "--tau", "special:x"], "got 'special:x'"),
+        (["--N", "4", "--tau", "abc"], "--tau takes a float or special:<l>"),
+        (["--N", "4", "--tau-range", "0:one:1"], "--tau-range takes numbers"),
+    ],
+)
+def test_unparsable_token_named(capsys, grid, named):
+    # The message names the flag and the token, not int()'s literal error.
+    rc = main(["sweep", "--beta-range", "1:1:1"] + grid)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+    assert "invalid literal" not in captured.err
+    assert captured.out == ""
+
+
+def test_verify_unparsable_n_named(capsys):
+    rc = main(["verify", "--N", "3", "x"])
+    assert rc == 2
+    assert "--N takes integers or 'inf', got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "grid",
     [
         ["--beta-range", "3:3:1", "--tau", "nan"],
@@ -438,6 +467,20 @@ def test_verify_small_grid(capsys):
     assert "checked" in out
     assert "ok" in out
     assert "FAIL" not in out
+
+
+def test_verify_defaults_are_run_verification_defaults(monkeypatch, capsys):
+    seen = {}
+
+    def record(**kwargs):
+        seen.update(kwargs)
+        return VerificationReport({}, {}, 0)
+
+    monkeypatch.setattr(cli, "run_verification", record)
+    assert main(["verify"]) == 0
+    params = inspect.signature(run_verification).parameters
+    for name in ("n_values", "betas", "n_tau"):
+        assert seen[name] == params[name].default
 
 
 def test_verify_detects_corruption(capsys):

@@ -34,6 +34,7 @@ from nanospin_qcorr.states import (
     binary_entropy,
     bloch_data,
     reduced_first,
+    swap_qubits,
     von_neumann_entropy,
 )
 
@@ -119,15 +120,11 @@ def test_matches_closed_form_across_temperatures():
 
 
 def test_measured_side_is_immaterial_for_symmetric_states():
+    # Measuring the first qubit is measuring the second of the swapped state.
     rho = reduced_density(NanoporeParams(n=7, beta=3.0, tau=0.9)).to_matrix()
-    q_second = discord_numeric(rho, measured="second").discord
-    q_first = discord_numeric(rho, measured="first").discord
+    q_second = discord_numeric(rho).discord
+    q_first = discord_numeric(swap_qubits(rho)).discord
     assert abs(q_first - q_second) < 1e-9
-
-
-def test_measured_side_rejects_garbage(rng):
-    with pytest.raises(ValueError, match="measured"):
-        discord_numeric(random_density4(rng), measured="third")
 
 
 def test_result_invariants(rng):
@@ -392,22 +389,22 @@ def numeric_batch():
 @pytest.mark.parametrize("measured", ["second", "first"])
 def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured):
     rhos = numeric_batch()
-    mutual, classical, axis = discord_numeric_rows(rhos, measured=measured)
+    if measured == "first":
+        rhos = swap_qubits(rhos)
+    mutual, classical, axis = discord_numeric_rows(rhos)
     assert mutual.shape == classical.shape == (len(rhos),)
     assert axis.shape == (len(rhos), 3)
     for k, rho in enumerate(rhos):
-        one = discord_numeric_rows(rho[None], measured=measured)
+        one = discord_numeric_rows(rho[None])
         for whole, alone in zip((mutual, classical, axis), one):
             assert np.array_equal(whole[k], alone[0])
-        res = discord_numeric(rho, measured=measured)
+        res = discord_numeric(rho)
         assert res.mutual_information == mutual[k]
         assert res.classical_correlation == classical[k]
     # Whatever rows share a batch, and wherever a row sits in it.
     order = np.random.default_rng(5).permutation(len(rhos))
     mixed = np.concatenate([rhos[order], rhos[:3]])
-    for whole, part in zip(
-        (mutual, classical, axis), discord_numeric_rows(mixed, measured=measured)
-    ):
+    for whole, part in zip((mutual, classical, axis), discord_numeric_rows(mixed)):
         assert np.array_equal(whole[order], part[: len(rhos)])
         assert np.array_equal(whole[:3], part[len(rhos) :])
 

@@ -45,6 +45,14 @@ def test_two_spin_magnetization_spectrum():
     assert np.array_equal(magnetizations(2), np.array([1.0, 0.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_magnetizations_match_popcount_loop(n):
+    # The doubled popcount table equals n/2 - popcount(s), bit for bit.
+    loop = np.array([n / 2.0 - bin(s).count("1") for s in range(2**n)])
+    got = magnetizations(n)
+    assert got.dtype == np.float64 and np.array_equal(got, loop)
+
+
 def test_total_spin_spectrum():
     # Collective spin squared only takes j(j+1) values.
     ops = build_operators(5)

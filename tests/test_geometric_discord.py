@@ -18,7 +18,7 @@ from nanospin_qcorr import (
 )
 from nanospin_qcorr.geometric_discord import geometric_discord_rows, k_spectrum_rows
 from nanospin_qcorr.nanopore import correlation_grid, cs_rows
-from nanospin_qcorr.states import InvalidStateError
+from nanospin_qcorr.states import InvalidStateError, swap_qubits
 
 
 def test_maximally_mixed_is_zero():
@@ -116,27 +116,23 @@ def test_asymptotes_differ_by_log_two():
 def test_side_selection():
     # Symmetric state: both sides agree.
     m = reduced_density(NanoporeParams(n=6, beta=2.0, tau=0.8))
+    # The second qubit is measured as the first of the swapped state.
     rho = m.to_matrix()
-    assert geometric_discord_generic(rho, side="first") == pytest.approx(
-        geometric_discord_generic(rho, side="second"), abs=1e-14
+    assert geometric_discord_generic(rho) == pytest.approx(
+        geometric_discord_generic(swap_qubits(rho)), abs=1e-14
     )
     # When the axial correlation dominates, the local vector cancels out
     # of the spectrum and both sides agree even for p2 != p4; to see the
     # sides differ the transverse block must carry the top eigenvalue.
     asym = cs_from_params(0.1, 0.08, 0.1, -0.03, 0.05, 0.0, 0.0)
     r = asym.to_matrix()
-    q_first = geometric_discord_generic(r, side="first")
-    q_second = geometric_discord_generic(r, side="second")
+    q_first = geometric_discord_generic(r)
+    q_second = geometric_discord_generic(swap_qubits(r))
     assert abs(q_first - q_second) > 0.01
     # Local-vector norms explain the whole gap in this regime.
     assert q_first - q_second == pytest.approx(
         8.0 * ((-0.03) ** 2 - 0.08**2), abs=1e-12
     )
-
-
-def test_side_rejects_garbage():
-    with pytest.raises(ValueError, match="side"):
-        geometric_discord_generic(np.eye(4) / 4.0, side="both")
 
 
 def test_non_psd_input_rejected():
