@@ -9,20 +9,13 @@ that validates every closed form.
 __version__ = "0.1.0"
 
 from .cs_matrix import (
-    BlochDecomposition,
     CSDensityMatrix,
     ValidationReport,
-    bloch_decompose,
     cs_bloch,
     cs_eigenvalues,
-    cs_eigenvalues_sorted,
-    cs_from_json,
-    cs_from_matrix,
     cs_from_params,
     cs_from_vector,
     cs_spectrum,
-    cs_to_json,
-    is_centrosymmetric,
     validate_density,
 )
 from .discord import (
@@ -40,9 +33,7 @@ from .entanglement import (
     ConcurrenceResult,
     concurrence_cs,
     concurrence_numeric,
-    cs_block_diagonalize,
     entanglement_of_formation,
-    spin_flip,
 )
 from .exact_oracle import (
     DenseState,
@@ -54,17 +45,14 @@ from .exact_oracle import (
     thermal_initial,
 )
 from .geometric_discord import (
-    KMatrixSpectrum,
     geometric_discord_cs,
     geometric_discord_generic,
     geometric_discord_high_t_asymptotic,
-    k_spectrum_cs,
 )
 from .nanopore import (
     CorrelationSet,
     NanoporeParams,
     beta_from_temperature,
-    concurrence_from_correlations,
     concurrence_nanopore,
     correlations,
     cs_from_correlations,
@@ -77,8 +65,6 @@ from .states import (
     InvalidStateError,
     bloch_data,
     check_density_matrix,
-    density_from_json,
-    density_to_json,
 )
 from ._kernels import kernel_backend
 from .verification import (

@@ -34,7 +34,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .exact_oracle import ResourceLimitError
 from .nanopore import (
     OMEGA0_DEFAULT,
     beta_from_temperature,
@@ -131,8 +130,6 @@ def run_sweep(
     The N column is a list of int (or inf); the others are float arrays.
     """
     base = _base_columns(quantity)
-    if engine in ("oracle", "both") and any(math.isinf(n) for n in n_values):
-        raise ValueError("the oracle engine requires finite N")
     n_values = check_axes(n_values, betas, taus, omega0)
     if engine != "analytic":
         states = pair_states(n_values, betas, taus)
@@ -315,6 +312,8 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             msg = f"--tau takes a float or special:<l>, l an integer, got {args.tau!r}"
             raise ValueError(msg) from None
+        if special and value < 0:
+            raise ValueError(f"--tau special:<l> takes l >= 0, got {args.tau!r}")
         taus = [tau_special(value) if special else value]
     n_rows = len(n_values) * len(betas) * len(taus)
     if n_rows > MAX_SWEEP_ROWS:
@@ -344,9 +343,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     n_values = _parse_n(args.N) if args.N else DEFAULT_N_VALUES
-    for n in n_values:
-        if math.isinf(n):
-            raise ValueError("verify requires finite N")
     n_states = len(n_values) * len(args.beta) * args.tau_points
     if n_states > MAX_SWEEP_ROWS:
         raise ValueError(
@@ -375,7 +371,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except (ValueError, ResourceLimitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

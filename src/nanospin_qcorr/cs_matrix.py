@@ -23,25 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import EPS_PSD, InvalidStateError, _check_hermitian_trace
+from .states import EPS_PSD, InvalidStateError
 
 __all__ = [
     "CSDensityMatrix",
     "ValidationReport",
-    "BlochDecomposition",
     "cs_from_params",
     "cs_from_vector",
-    "cs_from_matrix",
-    "is_centrosymmetric",
     "cs_dense",
     "cs_spectrum",
     "cs_eigenvalues",
-    "cs_eigenvalues_sorted",
     "validate_density",
     "cs_bloch",
-    "bloch_decompose",
-    "cs_to_json",
-    "cs_from_json",
 ]
 
 
@@ -98,43 +91,6 @@ def cs_from_vector(params) -> CSDensityMatrix:
     return cs_from_params(*p)
 
 
-def is_centrosymmetric(rho, tol: float = 1e-12) -> bool:
-    """True when M[i, j] = M[5-i, 5-j] entrywise within tol."""
-    rho = np.asarray(rho, dtype=complex)
-    return bool(np.max(np.abs(rho - rho[::-1, ::-1])) <= tol)
-
-
-def cs_from_matrix(rho, tol: float = 1e-10) -> CSDensityMatrix:
-    """Extract parameters from a dense matrix of the centrosymmetric family.
-
-    The matrix must be finite, Hermitian with unit trace, centrosymmetric,
-    and have equal middle diagonal entries; deviations beyond ``tol`` raise
-    InvalidStateError.  Positivity is not required here.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    _check_hermitian_trace(rho, tol, tol)
-    if not is_centrosymmetric(rho, tol):
-        dev = np.max(np.abs(rho - rho[::-1, ::-1]))
-        raise InvalidStateError(f"not centrosymmetric: max deviation {dev:.3e}")
-    if abs(rho[1, 1] - rho[2, 2]) > tol:
-        raise InvalidStateError("middle diagonal entries differ")
-    m = cs_from_params(
-        rho[0, 0].real,
-        rho[0, 1].real,
-        rho[0, 1].imag,
-        rho[0, 2].real,
-        rho[0, 2].imag,
-        rho[0, 3].real,
-        rho[1, 2].real,
-    )
-    resid = np.max(np.abs(m.to_matrix() - rho))
-    if resid > tol:
-        raise InvalidStateError(f"not of the 7-parameter form: residual {resid:.3e}")
-    return m
-
-
 def cs_dense(params) -> np.ndarray:
     """Dense matrices (..., 4, 4), laid out as above, of parameters (..., 7)."""
     p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
@@ -169,12 +125,7 @@ def cs_eigenvalues(m: CSDensityMatrix) -> tuple:
     the branch with mean (1/2 - p6 - p7)/2; within each pair the '+' root
     comes first.  The four values always sum to 1.
     """
-    return tuple(cs_spectrum(m.params).tolist())
-
-
-def cs_eigenvalues_sorted(m: CSDensityMatrix) -> np.ndarray:
-    """Eigenvalues in ascending order, for multiset comparisons."""
-    return np.sort(np.array(cs_eigenvalues(m)))
+    return tuple(cs_spectrum(m.params[None])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -189,7 +140,7 @@ class ValidationReport:
         return self.ok
 
 
-def validate_density(m: CSDensityMatrix, eps_psd: float = EPS_PSD) -> ValidationReport:
+def validate_density(m: CSDensityMatrix) -> ValidationReport:
     """Check that the closed-form spectrum is nonnegative.
 
     Hermiticity and unit trace hold structurally for any real parameter
@@ -199,26 +150,11 @@ def validate_density(m: CSDensityMatrix, eps_psd: float = EPS_PSD) -> Validation
     evals = cs_eigenvalues(m)
     violations = []
     for k, lam in enumerate(evals, start=1):
-        if lam < -eps_psd:
-            violations.append(f"eigenvalue L{k} = {lam:.6e} < -{eps_psd:g}")
+        if lam < -EPS_PSD:
+            violations.append(f"eigenvalue L{k} = {lam:.6e} < -{EPS_PSD:g}")
     return ValidationReport(
         ok=not violations, eigenvalues=evals, violations=tuple(violations)
     )
-
-
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Bloch data of a centrosymmetric state.
-
-    ``x`` and ``y`` are the local vectors of the first and second qubit;
-    ``T`` is the 3x3 correlation matrix.  For this family both local
-    vectors point along the x-axis and T couples only the (y, z) sector
-    off-diagonally.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    T: np.ndarray
 
 
 def cs_bloch(params):
@@ -241,18 +177,3 @@ def cs_bloch(params):
         axis=-1,
     ).reshape(p.shape[:-1] + (3, 3))
     return x, y, T
-
-
-def bloch_decompose(m: CSDensityMatrix) -> BlochDecomposition:
-    """Closed-form Bloch data of a centrosymmetric state."""
-    return BlochDecomposition(*cs_bloch(m.params))
-
-
-def cs_to_json(m: CSDensityMatrix) -> dict:
-    """JSON-friendly form {"p": [p1, ..., p7]}."""
-    return {"p": [float(v) for v in m.params]}
-
-
-def cs_from_json(data: dict) -> CSDensityMatrix:
-    """Inverse of cs_to_json."""
-    return cs_from_vector(data["p"])

@@ -24,12 +24,9 @@ from .states import PAULI_Y, InvalidStateError, binary_entropy, check_density_ma
 
 __all__ = [
     "ConcurrenceResult",
-    "BLOCK_ROTATION",
-    "spin_flip",
     "concurrence_numeric",
     "concurrence_cs",
     "concurrence_cs_rows",
-    "cs_block_diagonalize",
     "entanglement_of_formation",
 ]
 
@@ -78,12 +75,6 @@ def _result_from_lambdas(lambdas) -> ConcurrenceResult:
     lam, c = _sorted_concurrence(np.asarray(lambdas, dtype=float))
     c = float(c)
     return ConcurrenceResult(tuple(lam.tolist()), c, entanglement_of_formation(c))
-
-
-def spin_flip(rho) -> np.ndarray:
-    """Spin-flipped companion (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    return _YY @ rho.conj() @ _YY
 
 
 def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
@@ -135,32 +126,3 @@ def concurrence_cs_rows(params) -> np.ndarray:
 def concurrence_cs(m: CSDensityMatrix) -> ConcurrenceResult:
     """Closed-form concurrence of a CS state: concurrence_cs_rows' one-row case."""
     return _result_from_lambdas(_cs_lambdas(m.params[None])[0])
-
-
-# Orthogonal, symmetric, involutory rotation that block-diagonalizes every
-# centrosymmetric 4x4 matrix into two 2x2 blocks.
-BLOCK_ROTATION = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, -1.0, 0.0],
-        [1.0, 0.0, 0.0, -1.0],
-    ]
-) / math.sqrt(2.0)
-
-
-def cs_block_diagonalize(m: CSDensityMatrix):
-    """Rotate a centrosymmetric matrix into its two 2x2 blocks.
-
-    Returns (block1, block2) with block1 carrying the (L1, L2) eigenvalue
-    branch and block2 the (L3, L4) branch.  For real parameter matrices
-    both blocks are real.
-    """
-    rot = BLOCK_ROTATION
-    full = rot @ m.to_matrix() @ rot
-    block1 = full[:2, :2]
-    block2 = full[2:, 2:]
-    off = max(np.max(np.abs(full[:2, 2:])), np.max(np.abs(full[2:, :2])))
-    if off > 1e-12:
-        raise InvalidStateError(f"block off-diagonal residual {off:.3e}")
-    return block1, block2

@@ -54,7 +54,7 @@ def _check_size(n, dense: bool = False) -> int:
     20 bytes.  Nothing is allocated before the check.
     """
     if math.isinf(n):
-        raise ResourceLimitError("the dense engine needs a finite spin count")
+        raise ValueError(f"the oracle needs a finite N, got {n}")
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -19,7 +19,6 @@ state is the one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,8 @@ from .cs_matrix import CSDensityMatrix
 from .states import bloch_data, check_density_matrix
 
 __all__ = [
-    "KMatrixSpectrum",
     "k_spectrum_rows",
     "geometric_discord_rows",
-    "k_spectrum_cs",
     "geometric_discord_cs",
     "geometric_discord_generic",
     "geometric_discord_high_t_asymptotic",
@@ -39,23 +36,6 @@ __all__ = [
 # Relative cancellation level in the 2x2 eigenvalue discriminant beyond
 # which the difference is recomputed with compensated summation.
 _CANCEL_GUARD = 1e-8
-
-
-@dataclass(frozen=True)
-class KMatrixSpectrum:
-    """Eigenvalues of K = x x^T + T T^T for a centrosymmetric state.
-
-    k1 is the isolated eigenvalue from the x sector; k2 >= k3 are the
-    eigenvalues of the yz block.  All are nonnegative for valid states.
-    """
-
-    k1: float
-    k2: float
-    k3: float
-
-    @property
-    def total(self) -> float:
-        return self.k1 + self.k2 + self.k3
 
 
 def k_spectrum_rows(params) -> np.ndarray:
@@ -92,11 +72,6 @@ def geometric_discord_rows(params) -> np.ndarray:
     """
     k1, k2, k3 = k_spectrum_rows(params).T
     return 0.5 * np.where(k1 >= k2, k2 + k3, k1 + k3)
-
-
-def k_spectrum_cs(m: CSDensityMatrix) -> KMatrixSpectrum:
-    """Closed-form spectrum of K for a centrosymmetric state."""
-    return KMatrixSpectrum(*k_spectrum_rows(m.params[None]).tolist()[0])
 
 
 def geometric_discord_cs(m: CSDensityMatrix) -> float:

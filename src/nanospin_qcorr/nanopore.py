@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cs_matrix import CSDensityMatrix, cs_from_vector
-from .entanglement import ConcurrenceResult, concurrence_cs
 from .states import InvalidStateError
 
 __all__ = [
@@ -56,9 +55,7 @@ __all__ = [
     "cs_from_correlations",
     "reduced_density",
     "concurrence_rows",
-    "concurrence_from_correlations",
     "concurrence_nanopore",
-    "concurrence_nanopore_full",
 ]
 
 # Exact SI values (2019 redefinition).
@@ -137,14 +134,6 @@ class NanoporeParams:
     def temperature(self) -> float:
         """Temperature in kelvin corresponding to beta at omega0."""
         return temperature_from_beta(self.beta, self.omega0)
-
-    @classmethod
-    def from_temperature(
-        cls, n, temperature: float, tau: float, omega0: float = OMEGA0_DEFAULT
-    ) -> "NanoporeParams":
-        return cls(
-            n=n, beta=beta_from_temperature(temperature, omega0), tau=tau, omega0=omega0
-        )
 
 
 @dataclass(frozen=True)
@@ -284,16 +273,6 @@ def concurrence_rows(corr: CorrelationSet) -> np.ndarray:
     return np.maximum(0.0, 2.0 * (w + q) - 0.5)
 
 
-def concurrence_from_correlations(corr: CorrelationSet) -> float:
-    """Pair concurrence of one set of correlators (see concurrence_rows)."""
-    return float(concurrence_rows(corr)[0])
-
-
 def concurrence_nanopore(params: NanoporeParams) -> float:
     """Pair concurrence at the given pore parameters."""
-    return concurrence_from_correlations(correlations(params))
-
-
-def concurrence_nanopore_full(params: NanoporeParams) -> ConcurrenceResult:
-    """Full spin-flip spectrum route for the same state (cross-check)."""
-    return concurrence_cs(reduced_density(params))
+    return float(concurrence_rows(correlations(params))[0])

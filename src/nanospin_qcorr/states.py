@@ -24,17 +24,11 @@ __all__ = [
     "EPS_PSD",
     "InvalidStateError",
     "check_density_matrix",
-    "reduced_first",
-    "reduced_second",
     "swap_qubits",
     "bloch_data",
-    "bloch_to_matrix",
     "expansion_coefficients",
     "entropy_bits",
     "binary_entropy",
-    "von_neumann_entropy",
-    "density_to_json",
-    "density_from_json",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -73,36 +67,19 @@ def check_density_matrix(rho) -> np.ndarray:
     return rho
 
 
-def _check_hermitian_trace(rho, eps_herm=EPS_HERM, eps_trace=EPS_TRACE):
-    """Finite entries, Hermiticity and unit trace of square matrices (..., d, d)."""
+def _check_density(rho):
+    """Finite entries, Hermiticity, unit trace and positivity (..., d, d)."""
     if not np.all(np.isfinite(rho)):
         raise InvalidStateError("matrix has non-finite entries")
     herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0)
-    if herm > eps_herm:
+    if herm > EPS_HERM:
         raise InvalidStateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
-    if (bad := np.flatnonzero(abs(tr - 1.0) > eps_trace)).size:
+    if (bad := np.flatnonzero(abs(tr - 1.0) > EPS_TRACE)).size:
         raise InvalidStateError(f"trace is {tr[bad[0]]:.17g}, expected 1")
-
-
-def _check_density(rho):
-    """Finite entries, Hermiticity, unit trace and positivity (..., d, d)."""
-    _check_hermitian_trace(rho)
     lowest = np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0)
     if lowest < -EPS_PSD:
         raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
-
-
-def reduced_first(rho) -> np.ndarray:
-    """Reduced state of the first qubit (second traced out)."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=1, axis2=3)
-
-
-def reduced_second(rho) -> np.ndarray:
-    """Reduced state of the second qubit (first traced out)."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=0, axis2=2)
 
 
 _SWAP = np.array(
@@ -146,13 +123,6 @@ def bloch_data(rho):
     return coeffs[..., :3].copy(), coeffs[..., 3:6].copy(), T.copy()
 
 
-def bloch_to_matrix(x, y, T) -> np.ndarray:
-    """Reassemble a two-qubit matrix from its Bloch data."""
-    coeffs = np.concatenate([np.ravel(x), np.ravel(y), np.ravel(T)]).astype(float)
-    # Each row of _BLOCH_OPS conjugated is its (Hermitian) operator, flattened.
-    return (np.eye(4) + (coeffs @ _BLOCH_OPS.conj()).reshape(4, 4)) / 4.0
-
-
 def expansion_coefficients(rho) -> np.ndarray:
     """Coefficients of the spin-operator expansion of a two-spin state.
 
@@ -187,22 +157,3 @@ def entropy_bits(weights):
 def binary_entropy(x: float) -> float:
     """Shannon entropy -x log2 x - (1-x) log2(1-x), with 0 log 0 = 0."""
     return float(entropy_bits((x, 1.0 - x)))
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a Hermitian PSD matrix of any dimension."""
-    return float(entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
-
-
-def density_to_json(rho) -> list:
-    """Row-major list of [re, im] pairs for a 4x4 complex matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
-
-
-def density_from_json(data) -> np.ndarray:
-    """Inverse of density_to_json."""
-    flat = np.asarray(data, dtype=float)
-    if flat.shape != (16, 2):
-        raise ValueError(f"expected 16 [re, im] pairs, got shape {flat.shape}")
-    return (flat[:, 0] + 1j * flat[:, 1]).reshape(4, 4)

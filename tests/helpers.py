@@ -1,11 +1,19 @@
-"""Shared sampling utilities and dense reference operators for the test suite."""
+"""Shared sampling utilities and dense reference operators for the test suite.
 
+Besides the samplers, this holds short independent references the tests
+compare the package against: parameter extraction from a dense CS matrix,
+a partial trace and the von Neumann entropy, the spin flip, the rotation
+that splits a CS matrix into two 2x2 blocks, and Kronecker-product
+collective operators.
+"""
+
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nanospin_qcorr import cs_from_matrix
-from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
+from nanospin_qcorr import cs_from_params
+from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
 
 BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
 BELL_PHI_PLUS[0, 0] = BELL_PHI_PLUS[0, 3] = 0.5
@@ -22,6 +30,34 @@ def random_density4(rng, rank: int = 4) -> np.ndarray:
 def centrosymmetrize(rho: np.ndarray) -> np.ndarray:
     """Average a matrix with its double reversal; preserves PSD and trace."""
     return 0.5 * (rho + rho[::-1, ::-1])
+
+
+def is_centrosymmetric(rho, tol: float = 1e-12) -> bool:
+    """True when M[i, j] = M[5-i, 5-j] entrywise within tol."""
+    rho = np.asarray(rho, dtype=complex)
+    return bool(np.max(np.abs(rho - rho[::-1, ::-1])) <= tol)
+
+
+def cs_from_matrix(rho, tol: float = 1e-10):
+    """CSDensityMatrix read off a dense 4x4 matrix of the 7-parameter form.
+
+    Asserts that the matrix rebuilt from the parameters is within tol of
+    rho, which holds only for Hermitian, unit-trace, centrosymmetric
+    matrices with equal middle diagonal entries.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    m = cs_from_params(
+        rho[0, 0].real,
+        rho[0, 1].real,
+        rho[0, 1].imag,
+        rho[0, 2].real,
+        rho[0, 2].imag,
+        rho[0, 3].real,
+        rho[1, 2].real,
+    )
+    resid = np.max(np.abs(m.to_matrix() - rho))
+    assert resid <= tol, f"not of the 7-parameter form: residual {resid:.3e}"
+    return m
 
 
 def random_cs(rng, rank: int = 4):
@@ -41,6 +77,49 @@ def random_su2(rng) -> np.ndarray:
     norm = np.sqrt(w * w + x * x + y * y + z * z)
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     return w * ID2 + 1j * (x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+
+
+def reduced_first(rho) -> np.ndarray:
+    """Reduced state of the first qubit (second traced out)."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3)
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy in bits of a Hermitian PSD matrix of any dimension."""
+    return float(entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
+
+
+_YY = np.kron(PAULI_Y, PAULI_Y)
+
+
+def spin_flip(rho) -> np.ndarray:
+    """Spin-flipped companion (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
+    return _YY @ np.asarray(rho, dtype=complex).conj() @ _YY
+
+
+# Orthogonal, symmetric, involutory rotation that block-diagonalizes every
+# centrosymmetric 4x4 matrix into two 2x2 blocks.
+BLOCK_ROTATION = np.array(
+    [
+        [1.0, 0.0, 0.0, 1.0],
+        [0.0, 1.0, 1.0, 0.0],
+        [0.0, 1.0, -1.0, 0.0],
+        [1.0, 0.0, 0.0, -1.0],
+    ]
+) / math.sqrt(2.0)
+
+
+def cs_block_diagonalize(m):
+    """Rotate a CSDensityMatrix into its two 2x2 blocks (block1, block2).
+
+    block1 carries the (L1, L2) eigenvalue branch and block2 the (L3, L4)
+    branch; the off-diagonal blocks are asserted to vanish.
+    """
+    full = BLOCK_ROTATION @ m.to_matrix() @ BLOCK_ROTATION
+    off = max(np.max(np.abs(full[:2, 2:])), np.max(np.abs(full[2:, :2])))
+    assert off <= 1e-12, f"block off-diagonal residual {off:.3e}"
+    return full[:2, :2], full[2:, 2:]
 
 
 @dataclass(frozen=True)

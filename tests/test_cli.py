@@ -287,6 +287,10 @@ def test_bad_range_syntax(capsys):
         (["--N", "4", "--tau", "special:x"], "got 'special:x'"),
         (["--N", "4", "--tau", "abc"], "--tau takes a float or special:<l>"),
         (["--N", "4", "--tau-range", "0:one:1"], "--tau-range takes numbers"),
+        (
+            ["--N", "4", "--tau", "special:-1"],
+            "--tau special:<l> takes l >= 0, got 'special:-1'",
+        ),
     ],
 )
 def test_unparsable_token_named(capsys, grid, named):

@@ -11,6 +11,8 @@ from helpers import (
     random_density4,
     random_qubit_density,
     random_su2,
+    reduced_first,
+    von_neumann_entropy,
 )
 from nanospin_qcorr import (
     MeasurementBasis,
@@ -33,9 +35,7 @@ from nanospin_qcorr.states import (
     InvalidStateError,
     binary_entropy,
     bloch_data,
-    reduced_first,
     swap_qubits,
-    von_neumann_entropy,
 )
 
 SATURATION = 0.75 * math.log2(4.0 / 3.0)

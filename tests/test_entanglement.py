@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import BELL_PHI_PLUS, random_cs, random_qubit_density
+from helpers import (
+    BELL_PHI_PLUS,
+    BLOCK_ROTATION,
+    cs_block_diagonalize,
+    is_centrosymmetric,
+    random_cs,
+    spin_flip,
+)
 from nanospin_qcorr import (
     NanoporeParams,
     concurrence_cs,
     concurrence_numeric,
-    cs_block_diagonalize,
     cs_eigenvalues,
     cs_from_params,
     entanglement_of_formation,
-    is_centrosymmetric,
     reduced_density,
-    spin_flip,
 )
-from nanospin_qcorr.entanglement import BLOCK_ROTATION
 from nanospin_qcorr.exact_oracle import evolve, partial_trace_pair, thermal_initial
 from nanospin_qcorr.states import InvalidStateError
 

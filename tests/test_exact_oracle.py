@@ -249,8 +249,10 @@ def test_pair_state_matches_dense_engine(n):
 def test_pair_state_resource_limits():
     with pytest.raises(ResourceLimitError, match=r"n = 21 needs 40 \* 2\^21 bytes"):
         pair_state(21, 1.0, 0.5)
-    with pytest.raises(ResourceLimitError, match="finite spin count"):
+    # An infinite N is out of the model's domain, not past a resource limit.
+    with pytest.raises(ValueError, match="needs a finite N, got inf") as info:
         pair_state(math.inf, 1.0, 0.5)
+    assert not isinstance(info.value, ResourceLimitError)
     with pytest.raises(ValueError, match="two spins"):
         pair_state(1, 1.0, 0.5)
     assert pair_state(20, 1.0, 0.5).shape == (4, 4)

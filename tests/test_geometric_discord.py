@@ -7,13 +7,12 @@ import pytest
 from helpers import BELL_PHI_PLUS, random_cs, random_qubit_density
 from nanospin_qcorr import (
     NanoporeParams,
-    bloch_decompose,
+    cs_bloch,
     cs_from_params,
     discord_high_t_asymptotic,
     geometric_discord_cs,
     geometric_discord_generic,
     geometric_discord_high_t_asymptotic,
-    k_spectrum_cs,
     reduced_density,
 )
 from nanospin_qcorr.geometric_discord import geometric_discord_rows, k_spectrum_rows
@@ -41,15 +40,13 @@ def test_bell_state_value():
 def test_k_spectrum_matches_dense_eigensolver(rng):
     for _ in range(300):
         m = random_cs(rng)
-        ks = k_spectrum_cs(m)
-        dec = bloch_decompose(m)
-        K = np.outer(dec.x, dec.x) + dec.T @ dec.T.T
-        dense = np.linalg.eigvalsh(K)
-        got = np.sort([ks.k1, ks.k2, ks.k3])
-        assert np.max(np.abs(got - dense)) < 1e-12
-        assert min(ks.k1, ks.k2, ks.k3) >= -1e-12
-        norm2 = float(dec.x @ dec.x) + float(np.sum(dec.T * dec.T))
-        assert abs(ks.total - norm2) < 1e-12
+        ks = k_spectrum_rows(m.params[None])[0]
+        x, _, T = cs_bloch(m.params)
+        dense = np.linalg.eigvalsh(np.outer(x, x) + T @ T.T)
+        assert np.max(np.abs(np.sort(ks) - dense)) < 1e-12
+        assert min(ks) >= -1e-12
+        norm2 = float(x @ x) + float(np.sum(T * T))
+        assert abs(ks.sum() - norm2) < 1e-12
 
 
 def test_closed_form_matches_generic_bulk(rng):
@@ -67,11 +64,10 @@ def test_closed_form_matches_generic_bulk(rng):
 def test_cancellation_fallback_branch(rng):
     # Equal yz-block diagonal entries force the compensated-summation path.
     m = cs_from_params(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01)
-    ks = k_spectrum_cs(m)
-    dec = bloch_decompose(m)
-    K = np.outer(dec.x, dec.x) + dec.T @ dec.T.T
-    dense = np.linalg.eigvalsh(K)
-    assert np.max(np.abs(np.sort([ks.k1, ks.k2, ks.k3]) - dense)) < 1e-13
+    ks = k_spectrum_rows(m.params[None])[0]
+    x, _, T = cs_bloch(m.params)
+    dense = np.linalg.eigvalsh(np.outer(x, x) + T @ T.T)
+    assert np.max(np.abs(np.sort(ks) - dense)) < 1e-13
 
 
 def test_nanopore_identity_large_pore():
@@ -151,8 +147,8 @@ def test_one_state_equals_its_batched_row(rng):
     spectra = k_spectrum_rows(params)
     for k, m in enumerate(states):
         assert geometric_discord_cs(m).hex() == float(batched[k]).hex()
-        ks = k_spectrum_cs(m)
-        assert [ks.k1, ks.k2, ks.k3] == spectra[k].tolist()
+        one = k_spectrum_rows(m.params[None])[0]
+        assert one.tolist() == spectra[k].tolist()
 
 
 def exact_when_k1_largest(params):

@@ -25,8 +25,6 @@ from nanospin_qcorr.nanopore import (
     K_BOLTZMANN,
     OMEGA0_DEFAULT,
     check_axes,
-    concurrence_from_correlations,
-    concurrence_nanopore_full,
     concurrence_rows,
     correlation_grid,
     cos_power,
@@ -79,7 +77,7 @@ def test_temperature_conversion_edges():
 
 
 def test_params_from_temperature():
-    p = NanoporeParams.from_temperature(6, 0.01, 0.5)
+    p = NanoporeParams(6, beta_from_temperature(0.01), 0.5)
     assert p.beta == pytest.approx(beta_from_temperature(0.01), rel=1e-15)
     assert p.temperature == pytest.approx(0.01, rel=1e-12)
 
@@ -270,8 +268,9 @@ def test_concurrence_periodic_in_pi():
 
 
 def test_full_route_helper():
+    # The full spin-flip spectrum of the CS state against the pair formula.
     params = NanoporeParams(n=4, beta=5.0, tau=1.4)
-    res = concurrence_nanopore_full(params)
+    res = concurrence_cs(reduced_density(params))
     assert res.concurrence == pytest.approx(concurrence_nanopore(params), abs=1e-12)
 
 
@@ -327,16 +326,17 @@ def test_grid_matches_one_point_calls_bit_for_bit(ns, betas, taus):
     for n in ns:
         for beta in betas:
             for tau in taus:
-                point = correlations(NanoporeParams(n=n, beta=beta, tau=tau))
+                params = NanoporeParams(n=n, beta=beta, tau=tau)
+                point = correlations(params)
                 got = [getattr(grid, f)[k] for f in ("p", "q", "r", "u", "v")]
                 expected = list(point.as_dict().values())
                 assert list(map(_bits, got)) == list(map(_bits, expected))
                 assert list(map(_bits, expected)) == list(
                     map(_bits, _scalar_reference(n, beta, tau))
                 )
-                params = cs_from_correlations(point).params
-                assert list(map(_bits, rows[k])) == list(map(_bits, params))
-                one = concurrence_from_correlations(point)
+                cs = cs_from_correlations(point).params
+                assert list(map(_bits, rows[k])) == list(map(_bits, cs))
+                one = concurrence_nanopore(params)
                 assert _bits(concurrence[k]) == _bits(one)
                 k += 1
 

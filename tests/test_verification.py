@@ -147,6 +147,20 @@ def test_over_budget_n_fails_before_any_work(counted, capsys):
     assert counted == {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
 
 
+def test_infinite_n_fails_before_any_work(counted, capsys):
+    # The oracle's own check: a ValueError naming N, not a resource limit.
+    message = "the oracle needs a finite N, got inf"
+    with pytest.raises(ValueError, match=message) as info:
+        run_verification(n_values=(3, math.inf), betas=(1.0,), n_tau=4)
+    assert not isinstance(info.value, ResourceLimitError)
+    argv = ["--N", "3", "inf", "--beta-range", "1:2:1", "--tau", "0.5"]
+    for engine in ("oracle", "both"):
+        assert cli.main(["sweep", *argv, "--engine", engine]) == 2
+    assert cli.main(["verify", "--N", "3", "inf", "--tau-points", "4"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"] * 3
+    assert counted == {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
+
+
 def test_grid_past_the_dense_size_passes():
     # n = 16 and 20 lie past what the 4^n engine can hold; the pair oracle
     # checks the closed forms there, where cos_power runs in log space.
