@@ -19,9 +19,9 @@ refine grid minima with one zoom loop that steps all rows in lockstep:
   closed-form endpoints, is evaluated for every row in one kernel call
   and zoomed only for rows whose minimum is interior.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
-  is its one-row case): a coarse grid over the measurement sphere, then a
-  zoom in a rotated frame centred on each row's best grid direction, away
-  from the coordinate poles.
+  is its one-row case): a coarse grid over a hemisphere of directions (the
+  objective is even in n), then a zoom in a rotated frame centred on each
+  row's best grid direction, away from the coordinate poles.
 
 A closed form is available for the symmetric-correlator states that arise
 in the large-reservoir limit of the nanopore model, together with its low-
@@ -55,7 +55,8 @@ __all__ = [
     "measurement_conditional_entropy",
 ]
 
-DEFAULT_GRID = (64, 128)
+# Points in theta over [0, pi] and in phi over the half period [0, pi).
+DEFAULT_GRID = (64, 64)
 
 # Zoom refinement: a _ZOOM_POINTS^2 box of half-width h about the best
 # direction.  h shrinks by _ZOOM_SHRINK unless the box minimum lies on its
@@ -76,7 +77,7 @@ _CS_FLAT = 1e-14
 # Rows per kernel call in discord_cs_rows: the kernel's temporaries hold
 # about 100 floats per row each, so a chunk keeps them near 1 MB apiece.
 _CS_CHUNK = 512
-# Rows per first-grid kernel call in discord_numeric_rows (~1.5 MB arrays).
+# Rows per first-grid kernel call in discord_numeric_rows (~0.8 MB arrays).
 _GRID_CHUNK = 8
 
 
@@ -243,12 +244,16 @@ def discord_numeric_rows(rhos, validate=True):
     with ``validate`` a row that is not a density matrix raises
     InvalidStateError.  Returns the arrays (mutual_information,
     classical_correlation, axis) as discord_cs_rows.  The first sweep, a
-    DEFAULT_GRID over both poles and periodic in phi, runs on _GRID_CHUNK
-    rows per kernel call;
-    each row's best direction n0 is then zoomed, all rows in lockstep, with
-    9x9 boxes in a rotated frame whose equator holds n0, away from the
-    poles.  A row's result does not depend on the other rows; ties on every
-    grid go to the first point in (theta, phi) order.
+    DEFAULT_GRID over both poles and the hemisphere phi in [0, pi), runs on
+    _GRID_CHUNK rows per kernel call.  The hemisphere suffices: measuring
+    along -n swaps the two outcomes, p_+(-n) = p_-(n) and a_+(-n) = a_-(n),
+    so the objective is even in n; theta's grid is symmetric about pi/2, so
+    the hemisphere holds one direction of every antipodal pair of the whole
+    sphere's grid at the same spacing.  Each row's best direction n0 is
+    then zoomed, all rows in lockstep, with 9x9 boxes in a rotated frame
+    whose equator holds n0, away from the poles.  A row's result does not
+    depend on the other rows; ties on every grid go to the first point in
+    (theta, phi) order.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
@@ -257,7 +262,7 @@ def discord_numeric_rows(rhos, validate=True):
 
     n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
+    phis = np.linspace(0.0, math.pi, n_ph, endpoint=False)
     at, best = np.empty(len(rhos), dtype=int), np.empty(len(rhos))
     for lo in range(0, len(rhos), _GRID_CHUNK):
         c = slice(lo, lo + _GRID_CHUNK)

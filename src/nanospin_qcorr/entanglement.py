@@ -25,6 +25,7 @@ from .states import PAULI_Y, InvalidStateError, binary_entropy, check_density_ma
 __all__ = [
     "ConcurrenceResult",
     "concurrence_numeric",
+    "concurrence_numeric_rows",
     "concurrence_cs",
     "concurrence_cs_rows",
     "entanglement_of_formation",
@@ -77,20 +78,32 @@ def _result_from_lambdas(lambdas) -> ConcurrenceResult:
     return ConcurrenceResult(tuple(lam.tolist()), c, entanglement_of_formation(c))
 
 
-def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
-    """Concurrence of an arbitrary two-qubit state.
+def _numeric_lambdas(rhos) -> np.ndarray:
+    """Spin-flip singular values (R, 4) of two-qubit states (R, 4, 4).
 
     With rho = psi psi^dag (psi = V sqrt(evals) from a symmetric
     eigensolver), the lambdas are the singular values of the complex
     symmetric matrix psi^T (sigma_y x sigma_y) psi.  This never squares
     the spectrum, so pure and near-pure states keep full precision.
     """
-    rho = np.asarray(rho, dtype=complex)
+    evals, vecs = np.linalg.eigh(np.asarray(rhos, dtype=complex).reshape(-1, 4, 4))
+    psi = vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+    return np.linalg.svd(np.swapaxes(psi, 1, 2) @ _YY @ psi, compute_uv=False)
+
+
+def concurrence_numeric_rows(rhos) -> np.ndarray:
+    """Concurrence of two-qubit states (R, 4, 4) -> (R,), one eigh and SVD call.
+
+    Rows are not validated: ``verification.oracle_rows`` checks its stack once.
+    """
+    return _sorted_concurrence(_numeric_lambdas(rhos))[1]
+
+
+def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
+    """Concurrence of a two-qubit state: concurrence_numeric_rows' one-row case."""
     if validate:
         rho = check_density_matrix(rho)
-    evals, vecs = np.linalg.eigh(rho)
-    psi = vecs * np.sqrt(np.clip(evals, 0.0, None))
-    return _result_from_lambdas(np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False))
+    return _result_from_lambdas(_numeric_lambdas(rho)[0])
 
 
 def _safe_sqrt(radicand, label: str):

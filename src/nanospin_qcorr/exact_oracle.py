@@ -140,12 +140,16 @@ def pair_state(n, beta, tau, m=None) -> np.ndarray:
     Tracing out the other spins, whose thermal factor has diagonal 1/2 per
     site, sums the phases ph = exp(-i tau m^2) of ``evolve`` (m, if given, is
     magnetizations(n)): rho[a, b] = rho0[a, b] 2^-(n-2) sum_r ph[a, r] ph[b, r]^*.
+    rho0 = thermal_initial(2, beta) is built as the outer product of the
+    site factor with itself: the same products as its Kronecker form.
     """
     if n < 2:
         raise ValueError("need at least two spins to form a pair")
     m = magnetizations(n) if m is None else m
     ph = np.exp(-1j * tau * m * m).reshape(4, -1)
-    return thermal_initial(2, beta).matrix * (ph @ ph.conj().T) / ph.shape[1]
+    f = 0.5 * (ID2 + math.tanh(beta / 2.0) * PAULI_X)
+    rho0 = (f[:, None, :, None] * f[None, :, None, :]).reshape(4, 4)
+    return rho0 * (ph @ ph.conj().T) / ph.shape[1]
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

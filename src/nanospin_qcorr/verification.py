@@ -17,7 +17,7 @@ import numpy as np
 
 from .cs_matrix import cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
-from .entanglement import concurrence_cs_rows, concurrence_numeric
+from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
 from .exact_oracle import _check_size, magnetizations, pair_correlations, pair_state
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
@@ -111,8 +111,7 @@ def oracle_rows(rhos, needed) -> dict:
     corr = pair_correlations(rhos)
     out = {f: getattr(corr, f) for f in CORR_FIELDS}
     if "concurrence" in needed:
-        conc = [concurrence_numeric(rho, validate=False).concurrence for rho in rhos]
-        out["concurrence"] = np.array(conc)
+        out["concurrence"] = concurrence_numeric_rows(rhos)
     if "geometric_discord" in needed:
         out["geometric_discord"] = geometric_discord_generic(rhos, validate=False)
     if "discord" in needed:

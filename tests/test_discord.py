@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     BELL_PHI_PLUS,
+    numeric_batch,
     random_cs,
     random_density4,
     random_qubit_density,
@@ -29,8 +30,7 @@ from nanospin_qcorr import (
 )
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_grid
-from nanospin_qcorr.discord import _CS_CHUNK, _GRID_CHUNK, discord_numeric_rows
-from nanospin_qcorr.exact_oracle import pair_state
+from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.states import (
     InvalidStateError,
     binary_entropy,
@@ -375,15 +375,21 @@ def test_numeric_optimum_on_generic_states(rank):
         assert res.classical_correlation == pytest.approx(explicit, abs=1e-12)
 
 
-def numeric_batch():
-    """Generic states of every rank and dense pair states, over two chunks."""
-    rng = np.random.default_rng(23)
-    states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(4)]
-    states += [BELL_PHI_PLUS, np.eye(4) / 4.0]
-    states += [pair_state(n, beta, 0.9) for n in (3, 8) for beta in (0.5, 3.0)]
-    states += [pair_state(9, 3.0, tau) for tau in (0.0, math.pi / 2.0)]
-    assert len(states) > 2 * _GRID_CHUNK
-    return np.array(states)
+@pytest.mark.parametrize("rank", [4, 2, 1])
+def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
+    # The first grid covers phi in [0, pi) only; at the same spacing, its
+    # minimum is never above that of the whole sphere's 64x128 grid.
+    n_th, n_ph = DEFAULT_GRID
+    thetas = np.linspace(0.0, math.pi, n_th)
+    half = np.linspace(0.0, math.pi, n_ph, endpoint=False)
+    whole = np.linspace(0.0, 2.0 * math.pi, 2 * n_ph, endpoint=False)
+    assert (n_th, n_ph) == (64, 64) and half[1] == whole[1]
+    rng = np.random.default_rng(29)
+    states = [random_density4(rng, rank) for _ in range(24)] + [np.eye(4) / 4.0]
+    x, y, T = bloch_data(np.array(states))
+    low_half = conditional_entropy_grid(x, y, T, thetas, half).min(axis=(1, 2))
+    low_whole = conditional_entropy_grid(x, y, T, thetas, whole).min(axis=(1, 2))
+    assert np.all(low_half <= low_whole + 1e-15)
 
 
 @pytest.mark.parametrize("measured", ["second", "first"])

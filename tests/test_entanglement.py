@@ -10,6 +10,7 @@ from helpers import (
     BLOCK_ROTATION,
     cs_block_diagonalize,
     is_centrosymmetric,
+    numeric_batch,
     random_cs,
     spin_flip,
 )
@@ -22,6 +23,7 @@ from nanospin_qcorr import (
     entanglement_of_formation,
     reduced_density,
 )
+from nanospin_qcorr.entanglement import concurrence_numeric_rows
 from nanospin_qcorr.exact_oracle import evolve, partial_trace_pair, thermal_initial
 from nanospin_qcorr.states import InvalidStateError
 
@@ -92,6 +94,15 @@ def test_numeric_matches_closed_form_on_pure_pair_states(n):
         m = reduced_density(NanoporeParams(n=n, beta=math.inf, tau=tau))
         diff = concurrence_numeric(rho).concurrence - concurrence_cs(m).concurrence
         assert abs(diff) < 1e-12
+
+
+def test_numeric_rows_equal_one_row_calls_bit_for_bit():
+    # One batched eigensolver and SVD give each row what it gets alone: states
+    # of ranks 4, 2 and 1, a Bell state, I/4 and pair states at n = 3, 8, 9.
+    rhos = numeric_batch()
+    one = [concurrence_numeric(rho, validate=False).concurrence for rho in rhos]
+    assert np.array_equal(concurrence_numeric_rows(rhos), np.array(one))
+    assert concurrence_numeric_rows(np.empty((0, 4, 4))).shape == (0,)
 
 
 def test_lambdas_descending(rng):

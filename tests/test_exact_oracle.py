@@ -246,6 +246,18 @@ def test_pair_state_matches_dense_engine(n):
             assert np.array_equal(given_m, pair_state(n, beta, tau))
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_pair_state_thermal_factor_matches_kronecker_form(n):
+    # The two-spin factor is built without np.kron, from the same products.
+    m = magnetizations(n)
+    for beta in (0.0, 0.5, 3.0, math.inf):
+        rho0 = thermal_initial(2, beta).matrix
+        for tau in (0.0, 0.37, math.pi / 2.0, 2.2):
+            ph = np.exp(-1j * tau * m * m).reshape(4, -1)
+            want = rho0 * (ph @ ph.conj().T) / ph.shape[1]
+            assert np.array_equal(pair_state(n, beta, tau), want)
+
+
 def test_pair_state_resource_limits():
     with pytest.raises(ResourceLimitError, match=r"n = 21 needs 40 \* 2\^21 bytes"):
         pair_state(21, 1.0, 0.5)

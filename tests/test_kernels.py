@@ -113,3 +113,17 @@ def test_directions_per_state_match_the_grid(rng):
     for k, (thetas, phis) in enumerate(grids):
         want = conditional_entropy_grid(x[k], y[k], T[k], thetas, phis)
         assert np.array_equal(got[k], want.ravel()[:15])
+
+
+def test_objective_is_even_in_the_direction(rng):
+    # Measuring along -n swaps the two outcomes, p_+(-n) = p_-(n) and
+    # a_+(-n) = a_-(n), so the objective is unchanged; the discord search
+    # relies on this to grid a hemisphere only.
+    states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(3)]
+    states += [np.eye(4) / 4.0]
+    x, y, T = bloch_data(np.array(states))
+    n = rng.normal(size=(len(states), 300, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    plus = conditional_entropy_dirs(x, y, T, n)
+    minus = conditional_entropy_dirs(x, y, T, -n)
+    assert np.max(np.abs(plus - minus)) <= 1e-15
