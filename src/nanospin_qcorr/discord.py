@@ -20,8 +20,9 @@ refine grid minima with one zoom loop that steps all rows in lockstep:
   and zoomed only for rows whose minimum is interior.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
   is its one-row case): a coarse grid over a hemisphere of directions (the
-  objective is even in n), then a zoom in a rotated frame centred on each
-  row's best grid direction, away from the coordinate poles.
+  objective is even in n) plus six seeds per row, the coordinate axes and
+  the right singular vectors of T, then a zoom in a rotated frame centred
+  on each row's best first-pass direction, away from the coordinate poles.
 
 A closed form is available for the symmetric-correlator states that arise
 in the large-reservoir limit of the nanopore model, together with its low-
@@ -56,19 +57,20 @@ __all__ = [
 ]
 
 # Points in theta over [0, pi] and in phi over the half period [0, pi).
-DEFAULT_GRID = (64, 64)
+DEFAULT_GRID = (16, 16)
 
 # Zoom refinement: a _ZOOM_POINTS^2 box of half-width h about the best
 # direction.  h shrinks by _ZOOM_SHRINK unless the box minimum lies on its
-# edge; with 9 points and a factor 4 each new box still spans +-1 spacing of
-# the previous one, so a thin valley cannot slip between two boxes.
+# edge, where it doubles (up to its starting value) so the box can follow a
+# long valley; with 9 points and a factor 4 each new box still spans +-1
+# spacing of the previous one, so a thin valley cannot slip between two boxes.
 _ZOOM_POINTS = 9
 _ZOOM_SHRINK = 4.0
 _ZOOM_MIN_H = 1e-9
 _ZOOM_MAX_STEPS = 64
 
 # Points of the fixed grid over phi = arccos(n_x) in [0, pi/2] in
-# discord_cs_rows: the spacing of DEFAULT_GRID's azimuthal grid.
+# discord_cs_rows, a spacing of pi/64.
 _CS_POINTS = 33
 # A grid whose values spread by no more than _CS_FLAT is flat to rounding (the
 # large-pore limit, product states): an interior minimum there is noise and
@@ -77,8 +79,10 @@ _CS_FLAT = 1e-14
 # Rows per kernel call in discord_cs_rows: the kernel's temporaries hold
 # about 100 floats per row each, so a chunk keeps them near 1 MB apiece.
 _CS_CHUNK = 512
-# Rows per first-grid kernel call in discord_numeric_rows (~0.8 MB arrays).
-_GRID_CHUNK = 8
+# Rows per first-pass kernel call in discord_numeric_rows: 128 rows of 262
+# directions, so the kernel's (rows, 3, directions) temporaries stay near
+# 0.8 MB apiece.
+_GRID_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -185,13 +189,16 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
 
     One row per state of x, y (R, 3) and T (R, 3, 3); theta, phi and best
     are (R,) or scalars.  A box has _ZOOM_POINTS points along phi and, when
-    ``polar``, along theta too.  A row moves only on a strict improvement
-    and keeps its h while its box minimum lies on a zoomed edge.  All rows
-    with h >= _ZOOM_MIN_H step together, in one kernel call.
+    ``polar``, along theta too.  A row moves only on a strict improvement.
+    A step that improves with the box minimum on a zoomed edge doubles the
+    row's h, up to its starting h, so the box keeps pace along a flat
+    valley; every other step divides h by _ZOOM_SHRINK.  All rows with
+    h >= _ZOOM_MIN_H step together, in one kernel call.
     """
     best = np.array(best, dtype=float)
+    h_start = float(h)
     theta, phi, h = (np.full(len(best), a, dtype=float) for a in (theta, phi, h))
-    edge = (0, _ZOOM_POINTS - 1)
+    last = _ZOOM_POINTS - 1
     for _ in range(_ZOOM_MAX_STEPS):
         act = np.flatnonzero(h >= _ZOOM_MIN_H)
         if not act.size:
@@ -207,7 +214,9 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
         up = low < best[act]
         rows = act[up]
         theta[rows], phi[rows], best[rows] = ts[up, k[up]], ps[up, l[up]], low[up]
-        on_edge = np.isin(l, edge) | (polar & np.isin(k, edge))
+        on_edge = (l % last == 0) | (polar & (k % last == 0))
+        grow = act[up & on_edge]
+        h[grow] = np.minimum(2.0 * h[grow], h_start)
         h[act[~(up & on_edge)]] /= _ZOOM_SHRINK
     return theta, phi, best
 
@@ -243,17 +252,19 @@ def discord_numeric_rows(rhos, validate=True):
     The second qubit is measured (for the first, pass ``swap_qubits(rhos)``);
     with ``validate`` a row that is not a density matrix raises
     InvalidStateError.  Returns the arrays (mutual_information,
-    classical_correlation, axis) as discord_cs_rows.  The first sweep, a
-    DEFAULT_GRID over both poles and the hemisphere phi in [0, pi), runs on
-    _GRID_CHUNK rows per kernel call.  The hemisphere suffices: measuring
-    along -n swaps the two outcomes, p_+(-n) = p_-(n) and a_+(-n) = a_-(n),
-    so the objective is even in n; theta's grid is symmetric about pi/2, so
-    the hemisphere holds one direction of every antipodal pair of the whole
-    sphere's grid at the same spacing.  Each row's best direction n0 is
-    then zoomed, all rows in lockstep, with 9x9 boxes in a rotated frame
-    whose equator holds n0, away from the poles.  A row's result does not
-    depend on the other rows; ties on every grid go to the first point in
-    (theta, phi) order.
+    classical_correlation, axis) as discord_cs_rows.
+
+    The first pass, one kernel call per _GRID_CHUNK rows, evaluates each row
+    on 262 directions: a DEFAULT_GRID of 16 polar angles over [0, pi] by 16
+    azimuths over the hemisphere phi in [0, pi), then six seeds, the
+    coordinate axes and the three right singular vectors of the row's T
+    (the endpoint candidates of the X-state optimum).  The hemisphere
+    suffices: measuring along -n swaps the two outcomes, p_+(-n) = p_-(n)
+    and a_+(-n) = a_-(n), so the objective is even in n.  Each row's best
+    direction n0 is then zoomed, all rows in lockstep, with 9x9 boxes in a
+    rotated frame whose equator holds n0, away from the poles.  A row's
+    result does not depend on the other rows; ties go to the first
+    direction, grid before seeds and the grid in (theta, phi) order.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
@@ -263,17 +274,22 @@ def discord_numeric_rows(rhos, validate=True):
     n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, math.pi, n_ph, endpoint=False)
-    at, best = np.empty(len(rhos), dtype=int), np.empty(len(rhos))
+    grid = _directions(thetas, phis).reshape(-1, 3)
+    seeds = np.concatenate(
+        [np.broadcast_to(np.eye(3), T.shape), np.linalg.svd(T)[2]], axis=1
+    )
+    n0, best = np.empty((len(rhos), 3)), np.empty(len(rhos))
     for lo in range(0, len(rhos), _GRID_CHUNK):
         c = slice(lo, lo + _GRID_CHUNK)
-        values = conditional_entropy_grid(x[c], y[c], T[c], thetas, phis)
-        at[c] = np.argmin(values.reshape(len(values), -1), axis=1)
-        best[c] = np.min(values, axis=(1, 2))
-    i, j = np.divmod(at, n_ph)
+        rows = len(seeds[c])
+        n = np.concatenate([np.broadcast_to(grid, (rows,) + grid.shape), seeds[c]], 1)
+        values = conditional_entropy_dirs(x[c], y[c], T[c], n)
+        at = np.argmin(values, axis=1)
+        n0[c], best[c] = n[np.arange(rows), at], values[np.arange(rows), at]
 
     # The objective at m for data (x, R y, T R^T) is the objective at R^T m
     # for (x, y, T); R maps n0 to (theta, phi) = (pi/2, 0).
-    R = _chart(_directions(thetas[i, None], phis[j, None])[:, 0, 0])
+    R = _chart(n0)
     Rt = np.swapaxes(R, 1, 2)
     h = max(float(thetas[1] - thetas[0]), float(phis[1] - phis[0]))
     Ry = (R @ y[..., None])[..., 0]

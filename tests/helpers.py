@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from nanospin_qcorr import cs_from_params
-from nanospin_qcorr.discord import _GRID_CHUNK
 from nanospin_qcorr.exact_oracle import pair_state
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
 
@@ -30,16 +29,12 @@ def random_density4(rng, rank: int = 4) -> np.ndarray:
 
 
 def numeric_batch() -> np.ndarray:
-    """Generic states of every rank, a Bell state, I/4 and dense pair states.
-
-    More rows than two chunks of discord_numeric_rows' first grid.
-    """
+    """Generic states of every rank, a Bell state, I/4 and dense pair states (22)."""
     rng = np.random.default_rng(23)
     states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(4)]
     states += [BELL_PHI_PLUS, np.eye(4) / 4.0]
     states += [pair_state(n, beta, 0.9) for n in (3, 8) for beta in (0.5, 3.0)]
     states += [pair_state(9, 3.0, tau) for tau in (0.0, math.pi / 2.0)]
-    assert len(states) > 2 * _GRID_CHUNK
     return np.array(states)
 
 

@@ -378,12 +378,12 @@ def test_numeric_optimum_on_generic_states(rank):
 @pytest.mark.parametrize("rank", [4, 2, 1])
 def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
     # The first grid covers phi in [0, pi) only; at the same spacing, its
-    # minimum is never above that of the whole sphere's 64x128 grid.
+    # minimum is never above that of the whole sphere's grid, twice as wide.
     n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)
     half = np.linspace(0.0, math.pi, n_ph, endpoint=False)
     whole = np.linspace(0.0, 2.0 * math.pi, 2 * n_ph, endpoint=False)
-    assert (n_th, n_ph) == (64, 64) and half[1] == whole[1]
+    assert half[1] == whole[1]
     rng = np.random.default_rng(29)
     states = [random_density4(rng, rank) for _ in range(24)] + [np.eye(4) / 4.0]
     x, y, T = bloch_data(np.array(states))
@@ -393,8 +393,11 @@ def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
 
 
 @pytest.mark.parametrize("measured", ["second", "first"])
-def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured):
+def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured, monkeypatch):
+    # Small first-pass chunks, so the batch crosses their boundaries.
+    monkeypatch.setattr(discord_module, "_GRID_CHUNK", 8)
     rhos = numeric_batch()
+    assert len(rhos) > 2 * discord_module._GRID_CHUNK
     if measured == "first":
         rhos = swap_qubits(rhos)
     mutual, classical, axis = discord_numeric_rows(rhos)
@@ -415,9 +418,8 @@ def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured):
         assert np.array_equal(whole[:3], part[len(rhos) :])
 
 
-def test_numeric_rows_zoom_in_lockstep(monkeypatch):
-    # Every zoom step is one kernel call over the rows still zooming; the
-    # first step takes all of them, with a 9x9 box each.
+def count_kernel_shapes(monkeypatch):
+    """The direction shapes of every objective call the discord module makes."""
     shapes = []
     kernel = discord_module.conditional_entropy_dirs
 
@@ -426,11 +428,50 @@ def test_numeric_rows_zoom_in_lockstep(monkeypatch):
         return kernel(x, y, T, n)
 
     monkeypatch.setattr(discord_module, "conditional_entropy_dirs", counting)
+    return shapes
+
+
+def test_numeric_rows_zoom_in_lockstep(monkeypatch):
+    # The first pass is one kernel call over every row, the 16x16 grid then
+    # six seeds each; every zoom step that follows is one kernel call over
+    # the rows still zooming, the first taking all of them, with a 9x9 box each.
+    shapes = count_kernel_shapes(monkeypatch)
     rhos = numeric_batch()
     discord_numeric_rows(rhos)
-    assert shapes[0] == (len(rhos), 81, 3)
-    assert 1 < len(shapes) <= discord_module._ZOOM_MAX_STEPS
-    assert all(s[0] <= len(rhos) and s[1:] == (81, 3) for s in shapes)
+    n_th, n_ph = DEFAULT_GRID
+    assert shapes[0] == (len(rhos), n_th * n_ph + 6, 3) == (len(rhos), 262, 3)
+    zoom = shapes[1:]
+    assert zoom[0] == (len(rhos), 81, 3)
+    assert 1 < len(zoom) <= discord_module._ZOOM_MAX_STEPS
+    assert all(s[0] <= len(rhos) and s[1:] == (81, 3) for s in zoom)
+
+
+def test_numeric_zoom_follows_a_valley(monkeypatch):
+    # The interior optimum lies along a flat valley; the zoom's box grows
+    # while it moves along it, so it arrives well within its step budget.
+    m = cs_from_params(*INTERIOR_OPTIMUM)
+    want = discord_cs(m).discord
+    shapes = count_kernel_shapes(monkeypatch)
+    got = discord_numeric(m.to_matrix()).discord
+    assert shapes[0][1] == 262
+    assert len(shapes) - 1 < discord_module._ZOOM_MAX_STEPS
+    assert abs(got - want) < 1e-12
+
+
+def test_sphere_search_matches_cs_reduction_on_rotated_states():
+    # A local rotation keeps discord; the sphere search on the rotated state
+    # must reach the exact reduction's optimum of the unrotated one.  Row
+    # 4112 is a state that a 64x64 grid without seeds or box growth missed
+    # by 2.6e-10.
+    rng = np.random.default_rng(99)
+    states = [random_cs(rng, rank) for rank in (4, 3, 2, 1) for _ in range(2500)]
+    us = [np.kron(random_su2(rng), random_su2(rng)) for _ in states]
+    rhos = np.array([u @ m.to_matrix() @ u.conj().T for u, m in zip(us, states)])
+    mutual, classical, _ = discord_numeric_rows(rhos)
+    cs_mutual, cs_classical, _ = discord_cs_rows(params_of(states))
+    gap = np.abs((mutual - classical) - (cs_mutual - cs_classical))
+    assert gap[4112] < 1e-12
+    assert np.max(gap) < 1e-12
 
 
 def test_numeric_rows_empty_batch():
@@ -462,14 +503,7 @@ def test_cs_rows_zoom_interior_optimum_with_row_boxes(monkeypatch):
     states = cs_batch()[:40]
     states.insert(17, cs_from_params(*INTERIOR_OPTIMUM))
     params = params_of(states)
-    shapes = []
-    kernel = discord_module.conditional_entropy_dirs
-
-    def counting(x, y, T, n):
-        shapes.append(n.shape)
-        return kernel(x, y, T, n)
-
-    monkeypatch.setattr(discord_module, "conditional_entropy_dirs", counting)
+    shapes = count_kernel_shapes(monkeypatch)
     _, zoomed, _ = discord_cs_rows(params)
     assert shapes and all(s[1:] == (9, 3) for s in shapes)
 
