@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .cs_matrix import (
     CSDensityMatrix,
-    ValidationReport,
+    check_cs_rows,
     cs_bloch,
     cs_eigenvalues,
     cs_from_params,
     cs_from_vector,
     cs_spectrum,
-    validate_density,
 )
 from .discord import (
     DiscordResult,

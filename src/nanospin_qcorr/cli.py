@@ -314,7 +314,10 @@ def _cmd_sweep(args) -> int:
             raise ValueError(msg) from None
         if special and value < 0:
             raise ValueError(f"--tau special:<l> takes l >= 0, got {args.tau!r}")
-        taus = [tau_special(value) if special else value]
+        try:
+            taus = [tau_special(value) if special else value]
+        except ValueError as exc:
+            raise ValueError(f"--tau {args.tau!r}: {exc}") from None
     n_rows = len(n_values) * len(betas) * len(taus)
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(

@@ -14,6 +14,8 @@ The spectrum splits into two branches with closed-form eigenvalues; no
 dense eigensolver is needed for states of this family.  The matrix, the
 spectrum and the Bloch data are written once, for arrays of parameter
 vectors (``cs_dense``, ``cs_spectrum``, ``cs_bloch``); one state is one row.
+Which rows are states is decided once too: ``check_cs_rows`` is the one
+validity rule that every centrosymmetric measure applies.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .states import EPS_PSD, InvalidStateError
 
 __all__ = [
     "CSDensityMatrix",
-    "ValidationReport",
     "cs_from_params",
     "cs_from_vector",
     "cs_dense",
     "cs_spectrum",
     "cs_eigenvalues",
-    "validate_density",
+    "check_cs_rows",
     "cs_bloch",
 ]
 
@@ -128,33 +129,30 @@ def cs_eigenvalues(m: CSDensityMatrix) -> tuple:
     return tuple(cs_spectrum(m.params[None])[0].tolist())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a positivity check on a centrosymmetric matrix."""
-
-    ok: bool
-    eigenvalues: tuple
-    violations: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_density(m: CSDensityMatrix) -> ValidationReport:
-    """Check that the closed-form spectrum is nonnegative.
+def check_cs_rows(params) -> np.ndarray:
+    """Closed-form spectra (R, 4) of CS parameter rows (..., 7) that are states.
 
     Hermiticity and unit trace hold structurally for any real parameter
-    vector, so eigenvalue nonnegativity is the only nontrivial condition.
-    The report names each violating eigenvalue.
+    vector, so a finite row is a density matrix exactly when no eigenvalue
+    lies below -EPS_PSD.  Raises InvalidStateError on the first non-finite
+    row, else on the first row that is not a density matrix, naming each of
+    its negative eigenvalues.  Every CS measure takes its rows through here.
     """
-    evals = cs_eigenvalues(m)
-    violations = []
-    for k, lam in enumerate(evals, start=1):
-        if lam < -EPS_PSD:
-            violations.append(f"eigenvalue L{k} = {lam:.6e} < -{EPS_PSD:g}")
-    return ValidationReport(
-        ok=not violations, eigenvalues=evals, violations=tuple(violations)
-    )
+    rows = np.asarray(params, dtype=float).reshape(-1, 7)
+    # Whole-array reductions first; the rows are searched only on failure.
+    if not np.isfinite(rows).all():
+        bad = rows[~np.isfinite(rows).all(axis=1)][0]
+        raise InvalidStateError(f"non-finite CS parameters {bad}")
+    evals = cs_spectrum(rows)
+    if not np.min(evals, initial=np.inf) >= -EPS_PSD:
+        bad = evals[~np.all(evals >= -EPS_PSD, axis=1)][0]
+        violations = [
+            f"eigenvalue L{k} = {lam:.6e} < -{EPS_PSD:g}"
+            for k, lam in enumerate(bad.tolist(), start=1)
+            if not lam >= -EPS_PSD
+        ]
+        raise InvalidStateError("not a density matrix: " + "; ".join(violations))
+    return evals
 
 
 def cs_bloch(params):

@@ -38,9 +38,8 @@ import numpy as np
 
 from ._kernels import _directions, conditional_entropy_dirs, conditional_entropy_grid
 from ._kernels import conditional_entropy_point
-from .cs_matrix import CSDensityMatrix, cs_bloch, cs_from_vector, cs_spectrum
-from .cs_matrix import validate_density
-from .states import EPS_PSD, ID2, PAULI_X, PAULI_Y, PAULI_Z, InvalidStateError
+from .cs_matrix import CSDensityMatrix, check_cs_rows, cs_bloch
+from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .states import bloch_data, check_density_matrix, entropy_bits
 
 __all__ = [
@@ -322,8 +321,8 @@ def discord_cs_rows(params):
     vector of B for s_max.
 
     Rows are evaluated in chunks of _CS_CHUNK, so the kernel's temporaries
-    stay bounded for any R.  Raises InvalidStateError, naming the negative
-    eigenvalue, when a row is not positive semidefinite.
+    stay bounded for any R.  Each chunk passes check_cs_rows, whose spectra
+    give the entropies; a row that is not a state raises InvalidStateError.
     """
     params = np.asarray(params, dtype=float).reshape(-1, 7)
     rows = len(params)
@@ -337,13 +336,7 @@ def discord_cs_rows(params):
 
 
 def _discord_cs_chunk(params):
-    evals = cs_spectrum(params)
-    bad = np.flatnonzero(np.any(evals < -EPS_PSD, axis=1))
-    if bad.size:
-        report = validate_density(cs_from_vector(params[bad[0]]))
-        raise InvalidStateError(
-            "not a density matrix: " + "; ".join(report.violations)
-        )
+    evals = check_cs_rows(params)
     x, y, T = cs_bloch(params)
     s_a, mutual = _entropies(x, y, evals)
     _, s, vt = np.linalg.svd(T[:, 1:, 1:])

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cs_matrix import CSDensityMatrix
-from .states import PAULI_Y, InvalidStateError, binary_entropy, check_density_matrix
+from .cs_matrix import CSDensityMatrix, check_cs_rows
+from .states import PAULI_Y, binary_entropy, check_density_matrix
 
 __all__ = [
     "ConcurrenceResult",
@@ -32,11 +32,6 @@ __all__ = [
 ]
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
-
-# Negative radicands in the closed form beyond this magnitude indicate an
-# invalid (non-PSD) parameter set rather than floating-point noise; smaller
-# ones are clamped to zero.
-_RADICAND_ERROR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,27 +101,22 @@ def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
     return _result_from_lambdas(_numeric_lambdas(rho)[0])
 
 
-def _safe_sqrt(radicand, label: str):
-    if (low := np.min(radicand, initial=0.0)) < -_RADICAND_ERROR:
-        raise InvalidStateError(
-            f"inconsistent parameters: {label} radicand = {low:.3e} < 0"
-        )
-    return np.sqrt(np.maximum(radicand, 0.0))
-
-
 def _cs_lambdas(params) -> np.ndarray:
     """Spin-flip singular values (..., 4) of CS parameter vectors (..., 7).
 
-    The spin flip preserves centrosymmetry, so the four singular values
-    combine pairwise sums/differences of four square roots.  Two of the
-    radicands are differences of squares; they are nonnegative for every
-    valid state, and small negative values from rounding are clamped.
+    The rows must pass check_cs_rows.  The spin flip preserves
+    centrosymmetry, so the four singular values combine pairwise
+    sums/differences of four square roots.  The radicands of b and d are
+    a^2 + 4 L1 L2 and c^2 + 4 L3 L4 (L the cs_spectrum eigenvalues): a
+    state keeps them nonnegative, so what falls below zero is rounding and
+    is clamped.
     """
+    check_cs_rows(params)
     p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
     a = np.sqrt((2.0 * p1 + p6 - 0.5 - p7) ** 2 + 4.0 * (p3 + p5) ** 2)
-    b = _safe_sqrt((0.5 + p6 + p7) ** 2 - 4.0 * (p2 + p4) ** 2, "first-branch")
+    b = np.sqrt(np.maximum((0.5 + p6 + p7) ** 2 - 4.0 * (p2 + p4) ** 2, 0.0))
     c = np.sqrt((2.0 * p1 - p6 - 0.5 + p7) ** 2 + 4.0 * (p3 - p5) ** 2)
-    d = _safe_sqrt((0.5 - p6 - p7) ** 2 - 4.0 * (p2 - p4) ** 2, "second-branch")
+    d = np.sqrt(np.maximum((0.5 - p6 - p7) ** 2 - 4.0 * (p2 - p4) ** 2, 0.0))
     lambdas = (0.5 * (a + b), 0.5 * abs(a - b), 0.5 * (c + d), 0.5 * abs(c - d))
     return np.stack(lambdas, axis=-1)
 

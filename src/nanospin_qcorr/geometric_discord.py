@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .cs_matrix import CSDensityMatrix
+from .cs_matrix import CSDensityMatrix, check_cs_rows
 from .states import bloch_data, check_density_matrix
 
 __all__ = [
@@ -69,7 +69,9 @@ def geometric_discord_rows(params) -> np.ndarray:
     """Closed-form geometric discord of rows of CS parameters, shape (R, 7).
 
     Half the sum of K's two smaller eigenvalues: no k_max is subtracted.
+    A row that fails check_cs_rows raises InvalidStateError.
     """
+    check_cs_rows(params)
     k1, k2, k3 = k_spectrum_rows(params).T
     return 0.5 * np.where(k1 >= k2, k2 + k3, k1 + k3)
 

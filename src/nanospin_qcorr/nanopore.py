@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cs_matrix import CSDensityMatrix, cs_from_vector
-from .states import InvalidStateError
+from .cs_matrix import CSDensityMatrix, check_cs_rows, cs_from_vector
 
 __all__ = [
     "H_PLANCK",
@@ -96,7 +95,10 @@ def tau_special(l: int = 0) -> float:
     """The l-th flickering time tau_l = (1 + 2 l) pi / 2."""
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    return (1 + 2 * l) * math.pi / 2.0
+    try:
+        return (1 + 2 * l) * math.pi / 2.0
+    except OverflowError:
+        raise ValueError("l is too large: tau_l overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,8 @@ class NanoporeParams:
 
     def __post_init__(self):
         n = self.n
-        if not math.isinf(n):
-            if float(n) != int(n):
+        if n != math.inf:
+            if not (math.isfinite(n) and float(n) == int(n)):
                 raise ValueError(f"n must be an integer or inf, got {n}")
             if int(n) < 2:
                 raise ValueError(f"n must be >= 2, got {n}")
@@ -224,17 +226,16 @@ def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet
     sin(tau_l) = (-1)^l rather than through floating tau_l: the
     transverse polarization vanishes identically, u survives only for
     n = 2, and the pair correlators alternate with the parity of n
-    (even n keeps q, odd n keeps r).
+    (even n keeps q, odd n keeps r).  n and beta must pass check_axes, n
+    finite, and l >= 0.
     """
+    (n,) = check_axes([n], [beta], [])
     if math.isinf(n):
         raise ValueError("flickering times require a finite pore occupancy")
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     th = math.tanh(beta / 2.0)
-    grid = _correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** l])
+    grid = _correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** (l % 2)])
     return CorrelationSet(**{f: float(a[0]) for f, a in grid.as_dict().items()})
 
 
@@ -244,15 +245,13 @@ def cs_rows(corr: CorrelationSet) -> np.ndarray:
     The fields of ``corr`` are arrays of length R, or floats for one row.
     The map is p1 = 1/4, p2 = p4 = p/2, p3 = p5 = -u, p6 = q - r,
     p7 = q + r; v enters only through its being zero for this model.
-    Raises InvalidStateError when a parameter is not finite.
+    The rows pass check_cs_rows: InvalidStateError when one is not a state.
     """
     p, q, r, u = (np.atleast_1d(getattr(corr, f)).astype(float) for f in "pqru")
     rows = np.stack(
         [np.full_like(p, 0.25), p / 2.0, -u, p / 2.0, -u, q - r, q + r], axis=1
     )
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise InvalidStateError(f"non-finite CS parameters {rows[~finite][0]}")
+    check_cs_rows(rows)
     return rows
 
 

@@ -279,6 +279,10 @@ def test_bad_range_syntax(capsys):
     assert "lo:hi:step" in capsys.readouterr().err
 
 
+# l parses as an int, but tau_l = (1 + 2 l) pi / 2 overflows a float.
+_HUGE_SPECIAL = "special:1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "grid, named",
     [
@@ -290,6 +294,11 @@ def test_bad_range_syntax(capsys):
         (
             ["--N", "4", "--tau", "special:-1"],
             "--tau special:<l> takes l >= 0, got 'special:-1'",
+        ),
+        pytest.param(
+            ["--N", "4", "--tau", _HUGE_SPECIAL],
+            f"--tau {_HUGE_SPECIAL!r}: l is too large",
+            id="tau-special-overflows",
         ),
     ],
 )

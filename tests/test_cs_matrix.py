@@ -12,6 +12,8 @@ from helpers import (
 )
 from nanospin_qcorr import (
     CorrelationSet,
+    check_cs_rows,
+    concurrence_cs,
     cs_bloch,
     cs_eigenvalues,
     cs_from_correlations,
@@ -19,8 +21,11 @@ from nanospin_qcorr import (
     cs_from_vector,
     cs_spectrum,
     discord_cs,
-    validate_density,
+    geometric_discord_cs,
 )
+from nanospin_qcorr.discord import discord_cs_rows
+from nanospin_qcorr.entanglement import concurrence_cs_rows
+from nanospin_qcorr.geometric_discord import geometric_discord_rows
 from nanospin_qcorr.states import InvalidStateError, bloch_data
 
 params_strategy = st.lists(
@@ -113,15 +118,48 @@ def test_maximally_mixed():
     m = cs_from_params(0.25, 0, 0, 0, 0, 0, 0)
     assert np.allclose(m.to_matrix(), np.eye(4) / 4.0)
     assert cs_eigenvalues(m) == (0.25, 0.25, 0.25, 0.25)
-    assert validate_density(m).ok
+    assert check_cs_rows(m.params).tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
 
-def test_validate_density_reports_violation():
+def test_check_cs_rows_reports_violation():
     m = cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0)
-    report = validate_density(m)
-    assert not report.ok
-    assert not bool(report)
-    assert any("L4" in v for v in report.violations)
+    with pytest.raises(InvalidStateError) as err:
+        check_cs_rows(m.params)
+    assert str(err.value) == (
+        "not a density matrix: eigenvalue L4 = -1.500000e-01 < -1e-10"
+    )
+
+
+# L4 = 1/4 - 0.4 = -0.15: a finite parameter row that is no density matrix.
+_NOT_A_STATE = (0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0)
+
+_CS_MEASURES = {
+    "concurrence_cs": concurrence_cs,
+    "geometric_discord_cs": geometric_discord_cs,
+    "discord_cs": discord_cs,
+}
+_CS_ROW_MEASURES = {
+    "concurrence_cs_rows": concurrence_cs_rows,
+    "geometric_discord_rows": geometric_discord_rows,
+    "discord_cs_rows": discord_cs_rows,
+}
+
+
+@pytest.mark.parametrize("measure", sorted(_CS_MEASURES))
+def test_cs_measures_reject_a_non_state(measure):
+    with pytest.raises(InvalidStateError, match="eigenvalue L4 = "):
+        _CS_MEASURES[measure](cs_from_params(*_NOT_A_STATE))
+
+
+@pytest.mark.parametrize("measure", sorted(_CS_ROW_MEASURES))
+@pytest.mark.parametrize("where", ["alone", "mid-stack"])
+def test_cs_row_measures_reject_a_non_state(rng, measure, where):
+    params = np.array([_NOT_A_STATE])
+    if where == "mid-stack":
+        params = np.array([random_cs(rng).params for _ in range(9)])
+        params[4] = _NOT_A_STATE
+    with pytest.raises(InvalidStateError, match="eigenvalue L4 = "):
+        _CS_ROW_MEASURES[measure](params)
 
 
 # Each entry point builds the CS state with p2 = bad (p = 2 bad for the
@@ -134,6 +172,15 @@ _NON_FINITE_ENTRY_POINTS = {
     ),
     "discord_cs": lambda bad: discord_cs(
         cs_from_params(0.25, bad, 0, 0, 0, 0.1, 0.1)
+    ),
+    "concurrence_cs_rows": lambda bad: concurrence_cs_rows(
+        np.array([[0.25, bad, 0, 0, 0, 0.1, 0.1]])
+    ),
+    "geometric_discord_rows": lambda bad: geometric_discord_rows(
+        np.array([[0.25, bad, 0, 0, 0, 0.1, 0.1]])
+    ),
+    "discord_cs_rows": lambda bad: discord_cs_rows(
+        np.array([[0.25, bad, 0, 0, 0, 0.1, 0.1]])
     ),
 }
 

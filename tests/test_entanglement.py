@@ -122,9 +122,10 @@ def test_result_consistency(rng):
 
 def test_invalid_parameters_raise():
     # Large symmetric off-diagonals drive a difference-of-squares radicand
-    # far negative; that is an invalid state, not rounding noise.
+    # far negative and L2 = 1/4 - 0.6 below zero: an invalid state, not
+    # rounding noise.
     m = cs_from_params(0.25, 0.3, 0.0, 0.3, 0.0, 0.0, 0.0)
-    with pytest.raises(InvalidStateError, match="radicand"):
+    with pytest.raises(InvalidStateError, match="eigenvalue L2 = -3.500000e-01"):
         concurrence_cs(m)
 
 

@@ -7,6 +7,7 @@ import pytest
 from helpers import BELL_PHI_PLUS, random_cs, random_qubit_density
 from nanospin_qcorr import (
     NanoporeParams,
+    check_cs_rows,
     cs_bloch,
     cs_from_params,
     discord_high_t_asymptotic,
@@ -199,4 +200,17 @@ def test_singular_yz_block_has_exact_zero_k3():
     params[:, 3:5] = rng.uniform(-0.1, 0.1, (50, 2))
     params[:, 5] = params[:, 6] = rng.uniform(-0.05, 0.05, 50)
     assert np.all(k_spectrum_rows(params)[:, 2] == 0.0)
-    assert np.all(geometric_discord_rows(params) >= 0.0)
+    states = np.array([_is_state(row) for row in params])
+    assert states.sum() == 46
+    assert np.all(geometric_discord_rows(params[states]) >= 0.0)
+    for row in params[~states]:
+        with pytest.raises(InvalidStateError, match="not a density matrix"):
+            geometric_discord_rows(row[None])
+
+
+def _is_state(row) -> bool:
+    try:
+        check_cs_rows(row)
+    except InvalidStateError:
+        return False
+    return True

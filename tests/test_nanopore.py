@@ -10,6 +10,7 @@ from nanospin_qcorr import (
     CorrelationSet,
     NanoporeParams,
     beta_from_temperature,
+    check_cs_rows,
     concurrence_cs,
     concurrence_nanopore,
     correlations,
@@ -18,7 +19,6 @@ from nanospin_qcorr import (
     special_time_correlations,
     tau_special,
     temperature_from_beta,
-    validate_density,
 )
 from nanospin_qcorr.nanopore import (
     HBAR,
@@ -46,6 +46,11 @@ def test_params_validation():
         NanoporeParams(n=1, beta=1.0, tau=0.0)
     with pytest.raises(ValueError, match="n must be"):
         NanoporeParams(n=2.5, beta=1.0, tau=0.0)
+    # Only +inf is the large-reservoir limit.
+    with pytest.raises(ValueError, match="n must be an integer or inf, got -inf"):
+        NanoporeParams(n=-math.inf, beta=1.0, tau=0.0)
+    with pytest.raises(ValueError, match="n must be an integer or inf, got nan"):
+        NanoporeParams(n=math.nan, beta=1.0, tau=0.0)
     with pytest.raises(ValueError, match="beta"):
         NanoporeParams(n=4, beta=-0.1, tau=0.0)
     with pytest.raises(ValueError, match="beta"):
@@ -136,7 +141,7 @@ def test_correlator_bounds_and_state_validity(args):
     assert abs(corr.r) <= 0.25 + 1e-15
     assert corr.v == 0.0
     m = cs_from_correlations(corr)
-    assert validate_density(m).ok
+    check_cs_rows(m.params)
 
 
 @given(finite_params)
@@ -167,7 +172,8 @@ def test_special_time_parity():
 
 
 def test_special_time_pair_only_keeps_u():
-    for l in (0, 1, 2):
+    # l = 10**400 + 1 has no float, but only its parity enters sin(tau_l).
+    for l in (0, 1, 2, 10**400 + 1):
         corr = special_time_correlations(2, 3.0, l)
         sign = 1.0 if l % 2 == 0 else -1.0
         assert corr.u == pytest.approx(sign * 0.25 * math.tanh(1.5), rel=1e-15)
@@ -192,8 +198,16 @@ def test_special_time_rejects_bad_input():
         special_time_correlations(1, 1.0)
     with pytest.raises(ValueError):
         special_time_correlations(4, 1.0, l=-1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        special_time_correlations(3.5, 1.0)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        special_time_correlations(3, math.nan)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        special_time_correlations(3, -1.0)
     with pytest.raises(ValueError):
         tau_special(-2)
+    with pytest.raises(ValueError, match="too large"):
+        tau_special(10**400)
 
 
 def test_reduced_density_layout():

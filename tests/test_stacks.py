@@ -115,9 +115,10 @@ def test_concurrence_cs_rows():
 
 def test_bad_radicand_inside_a_stack_raises():
     params = param_rows()
-    # (1/2 + p6 + p7)^2 - 4 (p2 + p4)^2 = 1/4 - 4 < 0: no density matrix.
+    # (1/2 + p6 + p7)^2 - 4 (p2 + p4)^2 = 1/4 - 4 < 0, and L2 = -3/4: no
+    # density matrix.
     params[len(params) // 2] = [0.25, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0]
-    with pytest.raises(InvalidStateError, match="first-branch radicand"):
+    with pytest.raises(InvalidStateError, match="eigenvalue L2 = "):
         concurrence_cs_rows(params)
 
 
