@@ -112,7 +112,10 @@ def _parse_n(tokens):
             values.append(math.inf if t == "inf" else int(t))
         except ValueError:
             raise ValueError(f"--N takes integers or 'inf', got {tok!r}") from None
-    return values
+    try:
+        return check_axes(values, [], [])
+    except ValueError as exc:
+        raise ValueError(f"--N: {exc}") from None
 
 
 def run_sweep(

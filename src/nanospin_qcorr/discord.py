@@ -9,7 +9,8 @@ Discord is the gap between total and classical correlations,
 where the maximum runs over projective measurements on one qubit (the
 second by convention here).  Both solvers take arrays of states, minimise
 one objective, the conditional entropy in Bloch form (``_kernels``), and
-refine grid minima with one zoom loop that steps all rows in lockstep:
+refine grid minima with one zoom routine (``_zoom_rows``) that steps all
+rows in lockstep: coarse box steps, then safeguarded Newton steps:
 
 * ``discord_cs_rows`` for arrays of centrosymmetric states of the
   nanopore model (``discord_cs`` is its one-row case).  Rotating each
@@ -58,23 +59,28 @@ __all__ = [
 # Points in theta over [0, pi] and in phi over the half period [0, pi).
 DEFAULT_GRID = (16, 16)
 
-# Zoom refinement: a _ZOOM_POINTS^2 box of half-width h about the best
+# Zoom box steps: a _ZOOM_POINTS^2 box of half-width h about the best
 # direction.  h shrinks by _ZOOM_SHRINK unless the box minimum lies on its
 # edge, where it doubles (up to its starting value) so the box can follow a
 # long valley; with 9 points and a factor 4 each new box still spans +-1
 # spacing of the previous one, so a thin valley cannot slip between two boxes.
 _ZOOM_POINTS = 9
 _ZOOM_SHRINK = 4.0
-_ZOOM_MIN_H = 1e-9
-_ZOOM_MAX_STEPS = 64
+# The quadratic finish (see _zoom_rows) takes over below h_start / _BOX_END.
+# Its spacing stays >= _H_FLOOR after a Newton move, so the differenced
+# Hessian's rounding, about 1e-16 / h^2, stays near 1e-6; a step below
+# _STEP_TOL moves the objective by about its own rounding.
+_BOX_END = 16.0
+_H_FLOOR = 1e-5
+_STEP_TOL = 1e-8
 
 # Points of the fixed grid over phi = arccos(n_x) in [0, pi/2] in
 # discord_cs_rows, a spacing of pi/64.
 _CS_POINTS = 33
-# A grid whose values spread by no more than _CS_FLAT is flat to rounding (the
-# large-pore limit, product states): an interior minimum there is noise and
-# is not zoomed.
-_CS_FLAT = 1e-14
+# A grid or stencil whose values spread by no more than _FLAT is flat to
+# rounding (the large-pore limit, product states): an interior minimum there
+# is noise and is not zoomed, and a finishing row stops.
+_FLAT = 1e-14
 # Rows per kernel call in discord_cs_rows: the kernel's temporaries hold
 # about 100 floats per row each, so a chunk keeps them near 1 MB apiece.
 _CS_CHUNK = 512
@@ -184,24 +190,25 @@ def _chart(n0: np.ndarray) -> np.ndarray:
 
 
 def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
-    """Refine grid minima (theta, phi, best) by zooming boxes of half-width h.
+    """Refine grid minima (theta, phi, best): box steps, then a quadratic finish.
 
     One row per state of x, y (R, 3) and T (R, 3, 3); theta, phi and best
-    are (R,) or scalars.  A box has _ZOOM_POINTS points along phi and, when
-    ``polar``, along theta too.  A row moves only on a strict improvement.
-    A step that improves with the box minimum on a zoomed edge doubles the
-    row's h, up to its starting h, so the box keeps pace along a flat
-    valley; every other step divides h by _ZOOM_SHRINK.  All rows with
-    h >= _ZOOM_MIN_H step together, in one kernel call.
+    are (R,) or scalars.  Active rows step together, one kernel call a step,
+    and a row moves only on a strict improvement.  Boxes (see _ZOOM_POINTS;
+    along phi alone unless ``polar``) run while h > h_start / _BOX_END.  The
+    finish evaluates a 3x3 stencil of spacing h (1x3 unless ``polar``) and
+    tries the Newton step of its quadratic model, when convex, within a
+    trust radius of 2 h.  The row moves to the better of the trial and the
+    best stencil point: a Newton move sets h to the step's length (at least
+    _H_FLOOR), so a full step doubles the radius; no move divides h by
+    _ZOOM_SHRINK.  A row stops once its Newton step (or h, with no convex
+    model) is below _STEP_TOL, or its stencil is flat to rounding (_FLAT).
     """
     best = np.array(best, dtype=float)
     h_start = float(h)
     theta, phi, h = (np.full(len(best), a, dtype=float) for a in (theta, phi, h))
     last = _ZOOM_POINTS - 1
-    for _ in range(_ZOOM_MAX_STEPS):
-        act = np.flatnonzero(h >= _ZOOM_MIN_H)
-        if not act.size:
-            break
+    while (act := np.flatnonzero(h > h_start / _BOX_END)).size:
         ha, ts = h[act], theta[act, None]
         ps = np.linspace(phi[act] - ha, phi[act] + ha, _ZOOM_POINTS, axis=-1)
         if polar:
@@ -217,6 +224,46 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
         grow = act[up & on_edge]
         h[grow] = np.minimum(2.0 * h[grow], h_start)
         h[act[~(up & on_edge)]] /= _ZOOM_SHRINK
+
+    step = h.copy()
+    while (act := np.flatnonzero(step >= _STEP_TOL)).size:
+        th, ph, ha, at = theta[act], phi[act], h[act], np.arange(len(act))
+        off = np.multiply.outer(ha, [-1.0, 0.0, 1.0])
+        ts, ps = th[:, None] + (off if polar else 0.0), ph[:, None] + off
+        n = _directions(ts, ps).reshape(len(act), -1, 3)
+        f = conditional_entropy_dirs(x[act], y[act], T[act], n)
+        f, k = f.reshape(len(act), -1, 3), int(polar)  # k: the centre's row
+        # The model's gradient and Hessian by central differences.
+        r, hh = f[:, k], ha * ha
+        g_p = (r[:, 2] - r[:, 0]) / (2 * ha)
+        h_pp = (r[:, 2] - 2 * r[:, 1] + r[:, 0]) / hh
+        g_t, h_tt, h_tp = 0.0, 1.0, 0.0  # along phi alone: a unit theta curvature
+        if polar:
+            g_t = (f[:, 2, 1] - f[:, 0, 1]) / (2 * ha)
+            h_tt = (f[:, 2, 1] - 2 * f[:, 1, 1] + f[:, 0, 1]) / hh
+            h_tp = (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / (4 * hh)
+        det = h_tt * h_pp - h_tp * h_tp
+        convex = (h_tt > 0.0) & (det > 0.0)
+        d = np.where(convex, [h_tp * g_p - h_pp * g_t, h_tp * g_t - h_tt * g_p], 0.0)
+        d /= np.where(convex, det, 1.0)
+        size, radius = np.hypot(*d), 2.0 * ha
+        cut = radius / np.maximum(size, radius)  # the step cut to the trust radius
+        t_new, p_new = th + cut * d[0], ph + cut * d[1]
+        n = _directions(t_new[:, None], p_new[:, None])[:, 0]
+        trial = conditional_entropy_dirs(x[act], y[act], T[act], n)[:, 0]
+        flat = np.ptp(f, axis=(1, 2)) <= _FLAT
+        f[:, k, 1] = np.inf  # the row's own point
+        j = np.argmin(f.reshape(len(act), -1), axis=1)
+        low = f.reshape(len(act), -1)[at, j]
+        newton = convex & (trial < best[act]) & (trial <= low)
+        moved = newton | (low < best[act])
+        rows = act[moved]
+        theta[rows] = np.where(newton, t_new, ts[at, j // 3])[moved]
+        phi[rows] = np.where(newton, p_new, ps[at, j % 3])[moved]
+        best[rows] = np.where(newton, trial, low)[moved]
+        h[act] = np.where(newton, np.maximum(cut * size, _H_FLOOR), ha)
+        h[act[~moved]] /= _ZOOM_SHRINK
+        step[act] = np.where(flat, 0.0, np.where(convex, cut * size, h[act]))
     return theta, phi, best
 
 
@@ -260,9 +307,10 @@ def discord_numeric_rows(rhos, validate=True):
     (the endpoint candidates of the X-state optimum).  The hemisphere
     suffices: measuring along -n swaps the two outcomes, p_+(-n) = p_-(n)
     and a_+(-n) = a_-(n), so the objective is even in n.  Each row's best
-    direction n0 is then zoomed, all rows in lockstep, with 9x9 boxes in a
-    rotated frame whose equator holds n0, away from the poles.  A row's
-    result does not depend on the other rows; ties go to the first
+    direction n0 is then zoomed, all rows in lockstep, in a rotated frame
+    whose equator holds n0, away from the poles: 9x9 boxes down to 1/16 of
+    the grid's spacing, then Newton steps on 3x3 stencils (_zoom_rows).  A
+    row's result does not depend on the other rows; ties go to the first
     direction, grid before seeds and the grid in (theta, phi) order.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
@@ -314,8 +362,9 @@ def discord_cs_rows(params):
     on the rotated data x = (x1, 0, 0), y = (y1, 0, 0),
     T = diag(T_xx, s_max, s_min) along theta = pi/2, phi = arccos t: a
     fixed grid whose ends are the endpoints t = 1 and t = 0, evaluated for
-    all rows in one kernel call and zoomed, with discord_numeric's box
-    rule and in lockstep, only for the rows whose minimum is interior and
+    all rows in one kernel call and zoomed, with discord_numeric's
+    _zoom_rows along phi alone (1x9 boxes, then a 1x3 parabola's Newton
+    step) and in lockstep, only for the rows whose minimum is interior and
     whose grid is not flat to rounding.  The axis is reported in the
     original frame, (t, sqrt(1 - t^2) v_max) with v_max the right singular
     vector of B for s_max.
@@ -351,7 +400,7 @@ def _discord_cs_chunk(params):
     j = np.argmin(values, axis=1)
     phi = phis[j]
     best = values[np.arange(len(values)), j]
-    interior = (j > 0) & (j < _CS_POINTS - 1) & (np.ptp(values, axis=1) > _CS_FLAT)
+    interior = (j > 0) & (j < _CS_POINTS - 1) & (np.ptp(values, axis=1) > _FLAT)
     h = float(phis[1] - phis[0])
     rows = np.flatnonzero(interior)
     _, phi[rows], best[rows] = _zoom_rows(

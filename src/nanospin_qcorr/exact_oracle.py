@@ -5,8 +5,9 @@ and uses none of the package's closed forms: the initial state is the exact
 transverse thermal product, and the dipolar evolution is applied through
 the diagonal phases of the squared collective z component.  The oracle,
 ``pair_state``, sums the first two spins' evolved state over all 2^(n-2)
-configurations of the other spins in O(2^n) memory; the analytic values
-are validated against it.  The dense 2^n x 2^n engine (``thermal_initial``,
+configurations of the other spins in O(2^n) memory, in a phase sum that
+every beta shares (``pair_gram``); the analytic values are validated
+against it.  The dense 2^n x 2^n engine (``thermal_initial``,
 ``evolve``, ``partial_trace_pair``) grows as 4^n and is the reference the
 oracle is tested against.
 
@@ -28,6 +29,7 @@ __all__ = [
     "ResourceLimitError",
     "DenseState",
     "magnetizations",
+    "pair_gram",
     "pair_state",
     "thermal_initial",
     "evolve",
@@ -134,22 +136,29 @@ def partial_trace_pair(state: DenseState) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3)
 
 
-def pair_state(n, beta, tau, m=None) -> np.ndarray:
-    """4x4 state of the first two spins of evolve(thermal_initial(n, beta), tau).
-
-    Tracing out the other spins, whose thermal factor has diagonal 1/2 per
-    site, sums the phases ph = exp(-i tau m^2) of ``evolve`` (m, if given, is
-    magnetizations(n)): rho[a, b] = rho0[a, b] 2^-(n-2) sum_r ph[a, r] ph[b, r]^*.
-    rho0 = thermal_initial(2, beta) is built as the outer product of the
-    site factor with itself: the same products as its Kronecker form.
-    """
+def pair_gram(n, tau, m=None):
+    """(ph @ ph^H, c) for the phases ph = exp(-i tau m^2) of ``evolve`` as
+    (4, c), c = 2^(n-2): pair_state's phase sum, free of beta."""
     if n < 2:
         raise ValueError("need at least two spins to form a pair")
     m = magnetizations(n) if m is None else m
     ph = np.exp(-1j * tau * m * m).reshape(4, -1)
+    return ph @ ph.conj().T, ph.shape[1]
+
+
+def pair_state(n, beta, tau, m=None, gram=None) -> np.ndarray:
+    """4x4 state of the first two spins of evolve(thermal_initial(n, beta), tau).
+
+    Tracing out the other spins, whose thermal factor has diagonal 1/2 per
+    site, leaves rho = rho0 G / c for (G, c) = pair_gram(n, tau, m) (m, if
+    given, is magnetizations(n)), or ``gram`` if given.  rho0 =
+    thermal_initial(2, beta) is the outer product of the site factor with
+    itself: the same products as its Kronecker form.
+    """
+    g, c = pair_gram(n, tau, m) if gram is None else gram
     f = 0.5 * (ID2 + math.tanh(beta / 2.0) * PAULI_X)
     rho0 = (f[:, None, :, None] * f[None, :, None, :]).reshape(4, 4)
-    return rho0 * (ph @ ph.conj().T) / ph.shape[1]
+    return rho0 * g / c
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

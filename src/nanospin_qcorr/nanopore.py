@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,16 @@ def temperature_from_beta(beta: float, omega0: float = OMEGA0_DEFAULT) -> float:
     return HBAR * omega0 / (K_BOLTZMANN * beta)
 
 
+def _check_l(l) -> int:
+    """l as an int, once it is a Python or numpy integer >= 0."""
+    if not isinstance(l, numbers.Integral) or l < 0:
+        raise ValueError(f"l must be an integer >= 0, got {l!r}")
+    return int(l)
+
+
 def tau_special(l: int = 0) -> float:
     """The l-th flickering time tau_l = (1 + 2 l) pi / 2."""
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
+    l = _check_l(l)
     try:
         return (1 + 2 * l) * math.pi / 2.0
     except OverflowError:
@@ -119,7 +126,11 @@ class NanoporeParams:
     def __post_init__(self):
         n = self.n
         if n != math.inf:
-            if not (math.isfinite(n) and float(n) == int(n)):
+            try:
+                whole = math.isfinite(n) and float(n) == int(n)
+            except OverflowError:
+                raise ValueError("n is too large: it overflows a float") from None
+            if not whole:
                 raise ValueError(f"n must be an integer or inf, got {n}")
             if int(n) < 2:
                 raise ValueError(f"n must be >= 2, got {n}")
@@ -227,13 +238,12 @@ def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet
     transverse polarization vanishes identically, u survives only for
     n = 2, and the pair correlators alternate with the parity of n
     (even n keeps q, odd n keeps r).  n and beta must pass check_axes, n
-    finite, and l >= 0.
+    finite, and l an integer >= 0.
     """
     (n,) = check_axes([n], [beta], [])
     if math.isinf(n):
         raise ValueError("flickering times require a finite pore occupancy")
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
+    l = _check_l(l)
     th = math.tanh(beta / 2.0)
     grid = _correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** (l % 2)])
     return CorrelationSet(**{f: float(a[0]) for f, a in grid.as_dict().items()})

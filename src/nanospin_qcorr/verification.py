@@ -9,6 +9,7 @@ the worst absolute discrepancy per quantity and where it occurred.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -18,7 +19,8 @@ import numpy as np
 from .cs_matrix import cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
-from .exact_oracle import _check_size, magnetizations, pair_correlations, pair_state
+from .exact_oracle import _check_size, magnetizations, pair_correlations
+from .exact_oracle import pair_gram, pair_state
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
 from .states import check_density_matrix, expansion_coefficients
@@ -52,6 +54,8 @@ DEFAULT_N_TAU = 32
 
 # Grid points per chunk of pair_states and verify: about 1 MiB of arrays.
 STATE_CHUNK = 256
+# Phase sums pair_states keeps: 4096 4x4 complex matrices, about 1.5 MiB.
+TAU_BLOCK = 4096
 
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
@@ -87,16 +91,19 @@ def pair_states(n_values, betas, taus):
 
     rhos stacks the points' 4x4 pair states.  Every n is checked against
     the oracle's byte budget before any magnetizations are computed, so an
-    oversized grid fails before any work.
+    oversized grid fails before any work.  One phase sum (pair_gram) per
+    (n, tau) serves every beta while the taus fit TAU_BLOCK.
     """
     for n in n_values:
         _check_size(n)
     mags = {n: magnetizations(n) for n in n_values}
-    grid = ((n, beta, tau) for n in n_values for beta in betas for tau in taus)
+    gram = functools.lru_cache(TAU_BLOCK)(lambda n, k: pair_gram(n, taus[k], mags[n]))
+    grid = ((n, beta, k) for n in n_values for beta in betas for k in range(len(taus)))
 
     def chunks():
-        while points := list(itertools.islice(grid, STATE_CHUNK)):
-            yield points, np.array([pair_state(*p, mags[p[0]]) for p in points])
+        while part := list(itertools.islice(grid, STATE_CHUNK)):
+            rhos = [pair_state(n, b, taus[k], gram=gram(n, k)) for n, b, k in part]
+            yield [(n, b, taus[k]) for n, b, k in part], np.array(rhos)
 
     return chunks()
 

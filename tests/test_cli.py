@@ -410,6 +410,16 @@ def test_small_pore_rejected(capsys):
     assert "n must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_huge_n_is_rejected_naming_the_flag(command, capsys):
+    argv = ["--N", "3", "1" + "0" * 400]
+    if command == "sweep":
+        argv += ["--quantity", "concurrence", "--beta-range", "1:2:1", "--tau", "0"]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --N: n is too large: it overflows a float\n"
+
+
 def test_time_range_needs_coupling(capsys):
     rc = main(
         ["sweep", "--N", "4", "--beta-range", "1:1:1", "--time-range", "0:1:0.5"]

@@ -29,7 +29,7 @@ from nanospin_qcorr import (
     reduced_density,
 )
 import nanospin_qcorr.discord as discord_module
-from nanospin_qcorr._kernels import conditional_entropy_grid
+from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.states import (
     InvalidStateError,
@@ -37,6 +37,7 @@ from nanospin_qcorr.states import (
     bloch_data,
     swap_qubits,
 )
+from nanospin_qcorr.verification import pair_states
 
 SATURATION = 0.75 * math.log2(4.0 / 3.0)
 TEMPERATURE_BETAS = (0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 5.0, 10.0, 30.0)
@@ -434,7 +435,9 @@ def count_kernel_shapes(monkeypatch):
 def test_numeric_rows_zoom_in_lockstep(monkeypatch):
     # The first pass is one kernel call over every row, the 16x16 grid then
     # six seeds each; every zoom step that follows is one kernel call over
-    # the rows still zooming, the first taking all of them, with a 9x9 box each.
+    # the rows still zooming, the first taking all of them with a 9x9 box
+    # each.  The quadratic finish keeps the zoom within 350 directions per
+    # row (9x9 boxes down to 1e-9 took about 1,150).
     shapes = count_kernel_shapes(monkeypatch)
     rhos = numeric_batch()
     discord_numeric_rows(rhos)
@@ -442,20 +445,59 @@ def test_numeric_rows_zoom_in_lockstep(monkeypatch):
     assert shapes[0] == (len(rhos), n_th * n_ph + 6, 3) == (len(rhos), 262, 3)
     zoom = shapes[1:]
     assert zoom[0] == (len(rhos), 81, 3)
-    assert 1 < len(zoom) <= discord_module._ZOOM_MAX_STEPS
-    assert all(s[0] <= len(rhos) and s[1:] == (81, 3) for s in zoom)
+    assert all(s[0] <= len(rhos) and s[1:] in {(81, 3), (9, 3), (1, 3)} for s in zoom)
+    assert sum(s[0] * s[1] for s in zoom) <= 350 * len(rhos)
 
 
 def test_numeric_zoom_follows_a_valley(monkeypatch):
     # The interior optimum lies along a flat valley; the zoom's box grows
-    # while it moves along it, so it arrives well within its step budget.
+    # while it moves along it, and so does the finish's trust radius, so it
+    # arrives well within its budget (9x9 boxes alone took 3,645 directions).
     m = cs_from_params(*INTERIOR_OPTIMUM)
     want = discord_cs(m).discord
     shapes = count_kernel_shapes(monkeypatch)
     got = discord_numeric(m.to_matrix()).discord
     assert shapes[0][1] == 262
-    assert len(shapes) - 1 < discord_module._ZOOM_MAX_STEPS
+    assert sum(s[1] for s in shapes[1:]) < 1000
     assert abs(got - want) < 1e-12
+
+
+def chart_neighbours(axis, eps):
+    """The 8 neighbours of unit vectors axis (R, 3) on a 3x3 grid of spacing
+    eps in a tangent chart built here, apart from the solver's: (R, 8, 3)."""
+    e1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(axis, e1)
+    a, b = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]).T
+    m = axis[:, None] + eps * (a[:, None] * e1[:, None] + b[:, None] * e2[:, None])
+    return m / np.linalg.norm(m, axis=-1, keepdims=True)
+
+
+def verify_dense_states():
+    """The pair states of the verify grid N 8 9 10, beta 0.5 3, 16 taus (96)."""
+    taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
+    return np.concatenate([r for _, r in pair_states((8, 9, 10), (0.5, 3.0), taus)])
+
+
+@pytest.mark.parametrize("batch", ["numeric", "verify-dense", "random"])
+def test_numeric_optimum_is_locally_optimal(batch):
+    # Independent of the optimizer: no direction of a 3x3 grid about the
+    # returned axis, in a chart of the test's own, lies lower than the axis.
+    if batch == "numeric":
+        rhos = numeric_batch()
+    elif batch == "verify-dense":
+        rhos = verify_dense_states()
+    else:
+        rng = np.random.default_rng(31)
+        rhos = np.array(
+            [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(300)]
+        )
+    _, _, axis = discord_numeric_rows(rhos)
+    x, y, T = bloch_data(rhos)
+    at_axis = conditional_entropy_dirs(x, y, T, axis[:, None])
+    for eps in (1e-6, 1e-4):
+        around = conditional_entropy_dirs(x, y, T, chart_neighbours(axis, eps))
+        assert np.min(around - at_axis) >= -1e-15
 
 
 def test_sphere_search_matches_cs_reduction_on_rotated_states():
@@ -497,15 +539,16 @@ def test_numeric_rows_reject_one_invalid_row(bad):
 
 
 def test_cs_rows_zoom_interior_optimum_with_row_boxes(monkeypatch):
-    # The interior-optimum state zooms through the lockstep loop, with a 1x9
-    # box per step, and the zoom lifts its classical correlation above the
-    # value at its best grid point.
+    # The interior-optimum state zooms through the lockstep loop, with 1x9
+    # boxes then 1x3 stencils and their Newton trials, and the zoom lifts its
+    # classical correlation above the value at its best grid point.
     states = cs_batch()[:40]
     states.insert(17, cs_from_params(*INTERIOR_OPTIMUM))
     params = params_of(states)
     shapes = count_kernel_shapes(monkeypatch)
     _, zoomed, _ = discord_cs_rows(params)
-    assert shapes and all(s[1:] == (9, 3) for s in shapes)
+    assert shapes[0][1:] == (9, 3)
+    assert all(s[1:] in {(9, 3), (3, 3), (1, 3)} for s in shapes)
 
     def no_zoom(x, y, T, theta, phi, h, best, polar=True):
         return theta, phi, best

@@ -51,6 +51,9 @@ def test_params_validation():
         NanoporeParams(n=-math.inf, beta=1.0, tau=0.0)
     with pytest.raises(ValueError, match="n must be an integer or inf, got nan"):
         NanoporeParams(n=math.nan, beta=1.0, tau=0.0)
+    # An integer past the float range is rejected, not an OverflowError.
+    with pytest.raises(ValueError, match="n is too large: it overflows a float"):
+        NanoporeParams(n=10**400, beta=1.0, tau=0.0)
     with pytest.raises(ValueError, match="beta"):
         NanoporeParams(n=4, beta=-0.1, tau=0.0)
     with pytest.raises(ValueError, match="beta"):
@@ -208,6 +211,21 @@ def test_special_time_rejects_bad_input():
         tau_special(-2)
     with pytest.raises(ValueError, match="too large"):
         tau_special(10**400)
+
+
+@pytest.mark.parametrize("l", [1.5, 2.0, np.float64(1.0), "1"])
+def test_special_time_rejects_non_integer_l(l):
+    with pytest.raises(ValueError, match="l must be an integer >= 0, got"):
+        tau_special(l)
+    with pytest.raises(ValueError, match="l must be an integer >= 0, got"):
+        special_time_correlations(3, 1.0, l=l)
+
+
+def test_special_time_takes_python_and_numpy_integers():
+    for l in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert tau_special(l) == tau_special(3) == 3.5 * math.pi
+        want = special_time_correlations(5, 1.0, 3)
+        assert special_time_correlations(5, 1.0, l) == want
 
 
 def test_reduced_density_layout():

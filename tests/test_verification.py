@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 import nanospin_qcorr.cli as cli
@@ -12,6 +13,7 @@ from nanospin_qcorr import (
     format_report,
     run_verification,
 )
+from nanospin_qcorr.exact_oracle import pair_state
 
 
 def test_small_grid_passes():
@@ -180,3 +182,28 @@ def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
     assert chunked == whole
     assert chunked.states_checked == 12
     assert counted["pair_state"] == 24
+
+
+@pytest.mark.parametrize("tau_block", [4096, 2])
+def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
+    # One phase sum per (n, tau) serves every beta while the taus fit one
+    # block, and past it per beta; either way, and across chunk boundaries,
+    # the chunks hold the per-point pair_state results bit for bit.
+    monkeypatch.setattr(verification, "STATE_CHUNK", 7)
+    monkeypatch.setattr(verification, "TAU_BLOCK", tau_block)
+    sums = []
+    gram = verification.pair_gram
+    monkeypatch.setattr(
+        verification, "pair_gram", lambda n, tau, m: sums.append(n) or gram(n, tau, m)
+    )
+    n_values, betas = (3, 9, 20), (0.0, math.inf)
+    taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 5.9)
+    chunks = list(verification.pair_states(n_values, betas, taus))
+    points = [p for part, _ in chunks for p in part]
+    assert points == [(n, b, t) for n in n_values for b in betas for t in taus]
+    assert all(len(part) == len(rhos) <= 7 for part, rhos in chunks)
+    rhos = np.concatenate([rhos for _, rhos in chunks])
+    for point, rho in zip(points, rhos):
+        assert np.array_equal(rho, pair_state(*point))
+    per_beta = 1 if tau_block > len(taus) else len(betas)
+    assert len(sums) == len(n_values) * len(taus) * per_beta
