@@ -7,23 +7,21 @@ Discord is the gap between total and classical correlations,
     C = max_basis [ S(rho_A) - sum_s p_s S(rho_A | outcome s) ],
 
 where the maximum runs over projective measurements on one qubit (the
-second by convention here).  Both solvers take arrays of states, minimise
-one objective, the conditional entropy in Bloch form (``_kernels``), and
-refine grid minima with one zoom routine (``_zoom_rows``) that steps all
-rows in lockstep: coarse box steps, then safeguarded Newton steps:
+second by convention here).  Both solvers take arrays of states and step
+all rows in lockstep; they share no objective and no optimizer:
 
-* ``discord_cs_rows`` for arrays of centrosymmetric states of the
-  nanopore model (``discord_cs`` is its one-row case).  Rotating each
-  qubit about x turns such a state into an X-state of the same discord,
-  and the search reduces exactly to one variable, the measured
-  direction's x component.  A fixed grid over it, whose ends are the two
-  closed-form endpoints, is evaluated for every row in one kernel call
-  and zoomed only for rows whose minimum is interior.
+* ``discord_cs_rows`` for centrosymmetric states of the nanopore model
+  (``discord_cs`` is its one-row case).  Rotating each qubit about x
+  turns such a state into an X-state of the same discord; the search is
+  exact in one variable, t = |n_x|, with an objective written in the
+  X-state's entries, on a grid whose ends are the closed-form endpoints.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
-  is its one-row case): a coarse grid over a hemisphere of directions (the
-  objective is even in n) plus six seeds per row, the coordinate axes and
-  the right singular vectors of T, then a zoom in a rotated frame centred
-  on each row's best first-pass direction, away from the coordinate poles.
+  is its one-row case): the conditional entropy in Bloch form
+  (``_kernels``) on a grid over a hemisphere of directions (the objective
+  is even in n) plus six seeds per row, the coordinate axes and the right
+  singular vectors of T, then a zoom (``_zoom_rows``: box steps, then
+  safeguarded Newton steps) in a rotated frame centred on each row's best
+  first-pass direction, away from the coordinate poles.
 
 A closed form is available for the symmetric-correlator states that arise
 in the large-reservoir limit of the nanopore model, together with its low-
@@ -37,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _directions, conditional_entropy_dirs, conditional_entropy_grid
-from ._kernels import conditional_entropy_point
+from ._kernels import _directions, conditional_entropy_dirs, conditional_entropy_point
 from .cs_matrix import CSDensityMatrix, check_cs_rows, cs_bloch
 from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .states import bloch_data, check_density_matrix, entropy_bits
@@ -74,15 +71,15 @@ _BOX_END = 16.0
 _H_FLOOR = 1e-5
 _STEP_TOL = 1e-8
 
-# Points of the fixed grid over phi = arccos(n_x) in [0, pi/2] in
-# discord_cs_rows, a spacing of pi/64.
+# The grid over phi = arccos(n_x) in [0, pi/2] in discord_cs_rows, spacing
+# pi/64; its refinement stops at _CS_TOL, where f moves by about 1e-18.
 _CS_POINTS = 33
+_CS_TOL = 1e-9
 # A grid or stencil whose values spread by no more than _FLAT is flat to
 # rounding (the large-pore limit, product states): an interior minimum there
-# is noise and is not zoomed, and a finishing row stops.
+# is noise and is not refined, and a finishing row stops.
 _FLAT = 1e-14
-# Rows per kernel call in discord_cs_rows: the kernel's temporaries hold
-# about 100 floats per row each, so a chunk keeps them near 1 MB apiece.
+# Rows per chunk in discord_cs_rows: (rows, _CS_POINTS) temporaries of 135 kB.
 _CS_CHUNK = 512
 # Rows per first-pass kernel call in discord_numeric_rows: 128 rows of 262
 # directions, so the kernel's (rows, 3, directions) temporaries stay near
@@ -189,30 +186,27 @@ def _chart(n0: np.ndarray) -> np.ndarray:
     return np.stack([n0, e1, np.cross(n0, e1)], axis=1)
 
 
-def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
+def _zoom_rows(x, y, T, theta, phi, h: float, best):
     """Refine grid minima (theta, phi, best): box steps, then a quadratic finish.
 
     One row per state of x, y (R, 3) and T (R, 3, 3); theta, phi and best
     are (R,) or scalars.  Active rows step together, one kernel call a step,
-    and a row moves only on a strict improvement.  Boxes (see _ZOOM_POINTS;
-    along phi alone unless ``polar``) run while h > h_start / _BOX_END.  The
-    finish evaluates a 3x3 stencil of spacing h (1x3 unless ``polar``) and
-    tries the Newton step of its quadratic model, when convex, within a
-    trust radius of 2 h.  The row moves to the better of the trial and the
-    best stencil point: a Newton move sets h to the step's length (at least
-    _H_FLOOR), so a full step doubles the radius; no move divides h by
-    _ZOOM_SHRINK.  A row stops once its Newton step (or h, with no convex
-    model) is below _STEP_TOL, or its stencil is flat to rounding (_FLAT).
+    and a row moves only on a strict improvement.  Boxes (see _ZOOM_POINTS)
+    run while h > h_start / _BOX_END.  The finish tries the Newton step of a
+    3x3 stencil's quadratic model, when convex, within a trust radius of 2 h,
+    and moves to the better of the trial and the best stencil point: a
+    Newton move sets h to the step's length (at least _H_FLOOR), no move
+    divides h by _ZOOM_SHRINK.  A row stops once its Newton step (or h, with
+    no convex model) is below _STEP_TOL, or its stencil is flat (_FLAT).
     """
     best = np.array(best, dtype=float)
     h_start = float(h)
     theta, phi, h = (np.full(len(best), a, dtype=float) for a in (theta, phi, h))
     last = _ZOOM_POINTS - 1
     while (act := np.flatnonzero(h > h_start / _BOX_END)).size:
-        ha, ts = h[act], theta[act, None]
+        ha = h[act]
+        ts = np.linspace(theta[act] - ha, theta[act] + ha, _ZOOM_POINTS, axis=-1)
         ps = np.linspace(phi[act] - ha, phi[act] + ha, _ZOOM_POINTS, axis=-1)
-        if polar:
-            ts = np.linspace(theta[act] - ha, theta[act] + ha, _ZOOM_POINTS, axis=-1)
         n = _directions(ts, ps).reshape(len(act), -1, 3)
         box = conditional_entropy_dirs(x[act], y[act], T[act], n)
         k, l = np.divmod(np.argmin(box, axis=1), _ZOOM_POINTS)
@@ -220,7 +214,7 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
         up = low < best[act]
         rows = act[up]
         theta[rows], phi[rows], best[rows] = ts[up, k[up]], ps[up, l[up]], low[up]
-        on_edge = (l % last == 0) | (polar & (k % last == 0))
+        on_edge = (l % last == 0) | (k % last == 0)
         grow = act[up & on_edge]
         h[grow] = np.minimum(2.0 * h[grow], h_start)
         h[act[~(up & on_edge)]] /= _ZOOM_SHRINK
@@ -229,19 +223,16 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
     while (act := np.flatnonzero(step >= _STEP_TOL)).size:
         th, ph, ha, at = theta[act], phi[act], h[act], np.arange(len(act))
         off = np.multiply.outer(ha, [-1.0, 0.0, 1.0])
-        ts, ps = th[:, None] + (off if polar else 0.0), ph[:, None] + off
+        ts, ps = th[:, None] + off, ph[:, None] + off
         n = _directions(ts, ps).reshape(len(act), -1, 3)
-        f = conditional_entropy_dirs(x[act], y[act], T[act], n)
-        f, k = f.reshape(len(act), -1, 3), int(polar)  # k: the centre's row
+        f = conditional_entropy_dirs(x[act], y[act], T[act], n).reshape(-1, 3, 3)
         # The model's gradient and Hessian by central differences.
-        r, hh = f[:, k], ha * ha
-        g_p = (r[:, 2] - r[:, 0]) / (2 * ha)
-        h_pp = (r[:, 2] - 2 * r[:, 1] + r[:, 0]) / hh
-        g_t, h_tt, h_tp = 0.0, 1.0, 0.0  # along phi alone: a unit theta curvature
-        if polar:
-            g_t = (f[:, 2, 1] - f[:, 0, 1]) / (2 * ha)
-            h_tt = (f[:, 2, 1] - 2 * f[:, 1, 1] + f[:, 0, 1]) / hh
-            h_tp = (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / (4 * hh)
+        hh = ha * ha
+        g_t = (f[:, 2, 1] - f[:, 0, 1]) / (2 * ha)
+        g_p = (f[:, 1, 2] - f[:, 1, 0]) / (2 * ha)
+        h_tt = (f[:, 2, 1] - 2 * f[:, 1, 1] + f[:, 0, 1]) / hh
+        h_pp = (f[:, 1, 2] - 2 * f[:, 1, 1] + f[:, 1, 0]) / hh
+        h_tp = (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / (4 * hh)
         det = h_tt * h_pp - h_tp * h_tp
         convex = (h_tt > 0.0) & (det > 0.0)
         d = np.where(convex, [h_tp * g_p - h_pp * g_t, h_tp * g_t - h_tt * g_p], 0.0)
@@ -252,7 +243,7 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best, polar=True):
         n = _directions(t_new[:, None], p_new[:, None])[:, 0]
         trial = conditional_entropy_dirs(x[act], y[act], T[act], n)[:, 0]
         flat = np.ptp(f, axis=(1, 2)) <= _FLAT
-        f[:, k, 1] = np.inf  # the row's own point
+        f[:, 1, 1] = np.inf  # the row's own point
         j = np.argmin(f.reshape(len(act), -1), axis=1)
         low = f.reshape(len(act), -1)[at, j]
         newton = convex & (trial < best[act]) & (trial <= low)
@@ -350,67 +341,83 @@ def discord_cs_rows(params):
 
     ``params`` holds one parameter vector p1..p7 per row, shape (R, 7).
     Returns the arrays (mutual_information, classical_correlation, axis) of
-    shapes (R,), (R,) and (R, 3); the discord of a row is its mutual
-    information minus its classical correlation, and axis is the optimal
-    measured direction.
+    shapes (R,), (R,) and (R, 3): discord is the first minus the second, and
+    axis is the optimal measured direction.  A row that is not a state
+    raises InvalidStateError (check_cs_rows).
 
-    Both local Bloch vectors of a CS state lie along x and T is T_xx plus a
-    2x2 yz block B, so the objective depends on the measured direction n
-    only through t = n_x and |B n_yz|.  At fixed t it is least with all the
-    transverse weight on the larger singular value s_max of B, and it is
-    even in t, so the measurement search is exact on t in [0, 1].  It runs
-    on the rotated data x = (x1, 0, 0), y = (y1, 0, 0),
-    T = diag(T_xx, s_max, s_min) along theta = pi/2, phi = arccos t: a
-    fixed grid whose ends are the endpoints t = 1 and t = 0, evaluated for
-    all rows in one kernel call and zoomed, with discord_numeric's
-    _zoom_rows along phi alone (1x9 boxes, then a 1x3 parabola's Newton
-    step) and in lockstep, only for the rows whose minimum is interior and
-    whose grid is not flat to rounding.  The axis is reported in the
-    original frame, (t, sqrt(1 - t^2) v_max) with v_max the right singular
-    vector of B for s_max.
-
-    Rows are evaluated in chunks of _CS_CHUNK, so the kernel's temporaries
-    stay bounded for any R.  Each chunk passes check_cs_rows, whose spectra
-    give the entropies; a row that is not a state raises InvalidStateError.
+    x and y of a CS state lie along x and T is T_xx plus a yz block B, so
+    the objective depends on n only through t = |n_x| and |B n_yz|, least
+    with the transverse weight on B's larger singular value: the search is
+    exact in t = cos phi (_cs_objective).  A grid of _CS_POINTS angles,
+    whose ends are t = 1 and t = 0, runs _CS_CHUNK rows at a time; rows
+    whose minimum is interior and not flat to rounding are refined
+    (_refine_rows).  axis is (t, sqrt(1 - t^2) v), v from _top_singular.
     """
     params = np.asarray(params, dtype=float).reshape(-1, 7)
-    rows = len(params)
-    mutual, classical, axis = np.empty(rows), np.empty(rows), np.empty((rows, 3))
-    for lo in range(0, rows, _CS_CHUNK):
-        chunk = slice(lo, lo + _CS_CHUNK)
-        mutual[chunk], classical[chunk], axis[chunk] = _discord_cs_chunk(
-            params[chunk]
-        )
-    return mutual, classical, axis
-
-
-def _discord_cs_chunk(params):
-    evals = check_cs_rows(params)
+    evals = check_cs_rows(params)  # once, not per chunk; spectra for the entropies
     x, y, T = cs_bloch(params)
     s_a, mutual = _entropies(x, y, evals)
-    _, s, vt = np.linalg.svd(T[:, 1:, 1:])
-    diag = np.zeros_like(T)
-    diag[:, 0, 0] = T[:, 0, 0]
-    diag[:, 1, 1] = s[:, 0]
-    diag[:, 2, 2] = s[:, 1]
-
-    theta = 0.5 * math.pi
+    s_max, v_max = _top_singular(T[:, 1:, 1:])
+    data = np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s_max], axis=1)
     phis = np.linspace(0.0, 0.5 * math.pi, _CS_POINTS)
-    values = conditional_entropy_grid(x, y, diag, [theta], phis)[:, 0]
-    j = np.argmin(values, axis=1)
+    j, best, spread = np.empty(len(data), int), np.empty(len(data)), np.empty(len(data))
+    for lo in range(0, len(data), _CS_CHUNK):
+        c = slice(lo, lo + _CS_CHUNK)
+        values = _cs_objective(data[c], phis)
+        j[c], best[c], spread[c] = values.argmin(1), values.min(1), np.ptp(values, 1)
     phi = phis[j]
-    best = values[np.arange(len(values)), j]
-    interior = (j > 0) & (j < _CS_POINTS - 1) & (np.ptp(values, axis=1) > _FLAT)
-    h = float(phis[1] - phis[0])
-    rows = np.flatnonzero(interior)
-    _, phi[rows], best[rows] = _zoom_rows(
-        x[rows], y[rows], diag[rows], theta, phi[rows], h, best[rows], polar=False
-    )
-
-    # The zoom may step past an end; the objective is mirror symmetric there.
-    t, w = np.abs(np.cos(phi)), np.abs(np.sin(phi))
-    axis = np.stack([t, w * vt[:, 0, 0], w * vt[:, 0, 1]], axis=-1)
+    r = np.flatnonzero((j > 0) & (j < _CS_POINTS - 1) & (spread > _FLAT))
+    phi[r], best[r] = _refine_rows(data[r], phi[r], best[r], phis[1])
+    axis = np.concatenate([np.cos(phi)[:, None], np.sin(phi)[:, None] * v_max], 1)
     return mutual, s_a - best, axis
+
+
+def _top_singular(B):
+    """Larger singular value (R,) and its right singular vector (R, 2) of B (R, 2, 2).
+
+    [[a, b], [c, d]] is a rotation by -alpha scaled by |(a + d, b - c)| / 2 plus
+    a reflection about beta / 2 scaled by |(a - d, b + c)| / 2; at
+    g = (alpha + beta) / 2 both take (cos g, sin g) to one direction.
+    """
+    a, b, c, d = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    s_max = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    g = 0.5 * (np.arctan2(b - c, a + d) + np.arctan2(b + c, a - d))
+    return s_max, np.stack([np.cos(g), np.sin(g)], axis=-1)
+
+
+def _eta(z):
+    """z ln z, and 0 for z <= 0: rounding can leave D - N just below 0."""
+    return z * np.log(np.where(z > 0.0, z, 1.0))
+
+
+def _cs_objective(data, phi):
+    """Conditional entropy (R, M) of rotated CS X-states measured at t = cos phi.
+
+    data rows are (x1, y1, T_xx, s_max), phi (M,) or (R, M).  With D = 1 +- y1 t
+    and N = |(x1 +- T_xx t, s_max sin phi)| it is, in bits,
+    sum_+- [eta(D) - eta((D + N) / 2) - eta((D - N) / 2)] / (2 ln 2).
+    """
+    x1, y1, txx, s_max = data.T[..., None]
+    t, st2 = np.cos(phi), (s_max * np.sin(phi)) ** 2
+    f = 0.0
+    for d, x in ((1.0 + y1 * t, x1 + txx * t), (1.0 - y1 * t, x1 - txx * t)):
+        n = np.sqrt(x * x + st2)  # np.hypot takes several times longer
+        f = f + _eta(d) - _eta(0.5 * (d + n)) - _eta(0.5 * (d - n))
+    return f / (2.0 * math.log(2.0))
+
+
+def _refine_rows(data, phi, best, h):
+    """Refine CS grid minima phi (objective best), grid spacing h, in lockstep.
+
+    Each step moves to the least of 9 points over [phi - h, phi + h], and h
+    shrinks by 4 (the next step spans +-1 spacing) until below _CS_TOL.
+    """
+    while phi.size and h > _CS_TOL:
+        points = phi[:, None] + np.linspace(-h, h, 9)
+        values = _cs_objective(data, points)
+        k = np.argmin(values, axis=1)
+        phi, best, h = points[np.arange(len(k)), k], values.min(axis=1), h / 4.0
+    return phi, best
 
 
 def discord_cs(m: CSDensityMatrix) -> DiscordResult:

@@ -257,12 +257,17 @@ def cs_rows(corr: CorrelationSet) -> np.ndarray:
     p7 = q + r; v enters only through its being zero for this model.
     The rows pass check_cs_rows: InvalidStateError when one is not a state.
     """
-    p, q, r, u = (np.atleast_1d(getattr(corr, f)).astype(float) for f in "pqru")
-    rows = np.stack(
-        [np.full_like(p, 0.25), p / 2.0, -u, p / 2.0, -u, q - r, q + r], axis=1
-    )
+    rows = _cs_params(corr)
     check_cs_rows(rows)
     return rows
+
+
+def _cs_params(corr: CorrelationSet) -> np.ndarray:
+    """cs_rows without the check, for callers whose measures check the rows."""
+    p, q, r, u = (np.atleast_1d(getattr(corr, f)).astype(float) for f in "pqru")
+    return np.stack(
+        [np.full_like(p, 0.25), p / 2.0, -u, p / 2.0, -u, q - r, q + r], axis=1
+    )
 
 
 def cs_from_correlations(corr: CorrelationSet) -> CSDensityMatrix:

@@ -22,7 +22,7 @@ from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
 from .exact_oracle import _check_size, magnetizations, pair_correlations
 from .exact_oracle import pair_gram, pair_state
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
-from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
+from .nanopore import _cs_params, check_axes, concurrence_rows, correlation_grid
 from .states import check_density_matrix, expansion_coefficients
 
 __all__ = [
@@ -69,13 +69,14 @@ def analytic_rows(corr, needed) -> dict:
     concurrence, geometric_discord, discord and params, the (R, 7) CS
     parameter rows.  All derive from ``corr``, so an offset on it reaches
     every quantity.  Discord takes the exact CS reduction for every pore
-    occupancy.
+    occupancy.  The parameter rows are not checked here: each measure runs
+    check_cs_rows once on the rows it takes, and so do verify's checks.
     """
     out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
     if "concurrence" in needed:
         out["concurrence"] = concurrence_rows(corr)
     if not {"geometric_discord", "discord", "params"}.isdisjoint(needed):
-        params = cs_rows(corr)
+        params = _cs_params(corr)
         if "geometric_discord" in needed:
             out["geometric_discord"] = geometric_discord_rows(params)
         if "discord" in needed:

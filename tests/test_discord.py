@@ -30,6 +30,7 @@ from nanospin_qcorr import (
 )
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
+from nanospin_qcorr.cs_matrix import cs_bloch
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.states import (
     InvalidStateError,
@@ -340,6 +341,16 @@ def test_cs_rows_zoom_interior_optimum_in_a_batch():
     assert -1e-9 < gap < 1e-12
 
 
+def test_cs_rows_on_the_bell_states():
+    # Each outcome leaves the other qubit pure, so D - N is 0 up to rounding
+    # and must enter the objective as eta(0) = 0, without a RuntimeWarning.
+    bell = [(0.5, 0, 0, 0, 0, s, 0) for s in (0.5, -0.5)]
+    bell += [(0.0, 0, 0, 0, 0, 0, s) for s in (0.5, -0.5)]
+    mutual, classical, _ = discord_cs_rows(np.array(bell, dtype=float))
+    assert np.allclose(mutual, 2.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(classical, 1.0, rtol=0.0, atol=1e-14)
+
+
 def test_cs_rows_empty_batch():
     mutual, classical, axis = discord_cs_rows(np.empty((0, 7)))
     assert mutual.shape == classical.shape == (0,)
@@ -538,21 +549,99 @@ def test_numeric_rows_reject_one_invalid_row(bad):
         discord_numeric_rows(rhos)
 
 
-def test_cs_rows_zoom_interior_optimum_with_row_boxes(monkeypatch):
-    # The interior-optimum state zooms through the lockstep loop, with 1x9
-    # boxes then 1x3 stencils and their Newton trials, and the zoom lifts its
-    # classical correlation above the value at its best grid point.
+def test_cs_rows_refine_interior_optimum_in_lockstep(monkeypatch):
+    # The interior-optimum state is refined inside a batch: one grid call
+    # over every row, then 9-point steps over the interior rows only, and
+    # the refinement lifts its classical correlation above the value at its
+    # best grid point.
     states = cs_batch()[:40]
     states.insert(17, cs_from_params(*INTERIOR_OPTIMUM))
     params = params_of(states)
-    shapes = count_kernel_shapes(monkeypatch)
-    _, zoomed, _ = discord_cs_rows(params)
-    assert shapes[0][1:] == (9, 3)
-    assert all(s[1:] in {(9, 3), (3, 3), (1, 3)} for s in shapes)
+    shapes = []
+    objective = discord_module._cs_objective
 
-    def no_zoom(x, y, T, theta, phi, h, best, polar=True):
-        return theta, phi, best
+    def counting(*args):
+        values = objective(*args)
+        shapes.append(values.shape)
+        return values
 
-    monkeypatch.setattr(discord_module, "_zoom_rows", no_zoom)
+    monkeypatch.setattr(discord_module, "_cs_objective", counting)
+    _, refined, _ = discord_cs_rows(params)
+    assert shapes[0] == (len(states), discord_module._CS_POINTS)
+    assert len(shapes) > 1
+    assert all(s[0] < len(states) and s[1] == 9 for s in shapes[1:])
+
+    monkeypatch.setattr(discord_module, "_refine_rows", lambda d, p, f, h: (p, f))
     _, grid_only, _ = discord_cs_rows(params)
-    assert zoomed[17] > grid_only[17]
+    assert refined[17] > grid_only[17]
+
+
+def cs_objective_data(params):
+    """_cs_objective's arguments for CS rows, with s_max from np.linalg.svd."""
+    x, y, T = cs_bloch(params)
+    s = np.linalg.svd(T[:, 1:, 1:], compute_uv=False)
+    return np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s[:, 0]], axis=1), s
+
+
+def test_cs_objective_matches_sphere_kernel_on_rotated_states():
+    # The one-variable objective against the Bloch kernel on the rotated
+    # X-state (x, y, diag(T_xx, s_max, s_min)) at a random n_x per row.
+    rng = np.random.default_rng(41)
+    states = [random_cs(rng, rank) for rank in (4, 2, 1) for _ in range(1000)]
+    params = np.concatenate([params_of(states), params_of(nanopore_grid())])
+    data, s = cs_objective_data(params)
+    x, y, T = cs_bloch(params)
+    diag = np.zeros_like(T)
+    diag[:, 0, 0], diag[:, 1, 1], diag[:, 2, 2] = T[:, 0, 0], s[:, 0], s[:, 1]
+    phi = np.arccos(rng.uniform(0.0, 1.0, size=len(params)))
+    n = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
+    got = discord_module._cs_objective(data, phi[:, None])[:, 0]
+    want = conditional_entropy_dirs(x, y, diag, n[:, None])[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_top_singular_matches_svd():
+    rng = np.random.default_rng(43)
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    blocks = np.concatenate(
+        [
+            rng.normal(size=(500, 2, 2)),
+            np.zeros((1, 2, 2)),  # a zero block
+            # s_max = s_min: a scaled rotation, a scaled reflection, a multiple of 1
+            [0.3 * rot, 0.3 * rot @ np.diag([1.0, -1.0]), 0.7 * np.eye(2)],
+            rng.normal(size=(50, 2, 1)) * rng.normal(size=(50, 1, 2)),  # rank 1
+        ]
+    )
+    s_max, v = discord_module._top_singular(blocks)
+    _, s, vt = np.linalg.svd(blocks)
+    assert np.allclose(s_max, s[:, 0], rtol=1e-14, atol=1e-15)
+    assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0.0, atol=1e-15)
+    # B v reaches s_max, and where s_max is simple v is svd's up to a sign.
+    gain = np.linalg.norm((blocks @ v[..., None])[..., 0], axis=-1)
+    assert np.allclose(gain, s[:, 0], rtol=1e-14, atol=1e-15)
+    simple = s[:, 0] - s[:, 1] > 1e-6
+    assert np.allclose(np.abs(np.sum(v * vt[:, 0], axis=-1))[simple], 1.0, atol=1e-12)
+
+
+# A CS state whose valley lies within about two grid spacings of the n_x = 0
+# end: the conditional entropy there is 7.4e-9 below the endpoint, and the
+# best grid point 2.3e-9 above the optimum.
+NARROW_VALLEY = (0.164734, 0.157624, 0.0, 0.157846, 0.0, 0.091632, 0.231398)
+
+
+def test_cs_rows_interior_optima_meet_sphere_search():
+    # Row 425 of these rank-2 states has its optimum at |n_x| = 0.848, about
+    # 2.2e-5 below the better endpoint.
+    rng = np.random.default_rng(5)
+    row_425 = [random_cs(rng, 2) for _ in range(3000)][425]
+    params = params_of([row_425, cs_from_params(*NARROW_VALLEY)])
+    rhos = np.array([cs_from_params(*p).to_matrix() for p in params])
+    mutual, classical, axis = discord_cs_rows(params)
+    best = [unmeasured_entropy(rho) for rho in rhos] - classical
+    data, _ = cs_objective_data(params)
+    ends = discord_module._cs_objective(data, np.array([0.0, 0.5 * math.pi]))
+    assert np.all(np.min(ends, axis=1) - best > [2e-5, 7e-9])
+    assert 0.84 < axis[0, 0] < 0.86 and 0.07 < axis[1, 0] < 0.09
+    n_mutual, n_classical, _ = discord_numeric_rows(rhos)
+    gap = (mutual - classical) - (n_mutual - n_classical)
+    assert np.max(np.abs(gap)) < 1e-12
