@@ -14,8 +14,10 @@ The spectrum splits into two branches with closed-form eigenvalues; no
 dense eigensolver is needed for states of this family.  The matrix, the
 spectrum and the Bloch data are written once, for arrays of parameter
 vectors (``cs_dense``, ``cs_spectrum``, ``cs_bloch``); one state is one row.
-Which rows are states is decided once too: ``check_cs_rows`` is the one
-validity rule that every centrosymmetric measure applies.
+So are the two singular values of T's yz block, which both discord
+measures read (``_top_singular``).  Which rows are states is decided once
+too: ``check_cs_rows`` is the one validity rule that every
+centrosymmetric measure applies.
 """
 
 from __future__ import annotations
@@ -175,3 +177,19 @@ def cs_bloch(params):
         axis=-1,
     ).reshape(p.shape[:-1] + (3, 3))
     return x, y, T
+
+
+def _top_singular(B):
+    """Singular values s_max, s_min (R,) and s_max's right vector (R, 2) of B (R, 2, 2).
+
+    [[a, b], [c, d]] is a rotation by -alpha scaled by |(a + d, b - c)| / 2 plus
+    a reflection about beta / 2 scaled by |(a - d, b + c)| / 2; at
+    g = (alpha + beta) / 2 both take (cos g, sin g) to one direction.
+    s_min = |a d - b c| / s_max: with p3 = 0 and p6 = p7 a CS block has
+    a = c = 0, so s_min is exactly 0, never a rounding residue.
+    """
+    a, b, c, d = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    s_max = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    s_min = np.abs(a * d - b * c) / np.maximum(s_max, 1e-300)
+    g = 0.5 * (np.arctan2(b - c, a + d) + np.arctan2(b + c, a - d))
+    return s_max, s_min, np.stack([np.cos(g), np.sin(g)], axis=-1)

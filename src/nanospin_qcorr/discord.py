@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _directions, conditional_entropy_dirs, conditional_entropy_point
-from .cs_matrix import CSDensityMatrix, check_cs_rows, cs_bloch
+from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
 from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .states import bloch_data, check_density_matrix, entropy_bits
 
@@ -339,7 +339,7 @@ def discord_numeric_rows(rhos, validate=True):
 def discord_cs_rows(params):
     """Discord of centrosymmetric states, second qubit measured, row by row.
 
-    ``params`` holds one parameter vector p1..p7 per row, shape (R, 7).
+    ``params`` holds one parameter vector p1..p7 per row, shape (..., 7).
     Returns the arrays (mutual_information, classical_correlation, axis) of
     shapes (R,), (R,) and (R, 3): discord is the first minus the second, and
     axis is the optimal measured direction.  A row that is not a state
@@ -351,13 +351,14 @@ def discord_cs_rows(params):
     exact in t = cos phi (_cs_objective).  A grid of _CS_POINTS angles,
     whose ends are t = 1 and t = 0, runs _CS_CHUNK rows at a time; rows
     whose minimum is interior and not flat to rounding are refined
-    (_refine_rows).  axis is (t, sqrt(1 - t^2) v), v from _top_singular.
+    (_refine_rows).  axis is (t, sqrt(1 - t^2) v); s_max and v come from
+    cs_matrix._top_singular, which geometric discord reads too.
     """
     params = np.asarray(params, dtype=float).reshape(-1, 7)
     evals = check_cs_rows(params)  # once, not per chunk; spectra for the entropies
     x, y, T = cs_bloch(params)
     s_a, mutual = _entropies(x, y, evals)
-    s_max, v_max = _top_singular(T[:, 1:, 1:])
+    s_max, _, v_max = _top_singular(T[:, 1:, 1:])
     data = np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s_max], axis=1)
     phis = np.linspace(0.0, 0.5 * math.pi, _CS_POINTS)
     j, best, spread = np.empty(len(data), int), np.empty(len(data)), np.empty(len(data))
@@ -370,19 +371,6 @@ def discord_cs_rows(params):
     phi[r], best[r] = _refine_rows(data[r], phi[r], best[r], phis[1])
     axis = np.concatenate([np.cos(phi)[:, None], np.sin(phi)[:, None] * v_max], 1)
     return mutual, s_a - best, axis
-
-
-def _top_singular(B):
-    """Larger singular value (R,) and its right singular vector (R, 2) of B (R, 2, 2).
-
-    [[a, b], [c, d]] is a rotation by -alpha scaled by |(a + d, b - c)| / 2 plus
-    a reflection about beta / 2 scaled by |(a - d, b + c)| / 2; at
-    g = (alpha + beta) / 2 both take (cos g, sin g) to one direction.
-    """
-    a, b, c, d = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
-    s_max = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
-    g = 0.5 * (np.arctan2(b - c, a + d) + np.arctan2(b + c, a - d))
-    return s_max, np.stack([np.cos(g), np.sin(g)], axis=-1)
 
 
 def _eta(z):

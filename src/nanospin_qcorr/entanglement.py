@@ -102,7 +102,7 @@ def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
 
 
 def _cs_lambdas(params) -> np.ndarray:
-    """Spin-flip singular values (..., 4) of CS parameter vectors (..., 7).
+    """Spin-flip singular values (R, 4) of CS parameter vectors (..., 7).
 
     The rows must pass check_cs_rows.  The spin flip preserves
     centrosymmetry, so the four singular values combine pairwise
@@ -111,8 +111,9 @@ def _cs_lambdas(params) -> np.ndarray:
     state keeps them nonnegative, so what falls below zero is rounding and
     is clamped.
     """
+    params = np.asarray(params, dtype=float).reshape(-1, 7)
     check_cs_rows(params)
-    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    p1, p2, p3, p4, p5, p6, p7 = params.T
     a = np.sqrt((2.0 * p1 + p6 - 0.5 - p7) ** 2 + 4.0 * (p3 + p5) ** 2)
     b = np.sqrt(np.maximum((0.5 + p6 + p7) ** 2 - 4.0 * (p2 + p4) ** 2, 0.0))
     c = np.sqrt((2.0 * p1 - p6 - 0.5 + p7) ** 2 + 4.0 * (p3 - p5) ** 2)
@@ -122,10 +123,10 @@ def _cs_lambdas(params) -> np.ndarray:
 
 
 def concurrence_cs_rows(params) -> np.ndarray:
-    """Closed-form concurrence of CS parameter rows, shape (R, 7) -> (R,)."""
+    """Closed-form concurrence of CS parameter rows, shape (..., 7) -> (R,)."""
     return _sorted_concurrence(_cs_lambdas(params))[1]
 
 
 def concurrence_cs(m: CSDensityMatrix) -> ConcurrenceResult:
     """Closed-form concurrence of a CS state: concurrence_cs_rows' one-row case."""
-    return _result_from_lambdas(_cs_lambdas(m.params[None])[0])
+    return _result_from_lambdas(_cs_lambdas(m.params)[0])

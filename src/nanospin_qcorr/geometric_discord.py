@@ -10,75 +10,46 @@ where k_max is the largest eigenvalue of K = x x^T + T T^T.  The factor
 1/2 fixes the normalization used throughout this package; no rescaling
 by the maximal value is applied.
 
-For the centrosymmetric family K is block-diagonal (an isolated xx entry
-plus a symmetric 2x2 block in the yz sector), so the spectrum has a
-closed form.  It is evaluated for arrays of parameter rows; a single
-state is the one-row case.
+For the centrosymmetric family x lies on the x axis and T is T_xx plus a yz
+block B, so K is block-diagonal: an isolated xx entry x_1^2 + T_xx^2 and
+the yz block B B^T, whose eigenvalues are B's squared singular values
+s_max^2 and s_min^2 (``cs_matrix._top_singular``, which discord reads
+too).  No formula in p1..p7 is written here.  It is evaluated for arrays
+of parameter rows; a single state is the one-row case.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .cs_matrix import CSDensityMatrix, check_cs_rows
+from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
 from .states import bloch_data, check_density_matrix
 
 __all__ = [
-    "k_spectrum_rows",
     "geometric_discord_rows",
     "geometric_discord_cs",
     "geometric_discord_generic",
     "geometric_discord_high_t_asymptotic",
 ]
 
-# Relative cancellation level in the 2x2 eigenvalue discriminant beyond
-# which the difference is recomputed with compensated summation.
-_CANCEL_GUARD = 1e-8
-
-
-def k_spectrum_rows(params) -> np.ndarray:
-    """Closed-form spectra (k1, k2, k3) of K for rows of CS parameters.
-
-    ``params`` has shape (R, 7); returns shape (R, 3).  Rows whose yz-block
-    discriminant cancels beyond _CANCEL_GUARD recompute it with
-    compensated summation, one row at a time.
-    """
-    p1, p2, p3, p4, p5, p6, p7 = np.asarray(params, dtype=float).T
-    k1 = 16.0 * p4 * p4 + 4.0 * (p6 + p7) ** 2
-    # yz block of K: [[a, c], [c, b]], with a = a1 + a2 and b = b1 + b2.
-    a1 = 4.0 * (p7 - p6) ** 2
-    a2 = 16.0 * p5 * p5
-    b1 = 16.0 * p3 * p3
-    b2 = (4.0 * p1 - 1.0) ** 2
-    a = a1 + a2
-    b = b1 + b2
-    c = -8.0 * p3 * (p7 - p6) - 4.0 * p5 * (4.0 * p1 - 1.0)
-    diff = a - b
-    for k in np.flatnonzero(np.abs(diff) < _CANCEL_GUARD * (np.abs(a) + np.abs(b))):
-        diff[k] = math.fsum([a1[k], a2[k], -b1[k], -b2[k]])
-    k2 = 0.5 * (a + b) + 0.5 * np.sqrt(diff * diff + 4.0 * c * c)
-    # k3 = det / k2: the block is the Gram matrix of (2 (p7 - p6), 4 p5) and
-    # (-4 p3, 1 - 4 p1), so det is their squared cross product, no cancelling.
-    cross = 16.0 * p3 * p5 - 2.0 * (p7 - p6) * (4.0 * p1 - 1.0)
-    return np.stack([k1, k2, cross * cross / np.maximum(k2, 1e-300)], axis=1)
-
 
 def geometric_discord_rows(params) -> np.ndarray:
-    """Closed-form geometric discord of rows of CS parameters, shape (R, 7).
+    """Closed-form geometric discord of CS parameter rows, shape (..., 7) -> (R,).
 
     Half the sum of K's two smaller eigenvalues: no k_max is subtracted.
     A row that fails check_cs_rows raises InvalidStateError.
     """
+    params = np.asarray(params, dtype=float).reshape(-1, 7)
     check_cs_rows(params)
-    k1, k2, k3 = k_spectrum_rows(params).T
-    return 0.5 * np.where(k1 >= k2, k2 + k3, k1 + k3)
+    x, _, T = cs_bloch(params)
+    s_max, s_min, _ = _top_singular(T[:, 1:, 1:])
+    k1 = x[:, 0] * x[:, 0] + T[:, 0, 0] * T[:, 0, 0]
+    return 0.5 * (np.minimum(k1, s_max * s_max) + s_min * s_min)
 
 
 def geometric_discord_cs(m: CSDensityMatrix) -> float:
     """Closed-form geometric discord of a centrosymmetric state."""
-    return float(geometric_discord_rows(m.params[None])[0])
+    return float(geometric_discord_rows(m.params)[0])
 
 
 def geometric_discord_generic(rho, validate: bool = True):

@@ -162,6 +162,19 @@ def test_cs_row_measures_reject_a_non_state(rng, measure, where):
         _CS_ROW_MEASURES[measure](params)
 
 
+@pytest.mark.parametrize("measure", sorted(_CS_ROW_MEASURES))
+@pytest.mark.parametrize("shape", [(7,), (1, 7), (0, 7), (2, 1, 7)], ids=str)
+def test_cs_row_measures_take_any_stack_of_rows(rng, measure, shape):
+    # Rows (..., 7) are flattened to (R, 7): one value per row, shape (R,).
+    r = int(np.prod(shape[:-1]))
+    rows = np.array([random_cs(rng).params for _ in range(r)]).reshape(r, 7)
+    got, want = (_CS_ROW_MEASURES[measure](p) for p in (rows.reshape(shape), rows))
+    got, want = (out if isinstance(out, tuple) else (out,) for out in (got, want))
+    assert got[0].shape == (r,)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tolist() == w.tolist()
+
+
 # Each entry point builds the CS state with p2 = bad (p = 2 bad for the
 # correlator map) and the other parameters of a valid state.
 _NON_FINITE_ENTRY_POINTS = {

@@ -30,7 +30,7 @@ from nanospin_qcorr import (
 )
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
-from nanospin_qcorr.cs_matrix import cs_bloch
+from nanospin_qcorr.cs_matrix import _top_singular, cs_bloch
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.states import (
     InvalidStateError,
@@ -612,9 +612,10 @@ def test_top_singular_matches_svd():
             rng.normal(size=(50, 2, 1)) * rng.normal(size=(50, 1, 2)),  # rank 1
         ]
     )
-    s_max, v = discord_module._top_singular(blocks)
+    s_max, s_min, v = _top_singular(blocks)
     _, s, vt = np.linalg.svd(blocks)
     assert np.allclose(s_max, s[:, 0], rtol=1e-14, atol=1e-15)
+    assert np.allclose(s_min, s[:, 1], rtol=1e-14, atol=1e-15)
     assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0.0, atol=1e-15)
     # B v reaches s_max, and where s_max is simple v is svd's up to a sign.
     gain = np.linalg.norm((blocks @ v[..., None])[..., 0], axis=-1)

@@ -16,7 +16,8 @@ from nanospin_qcorr import (
     geometric_discord_high_t_asymptotic,
     reduced_density,
 )
-from nanospin_qcorr.geometric_discord import geometric_discord_rows, k_spectrum_rows
+from nanospin_qcorr.cs_matrix import _top_singular, cs_dense
+from nanospin_qcorr.geometric_discord import geometric_discord_rows
 from nanospin_qcorr.nanopore import correlation_grid, cs_rows
 from nanospin_qcorr.states import InvalidStateError, swap_qubits
 
@@ -38,10 +39,18 @@ def test_bell_state_value():
     assert geometric_discord_generic(BELL_PHI_PLUS) == pytest.approx(1.0, abs=1e-12)
 
 
+def k_spectrum(params):
+    """K's eigenvalues (x_1^2 + T_xx^2, s_max^2, s_min^2) of CS rows (R, 7)."""
+    x, _, T = cs_bloch(params)
+    s_max, s_min, _ = _top_singular(T[:, 1:, 1:])
+    k1 = x[:, 0] * x[:, 0] + T[:, 0, 0] * T[:, 0, 0]
+    return np.stack([k1, s_max * s_max, s_min * s_min], axis=1)
+
+
 def test_k_spectrum_matches_dense_eigensolver(rng):
     for _ in range(300):
         m = random_cs(rng)
-        ks = k_spectrum_rows(m.params[None])[0]
+        ks = k_spectrum(m.params[None])[0]
         x, _, T = cs_bloch(m.params)
         dense = np.linalg.eigvalsh(np.outer(x, x) + T @ T.T)
         assert np.max(np.abs(np.sort(ks) - dense)) < 1e-12
@@ -62,13 +71,21 @@ def test_closed_form_matches_generic_bulk(rng):
     assert worst < 1e-11
 
 
-def test_cancellation_fallback_branch(rng):
-    # Equal yz-block diagonal entries force the compensated-summation path.
+def test_equal_yz_diagonal_entries():
+    # K's yz block with equal diagonal entries: its eigenvalues written in
+    # the block's entries would take the difference of two equal numbers.
     m = cs_from_params(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01)
-    ks = k_spectrum_rows(m.params[None])[0]
+    ks = k_spectrum(m.params[None])[0]
     x, _, T = cs_bloch(m.params)
     dense = np.linalg.eigvalsh(np.outer(x, x) + T @ T.T)
     assert np.max(np.abs(np.sort(ks) - dense)) < 1e-13
+    # N = 2 rows have p1 = 1/4, where that difference nearly cancels; the
+    # worst of these 1,260 rows is 2.2e-16 off.
+    grid = correlation_grid([2], np.arange(1.0, 11.0), np.arange(0.0, 6.3, 0.05))
+    params = cs_rows(grid)
+    got = geometric_discord_rows(params)
+    want = geometric_discord_generic(cs_dense(params), validate=False)
+    assert np.max(np.abs(got - want)) < 1e-15
 
 
 def test_nanopore_identity_large_pore():
@@ -139,16 +156,15 @@ def test_non_psd_input_rejected():
 
 
 def test_one_state_equals_its_batched_row(rng):
-    # The last state has equal yz-block diagonal entries, so its row takes
-    # the compensated-summation path inside the batch.
+    # The last state has equal yz-block diagonal entries in K.
     states = [random_cs(rng) for _ in range(200)]
     states.append(cs_from_params(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01))
     params = np.array([m.params for m in states])
     batched = geometric_discord_rows(params)
-    spectra = k_spectrum_rows(params)
+    spectra = k_spectrum(params)
     for k, m in enumerate(states):
         assert geometric_discord_cs(m).hex() == float(batched[k]).hex()
-        one = k_spectrum_rows(m.params[None])[0]
+        one = k_spectrum(m.params[None])[0]
         assert one.tolist() == spectra[k].tolist()
 
 
@@ -199,7 +215,7 @@ def test_singular_yz_block_has_exact_zero_k3():
     params[:, 0] = rng.uniform(0.0, 0.5, 50)
     params[:, 3:5] = rng.uniform(-0.1, 0.1, (50, 2))
     params[:, 5] = params[:, 6] = rng.uniform(-0.05, 0.05, 50)
-    assert np.all(k_spectrum_rows(params)[:, 2] == 0.0)
+    assert np.all(_top_singular(cs_bloch(params)[2][:, 1:, 1:])[1] == 0.0)
     states = np.array([_is_state(row) for row in params])
     assert states.sum() == 46
     assert np.all(geometric_discord_rows(params[states]) >= 0.0)
