@@ -10,9 +10,10 @@ with (x, y, T) the Bloch data of the state and H2 the binary entropy in
 bits.  Minimizing f over n yields the classical correlation.
 
 The objective is written once, ``conditional_entropy_dirs``, vectorized
-with numpy over a batch of states, each with its own array of directions.
-A (theta, phi) grid shared by every state and a single direction (a 1x1
-grid) are thin wrappers that build the directions.
+with numpy over a batch of states, each with its own array of directions,
+and evaluated in place, rows sliced so that no pass holds more than
+_DIRECTIONS directions.  A (theta, phi) grid shared by every state and a
+single direction (a 1x1 grid) are thin wrappers that build the directions.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ LOG2 = math.log(2.0)
 # _H_FLOOR are treated as exact zeros inside the entropy.
 _P_FLOOR = 1e-15
 _H_FLOOR = 1e-14
+# Most directions one kernel pass evaluates: its temporaries, 8 or 24 bytes
+# a direction each, then stay in cache.
+_DIRECTIONS = 4096
 
 
 def _directions(thetas, phis):
@@ -49,26 +53,37 @@ def _directions(thetas, phis):
 def conditional_entropy_dirs(x, y, T, n):
     """Objective along unit directions n (..., M, 3), shape (..., M).
 
-    x and y have shape (..., 3) and T shape (..., 3, 3), batch axes as n's.
+    x and y have shape (..., 3) and T shape (..., 3, 3), on the same batch
+    axes, which n shares or lacks.  Rows pass through _DIRECTIONS // M (at
+    least one) at a time, in place; a row's value does not depend on its pass.
     """
-    x = np.asarray(x, dtype=float)[..., :, None]
-    y = np.asarray(y, dtype=float)[..., None, :]
-    T = np.asarray(T, dtype=float)
-    n = np.swapaxes(np.asarray(n, dtype=float), -1, -2)
+    x, y, T, n = (np.asarray(a, dtype=float) for a in (x, y, T, n))
+    batch, m = x.shape[:-1], n.shape[-2]
+    rows = math.prod(batch)
+    x, y, T = x.reshape(rows, 3, 1), y.reshape(rows, 1, 3), T.reshape(rows, 3, 3)
     # Directions as columns: T n and y.n get one contiguous row per component.
-    tn = T @ n
-    yn = (y @ n)[..., 0, :]
-    res = np.zeros(yn.shape)
-    for p, b in ((0.5 * (1.0 + yn), x + tn), (0.5 * (1.0 - yn), x - tn)):
-        b0, b1, b2 = np.moveaxis(b, -2, 0)
-        r = np.sqrt(b0 * b0 + b1 * b1 + b2 * b2) / np.maximum(2.0 * p, 1e-300)
-        np.minimum(r, 1.0, out=r)
-        h = np.zeros_like(p)
-        for w in (0.5 * (1.0 - r), 0.5 * (1.0 + r)):
-            live = w > _H_FLOOR
-            h -= np.where(live, w * np.log(np.where(live, w, 1.0)), 0.0)
-        res += np.where(p < _P_FLOOR, 0.0, p * (h / LOG2))
-    return res
+    n = np.broadcast_to(n, batch + (m, 3)).reshape(rows, m, 3).swapaxes(1, 2)
+    res = np.zeros((rows, m))
+    step = max(1, _DIRECTIONS // max(m, 1))
+    for c in (slice(lo, lo + step) for lo in range(0, rows, step)):
+        tn, yn = T[c] @ n[c], (y[c] @ n[c])[:, 0]
+        # Each step of the plain expression for sum_s p_s H2, in its order;
+        # x - T n overwrites T n once x + T n is built.
+        for p, b in ((1.0 + yn, x[c] + tn), (1.0 - yn, np.subtract(x[c], tn, tn))):
+            p *= 0.5
+            b *= b
+            r = np.sqrt(b[:, 0] + b[:, 1] + b[:, 2])
+            r = np.minimum(r / np.maximum(2.0 * p, 1e-300), 1.0)
+            # A weight at or below _H_FLOOR takes ln 1 = 0: its product is 0.
+            h = np.zeros_like(p)
+            for w in (1.0 - r, np.add(1.0, r, out=r)):
+                w *= 0.5
+                h -= w * np.log(np.where(w > _H_FLOOR, w, 1.0))
+            h /= LOG2
+            h *= p
+            h[p < _P_FLOOR] = 0.0
+            res[c] += h
+    return res.reshape(batch + (m,))
 
 
 def conditional_entropy_grid(x, y, T, thetas, phis):

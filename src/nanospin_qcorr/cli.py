@@ -348,6 +348,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not math.isfinite(eps := args.inject_corruption):
+        raise ValueError(f"--inject-corruption must be finite, got {eps}")
     n_values = _parse_n(args.N) if args.N else DEFAULT_N_VALUES
     n_states = len(n_values) * len(args.beta) * args.tau_points
     if n_states > MAX_SWEEP_ROWS:

@@ -17,11 +17,11 @@ all rows in lockstep; they share no objective and no optimizer:
   X-state's entries, on a grid whose ends are the closed-form endpoints.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
   is its one-row case): the conditional entropy in Bloch form
-  (``_kernels``) on a grid over a hemisphere of directions (the objective
-  is even in n) plus six seeds per row, the coordinate axes and the right
-  singular vectors of T, then a zoom (``_zoom_rows``: box steps, then
-  safeguarded Newton steps) in a rotated frame centred on each row's best
-  first-pass direction, away from the coordinate poles.
+  (``_kernels``) on 230 directions per row, a hemisphere grid without its
+  poles (the objective is even in n) and six seeds, the coordinate axes
+  and the right singular vectors of T, then a zoom (``_zoom_rows``: box
+  steps, then safeguarded Newton steps) in a rotated frame centred on each
+  row's best first-pass direction, away from the coordinate poles.
 
 A closed form is available for the symmetric-correlator states that arise
 in the large-reservoir limit of the nanopore model, together with its low-
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _directions, conditional_entropy_dirs, conditional_entropy_point
+from ._kernels import _DIRECTIONS, _directions, conditional_entropy_dirs
+from ._kernels import conditional_entropy_point
 from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
 from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .states import bloch_data, check_density_matrix, entropy_bits
@@ -81,10 +82,6 @@ _CS_TOL = 1e-9
 _FLAT = 1e-14
 # Rows per chunk in discord_cs_rows: (rows, _CS_POINTS) temporaries of 135 kB.
 _CS_CHUNK = 512
-# Rows per first-pass kernel call in discord_numeric_rows: 128 rows of 262
-# directions, so the kernel's (rows, 3, directions) temporaries stay near
-# 0.8 MB apiece.
-_GRID_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -291,18 +288,20 @@ def discord_numeric_rows(rhos, validate=True):
     InvalidStateError.  Returns the arrays (mutual_information,
     classical_correlation, axis) as discord_cs_rows.
 
-    The first pass, one kernel call per _GRID_CHUNK rows, evaluates each row
-    on 262 directions: a DEFAULT_GRID of 16 polar angles over [0, pi] by 16
-    azimuths over the hemisphere phi in [0, pi), then six seeds, the
-    coordinate axes and the three right singular vectors of the row's T
-    (the endpoint candidates of the X-state optimum).  The hemisphere
-    suffices: measuring along -n swaps the two outcomes, p_+(-n) = p_-(n)
-    and a_+(-n) = a_-(n), so the objective is even in n.  Each row's best
-    direction n0 is then zoomed, all rows in lockstep, in a rotated frame
-    whose equator holds n0, away from the poles: 9x9 boxes down to 1/16 of
-    the grid's spacing, then Newton steps on 3x3 stencils (_zoom_rows).  A
-    row's result does not depend on the other rows; ties go to the first
-    direction, grid before seeds and the grid in (theta, phi) order.
+    The first pass evaluates each row on 230 directions, in kernel calls of
+    as many rows as one pass of _DIRECTIONS holds: +z, a DEFAULT_GRID of 16
+    polar angles over [0, pi] by 16 azimuths over the hemisphere phi in
+    [0, pi) less its theta = 0 and pi rows (32 copies of +z and, to
+    rounding, -z), then x, y and the three right singular vectors of the
+    row's T (the endpoint candidates of the X-state optimum).  The
+    hemisphere suffices: measuring along -n swaps the two outcomes,
+    p_+(-n) = p_-(n) and a_+(-n) = a_-(n), so the objective is even in n.
+    Each row's best direction n0 is then zoomed, all rows in lockstep, in a
+    rotated frame whose equator holds n0, away from the poles: 9x9 boxes
+    down to 1/16 of the grid's spacing, then Newton steps on 3x3 stencils
+    (_zoom_rows).  A row's result does not depend on the other rows; ties
+    go to the first direction: +z, the grid in (theta, phi) order, then the
+    seeds.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
@@ -312,13 +311,15 @@ def discord_numeric_rows(rhos, validate=True):
     n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, math.pi, n_ph, endpoint=False)
-    grid = _directions(thetas, phis).reshape(-1, 3)
+    grid = _directions(thetas[1:-1], phis).reshape(-1, 3)
+    grid = np.concatenate([[(0.0, 0.0, 1.0)], grid])
     seeds = np.concatenate(
-        [np.broadcast_to(np.eye(3), T.shape), np.linalg.svd(T)[2]], axis=1
+        [np.broadcast_to(np.eye(3)[:2], (len(T), 2, 3)), np.linalg.svd(T)[2]], axis=1
     )
     n0, best = np.empty((len(rhos), 3)), np.empty(len(rhos))
-    for lo in range(0, len(rhos), _GRID_CHUNK):
-        c = slice(lo, lo + _GRID_CHUNK)
+    chunk = max(1, _DIRECTIONS // (len(grid) + 5))
+    for lo in range(0, len(rhos), chunk):
+        c = slice(lo, lo + chunk)
         rows = len(seeds[c])
         n = np.concatenate([np.broadcast_to(grid, (rows,) + grid.shape), seeds[c]], 1)
         values = conditional_entropy_dirs(x[c], y[c], T[c], n)

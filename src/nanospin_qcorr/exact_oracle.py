@@ -5,14 +5,16 @@ and uses none of the package's closed forms: the initial state is the exact
 transverse thermal product, and the dipolar evolution is applied through
 the diagonal phases of the squared collective z component.  The oracle,
 ``pair_state``, sums the first two spins' evolved state over all 2^(n-2)
-configurations of the other spins in O(2^n) memory, in a phase sum that
-every beta shares (``pair_gram``); the analytic values are validated
-against it.  The dense 2^n x 2^n engine (``thermal_initial``,
+configurations of the other spins, brute force in O(2^n) memory, in a
+phase sum that every beta shares (``pair_gram``, over an array of taus,
+with one exp per tau and magnetization level); the analytic values are
+validated against it.  The dense 2^n x 2^n engine (``thermal_initial``,
 ``evolve``, ``partial_trace_pair``) grows as 4^n and is the reference the
 oracle is tested against.
 
 Sizes are checked in bytes from n, before anything is allocated: the
-budget admits pair states up to n = 20 and dense states up to n = 10.
+budget admits pair states up to n = 20, a phase-sum block of one tau
+there, and dense states up to n = 10.
 """
 
 from __future__ import annotations
@@ -40,20 +42,29 @@ __all__ = [
 
 # Most bytes one call may hold at its peak (see _check_size).
 BYTE_BUDGET = 64 * 2**20
+# Bytes a pair_gram block of taus aims at, to stay in cache; a block holds
+# one tau at least, within BYTE_BUDGET.
+_BLOCK_BYTES = 2**20
 
 
 class ResourceLimitError(ValueError):
     """Raised when a computation would exceed the byte budget."""
 
 
+def _tau_bytes(n: int) -> int:
+    """Bytes each tau of a pair_gram block holds, 16 an entry: the phases on
+    the basis states and their conjugate, and two arrays of level phases."""
+    return 32 * ((1 << n) + n + 1)
+
+
 def _check_size(n, dense: bool = False) -> int:
     """n as an int, once the peak of what its call holds fits BYTE_BUDGET.
 
     Per basis state, ``magnetizations`` holds a one-byte popcount besides
-    the 8-byte result, and ``pair_state`` two complex arrays besides the
-    magnetizations: 40 bytes.  ``thermal_initial`` (dense) holds 16 bytes
-    per matrix entry, plus a quarter of that for its last Kronecker factor:
-    20 bytes.  Nothing is allocated before the check.
+    the 8-byte result, and ``pair_gram`` an 8-byte level index and, for a
+    block of one tau, two complex arrays: 40 bytes.  ``thermal_initial``
+    (dense) holds 16 bytes per matrix entry, plus a quarter of that for its
+    last Kronecker factor: 20 bytes.  Nothing is allocated before the check.
     """
     if math.isinf(n):
         raise ValueError(f"the oracle needs a finite N, got {n}")
@@ -136,29 +147,38 @@ def partial_trace_pair(state: DenseState) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3)
 
 
-def pair_gram(n, tau, m=None):
-    """(ph @ ph^H, c) for the phases ph = exp(-i tau m^2) of ``evolve`` as
-    (4, c), c = 2^(n-2): pair_state's phase sum, free of beta."""
+def pair_gram(n, tau):
+    """(G, c), G = ph @ ph^H for the phases ph = exp(-i tau m^2) of ``evolve``
+    as (4, c), c = 2^(n-2): pair_state's phase sum, free of beta.
+
+    For an array of taus G has shape tau.shape + (4, 4), one batched
+    product per block of as many taus as _BLOCK_BYTES holds (_tau_bytes).
+    exp runs once per tau and magnetization level m = n/2 - k, on evolve's
+    products ((-i tau) m) m, gathered onto the basis states by k; the sum
+    over the other spins stays brute force.
+    """
     if n < 2:
         raise ValueError("need at least two spins to form a pair")
-    m = magnetizations(n) if m is None else m
-    ph = np.exp(-1j * tau * m * m).reshape(4, -1)
-    return ph @ ph.conj().T, ph.shape[1]
+    n, tau = _check_size(n), np.asarray(tau, dtype=float)
+    k = (n / 2.0 - magnetizations(n)).astype(np.intp)  # each state's level
+    levels, c = n / 2.0 - np.arange(n + 1), 1 << (n - 2)
+    g, step = np.empty((tau.size, 4, 4), complex), max(1, _BLOCK_BYTES // _tau_bytes(n))
+    for lo in range(0, tau.size, step):
+        ph = np.exp(-1j * tau.reshape(-1, 1)[lo : lo + step] * levels * levels)
+        ph = ph[:, k].reshape(-1, 4, c)
+        g[lo : lo + step] = ph @ ph.conj().swapaxes(1, 2)
+    return g.reshape(tau.shape + (4, 4)), c
 
 
-def pair_state(n, beta, tau, m=None, gram=None) -> np.ndarray:
+def pair_state(n, beta, tau) -> np.ndarray:
     """4x4 state of the first two spins of evolve(thermal_initial(n, beta), tau).
 
     Tracing out the other spins, whose thermal factor has diagonal 1/2 per
-    site, leaves rho = rho0 G / c for (G, c) = pair_gram(n, tau, m) (m, if
-    given, is magnetizations(n)), or ``gram`` if given.  rho0 =
-    thermal_initial(2, beta) is the outer product of the site factor with
-    itself: the same products as its Kronecker form.
+    site, leaves rho = rho0 G / c for (G, c) = pair_gram(n, tau) and rho0 =
+    thermal_initial(2, beta): the one-point case of verification.pair_states.
     """
-    g, c = pair_gram(n, tau, m) if gram is None else gram
-    f = 0.5 * (ID2 + math.tanh(beta / 2.0) * PAULI_X)
-    rho0 = (f[:, None, :, None] * f[None, :, None, :]).reshape(4, 4)
-    return rho0 * g / c
+    g, c = pair_gram(n, tau)
+    return thermal_initial(2, beta).matrix * g / c
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

@@ -9,7 +9,6 @@ the worst absolute discrepancy per quantity and where it occurred.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -19,8 +18,8 @@ import numpy as np
 from .cs_matrix import cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
-from .exact_oracle import _check_size, magnetizations, pair_correlations
-from .exact_oracle import pair_gram, pair_state
+from .exact_oracle import BYTE_BUDGET, _check_size, pair_correlations
+from .exact_oracle import pair_gram, thermal_initial
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import _cs_params, check_axes, concurrence_rows, correlation_grid
 from .states import check_density_matrix, expansion_coefficients
@@ -54,8 +53,6 @@ DEFAULT_N_TAU = 32
 
 # Grid points per chunk of pair_states and verify: about 1 MiB of arrays.
 STATE_CHUNK = 256
-# Phase sums pair_states keeps: 4096 4x4 complex matrices, about 1.5 MiB.
-TAU_BLOCK = 4096
 
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
@@ -90,23 +87,32 @@ def analytic_rows(corr, needed) -> dict:
 def pair_states(n_values, betas, taus):
     """(points, rhos) chunks of up to STATE_CHUNK grid points, n outer, tau inner.
 
-    rhos stacks the points' 4x4 pair states.  Every n is checked against
-    the oracle's byte budget before any magnetizations are computed, so an
-    oversized grid fails before any work.  One phase sum (pair_gram) per
-    (n, tau) serves every beta while the taus fit TAU_BLOCK.
+    rhos stacks the points' 4x4 pair states, built as in pair_state by one
+    broadcast rho0(beta) G / c per chunk.  Every n is checked against the
+    oracle's byte budget before any work.  Every beta shares one pair_gram
+    call's phase sums G over an n's taus while their 256 bytes apiece fit
+    the budget; past that each beta takes them in parts that do.
     """
     for n in n_values:
         _check_size(n)
-    mags = {n: magnetizations(n) for n in n_values}
-    gram = functools.lru_cache(TAU_BLOCK)(lambda n, k: pair_gram(n, taus[k], mags[n]))
-    grid = ((n, beta, k) for n in n_values for beta in betas for k in range(len(taus)))
+    rho0 = [thermal_initial(2, beta).matrix for beta in betas]
+    held = BYTE_BUDGET // 256
 
-    def chunks():
-        while part := list(itertools.islice(grid, STATE_CHUNK)):
-            rhos = [pair_state(n, b, taus[k], gram=gram(n, k)) for n, b, k in part]
-            yield [(n, b, taus[k]) for n, b, k in part], np.array(rhos)
+    def points():
+        for n in n_values:
+            shared = len(taus) <= held and pair_gram(n, taus)
+            for beta, r0 in zip(betas, rho0):
+                for lo in range(0, len(taus), held):
+                    g, c = shared or pair_gram(n, taus[lo : lo + held])
+                    for k, gk in enumerate(g, lo):
+                        yield (n, beta, taus[k]), r0, gk, c
 
-    return chunks()
+    def chunks(stream):
+        while part := list(itertools.islice(stream, STATE_CHUNK)):
+            pts, r0, g, c = zip(*part)
+            yield list(pts), np.array(r0) * np.array(g) / np.array(c)[:, None, None]
+
+    return chunks(points())
 
 
 def oracle_rows(rhos, needed) -> dict:
@@ -185,7 +191,7 @@ def run_verification(
 
     ``corruption`` is a test hook: it is added to the analytic correlator
     q before any derived quantity is computed, so a nonzero value must
-    make the comparison fail.
+    make the comparison fail; it must be finite.
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
     grid's axes and every n's size budget are checked before anything is
@@ -195,6 +201,8 @@ def run_verification(
         raise ValueError(
             "verification needs at least one N, one beta and one tau point"
         )
+    if not math.isfinite(corruption):
+        raise ValueError(f"corruption must be finite, got {corruption}")
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)]
     n_values = check_axes(n_values, betas, taus)
     worst = {name: 0.0 for name in DEFAULT_TOLERANCES}

@@ -15,6 +15,7 @@ import numpy as np
 from nanospin_qcorr import cs_from_params
 from nanospin_qcorr.exact_oracle import pair_state
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
+from nanospin_qcorr.verification import pair_states
 
 BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
 BELL_PHI_PLUS[0, 0] = BELL_PHI_PLUS[0, 3] = 0.5
@@ -36,6 +37,12 @@ def numeric_batch() -> np.ndarray:
     states += [pair_state(n, beta, 0.9) for n in (3, 8) for beta in (0.5, 3.0)]
     states += [pair_state(9, 3.0, tau) for tau in (0.0, math.pi / 2.0)]
     return np.array(states)
+
+
+def verify_dense_states() -> np.ndarray:
+    """The pair states of the verify grid N 8 9 10, beta 0.5 3, 16 taus (96)."""
+    taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
+    return np.concatenate([r for _, r in pair_states((8, 9, 10), (0.5, 3.0), taus)])
 
 
 def centrosymmetrize(rho: np.ndarray) -> np.ndarray:

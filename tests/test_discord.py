@@ -13,6 +13,7 @@ from helpers import (
     random_qubit_density,
     random_su2,
     reduced_first,
+    verify_dense_states,
     von_neumann_entropy,
 )
 from nanospin_qcorr import (
@@ -38,7 +39,6 @@ from nanospin_qcorr.states import (
     bloch_data,
     swap_qubits,
 )
-from nanospin_qcorr.verification import pair_states
 
 SATURATION = 0.75 * math.log2(4.0 / 3.0)
 TEMPERATURE_BETAS = (0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 5.0, 10.0, 30.0)
@@ -406,10 +406,11 @@ def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
 
 @pytest.mark.parametrize("measured", ["second", "first"])
 def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured, monkeypatch):
-    # Small first-pass chunks, so the batch crosses their boundaries.
-    monkeypatch.setattr(discord_module, "_GRID_CHUNK", 8)
+    # Small first-pass chunks, 8 rows of 230 directions, so the batch
+    # crosses their boundaries.
+    monkeypatch.setattr(discord_module, "_DIRECTIONS", 8 * 230)
     rhos = numeric_batch()
-    assert len(rhos) > 2 * discord_module._GRID_CHUNK
+    assert len(rhos) > 2 * 8
     if measured == "first":
         rhos = swap_qubits(rhos)
     mutual, classical, axis = discord_numeric_rows(rhos)
@@ -444,17 +445,20 @@ def count_kernel_shapes(monkeypatch):
 
 
 def test_numeric_rows_zoom_in_lockstep(monkeypatch):
-    # The first pass is one kernel call over every row, the 16x16 grid then
-    # six seeds each; every zoom step that follows is one kernel call over
-    # the rows still zooming, the first taking all of them with a 9x9 box
-    # each.  The quadratic finish keeps the zoom within 350 directions per
-    # row (9x9 boxes down to 1e-9 took about 1,150).
+    # The first pass takes every row on 230 directions, +z, the 14x16 grid
+    # without its poles, then five seeds, in kernel calls of as many rows as
+    # the direction budget holds (17 of 22); every zoom step that follows is
+    # one kernel call over the rows still zooming, the first taking all of
+    # them with a 9x9 box each.  The quadratic finish keeps the zoom within
+    # 350 directions per row (9x9 boxes down to 1e-9 took about 1,150).
     shapes = count_kernel_shapes(monkeypatch)
     rhos = numeric_batch()
     discord_numeric_rows(rhos)
     n_th, n_ph = DEFAULT_GRID
-    assert shapes[0] == (len(rhos), n_th * n_ph + 6, 3) == (len(rhos), 262, 3)
-    zoom = shapes[1:]
+    per_call = discord_module._DIRECTIONS // 230
+    assert (n_th - 2) * n_ph + 6 == 230 and per_call == 17 < len(rhos)
+    assert shapes[:2] == [(per_call, 230, 3), (len(rhos) - per_call, 230, 3)]
+    zoom = shapes[2:]
     assert zoom[0] == (len(rhos), 81, 3)
     assert all(s[0] <= len(rhos) and s[1:] in {(81, 3), (9, 3), (1, 3)} for s in zoom)
     assert sum(s[0] * s[1] for s in zoom) <= 350 * len(rhos)
@@ -468,7 +472,7 @@ def test_numeric_zoom_follows_a_valley(monkeypatch):
     want = discord_cs(m).discord
     shapes = count_kernel_shapes(monkeypatch)
     got = discord_numeric(m.to_matrix()).discord
-    assert shapes[0][1] == 262
+    assert shapes[0][1] == 230
     assert sum(s[1] for s in shapes[1:]) < 1000
     assert abs(got - want) < 1e-12
 
@@ -482,12 +486,6 @@ def chart_neighbours(axis, eps):
     a, b = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]).T
     m = axis[:, None] + eps * (a[:, None] * e1[:, None] + b[:, None] * e2[:, None])
     return m / np.linalg.norm(m, axis=-1, keepdims=True)
-
-
-def verify_dense_states():
-    """The pair states of the verify grid N 8 9 10, beta 0.5 3, 16 taus (96)."""
-    taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
-    return np.concatenate([r for _, r in pair_states((8, 9, 10), (0.5, 3.0), taus)])
 
 
 @pytest.mark.parametrize("batch", ["numeric", "verify-dense", "random"])

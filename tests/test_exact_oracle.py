@@ -15,10 +15,12 @@ from nanospin_qcorr import (
     partial_trace_pair,
     thermal_initial,
 )
+import nanospin_qcorr.exact_oracle as exact_oracle
 from nanospin_qcorr.exact_oracle import (
     BYTE_BUDGET,
     DenseState,
     magnetizations,
+    pair_gram,
     pair_state,
 )
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
@@ -216,8 +218,10 @@ def test_resource_limits():
     [
         (lambda: thermal_initial(10, 1.0), 20 * 4**10),
         (lambda: pair_state(16, 1.0, 0.3), 40 * 2**16),
+        # Two taus at n = 20 run as two one-tau blocks.
+        (lambda: pair_gram(20, [0.5, 1.0]), 40 * 2**20),
     ],
-    ids=["thermal_initial", "pair_state"],
+    ids=["thermal_initial", "pair_state", "pair_gram"],
 )
 def test_budget_charges_the_measured_peak(call, charged):
     # The bytes the size check charges are what the call holds at its
@@ -236,14 +240,15 @@ def test_pair_state_matches_dense_engine(n):
     # The O(2^n) phase sum equals tracing the evolved 2^n x 2^n state,
     # including the odd half-periods where the model's parity split sits.
     taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 3.0 * math.pi / 2.0, 5.9)
-    m = magnetizations(n)
+    g, c = pair_gram(n, taus)
     for beta in (0.0, 1.7, math.inf):
         rho0 = thermal_initial(n, beta)
-        for tau in taus:
+        for k, tau in enumerate(taus):
             dense = partial_trace_pair(evolve(rho0, tau))
             assert np.max(np.abs(pair_state(n, beta, tau) - dense)) < 1e-13
-            given_m = pair_state(n, beta, tau, m=m)
-            assert np.array_equal(given_m, pair_state(n, beta, tau))
+            # One phase sum over every tau gives each point's state.
+            from_block = thermal_initial(2, beta).matrix * g[k] / c
+            assert np.array_equal(from_block, pair_state(n, beta, tau))
 
 
 @pytest.mark.parametrize("n", [3, 9])
@@ -268,3 +273,29 @@ def test_pair_state_resource_limits():
     with pytest.raises(ValueError, match="two spins"):
         pair_state(1, 1.0, 0.5)
     assert pair_state(20, 1.0, 0.5).shape == (4, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pair_gram_over_taus_equals_one_tau_calls(n):
+    # The batched phase sum, its exp once per magnetization level, is the
+    # one-tau sum bit for bit, whatever the shape of the tau array.
+    taus = np.array([0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 5.9])
+    g, c = pair_gram(n, taus)
+    assert g.shape == (6, 4, 4) and c == 2 ** (n - 2)
+    for k, tau in enumerate(taus):
+        one, c_one = pair_gram(n, float(tau))
+        assert one.shape == (4, 4) and c_one == c
+        assert np.array_equal(g[k], one)
+    assert np.array_equal(pair_gram(n, taus.reshape(2, 3))[0], g.reshape(2, 3, 4, 4))
+    assert pair_gram(n, taus[:0])[0].shape == (0, 4, 4)
+
+
+def test_pair_gram_blocks_change_no_bit(monkeypatch):
+    # Blocks of two taus (a per-tau charge of half a block) give the phase
+    # sums of one block over every tau, bit for bit.
+    taus = np.linspace(0.0, 6.0, 7)
+    whole = pair_gram(9, taus)
+    block = exact_oracle._BLOCK_BYTES
+    monkeypatch.setattr(exact_oracle, "_tau_bytes", lambda n: block // 2)
+    blocked = pair_gram(9, taus)
+    assert blocked[1] == whole[1] and np.array_equal(blocked[0], whole[0])

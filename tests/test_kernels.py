@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+import nanospin_qcorr._kernels as kernels
 from nanospin_qcorr import bloch_data
 from nanospin_qcorr._kernels import (
+    _H_FLOOR,
+    _P_FLOOR,
     conditional_entropy_dirs,
     conditional_entropy_grid,
     conditional_entropy_point,
     kernel_backend,
 )
-from helpers import BELL_PHI_PLUS, random_density4
+from helpers import BELL_PHI_PLUS, numeric_batch, random_density4, verify_dense_states
 
 
 def bloch_of(rho):
@@ -127,3 +132,87 @@ def test_objective_is_even_in_the_direction(rng):
     plus = conditional_entropy_dirs(x, y, T, n)
     minus = conditional_entropy_dirs(x, y, T, -n)
     assert np.max(np.abs(plus - minus)) <= 1e-15
+
+
+def nested_where_objective(x, y, T, n):
+    """The objective as one expression, each floor an outer np.where: the
+    reference the in-place, blocked kernel must equal bit for bit."""
+    x = np.asarray(x, dtype=float)[..., :, None]
+    y = np.asarray(y, dtype=float)[..., None, :]
+    n = np.swapaxes(np.asarray(n, dtype=float), -1, -2)
+    tn = np.asarray(T, dtype=float) @ n
+    yn = (y @ n)[..., 0, :]
+    res = np.zeros(yn.shape)
+    for p, b in ((0.5 * (1.0 + yn), x + tn), (0.5 * (1.0 - yn), x - tn)):
+        b0, b1, b2 = np.moveaxis(b, -2, 0)
+        r = np.sqrt(b0 * b0 + b1 * b1 + b2 * b2) / np.maximum(2.0 * p, 1e-300)
+        np.minimum(r, 1.0, out=r)
+        h = np.zeros_like(p)
+        for w in (0.5 * (1.0 - r), 0.5 * (1.0 + r)):
+            live = w > _H_FLOOR
+            h -= np.where(live, w * np.log(np.where(live, w, 1.0)), 0.0)
+        res += np.where(p < _P_FLOOR, 0.0, p * (h / math.log(2.0)))
+    return res
+
+
+def floor_states():
+    """States whose rows reach both floors: pure products measured along z
+    (one outcome has p = 0) and pure states (r = 1, so one weight is 0 <=
+    _H_FLOOR), besides generic ones."""
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    products = [np.kron(a, b).astype(complex) for a in (up, down) for b in (up, down)]
+    rng = np.random.default_rng(7)
+    pure = [random_density4(rng, 1) for _ in range(4)]
+    return np.array(products + pure + [BELL_PHI_PLUS, np.eye(4) / 4.0])
+
+
+def unit_directions(rng, rows, m):
+    n = rng.normal(size=(rows, m, 3))
+    n[:, :3] = np.eye(3)[::-1][: min(m, 3)]  # z first: the axes reach the floors
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("m", [1, 9, 81, 230, 300])
+def test_floors_give_the_nested_where_values_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    x, y, T = bloch_data(np.concatenate([floor_states(), numeric_batch()]))
+    # Bloch data (not states) with y_z = a just below 1: along z, p_- is
+    # below _P_FLOOR but not 0, and x - T z = 0 gives it a whole bit.
+    for a in (np.nextafter(1.0, 0.0), 1.0 - 1e-15):
+        x, y = (np.concatenate([v, [[0.0, 0.0, a]]]) for v in (x, y))
+        T = np.concatenate([T, np.diag([0.0, 0.0, a])[None]])
+    n = unit_directions(rng, len(x), m)
+    want = nested_where_objective(x, y, T, n)
+    # The p floor is reached with p_- above 0 (pure states reach the weight
+    # floor), so dropping either floor changes some value.
+    p_minus = 0.5 * (1.0 - np.einsum("ri,rmi->rm", y, n))
+    assert np.any((p_minus > 0.0) & (p_minus < _P_FLOOR))
+    got = conditional_entropy_dirs(x, y, T, n)
+    assert got.tobytes() == want.tobytes()
+    # A direction grid shared by every state takes the same values.
+    shared = nested_where_objective(x, y, T, n[0])
+    assert conditional_entropy_dirs(x, y, T, n[0]).tobytes() == shared.tobytes()
+
+
+@pytest.mark.parametrize("batch", ["numeric", "verify-dense"])
+def test_blocks_never_change_bits(monkeypatch, batch):
+    # Passes of about 100 directions (one row of 230, a row of 81, eleven
+    # rows of 9) give the values of one pass over every row.
+    rhos = numeric_batch() if batch == "numeric" else verify_dense_states()
+    x, y, T = bloch_data(rhos)
+    rng = np.random.default_rng(3)
+    for m in (1, 9, 81, 230):
+        n = unit_directions(rng, len(rhos), m)
+        monkeypatch.setattr(kernels, "_DIRECTIONS", 10**9)
+        whole = conditional_entropy_dirs(x, y, T, n)
+        monkeypatch.setattr(kernels, "_DIRECTIONS", 100)
+        blocked = conditional_entropy_dirs(x, y, T, n)
+        assert blocked.tobytes() == whole.tobytes()
+
+
+def test_empty_inputs():
+    # No rows, (0, M, 3), and rows without directions, (R, 0, 3).
+    none = np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))
+    assert conditional_entropy_dirs(*none, np.zeros((0, 5, 3))).shape == (0, 5)
+    x, y, T = (np.repeat(a[None], 4, axis=0) for a in bloch_of(BELL_PHI_PLUS))
+    assert conditional_entropy_dirs(x, y, T, np.zeros((4, 0, 3))).shape == (4, 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nanospin_qcorr.cli as cli
+import nanospin_qcorr.exact_oracle as exact_oracle
 import nanospin_qcorr.verification as verification
 from nanospin_qcorr import (
     DEFAULT_TOLERANCES,
@@ -116,8 +117,8 @@ def test_report_without_locations_formats():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count magnetizations, pair states and closed-form grids as they are built."""
-    counts = {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
+    """Count phase sums (pair states) and closed-form grids as they are built."""
+    counts = {"pair_gram": 0, "correlation_grid": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -128,8 +129,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(verification, "magnetizations")
-    counting(verification, "pair_state")
+    counting(verification, "pair_gram")
     counting(verification, "correlation_grid")
     counting(cli, "correlation_grid")
     return counts
@@ -146,7 +146,7 @@ def test_over_budget_n_fails_before_any_work(counted, capsys):
     assert cli.main(verify) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {message}"] * 3
-    assert counted == {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
+    assert counted == {"pair_gram": 0, "correlation_grid": 0}
 
 
 def test_infinite_n_fails_before_any_work(counted, capsys):
@@ -160,7 +160,7 @@ def test_infinite_n_fails_before_any_work(counted, capsys):
         assert cli.main(["sweep", *argv, "--engine", engine]) == 2
     assert cli.main(["verify", "--N", "3", "inf", "--tau-points", "4"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"] * 3
-    assert counted == {"magnetizations": 0, "pair_state": 0, "correlation_grid": 0}
+    assert counted == {"pair_gram": 0, "correlation_grid": 0}
 
 
 def test_grid_past_the_dense_size_passes():
@@ -181,22 +181,30 @@ def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
     chunked = run_verification(**grid)
     assert chunked == whole
     assert chunked.states_checked == 12
-    assert counted["pair_state"] == 24
+    # One phase sum per n, over its three taus, serves both betas.
+    assert counted["pair_gram"] == 4
 
 
-@pytest.mark.parametrize("tau_block", [4096, 2])
+@pytest.mark.parametrize("tau_block", [None, 2, "parts"])
 def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
-    # One phase sum per (n, tau) serves every beta while the taus fit one
-    # block, and past it per beta; either way, and across chunk boundaries,
-    # the chunks hold the per-point pair_state results bit for bit.
+    # One pair_gram call per n serves every beta, its taus in blocks of as
+    # many as a block's bytes hold (one at n = 20, or two when patched);
+    # past a part of G's that the budget holds (patched to four taus), each
+    # beta takes its parts.  Either way, and across chunk boundaries, the
+    # chunks hold the per-point pair_state results bit for bit.
     monkeypatch.setattr(verification, "STATE_CHUNK", 7)
-    monkeypatch.setattr(verification, "TAU_BLOCK", tau_block)
-    sums = []
+    if tau_block == 2:
+        block = exact_oracle._BLOCK_BYTES
+        monkeypatch.setattr(exact_oracle, "_tau_bytes", lambda n: block // tau_block)
+    elif tau_block == "parts":
+        monkeypatch.setattr(verification, "BYTE_BUDGET", 4 * 256)
+    calls = []
     gram = verification.pair_gram
     monkeypatch.setattr(
-        verification, "pair_gram", lambda n, tau, m: sums.append(n) or gram(n, tau, m)
+        verification, "pair_gram", lambda n, t: calls.append(len(t)) or gram(n, t)
     )
-    n_values, betas = (3, 9, 20), (0.0, math.inf)
+    # Two-tau blocks at n = 20 would hold more than the real budget.
+    n_values, betas = (3, 9, 16 if tau_block == 2 else 20), (0.0, math.inf)
     taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 5.9)
     chunks = list(verification.pair_states(n_values, betas, taus))
     points = [p for part, _ in chunks for p in part]
@@ -205,5 +213,16 @@ def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
     rhos = np.concatenate([rhos for _, rhos in chunks])
     for point, rho in zip(points, rhos):
         assert np.array_equal(rho, pair_state(*point))
-    per_beta = 1 if tau_block > len(taus) else len(betas)
-    assert len(sums) == len(n_values) * len(taus) * per_beta
+    per_n = [4, 2] * len(betas) if tau_block == "parts" else [6]
+    assert calls == per_n * len(n_values)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
+    with pytest.raises(ValueError, match=f"corruption must be finite, got {value}"):
+        run_verification(n_values=(3,), betas=(1.0,), n_tau=4, corruption=value)
+    argv = ["verify", "--N", "3", "--tau-points", "4"]
+    assert cli.main([*argv, f"--inject-corruption={value}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --inject-corruption must be finite, got {value}"]
+    assert counted == {"pair_gram": 0, "correlation_grid": 0}
