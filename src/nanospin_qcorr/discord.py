@@ -17,11 +17,12 @@ all rows in lockstep; they share no objective and no optimizer:
   X-state's entries, on a grid whose ends are the closed-form endpoints.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
   is its one-row case): the conditional entropy in Bloch form
-  (``_kernels``) on 230 directions per row, a hemisphere grid without its
-  poles (the objective is even in n) and six seeds, the coordinate axes
-  and the right singular vectors of T, then a zoom (``_zoom_rows``: box
-  steps, then safeguarded Newton steps) in a rotated frame centred on each
-  row's best first-pass direction, away from the coordinate poles.
+  (``_kernels``) on 147 directions per row, a hemisphere grid without its
+  poles (the objective is even in n), five seeds, the x and y axes and the
+  right singular vectors of T, and half great circles through each pair
+  of those vectors, where a rotated CS state's optimum lies; then
+  safeguarded Newton steps (``_zoom_rows``) in a rotated frame centred on
+  each row's best first-pass direction, away from the coordinate poles.
 
 A closed form is available for the symmetric-correlator states that arise
 in the large-reservoir limit of the nanopore model, together with its low-
@@ -54,21 +55,18 @@ __all__ = [
     "measurement_conditional_entropy",
 ]
 
-# Points in theta over [0, pi] and in phi over the half period [0, pi).
-DEFAULT_GRID = (16, 16)
+# Points in theta over [0, pi] and in phi over the half period [0, pi); the
+# first pass's spacing, pi/7, is where the zoom's finish starts.
+DEFAULT_GRID = (8, 8)
+# Points on each half great circle through two of T's right singular vectors,
+# at spacing pi/_CIRCLE: the plane of a rotated CS state's optimum.
+_CIRCLE = 32
 
-# Zoom box steps: a _ZOOM_POINTS^2 box of half-width h about the best
-# direction.  h shrinks by _ZOOM_SHRINK unless the box minimum lies on its
-# edge, where it doubles (up to its starting value) so the box can follow a
-# long valley; with 9 points and a factor 4 each new box still spans +-1
-# spacing of the previous one, so a thin valley cannot slip between two boxes.
-_ZOOM_POINTS = 9
-_ZOOM_SHRINK = 4.0
-# The quadratic finish (see _zoom_rows) takes over below h_start / _BOX_END.
-# Its spacing stays >= _H_FLOOR after a Newton move, so the differenced
+# A zoom row that does not move divides its stencil's spacing by _ZOOM_SHRINK.
+# The spacing stays >= _H_FLOOR after a Newton move, so the differenced
 # Hessian's rounding, about 1e-16 / h^2, stays near 1e-6; a step below
 # _STEP_TOL moves the objective by about its own rounding.
-_BOX_END = 16.0
+_ZOOM_SHRINK = 4.0
 _H_FLOOR = 1e-5
 _STEP_TOL = 1e-8
 
@@ -184,38 +182,20 @@ def _chart(n0: np.ndarray) -> np.ndarray:
 
 
 def _zoom_rows(x, y, T, theta, phi, h: float, best):
-    """Refine grid minima (theta, phi, best): box steps, then a quadratic finish.
+    """Refine first-pass minima (theta, phi, best) by safeguarded Newton steps.
 
     One row per state of x, y (R, 3) and T (R, 3, 3); theta, phi and best
-    are (R,) or scalars.  Active rows step together, one kernel call a step,
-    and a row moves only on a strict improvement.  Boxes (see _ZOOM_POINTS)
-    run while h > h_start / _BOX_END.  The finish tries the Newton step of a
-    3x3 stencil's quadratic model, when convex, within a trust radius of 2 h,
+    are (R,) or scalars, and h is the first pass's spacing.  Active rows
+    step together, two kernel calls a step, and a row moves only on a strict
+    improvement.  Each step tries the Newton step of a 3x3 stencil's
+    quadratic model of spacing h, when convex, within a trust radius of 2 h,
     and moves to the better of the trial and the best stencil point: a
     Newton move sets h to the step's length (at least _H_FLOOR), no move
     divides h by _ZOOM_SHRINK.  A row stops once its Newton step (or h, with
     no convex model) is below _STEP_TOL, or its stencil is flat (_FLAT).
     """
     best = np.array(best, dtype=float)
-    h_start = float(h)
     theta, phi, h = (np.full(len(best), a, dtype=float) for a in (theta, phi, h))
-    last = _ZOOM_POINTS - 1
-    while (act := np.flatnonzero(h > h_start / _BOX_END)).size:
-        ha = h[act]
-        ts = np.linspace(theta[act] - ha, theta[act] + ha, _ZOOM_POINTS, axis=-1)
-        ps = np.linspace(phi[act] - ha, phi[act] + ha, _ZOOM_POINTS, axis=-1)
-        n = _directions(ts, ps).reshape(len(act), -1, 3)
-        box = conditional_entropy_dirs(x[act], y[act], T[act], n)
-        k, l = np.divmod(np.argmin(box, axis=1), _ZOOM_POINTS)
-        low = np.min(box, axis=1)
-        up = low < best[act]
-        rows = act[up]
-        theta[rows], phi[rows], best[rows] = ts[up, k[up]], ps[up, l[up]], low[up]
-        on_edge = (l % last == 0) | (k % last == 0)
-        grow = act[up & on_edge]
-        h[grow] = np.minimum(2.0 * h[grow], h_start)
-        h[act[~(up & on_edge)]] /= _ZOOM_SHRINK
-
     step = h.copy()
     while (act := np.flatnonzero(step >= _STEP_TOL)).size:
         th, ph, ha, at = theta[act], phi[act], h[act], np.arange(len(act))
@@ -288,20 +268,24 @@ def discord_numeric_rows(rhos, validate=True):
     InvalidStateError.  Returns the arrays (mutual_information,
     classical_correlation, axis) as discord_cs_rows.
 
-    The first pass evaluates each row on 230 directions, in kernel calls of
-    as many rows as one pass of _DIRECTIONS holds: +z, a DEFAULT_GRID of 16
-    polar angles over [0, pi] by 16 azimuths over the hemisphere phi in
-    [0, pi) less its theta = 0 and pi rows (32 copies of +z and, to
-    rounding, -z), then x, y and the three right singular vectors of the
-    row's T (the endpoint candidates of the X-state optimum).  The
-    hemisphere suffices: measuring along -n swaps the two outcomes,
-    p_+(-n) = p_-(n) and a_+(-n) = a_-(n), so the objective is even in n.
-    Each row's best direction n0 is then zoomed, all rows in lockstep, in a
-    rotated frame whose equator holds n0, away from the poles: 9x9 boxes
-    down to 1/16 of the grid's spacing, then Newton steps on 3x3 stencils
-    (_zoom_rows).  A row's result does not depend on the other rows; ties
-    go to the first direction: +z, the grid in (theta, phi) order, then the
-    seeds.
+    The first pass evaluates each row on 147 directions, in kernel calls of
+    as many rows as one pass of _DIRECTIONS holds: +z; a DEFAULT_GRID of 8
+    polar angles over [0, pi] by 8 azimuths over the hemisphere phi in
+    [0, pi) less its theta = 0 and pi rows (copies of +z and, to rounding,
+    -z); x, y and the three right singular vectors v1, v2, v3 of the row's
+    T; then three half great circles, cos(k pi / _CIRCLE) vi +
+    sin(k pi / _CIRCLE) vj for k = 1 .. _CIRCLE - 1 through (v1, v2),
+    (v1, v3) and (v2, v3).  A locally rotated CS state is an X-state whose
+    optimum lies in the plane of two of T's right singular vectors (Chen et
+    al., PRA 84, 042313 (2011)), so the circles sample that plane where the
+    grid alone misses interior optima.  The half sphere and half circles
+    suffice: measuring along -n swaps the two outcomes, p_+(-n) = p_-(n) and
+    a_+(-n) = a_-(n), so the objective is even in n.  Each row's best
+    direction n0 is then zoomed, all rows in lockstep, in a rotated frame
+    whose equator holds n0, away from the poles, by Newton steps on 3x3
+    stencils that start at the grid's spacing, pi/7 (_zoom_rows).  A row's
+    result does not depend on the other rows; ties go to the first
+    direction in the order above, the grid in (theta, phi) order.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
@@ -313,15 +297,19 @@ def discord_numeric_rows(rhos, validate=True):
     phis = np.linspace(0.0, math.pi, n_ph, endpoint=False)
     grid = _directions(thetas[1:-1], phis).reshape(-1, 3)
     grid = np.concatenate([[(0.0, 0.0, 1.0)], grid])
-    seeds = np.concatenate(
-        [np.broadcast_to(np.eye(3)[:2], (len(T), 2, 3)), np.linalg.svd(T)[2]], axis=1
-    )
+    v = np.linalg.svd(T)[2]
+    seeds = np.concatenate([np.broadcast_to(np.eye(3)[:2], (len(T), 2, 3)), v], 1)
+    arc = np.arange(1, _CIRCLE)[:, None] * (math.pi / _CIRCLE)
+    cos, sin = np.cos(arc), np.sin(arc)
+    pairs = ((0, 1), (0, 2), (1, 2))
     n0, best = np.empty((len(rhos), 3)), np.empty(len(rhos))
-    chunk = max(1, _DIRECTIONS // (len(grid) + 5))
+    chunk = max(1, _DIRECTIONS // (len(grid) + 5 + len(pairs) * len(arc)))
     for lo in range(0, len(rhos), chunk):
         c = slice(lo, lo + chunk)
         rows = len(seeds[c])
-        n = np.concatenate([np.broadcast_to(grid, (rows,) + grid.shape), seeds[c]], 1)
+        n = [np.broadcast_to(grid, (rows,) + grid.shape), seeds[c]]
+        n += [cos * v[c, None, i] + sin * v[c, None, j] for i, j in pairs]
+        n = np.concatenate(n, axis=1)
         values = conditional_entropy_dirs(x[c], y[c], T[c], n)
         at = np.argmin(values, axis=1)
         n0[c], best[c] = n[np.arange(rows), at], values[np.arange(rows), at]

@@ -9,7 +9,6 @@ the worst absolute discrepancy per quantity and where it occurred.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -87,32 +86,42 @@ def analytic_rows(corr, needed) -> dict:
 def pair_states(n_values, betas, taus):
     """(points, rhos) chunks of up to STATE_CHUNK grid points, n outer, tau inner.
 
-    rhos stacks the points' 4x4 pair states, built as in pair_state by one
-    broadcast rho0(beta) G / c per chunk.  Every n is checked against the
-    oracle's byte budget before any work.  Every beta shares one pair_gram
-    call's phase sums G over an n's taus while their 256 bytes apiece fit
-    the budget; past that each beta takes them in parts that do.
+    rhos stacks the points' 4x4 pair states, built as in pair_state as
+    rho0(beta) G / c, broadcast over slices of each (n, beta)'s stacked
+    phase sums.  Every n is checked against the oracle's byte budget before
+    any work.  Every beta shares one pair_gram call's phase sums G over an
+    n's taus while their 256 bytes apiece fit the budget; past that each
+    beta takes them in parts that do.
     """
     for n in n_values:
         _check_size(n)
     rho0 = [thermal_initial(2, beta).matrix for beta in betas]
     held = BYTE_BUDGET // 256
 
-    def points():
+    def blocks():
         for n in n_values:
             shared = len(taus) <= held and pair_gram(n, taus)
             for beta, r0 in zip(betas, rho0):
                 for lo in range(0, len(taus), held):
                     g, c = shared or pair_gram(n, taus[lo : lo + held])
-                    for k, gk in enumerate(g, lo):
-                        yield (n, beta, taus[k]), r0, gk, c
+                    yield [(n, beta, t) for t in taus[lo : lo + len(g)]], r0, g, c
 
     def chunks(stream):
-        while part := list(itertools.islice(stream, STATE_CHUNK)):
-            pts, r0, g, c = zip(*part)
-            yield list(pts), np.array(r0) * np.array(g) / np.array(c)[:, None, None]
+        points, parts = [], []
+        for pts, r0, g, c in stream:
+            lo = 0
+            while lo < len(pts):
+                hi = lo + STATE_CHUNK - len(points)
+                points += pts[lo:hi]
+                parts.append(r0 * g[lo:hi] / c)
+                lo = hi
+                if len(points) == STATE_CHUNK:
+                    yield points, np.concatenate(parts)
+                    points, parts = [], []
+        if points:
+            yield points, np.concatenate(parts)
 
-    return chunks(points())
+    return chunks(blocks())
 
 
 def oracle_rows(rhos, needed) -> dict:

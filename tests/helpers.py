@@ -30,7 +30,7 @@ def random_density4(rng, rank: int = 4) -> np.ndarray:
 
 
 def numeric_batch() -> np.ndarray:
-    """Generic states of every rank, a Bell state, I/4 and dense pair states (22)."""
+    """Generic states of every rank, a Bell state, I/4 and dense pair states (20)."""
     rng = np.random.default_rng(23)
     states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(4)]
     states += [BELL_PHI_PLUS, np.eye(4) / 4.0]

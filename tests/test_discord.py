@@ -31,7 +31,7 @@ from nanospin_qcorr import (
 )
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
-from nanospin_qcorr.cs_matrix import _top_singular, cs_bloch
+from nanospin_qcorr.cs_matrix import _top_singular, cs_bloch, cs_dense
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.states import (
     InvalidStateError,
@@ -406,9 +406,9 @@ def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
 
 @pytest.mark.parametrize("measured", ["second", "first"])
 def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured, monkeypatch):
-    # Small first-pass chunks, 8 rows of 230 directions, so the batch
+    # Small first-pass chunks, 8 rows of 147 directions, so the batch
     # crosses their boundaries.
-    monkeypatch.setattr(discord_module, "_DIRECTIONS", 8 * 230)
+    monkeypatch.setattr(discord_module, "_DIRECTIONS", 8 * 147)
     rhos = numeric_batch()
     assert len(rhos) > 2 * 8
     if measured == "first":
@@ -445,35 +445,37 @@ def count_kernel_shapes(monkeypatch):
 
 
 def test_numeric_rows_zoom_in_lockstep(monkeypatch):
-    # The first pass takes every row on 230 directions, +z, the 14x16 grid
-    # without its poles, then five seeds, in kernel calls of as many rows as
-    # the direction budget holds (17 of 22); every zoom step that follows is
-    # one kernel call over the rows still zooming, the first taking all of
-    # them with a 9x9 box each.  The quadratic finish keeps the zoom within
-    # 350 directions per row (9x9 boxes down to 1e-9 took about 1,150).
+    # The first pass takes every row on 147 directions, +z, the 6x8 grid
+    # without its poles, five seeds and three half great circles of 31
+    # points, in kernel calls of as many rows as the direction budget holds
+    # (27, so one call for these 20); every zoom step that follows is a 3x3
+    # stencil call and a Newton trial call over the rows still zooming, the
+    # first taking all of them.  The zoom stays within 350 directions per
+    # row (it takes about 31 here).
     shapes = count_kernel_shapes(monkeypatch)
     rhos = numeric_batch()
     discord_numeric_rows(rhos)
     n_th, n_ph = DEFAULT_GRID
-    per_call = discord_module._DIRECTIONS // 230
-    assert (n_th - 2) * n_ph + 6 == 230 and per_call == 17 < len(rhos)
-    assert shapes[:2] == [(per_call, 230, 3), (len(rhos) - per_call, 230, 3)]
-    zoom = shapes[2:]
-    assert zoom[0] == (len(rhos), 81, 3)
-    assert all(s[0] <= len(rhos) and s[1:] in {(81, 3), (9, 3), (1, 3)} for s in zoom)
+    per_call = discord_module._DIRECTIONS // 147
+    assert (n_th - 2) * n_ph + 1 + 5 + 3 * 31 == 147
+    assert len(rhos) <= per_call == 27
+    assert shapes[0] == (len(rhos), 147, 3)
+    zoom = shapes[1:]
+    assert zoom[0] == (len(rhos), 9, 3)
+    assert all(s[0] <= len(rhos) and s[1:] in {(9, 3), (1, 3)} for s in zoom)
     assert sum(s[0] * s[1] for s in zoom) <= 350 * len(rhos)
 
 
 def test_numeric_zoom_follows_a_valley(monkeypatch):
-    # The interior optimum lies along a flat valley; the zoom's box grows
-    # while it moves along it, and so does the finish's trust radius, so it
-    # arrives well within its budget (9x9 boxes alone took 3,645 directions).
+    # The interior optimum lies along a flat valley, which a great circle of
+    # the first pass crosses; the finish's trust radius grows while it moves
+    # along it, so it arrives in about 100 directions.
     m = cs_from_params(*INTERIOR_OPTIMUM)
     want = discord_cs(m).discord
     shapes = count_kernel_shapes(monkeypatch)
     got = discord_numeric(m.to_matrix()).discord
-    assert shapes[0][1] == 230
-    assert sum(s[1] for s in shapes[1:]) < 1000
+    assert shapes[0][1] == 147
+    assert sum(s[1] for s in shapes[1:]) < 200
     assert abs(got - want) < 1e-12
 
 
@@ -523,6 +525,32 @@ def test_sphere_search_matches_cs_reduction_on_rotated_states():
     gap = np.abs((mutual - classical) - (cs_mutual - cs_classical))
     assert gap[4112] < 1e-12
     assert np.max(gap) < 1e-12
+
+
+# CS rows whose optimum lies inside (0, 1) in n_x, at |n_x| = 0.874, 0.924,
+# 0.989 and 0.997.  A first pass without great circles through T's right
+# singular vectors stopped these at the x endpoint, 5.0e-5, 1.1e-5, 5.3e-7
+# and 8.2e-9 above the optimum.
+INTERIOR_ROWS = (
+    (0.331726, -0.097675, 0.032078, -0.151324, 0.015065, 0.274577, 0.04465),
+    (0.232377, 0.089095, 0.161606, 0.11269, 0.139407, 0.160407, 0.219854),
+    (0.275712, -0.20108, -0.001504, -0.163068, 0.044205, 0.137067, 0.187759),
+    (0.158362, -0.10404, 0.030295, 0.110828, -0.055323, -0.081384, -0.200543),
+)
+
+
+def test_sphere_search_meets_interior_cs_optima():
+    params = np.array(INTERIOR_ROWS)
+    mutual, classical, axis = discord_cs_rows(params)
+    assert np.all((0.8 < abs(axis[:, 0])) & (abs(axis[:, 0]) < 0.999))
+    rhos = cs_dense(params)
+    rng = np.random.default_rng(43)
+    us = [np.kron(random_su2(rng), random_su2(rng)) for _ in rhos]
+    rotated = np.array([u @ rho @ u.conj().T for u, rho in zip(us, rhos)])
+    for states in (rhos, rotated):
+        got_mutual, got_classical, _ = discord_numeric_rows(states)
+        gap = (got_mutual - got_classical) - (mutual - classical)
+        assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_numeric_rows_empty_batch():

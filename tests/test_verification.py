@@ -217,6 +217,35 @@ def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
     assert calls == per_n * len(n_values)
 
 
+def per_point_chunks(n_values, betas, taus, size):
+    """pair_states' chunks built point by point: a (point, rho0, G, c) per
+    grid point, stacked per chunk into one broadcast rho0 G / c."""
+    rho0 = [exact_oracle.thermal_initial(2, beta).matrix for beta in betas]
+    rows = []
+    for n in n_values:
+        g, c = exact_oracle.pair_gram(n, taus)
+        for beta, r0 in zip(betas, rho0):
+            rows += [((n, beta, t), r0, gk, c) for t, gk in zip(taus, g)]
+    for lo in range(0, len(rows), size):
+        pts, r0, g, c = zip(*rows[lo : lo + size])
+        yield list(pts), np.array(r0) * np.array(g) / np.array(c)[:, None, None]
+
+
+def test_pair_states_slices_equal_per_point_chunks(monkeypatch):
+    # Five-point chunks over 3 N x 2 betas x 7 taus start at every offset
+    # of an (n, beta) block and span up to three blocks; each equals the
+    # point-by-point construction bit for bit.
+    monkeypatch.setattr(verification, "STATE_CHUNK", 5)
+    grid = ((3, 8, 12), (0.7, math.inf), tuple(np.linspace(0.0, 6.0, 7)))
+    chunks = list(verification.pair_states(*grid))
+    want = list(per_point_chunks(*grid, 5))
+    assert [len(p) for p, _ in chunks] == [5] * 8 + [2]
+    assert len(chunks) == len(want)
+    for (points, rhos), (want_points, want_rhos) in zip(chunks, want):
+        assert points == want_points
+        assert np.array_equal(rhos, want_rhos)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
     with pytest.raises(ValueError, match=f"corruption must be finite, got {value}"):
