@@ -26,7 +26,6 @@ from .discord import (
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
     discord_numeric,
-    measurement_conditional_entropy,
 )
 from .entanglement import (
     ConcurrenceResult,

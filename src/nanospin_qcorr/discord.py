@@ -14,7 +14,15 @@ all rows in lockstep; they share no objective and no optimizer:
   (``discord_cs`` is its one-row case).  Rotating each qubit about x
   turns such a state into an X-state of the same discord; the search is
   exact in one variable, t = |n_x|, with an objective written in the
-  X-state's entries, on a grid whose ends are the closed-form endpoints.
+  X-state's entries, f(t) = H(t) + H(-t) (H, D, N and L as in
+  ``_slopes``).  A closed-form certificate settles most rows at an
+  endpoint (Chen et al., PRA 84, 042313 (2011); Yurischev, QIP 14, 3399
+  (2015)): f'(t) is the integral of H'' over [-t, t], and
+  H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(N / D) s_max^2 Delta / N^3
+  with Delta = T_xx^2 - x1^2 - s_max^2.  If s_max = 0 or Delta >= 0, then
+  H'' <= 0 and the minimum is at t = 1; if Delta < 0 and a quadratic lower
+  bound on N^2 D (D^2 - N^2) H'' stays positive on [-1, 1], it is at t = 0.
+  The rest run on a grid whose ends are those endpoints, then refine.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
   is its one-row case): the conditional entropy in Bloch form
   (``_kernels``) on 147 directions per row, a hemisphere grid without its
@@ -37,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _DIRECTIONS, _directions, conditional_entropy_dirs
-from ._kernels import conditional_entropy_point
 from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
 from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .states import bloch_data, check_density_matrix, entropy_bits
@@ -52,7 +59,6 @@ __all__ = [
     "discord_numeric_rows",
     "discord_cs",
     "discord_cs_rows",
-    "measurement_conditional_entropy",
 ]
 
 # Points in theta over [0, pi] and in phi over the half period [0, pi); the
@@ -80,6 +86,12 @@ _CS_TOL = 1e-9
 _FLAT = 1e-14
 # Rows per chunk in discord_cs_rows: (rows, _CS_POINTS) temporaries of 135 kB.
 _CS_CHUNK = 512
+# The endpoint certificate's rounding: _EPS scales the bounds on Delta and
+# kappa, P must exceed _P_MARGIN times its terms' size, and r_lo is capped at
+# _R_CAP (a smaller kappa is weaker, never wrong).
+_EPS = np.finfo(float).eps
+_P_MARGIN = 2.0**-40
+_R_CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -165,12 +177,6 @@ def _entropies(x, y, evals):
     half = 0.5 * (1.0 + np.linalg.norm(np.stack([x, y], axis=1), axis=-1))
     s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
     return s_a, s_a + s_b - entropy_bits(evals)
-
-
-def measurement_conditional_entropy(rho, theta: float, phi: float) -> float:
-    """Conditional entropy of the first qubit, second measured along (theta, phi)."""
-    x, y, T = bloch_data(check_density_matrix(rho))
-    return conditional_entropy_point(x, y, T, theta, phi)
 
 
 def _chart(n0: np.ndarray) -> np.ndarray:
@@ -337,11 +343,22 @@ def discord_cs_rows(params):
     x and y of a CS state lie along x and T is T_xx plus a yz block B, so
     the objective depends on n only through t = |n_x| and |B n_yz|, least
     with the transverse weight on B's larger singular value: the search is
-    exact in t = cos phi (_cs_objective).  A grid of _CS_POINTS angles,
-    whose ends are t = 1 and t = 0, runs _CS_CHUNK rows at a time; rows
-    whose minimum is interior and not flat to rounding are refined
-    (_refine_rows).  axis is (t, sqrt(1 - t^2) v); s_max and v come from
-    cs_matrix._top_singular, which geometric discord reads too.
+    exact in t = cos phi (_cs_objective), f(t) = H(t) + H(-t).
+
+    The certificate (_certified_phi): f'(t) is the integral of H'' over
+    [-t, t], and H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(N / D) s_max^2
+    Delta / N^3 (_slopes), Delta = T_xx^2 - x1^2 - s_max^2.  With s_max = 0
+    or Delta >= 0, H'' <= 0 and the minimum is at t = 1.  With Delta < 0,
+    artanh r >= kappa r bounds N^2 D (D^2 - N^2) H'' below by a quadratic
+    in tau; where it is positive on [-1, 1], H'' >= 0 and the minimum is at
+    t = 0.  A certified row takes the objective once, at its endpoint.
+
+    The other rows run on a grid of _CS_POINTS angles, whose ends are t = 1
+    and t = 0, _CS_CHUNK rows at a time; rows whose grid minimum is not
+    flat to rounding are refined (_refine_rows) when it is interior, or at
+    an endpoint whose slope test fails: f'(1) = H'(1) - H'(-1) > 0 at t = 1,
+    H''(0) < 0 at t = 0.  axis is (t, sqrt(1 - t^2) v); s_max and v come
+    from cs_matrix._top_singular, which geometric discord reads too.
     """
     params = np.asarray(params, dtype=float).reshape(-1, 7)
     evals = check_cs_rows(params)  # once, not per chunk; spectra for the entropies
@@ -349,16 +366,29 @@ def discord_cs_rows(params):
     s_a, mutual = _entropies(x, y, evals)
     s_max, _, v_max = _top_singular(T[:, 1:, 1:])
     data = np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s_max], axis=1)
+    phi, best = _certified_phi(data), np.empty(len(data))
+    c, u = np.flatnonzero(~np.isnan(phi)), np.flatnonzero(np.isnan(phi))
+    best[c] = _cs_objective(data[c], phi[c, None])[:, 0]
     phis = np.linspace(0.0, 0.5 * math.pi, _CS_POINTS)
-    j, best, spread = np.empty(len(data), int), np.empty(len(data)), np.empty(len(data))
-    for lo in range(0, len(data), _CS_CHUNK):
-        c = slice(lo, lo + _CS_CHUNK)
-        values = _cs_objective(data[c], phis)
-        j[c], best[c], spread[c] = values.argmin(1), values.min(1), np.ptp(values, 1)
-    phi = phis[j]
-    r = np.flatnonzero((j > 0) & (j < _CS_POINTS - 1) & (spread > _FLAT))
+    j, spread = np.empty(len(u), int), np.empty(len(u))
+    for lo in range(0, len(u), _CS_CHUNK):
+        k = slice(lo, lo + _CS_CHUNK)
+        values = _cs_objective(data[u[k]], phis)
+        j[k], spread[k], best[u[k]] = values.argmin(1), np.ptp(values, 1), values.min(1)
+    phi[u] = phis[j]
+    # Interior minima are refined, and so are endpoints whose slope test
+    # fails: f'(1) = H'(1) - H'(-1) > 0, H''(0) < 0, or either NaN.
+    h1, h2 = _slopes(data[u], np.array([[1.0], [-1.0], [0.0]]))
+    with np.errstate(invalid="ignore"):  # inf - inf at N = D
+        rise = h1[0] - h1[1]
+    refine = (j > 0) & (j < _CS_POINTS - 1)
+    refine |= (j == 0) & ~(rise <= 0.0)
+    refine |= (j == _CS_POINTS - 1) & ~(h2[2] >= 0.0)
+    r = u[refine & (spread > _FLAT)]
     phi[r], best[r] = _refine_rows(data[r], phi[r], best[r], phis[1])
-    axis = np.concatenate([np.cos(phi)[:, None], np.sin(phi)[:, None] * v_max], 1)
+    # The refinement may step past an end: f is even in cos phi and in phi.
+    t, st = np.abs(np.cos(phi)), np.abs(np.sin(phi))
+    axis = np.concatenate([t[:, None], st[:, None] * v_max], 1)
     return mutual, s_a - best, axis
 
 
@@ -381,6 +411,78 @@ def _cs_objective(data, phi):
         n = np.sqrt(x * x + st2)  # np.hypot takes several times longer
         f = f + _eta(d) - _eta(0.5 * (d + n)) - _eta(0.5 * (d - n))
     return f / (2.0 * math.log(2.0))
+
+
+def _cs_terms(data):
+    """Per row, x1, y1, s and the coefficients A, b, C of N(tau)^2 (see _slopes).
+
+    A = T_xx^2 - s^2 is taken as a product, exactly 0 where |T_xx| = s.
+    """
+    x1, y1, txx, s = data.T
+    a = (np.abs(txx) - s) * (np.abs(txx) + s)
+    return x1, y1, s, a, x1 * txx, x1 * x1 + s * s
+
+
+def _slopes(data, tau):
+    """H'(tau) and H''(tau) in nats, f(t) = H(t) + H(-t) (see _certified_phi).
+
+    One row of data per state (R, 4); tau broadcasts against (R,).
+
+    With D = 1 + y1 tau, N^2 = A tau^2 + 2 b tau + C, r = N / D and
+    Delta = T_xx^2 - x1^2 - s^2:
+    H' = y1 ln(2 D / sqrt(D^2 - N^2)) - artanh(r) (A tau + b) / N,
+    H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(r) s^2 Delta / N^3,
+    L = (A - y1 b) tau + b - y1 C.  NaN or infinite where N = 0 or N >= D
+    (rounding can leave N^2 just below 0 or N just above D).
+    """
+    x1, y1, s, a, b, c = _cs_terms(data)
+    d, n2 = 1.0 + y1 * tau, (a * tau + 2.0 * b) * tau + c
+    gap, lin = d * d - n2, (a - y1 * b) * tau + b - y1 * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.sqrt(n2)
+        at = np.arctanh(n / d)
+        h1 = y1 * np.log(2.0 * d / np.sqrt(gap)) - at * (a * tau + b) / n
+        h2 = -lin * lin / (n2 * d * gap) - at * (a * c - b * b) / (n2 * n)
+    return h1, h2
+
+
+def _certified_phi(data):
+    """Per row, the phi of a certified global minimum, 0 (t = 1) or pi/2, else NaN.
+
+    f(t) = H(t) + H(-t) with H(tau) = G(D, N) = D phi_2(N / D), where
+    phi_2(r) is the binary entropy in nats (phi_2' = -artanh,
+    phi_2'' = -1 / (1 - r^2)), so f'(t) is the integral of H'' over
+    [-t, t].  In H'' (_slopes) the L^2 term is never positive, and A C - b^2
+    = s^2 Delta.  If s = 0 or Delta >= 0, H'' <= 0 on [-1, 1] and t = 1 is
+    the minimum.  If Delta < 0, artanh r >= kappa r for r >= r_lo, with
+    kappa = artanh(r_lo) / r_lo and r_lo = min N / max D over [-1, 1], gives
+    N^2 D (D^2 - N^2) H'' >= P = kappa s^2 |Delta| (D^2 - N^2) - L^2, a
+    quadratic in tau: if P > 0 at tau = +-1 and at its vertex, H'' >= 0 and
+    t = 0 is the minimum.  Delta = A - x1^2 must clear its rounding bound,
+    kappa and |Delta| are cut by theirs, and P must clear _P_MARGIN of its
+    terms' size: an uncertain sign certifies nothing.
+    """
+    x1, y1, s, a, b, c = _cs_terms(data)
+    delta = a - x1 * x1
+    err = 4.0 * _EPS * (np.abs(a) + x1 * x1)
+    # min N^2 over [-1, 1]: at tau = +-1, or at the vertex -b / A when inside.
+    inside = (a > 0.0) & (np.abs(b) < a)
+    vertex = c - b * b / np.where(inside, a, 1.0)
+    n2 = np.minimum(a + c - 2.0 * np.abs(b), np.where(inside, vertex, np.inf))
+    r = np.sqrt(np.maximum(n2, 0.0)) / (1.0 + np.abs(y1)) * (1.0 - 4.0 * _EPS)
+    r = np.clip(r, 1e-300, _R_CAP)  # kappa(1e-300) = 1 holds for any r
+    k = np.arctanh(r) / r * (1.0 - 4.0 * _EPS) * s * s * np.maximum(-delta - err, 0.0)
+    # P(tau) = p2 tau^2 + p1 tau + p0, with L = l1 tau + l0.
+    l1, l0 = a - y1 * b, b - y1 * c
+    p2 = k * (y1 * y1 - a) - l1 * l1
+    p1 = 2.0 * (k * (y1 - b) - l1 * l0)
+    p0 = k * (1.0 - c) - l0 * l0
+    inside = (p2 > 0.0) & (np.abs(p1) < 2.0 * p2)
+    vertex = p0 - p1 * p1 / (4.0 * np.where(inside, p2, 1.0))
+    low = np.minimum(p2 + p0 - np.abs(p1), np.where(inside, vertex, np.inf))
+    convex = low > _P_MARGIN * (k + (np.abs(l1) + np.abs(l0)) ** 2)
+    half = np.where(convex, 0.5 * math.pi, np.nan)
+    return np.where((s == 0.0) | (delta >= err), 0.0, half)
 
 
 def _refine_rows(data, phi, best, h):

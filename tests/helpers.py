@@ -1,7 +1,8 @@
 """Shared sampling utilities and dense reference operators for the test suite.
 
 Besides the samplers, this holds short independent references the tests
-compare the package against: parameter extraction from a dense CS matrix,
+compare the package against: the conditional entropy after one
+measurement, parameter extraction from a dense CS matrix,
 a partial trace and the von Neumann entropy, the spin flip, the rotation
 that splits a CS matrix into two 2x2 blocks, and Kronecker-product
 collective operators.
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from nanospin_qcorr import cs_from_params
+from nanospin_qcorr._kernels import conditional_entropy_point
 from nanospin_qcorr.exact_oracle import pair_state
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
+from nanospin_qcorr.states import bloch_data, check_density_matrix
 from nanospin_qcorr.verification import pair_states
 
 BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
@@ -43,6 +46,12 @@ def verify_dense_states() -> np.ndarray:
     """The pair states of the verify grid N 8 9 10, beta 0.5 3, 16 taus (96)."""
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
     return np.concatenate([r for _, r in pair_states((8, 9, 10), (0.5, 3.0), taus)])
+
+
+def measurement_conditional_entropy(rho, theta: float, phi: float) -> float:
+    """Conditional entropy of the first qubit, second measured along (theta, phi)."""
+    x, y, T = bloch_data(check_density_matrix(rho))
+    return conditional_entropy_point(x, y, T, theta, phi)
 
 
 def centrosymmetrize(rho: np.ndarray) -> np.ndarray:

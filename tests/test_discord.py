@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     BELL_PHI_PLUS,
+    measurement_conditional_entropy,
     numeric_batch,
     random_cs,
     random_density4,
@@ -26,13 +27,13 @@ from nanospin_qcorr import (
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
     discord_numeric,
-    measurement_conditional_entropy,
     reduced_density,
 )
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
 from nanospin_qcorr.cs_matrix import _top_singular, cs_bloch, cs_dense
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
+from nanospin_qcorr.nanopore import _cs_params, correlation_grid
 from nanospin_qcorr.states import (
     InvalidStateError,
     binary_entropy,
@@ -313,9 +314,12 @@ def test_cs_rows_equal_per_state_results():
 
 
 def test_cs_rows_span_chunks():
+    # Enough copies that the rows the certificate leaves to the grid span
+    # more than one grid chunk.
     params = params_of(cs_batch())
-    reps = _CS_CHUNK // len(params) + 2
-    assert len(params) * reps > _CS_CHUNK
+    left = int(np.isnan(discord_module._certified_phi(cs_rows_data(params))).sum())
+    reps = _CS_CHUNK // left + 2
+    assert left * reps > _CS_CHUNK
     small = discord_cs_rows(params)
     big = discord_cs_rows(np.tile(params, (reps, 1)))
     for a, b in zip(small, big):
@@ -576,13 +580,15 @@ def test_numeric_rows_reject_one_invalid_row(bad):
 
 
 def test_cs_rows_refine_interior_optimum_in_lockstep(monkeypatch):
-    # The interior-optimum state is refined inside a batch: one grid call
-    # over every row, then 9-point steps over the interior rows only, and
-    # the refinement lifts its classical correlation above the value at its
-    # best grid point.
+    # The interior-optimum state is refined inside a batch: one point per
+    # certified row, one grid call over the rows the certificate leaves,
+    # then 9-point steps over the rows to refine only, and the refinement
+    # lifts its classical correlation above the value at its best grid point.
     states = cs_batch()[:40]
     states.insert(17, cs_from_params(*INTERIOR_OPTIMUM))
     params = params_of(states)
+    left = np.isnan(discord_module._certified_phi(cs_rows_data(params)))
+    assert left[17] and 0 < left.sum() < len(states)
     shapes = []
     objective = discord_module._cs_objective
 
@@ -593,13 +599,21 @@ def test_cs_rows_refine_interior_optimum_in_lockstep(monkeypatch):
 
     monkeypatch.setattr(discord_module, "_cs_objective", counting)
     _, refined, _ = discord_cs_rows(params)
-    assert shapes[0] == (len(states), discord_module._CS_POINTS)
-    assert len(shapes) > 1
-    assert all(s[0] < len(states) and s[1] == 9 for s in shapes[1:])
+    assert shapes[0] == (len(states) - left.sum(), 1)
+    assert shapes[1] == (left.sum(), discord_module._CS_POINTS)
+    assert len(shapes) > 2
+    assert all(s[0] <= left.sum() and s[1] == 9 for s in shapes[2:])
 
     monkeypatch.setattr(discord_module, "_refine_rows", lambda d, p, f, h: (p, f))
     _, grid_only, _ = discord_cs_rows(params)
     assert refined[17] > grid_only[17]
+
+
+def cs_rows_data(params):
+    """_cs_objective's arguments for CS rows as discord_cs_rows builds them."""
+    x, y, T = cs_bloch(params)
+    s_max = _top_singular(T[:, 1:, 1:])[0]
+    return np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s_max], axis=1)
 
 
 def cs_objective_data(params):
@@ -672,3 +686,152 @@ def test_cs_rows_interior_optima_meet_sphere_search():
     n_mutual, n_classical, _ = discord_numeric_rows(rhos)
     gap = (mutual - classical) - (n_mutual - n_classical)
     assert np.max(np.abs(gap)) < 1e-12
+
+
+# A CS state whose valley lies inside the grid's first spacing from the
+# n_x = 1 end: the optimum is at n_x = 0.99967, 5.6e-10 below that end,
+# which is the best of the 33 grid points.
+ENDPOINT_VALLEY = (0.195309, 0.159205, 0.0, 0.180164, 0.0, 0.09426, 0.221153)
+
+
+def entropy_h(data, tau):
+    """H(tau) = eta(D) - eta((D + N) / 2) - eta((D - N) / 2) in nats, per row.
+
+    D = 1 + y1 tau and N = |(x1 + T_xx tau, s sqrt(1 - tau^2))| for data
+    rows (x1, y1, T_xx, s); tau broadcasts against (R, 1).
+    """
+    x1, y1, txx, s = (a[:, None] for a in data.T)
+    d = 1.0 + y1 * tau
+    n = np.sqrt((x1 + txx * tau) ** 2 + s * s * (1.0 - tau * tau))
+    h = d * np.log(d)
+    for w in (0.5 * (d + n), 0.5 * (d - n)):
+        h -= w * np.log(np.where(w > 0.0, w, 1.0))
+    return h
+
+
+def objective_bits(data, t):
+    """The CS objective at n_x = t from entropy_h: (H(t) + H(-t)) / (2 ln 2)."""
+    return (entropy_h(data, t) + entropy_h(data, -t)) / (2.0 * math.log(2.0))
+
+
+def test_entropy_h_is_the_cs_objective():
+    rng = np.random.default_rng(3)
+    states = [random_cs(rng, rank) for rank in (4, 3) for _ in range(50)]
+    data = cs_rows_data(params_of(states))
+    phi = np.linspace(0.0, 0.5 * math.pi, 17)
+    got = objective_bits(data, np.cos(phi))
+    assert np.allclose(got, discord_module._cs_objective(data, phi), rtol=0, atol=1e-15)
+
+
+def test_slopes_match_central_differences():
+    # H' and H'' of _slopes against differences of entropy_h, at random tau
+    # where N and D - N stay clear of 0.
+    rng = np.random.default_rng(17)
+    states = [random_cs(rng, rank) for rank in (4, 3, 2) for _ in range(300)]
+    data = cs_rows_data(params_of(states))
+    tau = rng.uniform(-0.95, 0.95, size=len(data))[:, None]
+    x1, y1, txx, s = (a[:, None] for a in data.T)
+    n = np.sqrt((x1 + txx * tau) ** 2 + s * s * (1.0 - tau * tau))
+    clear = ((n > 0.05) & (1.0 + y1 * tau - n > 0.05))[:, 0]
+    assert clear.sum() > 500
+    data, tau = data[clear], tau[clear]
+    h1, h2 = discord_module._slopes(data, tau[:, 0])
+    dh = 1e-4
+    f = [entropy_h(data, tau + k * dh)[:, 0] for k in (-1, 0, 1)]
+    assert np.allclose(h1, (f[2] - f[0]) / (2 * dh), rtol=1e-6, atol=1e-7)
+    assert np.allclose(h2, (f[2] - 2 * f[1] + f[0]) / dh**2, rtol=1e-5, atol=1e-5)
+
+
+def test_cs_certificate_is_sound():
+    # No certified endpoint lies above any point of a 4,097-point phi grid
+    # by more than rounding, on random CS states of ranks 4, 3 and 2.
+    rng = np.random.default_rng(5)
+    states = [random_cs(rng, rank) for rank in (4, 3, 2) for _ in range(5000)]
+    data = cs_rows_data(params_of(states))
+    phi = discord_module._certified_phi(data)
+    assert set(np.unique(phi[~np.isnan(phi)])) == {0.0, 0.5 * math.pi}
+    c = np.flatnonzero(~np.isnan(phi))
+    assert len(c) > 0.95 * len(data)
+    t = np.cos(np.linspace(0.0, 0.5 * math.pi, 4097))
+    worst = -np.inf
+    for lo in range(0, len(c), 32):
+        k = c[lo : lo + 32]
+        end = objective_bits(data[k], np.cos(phi[k])[:, None])[:, 0]
+        worst = max(worst, np.max(end - objective_bits(data[k], t).min(axis=1)))
+    assert worst <= 1e-15
+
+
+# A CS state at the edge of the t = 0 certificate: its minimum is at n_x = 1,
+# 2.8e-5 below n_x = 0, and a kappa 5% too large would certify n_x = 0.
+KAPPA_EDGE = (0.260733, 0.024999, 0.021061, 0.045346, 0.019239, -0.003638, -0.057643)
+
+
+def test_cs_certificate_leaves_valleys_to_the_grid():
+    rng = np.random.default_rng(5)
+    row_425 = [random_cs(rng, 2) for _ in range(3000)][425]
+    rows = [INTERIOR_OPTIMUM, NARROW_VALLEY, row_425.params, ENDPOINT_VALLEY]
+    rows = np.array(rows + [KAPPA_EDGE], dtype=float)
+    data = cs_rows_data(rows)
+    assert np.all(np.isnan(discord_module._certified_phi(data)))
+    ends = objective_bits(data[-1:], np.array([1.0, 0.0]))[0]
+    assert ends[1] - ends[0] > 2.8e-5
+
+
+def test_cs_certificate_takes_n_x_one():
+    # Delta = T_xx^2 - x1^2 - s^2 >= 0, s = 0 (a zero yz block), and the
+    # large-pore states, where T_xx = s and x1 = 0: H'' <= 0 on [-1, 1].
+    rng = np.random.default_rng(29)
+    states = [random_cs(rng, rank) for rank in (4, 3, 2) for _ in range(300)]
+    params = params_of(states)
+    data = cs_rows_data(params)
+    delta = data[:, 2] ** 2 - data[:, 0] ** 2 - data[:, 3] ** 2
+    assert (delta > 0).sum() > 30
+    small = rng.uniform(-0.05, 0.05, size=(50, 3))
+    zero_block = [(0.25, p2, 0.0, p4, 0.0, p6, p6) for p2, p4, p6 in small]
+    betas = [0.1, 1.0, 3.0, 10.0, 40.0]
+    large_pore = _cs_params(correlation_grid([math.inf], betas, [0.0, 1.0]))
+    rows = np.concatenate([params[delta > 0], zero_block, large_pore])
+    data = cs_rows_data(rows)
+    assert np.all(data[len(params[delta > 0]) : -len(large_pore), 3] == 0.0)
+    assert np.all(discord_module._certified_phi(data) == 0.0)
+
+
+def paper_grid_params():
+    """The paper's sweep grid: N 3 6 9 25 inf, beta 1..10, tau 0..6.28 step 0.01."""
+    taus = [0.01 * k for k in range(629)]
+    return _cs_params(correlation_grid((3, 6, 9, 25, math.inf), range(1, 11), taus))
+
+
+def test_cs_certificate_on_the_paper_grid():
+    # At least 97% of the 31,450 rows certify, and each certified endpoint
+    # is the 33-point grid's minimum to within rounding.
+    data = cs_rows_data(paper_grid_params())
+    phi = discord_module._certified_phi(data)
+    c = ~np.isnan(phi)
+    assert c.sum() >= 0.97 * len(data)
+    end = discord_module._cs_objective(data[c], phi[c, None])[:, 0]
+    grid = np.linspace(0.0, 0.5 * math.pi, discord_module._CS_POINTS)
+    chunks = np.array_split(data[c], 64)
+    low = np.concatenate([discord_module._cs_objective(d, grid).min(1) for d in chunks])
+    assert np.max(np.abs(end - low)) <= 2e-15
+
+
+def test_cs_rows_refine_a_valley_at_an_endpoint():
+    # The endpoint n_x = 1 is the best grid point, but f'(1) > 0: the row is
+    # refined from that end and meets the minimum of the objective on a
+    # fine half circle in the (x, v_max) plane, 5.6e-10 below the end.
+    params = np.array([ENDPOINT_VALLEY])
+    data = cs_rows_data(params)
+    h1, h2 = discord_module._slopes(data, np.array([[1.0], [-1.0], [0.0]]))
+    assert h1[0, 0] - h1[1, 0] > 4e-6 and h2[2, 0] < 0.0
+    mutual, classical, axis = discord_cs_rows(params)
+    assert 0.9996 < axis[0, 0] < 0.9997
+    rho = cs_from_params(*ENDPOINT_VALLEY).to_matrix()
+    x, y, T = bloch_data(rho)
+    v_max = _top_singular(T[None, 1:, 1:])[2][0]
+    angle = np.linspace(0.0, math.pi, 2**16 + 1)[:, None]
+    n = np.concatenate([np.cos(angle), np.sin(angle) * v_max], axis=1)
+    circle = conditional_entropy_dirs(x, y, T, n)
+    best = unmeasured_entropy(rho) - classical[0]
+    assert abs(best - circle.min()) < 1e-13
+    assert circle[0] - best > 5e-10
