@@ -20,12 +20,21 @@ all of the chunk's value cells with one ``%`` call.  ``'%.17g' % x`` and
 cell-by-cell writer, and the writer holds at most one chunk at a time.
 JSON output records the grid (N, beta, tau and omega0) it was built from,
 and is written on one line by a single ``json.dumps`` call.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later one.  Building it (its help formatters, each of
+which reads the terminal size, and its message catalogue look-ups) costs
+about as much as a small sweep, and a caller that runs ``main`` many times
+in one process, as a script or a test suite does, would pay that on every
+call.  Each call still parses into a fresh namespace, and ``--help`` reads
+the terminal width when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -208,6 +217,7 @@ def _write_json(columns, table, engine, axes, omega0, stream) -> None:
     stream.write(json.dumps(doc) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nanospin-qcorr",

@@ -266,13 +266,15 @@ def discord_numeric(rho, validate=True):
     return _first_row(*discord_numeric_rows([rho], validate))
 
 
-def discord_numeric_rows(rhos, validate=True):
+def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     """Discord of (R, 4, 4) two-qubit states by measurement search, row by row.
 
     The second qubit is measured (for the first, pass ``swap_qubits(rhos)``);
     with ``validate`` a row that is not a density matrix raises
     InvalidStateError.  Returns the arrays (mutual_information,
-    classical_correlation, axis) as discord_cs_rows.
+    classical_correlation, axis) as discord_cs_rows.  ``_evals`` are the
+    states' eigenvalues when the caller already has them
+    (``verification.oracle_rows`` passes its check's).
 
     The first pass evaluates each row on 147 directions, in kernel calls of
     as many rows as one pass of _DIRECTIONS holds: +z; a DEFAULT_GRID of 8
@@ -296,7 +298,8 @@ def discord_numeric_rows(rhos, validate=True):
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
     x, y, T = bloch_data(rhos)
-    s_a, mutual = _entropies(x, y, np.linalg.eigvalsh(rhos))
+    evals = np.linalg.eigvalsh(rhos) if _evals is None else _evals
+    s_a, mutual = _entropies(x, y, evals)
 
     n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)

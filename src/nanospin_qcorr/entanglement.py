@@ -73,25 +73,28 @@ def _result_from_lambdas(lambdas) -> ConcurrenceResult:
     return ConcurrenceResult(tuple(lam.tolist()), c, entanglement_of_formation(c))
 
 
-def _numeric_lambdas(rhos) -> np.ndarray:
+def _numeric_lambdas(rhos, eigh=None) -> np.ndarray:
     """Spin-flip singular values (R, 4) of two-qubit states (R, 4, 4).
 
     With rho = psi psi^dag (psi = V sqrt(evals) from a symmetric
     eigensolver), the lambdas are the singular values of the complex
     symmetric matrix psi^T (sigma_y x sigma_y) psi.  This never squares
     the spectrum, so pure and near-pure states keep full precision.
+    ``eigh`` is the states' (evals, vecs) when the caller already has them.
     """
-    evals, vecs = np.linalg.eigh(np.asarray(rhos, dtype=complex).reshape(-1, 4, 4))
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    evals, vecs = np.linalg.eigh(rhos) if eigh is None else eigh
     psi = vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
     return np.linalg.svd(np.swapaxes(psi, 1, 2) @ _YY @ psi, compute_uv=False)
 
 
-def concurrence_numeric_rows(rhos) -> np.ndarray:
+def concurrence_numeric_rows(rhos, *, _eigh=None) -> np.ndarray:
     """Concurrence of two-qubit states (R, 4, 4) -> (R,), one eigh and SVD call.
 
-    Rows are not validated: ``verification.oracle_rows`` checks its stack once.
+    Rows are not validated: ``verification.oracle_rows`` checks its stack
+    once, and passes that check's eigh as ``_eigh`` in place of this one's.
     """
-    return _sorted_concurrence(_numeric_lambdas(rhos))[1]
+    return _sorted_concurrence(_numeric_lambdas(rhos, _eigh))[1]
 
 
 def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:

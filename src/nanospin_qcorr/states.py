@@ -60,15 +60,23 @@ def check_density_matrix(rho) -> np.ndarray:
     (eigenvalues >= -EPS_PSD).  Raises InvalidStateError with a diagnostic
     message on the first condition that any matrix of the stack violates.
     """
+    return _check_stack(rho, vectors=False)[0]
+
+
+def _check_stack(rho, vectors=True):
+    """check_density_matrix's checks; returns (rho, evals, vecs) as _check_density's."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    _check_density(rho)
-    return rho
+    return (rho, *_check_density(rho, vectors))
 
 
-def _check_density(rho):
-    """Finite entries, Hermiticity, unit trace and positivity (..., d, d)."""
+def _check_density(rho, vectors=False):
+    """Finite entries, Hermiticity, unit trace and positivity (..., d, d).
+
+    Returns (evals, vecs): the eigenvalues the positivity check read and,
+    with ``vectors``, their eigenvectors from the same eigh call (else None).
+    """
     if not np.all(np.isfinite(rho)):
         raise InvalidStateError("matrix has non-finite entries")
     herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0)
@@ -77,9 +85,11 @@ def _check_density(rho):
     tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
     if (bad := np.flatnonzero(abs(tr - 1.0) > EPS_TRACE)).size:
         raise InvalidStateError(f"trace is {tr[bad[0]]:.17g}, expected 1")
-    lowest = np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0)
+    evals, vecs = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
+    lowest = np.min(evals[..., 0], initial=0.0)
     if lowest < -EPS_PSD:
         raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
+    return evals, vecs
 
 
 _SWAP = np.array(

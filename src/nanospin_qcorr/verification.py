@@ -21,7 +21,7 @@ from .exact_oracle import BYTE_BUDGET, _check_size, pair_correlations
 from .exact_oracle import pair_gram, thermal_initial
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import _cs_params, check_axes, concurrence_rows, correlation_grid
-from .states import check_density_matrix, expansion_coefficients
+from .states import _check_stack, expansion_coefficients
 
 __all__ = [
     "CORR_FIELDS",
@@ -65,7 +65,9 @@ def analytic_rows(corr, needed) -> dict:
     concurrence, geometric_discord, discord and params, the (R, 7) CS
     parameter rows.  All derive from ``corr``, so an offset on it reaches
     every quantity.  Discord takes the exact CS reduction for every pore
-    occupancy.  The parameter rows are not checked here: each measure runs
+    occupancy; it is clamped at 0, since mutual - classical of a classical
+    state is rounding that may fall below 0 (a clamped row reads 0, not
+    -0).  The parameter rows are not checked here: each measure runs
     check_cs_rows once on the rows it takes, and so do verify's checks.
     """
     out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
@@ -77,7 +79,7 @@ def analytic_rows(corr, needed) -> dict:
             out["geometric_discord"] = geometric_discord_rows(params)
         if "discord" in needed:
             mutual, classical, _ = discord_cs_rows(params)
-            out["discord"] = mutual - classical
+            out["discord"] = np.maximum(mutual - classical, 0.0)
         if "params" in needed:
             out["params"] = params
     return out
@@ -128,17 +130,19 @@ def oracle_rows(rhos, needed) -> dict:
     """Oracle columns for (R, 4, 4) pair states, keyed as analytic_rows'.
 
     The five correlators always; concurrence, geometric_discord and discord
-    when ``needed`` names them.  The stack is validated once, up front.
+    when ``needed`` names them.  The stack is validated once, up front, by
+    one eigh call whose eigenvalues also give the discord's von Neumann
+    entropies and whose eigenvectors give the concurrence's spin flip.
     """
-    rhos = check_density_matrix(rhos)
+    rhos, evals, vecs = _check_stack(rhos)
     corr = pair_correlations(rhos)
     out = {f: getattr(corr, f) for f in CORR_FIELDS}
     if "concurrence" in needed:
-        out["concurrence"] = concurrence_numeric_rows(rhos)
+        out["concurrence"] = concurrence_numeric_rows(rhos, _eigh=(evals, vecs))
     if "geometric_discord" in needed:
         out["geometric_discord"] = geometric_discord_generic(rhos, validate=False)
     if "discord" in needed:
-        mutual, classical, _ = discord_numeric_rows(rhos, validate=False)
+        mutual, classical, _ = discord_numeric_rows(rhos, False, _evals=evals)
         out["discord"] = mutual - classical
     return out
 

@@ -710,3 +710,63 @@ def test_writes_hold_at_most_one_chunk():
     assert max(text.count("\n") for text in log.writes) == CSV_CHUNK_ROWS
     assert len(log.writes) == 2 + 3
     _assert_matches_reference("".join(log.writes), columns, table)
+
+
+def test_discord_sweep_clamps_rounding_below_zero(tmp_path):
+    # At N = 2, beta = 5, tau = 0 the state is classical and mutual -
+    # classical rounds to -2.8e-17; the column reads 0, not -0.
+    argv = ["sweep", "--quantity", "discord", "--N", "2", "--beta-range", "5:5:1"]
+    path = run_to_file(tmp_path, "clamp.csv", argv + ["--tau", "0"])
+    assert path.read_text().splitlines()[2].split(",")[4] == "0"
+    columns, table = run_sweep("discord", [2, 3, 6], [1.0, 3.0, 5.0, 7.0], [0.0])
+    assert min(table[columns.index("discord")]) == 0.0
+
+
+def test_reused_parser_carries_no_state(tmp_path, capsys):
+    # One process runs every kind of call in turn on one parser, and a call
+    # after an error or --help writes what a first call writes.
+    cli._build_parser.cache_clear()
+    sweep = SWEEP_BASE + ["--quantity", "all", "--out"]
+    verify = ["verify", "--N", "3", "--beta", "1", "--tau-points", "2"]
+    assert main(sweep + [str(tmp_path / "first.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--quantity", "bogus", "--N", "4", "--tau", "0"])
+    assert exc.value.code == 2
+    no_coupling = ["sweep", "--N", "4", "--beta-range", "1:1:1"]
+    assert main(no_coupling + ["--time-range", "0:1:0.5"]) == 2
+    capsys.readouterr()
+    assert main(verify) == 0
+    verified = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert main(sweep + [str(tmp_path / "again.csv")]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+    # A fresh parser's runs of the same commands.
+    cli._build_parser.cache_clear()
+    assert main(verify) == 0
+    assert capsys.readouterr().out == verified
+    first = (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / "again.csv").read_bytes() == first
+    cli._build_parser.cache_clear()
+    assert main(sweep + [str(tmp_path / "fresh.csv")]) == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == first
+
+
+def test_help_reads_the_terminal_width_when_it_prints(monkeypatch, capsys):
+    # The parser is built once, but each --help formats for the width the
+    # terminal has when it prints.
+    widths = {}
+    for columns in ("50", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        widths[columns] = (len(lines), max(map(len, lines)))
+    # The choice lists cannot break, so only the narrow help's length shows.
+    assert widths["50"][0] > widths["160"][0]
+    assert widths["50"][1] < widths["160"][1]

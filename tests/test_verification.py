@@ -14,6 +14,8 @@ from nanospin_qcorr import (
     format_report,
     run_verification,
 )
+from nanospin_qcorr.discord import discord_numeric_rows
+from nanospin_qcorr.entanglement import concurrence_numeric_rows
 from nanospin_qcorr.exact_oracle import pair_state
 
 
@@ -255,3 +257,39 @@ def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --inject-corruption must be finite, got {value}"]
     assert counted == {"pair_gram": 0, "correlation_grid": 0}
+
+
+def test_oracle_rows_decompose_each_stack_once(monkeypatch):
+    # The density check's eigh gives the discord's entropies and the
+    # concurrence's spin flip; no other eigensolver sees a 4x4 stack.
+    (_, rhos), *_ = verification.pair_states((3, 8), (0.5, 3.0), [0.3, 1.1, 2.0])
+    needed = ("concurrence", "geometric_discord", "discord")
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)[-1]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counting("eigh")
+    counting("eigvalsh")
+    out = verification.oracle_rows(rhos, needed)
+    assert [call for call in calls if call[1] == 4] == [("eigh", 4)]
+    monkeypatch.undo()
+    assert np.array_equal(out["concurrence"], concurrence_numeric_rows(rhos))
+    mutual, classical, _ = discord_numeric_rows(rhos)
+    assert np.allclose(out["discord"], mutual - classical, rtol=0.0, atol=1e-14)
+
+
+def test_oracle_rows_reject_a_stack_that_is_not_a_state():
+    (_, rhos), *_ = verification.pair_states((3,), (1.0,), [0.3, 1.1])
+    bad = rhos.copy()
+    bad[1] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        verification.oracle_rows(bad, ("concurrence", "discord"))
+    with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+        verification.oracle_rows(rhos[:, :3, :3], ("discord",))
