@@ -1,0 +1,163 @@
+"""format(x, ".17g") for a float64 array at once.
+
+``format_g17`` gives, for every double, the bytes of Python's
+``format(x, ".17g")``.  The CSV writer in ``cli`` imports this module on
+its first write: ``verify`` and JSON sweeps need none of it.
+
+A cell is CELL_WORDS uint64 words of text in fixed slots, with zero bytes
+between and after the slots' text; the writer drops the zero bytes.  Word 0
+holds the sign and the "0.000" lead of a fixed cell below 1; words 1-3 the
+digits before the point (d0-d7, d8-d15, d16) and the point (byte 7 of
+word 3); words 4-5 the digits d1-d16 after it; word 6 "e+dd" or "e+ddd",
+and the separator in its byte 7.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["CELL_BYTES", "CELL_WORDS", "format_g17"]
+
+CELL_WORDS = 7
+CELL_BYTES = 8 * CELL_WORDS
+_X_MIN, _X_MAX = -290, 300  # decimal exponents the tables below cover
+_DEKKER = 134217729.0  # 2**27 + 1
+
+
+def _split(x):
+    # Dekker's split: hi + lo == x, each with at most 26 significant bits.
+    t = _DEKKER * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(a, b, b_split):
+    # a b == p + e exactly (Dekker), b_split = _split(b).
+    p, (ah, al), (bh, bl) = a * b, _split(a), b_split
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _pow10_table():
+    # 10^k as hi + lo (double-double) for k in [_X_MIN, _X_MAX]: (10^22)^q
+    # by repeated exact products, times 10^r for k = 22 q + r >= 0 (10^r and
+    # 10^22 are exact), then reciprocals.  hi is 10^k rounded, and hi + lo
+    # is within 2^-104 of 10^k (tested).
+    big, ten22 = [(1.0, 0.0)], _split(1e22)
+    for _ in range(_X_MAX // 22):
+        p, e = _two_product(big[-1][0], 1e22, ten22)
+        e += big[-1][1] * 1e22
+        big.append((p + e, e - ((p + e) - p)))
+    q, r = np.divmod(np.arange(_X_MAX + 1), 22)
+    (h, l), r = np.array(big).T[:, q], 10.0**r
+    p, e = _two_product(r, h, _split(h))
+    e += l * r
+    hi, lo = p + e, e - ((p + e) - p)
+    h, l = hi[1 : 1 - _X_MIN], lo[1 : 1 - _X_MIN]
+    inv = 1.0 / h
+    p, e = _two_product(inv, h, _split(h))
+    corr = (((1.0 - p) - e) - inv * l) / h
+    s = inv + corr
+    return (
+        np.concatenate([s[::-1], hi]),
+        np.concatenate([(corr - (s - inv))[::-1], lo]),
+    )
+
+
+def _text_tables():
+    # Per 4-digit group g: its ASCII digits (bytes 0-3 of a word) and its
+    # length without trailing zeros, 4 j + that as the j-th group of the 17
+    # digits (0 for 0000).  Per decimal exponent: words 0 and 6, and the
+    # digits before the point (0: all of them).  Per digit count n_int
+    # before the point and digits kept, 1..17 each: the masks of words 1-5.
+    d = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # the digits of g
+    digits = np.ascontiguousarray((d + np.uint8(48)).T).view(np.uint32)[:, 0]
+    last = ((d != 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(0)
+    length = (last + 4 * np.arange(4, dtype=np.uint8)[:, None]) * (last > 0)
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    m, fixed = np.abs(x), (x >= -4) & (x < 17)
+    zone = np.zeros((len(x), 2, 8), np.uint8)
+    zone[:, 0, 1:6] = np.frombuffer(b"0.000", np.uint8) * (
+        np.arange(5) < np.where(fixed & (x < 0), 1 - x, 0)[:, None]
+    )
+    sign, hundreds = np.where(x < 0, 45, 43), (48 + m // 100) * (m >= 100)
+    exp = [np.full(len(x), 101), sign, hundreds, 48 + m // 10 % 10, 48 + m % 10]
+    zone[:, 1, :5] = np.stack(exp, 1) * ~fixed[:, None]
+    n_int = np.where(fixed, np.where(x >= 0, x + 1, 0), 1).astype(np.int8)
+    # The digit index of each byte of words 1-5; 17 is the point, -1 unused.
+    index = np.full((5, 8), -1)
+    index[:2] = np.arange(16).reshape(2, 8)
+    index[2, [0, 7]] = 16, 17
+    index[3:] = np.arange(1, 17).reshape(2, 8)
+    n, k = np.arange(18)[:, None, None, None], np.arange(18)[:, None, None]
+    before = np.where(index == 17, k > n, (index >= 0) & (index < n))
+    after = (index >= n) & (index < k)
+    keep = np.concatenate([before[..., :3, :], after[..., 3:, :]], -2)
+    masks = (keep.astype(np.uint8) * 255).view(np.uint64)[..., 0].reshape(-1, 5)
+    zone = zone.view(np.uint64)[..., 0]
+    return digits.astype(np.uint64), length, zone, n_int, masks
+
+
+_P10_HI, _P10_LO = _pow10_table()
+_P10_HH, _P10_HL = _split(_P10_HI)
+# The least double >= 10^k: |v| < 10^k exactly when |v| < _P10_UP[k].
+_P10_UP = np.where(_P10_LO > 0.0, np.nextafter(_P10_HI, np.inf), _P10_HI)
+_DIGITS, _LENGTH, _ZONE, _N_INT, _MASKS = _text_tables()
+_D16 = np.arange(48, 58, dtype=np.uint64) | np.uint64(ord(".") << 56)
+_SIGN = np.array([0, ord("-")], np.uint64)
+
+
+def format_g17(x):
+    """format(v, ".17g") of each v in the float64 array x, as (len(x), 7) uint64.
+
+    The bytes of row i, zero bytes dropped, are format(x[i], ".17g").  The
+    decimal exponent X is floor(log10|v|), corrected against the table of
+    powers of ten.  The 17-digit significand D = round-half-even(|v|
+    10^(16-X)) comes from Dekker's exact product of |v| with 10^(16-X) as
+    a double-double, with an error below 2^-45.  Python formats a cell
+    whose product lies within 2^-36 of a rounding tie, and one with |v|
+    outside [1e-280, 1e280] (where the split could leave the normal range),
+    inf or nan.
+    """
+    a = np.abs(x)
+    zero, ok = a == 0.0, (a >= 1e-280) & (a <= 1e280)
+    a = np.where(ok, a, 1.0)
+    X = np.log10(a).astype(np.intp) - _X_MIN  # the floor, or 1 above it
+    X -= a < _P10_UP[X]
+    X += a >= _P10_UP[X + 1]
+    k = 16 - 2 * _X_MIN - X  # the table index of 10^(16 - exponent)
+    p, r = _two_product(a, _P10_HI[k], (_P10_HH[k], _P10_HL[k]))
+    r += a * _P10_LO[k]
+    near = np.rint(r)
+    python = ~(ok | zero) | (np.abs(r - near) > 0.5 - 2.0**-36)
+    # p >= 2^53 is an even integer, so p + round(r) is D rounded half-even.
+    D = p.astype(np.int64) + near.astype(np.int64)
+    up = D == 10**17
+    X += up
+    D[up] = 10**16
+    hi, lo = np.divmod(D, 10**9)
+    mid, d16 = np.divmod(lo, 10)
+    g0, g1 = np.divmod(hi, 10**4)
+    g2, g3 = np.divmod(mid, 10**4)
+    A = _DIGITS[g0] | (_DIGITS[g1] << np.uint64(32))
+    B = _DIGITS[g2] | (_DIGITS[g3] << np.uint64(32))
+    C = _D16[d16]
+    A[zero] = ord("0")
+    s = np.maximum(np.maximum(_LENGTH[0, g0], _LENGTH[1, g1]), _LENGTH[2, g2])
+    s = np.where(d16 > 0, 17, np.maximum(s, _LENGTH[3, g3]))
+    # The point follows digit n_int - 1, if more digits are kept.
+    n_int = _N_INT[X]
+    n_int = np.where(n_int > 0, n_int, s)
+    out = np.empty((len(a), CELL_WORDS), np.uint64)
+    out[:, ::6] = np.take(_ZONE, X, axis=0)
+    out[:, 0] |= _SIGN[np.signbit(x).view(np.uint8)]
+    out[:, 1], out[:, 2], out[:, 3] = A, B, C
+    out[:, 4] = (A >> np.uint64(8)) | (B << np.uint64(56))
+    out[:, 5] = (B >> np.uint64(8)) | (C << np.uint64(56))
+    kept = n_int.astype(np.intp) * 18 + np.maximum(s, n_int)
+    out[:, 1:6] &= np.take(_MASKS, kept, axis=0)
+    text = out.view(np.uint8)
+    for i in np.flatnonzero(python):
+        cell = format(float(x[i]), ".17g").encode()
+        text[i] = 0
+        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return out

@@ -12,12 +12,21 @@ files.  CSV floats carry 17 significant digits so values round-trip
 exactly.
 
 The CSV writer uses the grid's shape: rows come in blocks of one (N, beta)
-pair over every tau.  It writes ``CSV_CHUNK_ROWS`` rows at a time, and for
-each chunk it formats the "N,beta,T_K," prefix of each block it meets and
-each tau once, joins one ``%.17g`` template per row from them, and fills in
-all of the chunk's value cells with one ``%`` call.  ``'%.17g' % x`` and
-``format(x, '.17g')`` give the same text, so the bytes are those of a
-cell-by-cell writer, and the writer holds at most one chunk at a time.
+pair over every tau.  It writes as many rows at a time as CSV_CHUNK_BYTES
+of value cells hold, 56 bytes of padded text each, and at least one, so
+that it holds one chunk at a time whatever the grid's shape.  For each
+chunk one call of ``_g17.format_g17`` formats, in numpy, the beta and T_K of
+each block it meets, each of its taus once, and its value cells: the exact
+decimal exponent from log10 and a table of powers of ten, and 17
+significant digits, rounded half to even, from Dekker's exact product of
+|x| with the power of ten that scales it, as a double-double.  Each cell's
+text sits in fixed, zero-padded slots laid out by %g's rules (fixed
+notation for exponents -4 to 16, else "e+dd[d]"; no trailing zeros or bare
+point); the writer joins each row's "N,beta,T_K,", tau and cells, drops
+the zero bytes and makes one write.  A cell within 2^-36 of a rounding
+tie, one outside [1e-280, 1e280], inf and nan go to Python's
+``format(x, '.17g')`` one at a time, so the bytes are those of a
+cell-by-cell writer.
 JSON output records the grid (N, beta, tau and omega0) it was built from,
 and is written on one line by a single ``json.dumps`` call.
 
@@ -75,9 +84,9 @@ MAX_RANGE_POINTS = 1_000_000
 # they build any grid.
 MAX_SWEEP_ROWS = 1_000_000
 
-# Rows formatted per write: the CSV writer holds the text, templates and
-# prefixes of at most this many rows, whatever the grid's shape.
-CSV_CHUNK_ROWS = 4096
+# Bytes of value cells per CSV write (4,096 cells of _g17.CELL_BYTES): the
+# writer formats as many rows at a time as fit, and at least one.
+CSV_CHUNK_BYTES = 224 << 10
 
 _SCALARS = ("concurrence", "discord", "geometric_discord")
 
@@ -169,28 +178,64 @@ def run_sweep(
     return columns, table
 
 
+def _chunk_rows(n_values: int) -> int:
+    # Rows per CSV write: CSV_CHUNK_BYTES of value cells, at least one row.
+    from ._g17 import CELL_BYTES
+
+    return max(1, CSV_CHUNK_BYTES // (n_values * CELL_BYTES))
+
+
 def _write_csv(columns, table, n_tau, stream) -> None:
     # table is run_sweep's: blocks of n_tau rows, one per (N, beta).  See
     # the module docstring.
+    from ._g17 import format_g17  # only CSV sweeps load the formatter
+
     stream.write(_HEADER + "\n")
     stream.write(",".join(columns) + "\n")
-    n_col, beta_col, temp_col, tau_col, *values = table
-    cells = ",".join(["%.17g"] * len(values)) + "\n"
-    for lo in range(0, len(n_col), CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, len(n_col))
-        # The chunk meets min(hi - lo, n_tau) distinct taus, in axis order
-        # from row lo's (wrapping); listed twice, no block's run wraps.
-        taus = tau_col[lo : lo + min(hi - lo, n_tau)].tolist()
-        tails = [format(t, ".17g") + "," + cells for t in taus] * 2
-        rows = []
-        for start in range(lo - lo % n_tau, hi, n_tau):
-            s, e = max(start, lo), min(start + n_tau, hi)
-            beta, temp = float(beta_col[start]), float(temp_col[start])
-            prefix = f"{n_col[start]},{beta:.17g},{temp:.17g},"
-            k = (s - lo) % len(taus)
-            rows += [prefix + tail for tail in tails[k : k + e - s]]
-        chunk = np.column_stack([col[lo:hi] for col in values])
-        stream.write("".join(rows) % tuple(chunk.ravel().tolist()))
+    n_col, values = table[0], table[4:]
+    beta_col, temp_col, tau_col = (np.asarray(c, float) for c in table[1:4])
+    rows = _chunk_rows(len(values))
+    comma, newline = (np.uint64(ord(c) << 56) for c in ",\n")
+    for lo in range(0, len(n_col), rows):
+        hi = min(lo + rows, len(n_col))
+        first = lo - lo % n_tau
+        starts = np.arange(first, hi, n_tau)
+        # The chunk meets n_taus distinct taus, from row lo's in axis order
+        # (wrapping): row i's is number (i - lo) % n_tau.
+        n_blocks, n_taus = len(starts), min(hi - lo, n_tau)
+        n_lead = 2 * n_blocks + n_taus
+        cells = format_g17(
+            np.concatenate(
+                [
+                    beta_col[starts],
+                    temp_col[starts],
+                    tau_col[lo : lo + n_taus],
+                    np.column_stack([col[lo:hi] for col in values]).ravel(),
+                ]
+            )
+        )
+        cells[:, -1] |= comma
+        cells[n_lead + len(values) - 1 :: len(values), -1] ^= comma ^ newline
+        cells = cells.view(np.uint8)
+        # "N,beta,T_K," per block and "tau," per tau, NUL-padded to the
+        # longest of each.
+        lead = cells[:n_lead].ravel()
+        lead = lead[lead != 0].tobytes().split(b",")
+        names = [str(n_col[start]).encode() for start in starts]
+        heads = [b"%s,%s,%s," % row for row in zip(names, lead, lead[n_blocks:])]
+        taus = [tau + b"," for tau in lead[2 * n_blocks : n_lead]]
+        heads, taus = (
+            np.array(t).view(np.uint8).reshape(len(t), -1) for t in (heads, taus)
+        )
+        text = np.concatenate(
+            [
+                heads[(np.arange(lo, hi) - first) // n_tau],
+                taus[np.arange(hi - lo) % n_tau],
+                cells[n_lead:].reshape(hi - lo, -1),
+            ],
+            axis=1,
+        ).ravel()
+        stream.write(text[text != 0].tobytes().decode())
 
 
 def _json_safe(values) -> list:

@@ -14,15 +14,10 @@ all rows in lockstep; they share no objective and no optimizer:
   (``discord_cs`` is its one-row case).  Rotating each qubit about x
   turns such a state into an X-state of the same discord; the search is
   exact in one variable, t = |n_x|, with an objective written in the
-  X-state's entries, f(t) = H(t) + H(-t) (H, D, N and L as in
-  ``_slopes``).  A closed-form certificate settles most rows at an
-  endpoint (Chen et al., PRA 84, 042313 (2011); Yurischev, QIP 14, 3399
-  (2015)): f'(t) is the integral of H'' over [-t, t], and
-  H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(N / D) s_max^2 Delta / N^3
-  with Delta = T_xx^2 - x1^2 - s_max^2.  If s_max = 0 or Delta >= 0, then
-  H'' <= 0 and the minimum is at t = 1; if Delta < 0 and a quadratic lower
-  bound on N^2 D (D^2 - N^2) H'' stays positive on [-1, 1], it is at t = 0.
-  The rest run on a grid whose ends are those endpoints, then refine.
+  X-state's entries, f(t) = H(t) + H(-t).  A closed-form certificate
+  (``_certified_phi``; Chen et al., PRA 84, 042313 (2011); Yurischev, QIP
+  14, 3399 (2015)) settles most rows at an endpoint, t = 1 or t = 0.  The
+  rest run on a grid whose ends are those endpoints, then refine.
 * ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
   is its one-row case): the conditional entropy in Bloch form
   (``_kernels``) on 147 directions per row, a hemisphere grid without its
@@ -348,20 +343,14 @@ def discord_cs_rows(params):
     with the transverse weight on B's larger singular value: the search is
     exact in t = cos phi (_cs_objective), f(t) = H(t) + H(-t).
 
-    The certificate (_certified_phi): f'(t) is the integral of H'' over
-    [-t, t], and H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(N / D) s_max^2
-    Delta / N^3 (_slopes), Delta = T_xx^2 - x1^2 - s_max^2.  With s_max = 0
-    or Delta >= 0, H'' <= 0 and the minimum is at t = 1.  With Delta < 0,
-    artanh r >= kappa r bounds N^2 D (D^2 - N^2) H'' below by a quadratic
-    in tau; where it is positive on [-1, 1], H'' >= 0 and the minimum is at
-    t = 0.  A certified row takes the objective once, at its endpoint.
-
-    The other rows run on a grid of _CS_POINTS angles, whose ends are t = 1
-    and t = 0, _CS_CHUNK rows at a time; rows whose grid minimum is not
-    flat to rounding are refined (_refine_rows) when it is interior, or at
-    an endpoint whose slope test fails: f'(1) = H'(1) - H'(-1) > 0 at t = 1,
-    H''(0) < 0 at t = 0.  axis is (t, sqrt(1 - t^2) v); s_max and v come
-    from cs_matrix._top_singular, which geometric discord reads too.
+    A row that _certified_phi settles at an endpoint takes the objective
+    once, there.  The other rows run on a grid of _CS_POINTS angles, whose
+    ends are t = 1 and t = 0, _CS_CHUNK rows at a time; rows whose grid
+    minimum is not flat to rounding are refined (_refine_rows) when it is
+    interior, or at an endpoint whose slope test fails:
+    f'(1) = H'(1) - H'(-1) > 0 at t = 1, H''(0) < 0 at t = 0.  axis is
+    (t, sqrt(1 - t^2) v); s_max and v come from cs_matrix._top_singular,
+    which geometric discord reads too.
     """
     params = np.asarray(params, dtype=float).reshape(-1, 7)
     evals = check_cs_rows(params)  # once, not per chunk; spectra for the entropies
@@ -429,14 +418,11 @@ def _cs_terms(data):
 def _slopes(data, tau):
     """H'(tau) and H''(tau) in nats, f(t) = H(t) + H(-t) (see _certified_phi).
 
-    One row of data per state (R, 4); tau broadcasts against (R,).
-
-    With D = 1 + y1 tau, N^2 = A tau^2 + 2 b tau + C, r = N / D and
-    Delta = T_xx^2 - x1^2 - s^2:
-    H' = y1 ln(2 D / sqrt(D^2 - N^2)) - artanh(r) (A tau + b) / N,
-    H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(r) s^2 Delta / N^3,
-    L = (A - y1 b) tau + b - y1 C.  NaN or infinite where N = 0 or N >= D
-    (rounding can leave N^2 just below 0 or N just above D).
+    One row of data per state (R, 4); tau broadcasts against (R,).  With D,
+    N, r and H'' as in _certified_phi,
+    H' = y1 ln(2 D / sqrt(D^2 - N^2)) - artanh(r) (A tau + b) / N.  NaN or
+    infinite where N = 0 or N >= D (rounding can leave N^2 just below 0 or
+    N just above D).
     """
     x1, y1, s, a, b, c = _cs_terms(data)
     d, n2 = 1.0 + y1 * tau, (a * tau + 2.0 * b) * tau + c
@@ -455,15 +441,18 @@ def _certified_phi(data):
     f(t) = H(t) + H(-t) with H(tau) = G(D, N) = D phi_2(N / D), where
     phi_2(r) is the binary entropy in nats (phi_2' = -artanh,
     phi_2'' = -1 / (1 - r^2)), so f'(t) is the integral of H'' over
-    [-t, t].  In H'' (_slopes) the L^2 term is never positive, and A C - b^2
-    = s^2 Delta.  If s = 0 or Delta >= 0, H'' <= 0 on [-1, 1] and t = 1 is
-    the minimum.  If Delta < 0, artanh r >= kappa r for r >= r_lo, with
-    kappa = artanh(r_lo) / r_lo and r_lo = min N / max D over [-1, 1], gives
-    N^2 D (D^2 - N^2) H'' >= P = kappa s^2 |Delta| (D^2 - N^2) - L^2, a
-    quadratic in tau: if P > 0 at tau = +-1 and at its vertex, H'' >= 0 and
-    t = 0 is the minimum.  Delta = A - x1^2 must clear its rounding bound,
-    kappa and |Delta| are cut by theirs, and P must clear _P_MARGIN of its
-    terms' size: an uncertain sign certifies nothing.
+    [-t, t].  With D = 1 + y1 tau, N^2 = A tau^2 + 2 b tau + C, r = N / D,
+    L = (A - y1 b) tau + b - y1 C and Delta = T_xx^2 - x1^2 - s^2, so that
+    A C - b^2 = s^2 Delta (_slopes evaluates H' and H''),
+    H'' = -L^2 / (N^2 D (D^2 - N^2)) - artanh(r) s^2 Delta / N^3.
+    The L^2 term is never positive: if s = 0 or Delta >= 0, H'' <= 0 on
+    [-1, 1] and t = 1 is the minimum.  If Delta < 0, artanh r >= kappa r
+    for r >= r_lo, with kappa = artanh(r_lo) / r_lo and r_lo = min N / max D
+    over [-1, 1], gives N^2 D (D^2 - N^2) H'' >= P = kappa s^2 |Delta|
+    (D^2 - N^2) - L^2, a quadratic in tau: if P > 0 at tau = +-1 and at its
+    vertex, H'' >= 0 and t = 0 is the minimum.  Delta = A - x1^2 must clear
+    its rounding bound, kappa and |Delta| are cut by theirs, and P must
+    clear _P_MARGIN of its terms' size: an uncertain sign certifies nothing.
     """
     x1, y1, s, a, b, c = _cs_terms(data)
     delta = a - x1 * x1

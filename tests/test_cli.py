@@ -5,12 +5,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nanospin_qcorr import __version__, cli
 from nanospin_qcorr.cli import (
-    CSV_CHUNK_ROWS,
     MAX_SWEEP_ROWS,
+    _chunk_rows,
     _write_csv,
     _write_json,
     main,
@@ -590,9 +591,11 @@ def test_verify_pure_states(capsys):
 
 
 def test_sweep_longer_than_a_chunk_matches_chunk_sized_sweeps(tmp_path):
-    # 2 x 2 x 1100 rows span two writer chunks; each per-N sweep fits in one.
-    grid = ["--beta-range", "1:2:1", "--tau-range", "0:1.099:0.001"]
-    assert 2 * 1100 <= CSV_CHUNK_ROWS < 2 * 2 * 1100
+    # 2 x 2 x 1100 rows of one value column span two writer chunks; each
+    # per-N sweep fits in one.
+    grid = ["--quantity", "concurrence", "--beta-range", "1:2:1"]
+    grid += ["--tau-range", "0:1.099:0.001"]
+    assert 2 * 1100 <= _chunk_rows(1) < 2 * 2 * 1100
     whole = run_to_file(tmp_path, "whole.csv", ["sweep", "--N", "3", "inf", *grid])
     parts = [
         run_to_file(tmp_path, f"part{n}.csv", ["sweep", "--N", n, *grid])
@@ -639,8 +642,9 @@ def _assert_matches_reference(text, columns, table):
 
 # Grids the writer treats differently: signed zeros, N = inf, T_K = inf
 # (beta 0) and T_K = 0 (beta inf), one tau, a chunk boundary inside an
-# (N, beta) block, and a chunk that starts inside a block and holds whole
-# blocks after it (1,134 rows per N, 126 taus).
+# (N, beta) block, a chunk that starts inside a block and holds whole blocks
+# after it (1,134 rows per N, 126 taus), and N = 100, whose correlations
+# reach 1e-210.
 WRITER_GRIDS = {
     "edges": ([2, 3, math.inf], [0.0, 1.0, math.inf], [-0.0, 0.5, 1.0]),
     "special-time": ([3, 50, 51, math.inf], [0.0, 2.0], [tau_special(1)]),
@@ -651,13 +655,13 @@ WRITER_GRIDS = {
         [0.5 + 0.5 * k for k in range(9)],
         [0.05 * k for k in range(126)],
     ),
+    "pore-100": ([100], [0.5, 3.0, 10.0], [0.013 + 0.05 * k for k in range(126)]),
 }
+QUANTITIES = ["all", "correlations", "concurrence", "discord", "geometric_discord"]
 
 
 @pytest.mark.parametrize("grid", sorted(WRITER_GRIDS))
-@pytest.mark.parametrize(
-    "quantity", ["all", "correlations", "concurrence", "discord", "geometric_discord"]
-)
+@pytest.mark.parametrize("quantity", QUANTITIES)
 def test_csv_matches_cell_by_cell_reference(grid, quantity):
     n_values, betas, taus = WRITER_GRIDS[grid]
     columns, table = run_sweep(quantity, n_values, betas, taus)
@@ -667,19 +671,55 @@ def test_csv_matches_cell_by_cell_reference(grid, quantity):
 
 
 def test_writer_grids_have_the_cases_they_name():
-    _, _, taus = WRITER_GRIDS["chunk-in-block"]
-    assert 2 * len(taus) < CSV_CHUNK_ROWS < 4 * len(taus)
-    assert CSV_CHUNK_ROWS % len(taus) != 0
-    n_values, betas, taus = WRITER_GRIDS["blocks-after-boundary"]
-    assert CSV_CHUNK_ROWS % len(taus) != 0
-    rows = len(n_values) * len(betas) * len(taus)
-    assert CSV_CHUNK_ROWS + 2 * len(taus) < rows < 2 * CSV_CHUNK_ROWS
+    # Rows per chunk follow from the byte budget and the value columns: 1, 5
+    # or 8 of them.
+    for quantity in QUANTITIES:
+        rows = _chunk_rows(len(run_sweep(quantity, [3], [1.0], [0.0])[0]) - 4)
+        # A chunk boundary inside a block of 1,100 taus.
+        n_values, betas, taus = WRITER_GRIDS["chunk-in-block"]
+        assert rows % len(taus) != 0
+        assert rows < len(n_values) * len(betas) * len(taus)
+        # The second chunk starts inside a block and holds the next one whole.
+        n_values, betas, taus = WRITER_GRIDS["blocks-after-boundary"]
+        total = len(n_values) * len(betas) * len(taus)
+        after = -(-rows // len(taus)) * len(taus)
+        assert rows % len(taus) != 0
+        assert after + len(taus) <= min(2 * rows, total)
     columns, table = run_sweep("correlations", *WRITER_GRIDS["special-time"])
     text = io.StringIO()
     _write_csv(columns, table, 1, text)
     rows = [line.split(",") for line in text.getvalue().splitlines()[2:]]
     assert "-0" in [row[columns.index("u")] for row in rows]
     assert {row[2] for row in rows if row[1] == "0"} == {"inf"}
+    columns, table = run_sweep("correlations", *WRITER_GRIDS["pore-100"])
+    cells = np.abs(np.concatenate(table[4:]))
+    assert cells[cells > 0].min() < 1e-200
+
+
+def test_csv_of_extreme_values_matches_reference():
+    # Cells Python formats itself (subnormals, |v| > 1e280, inf, nan, a 17-
+    # digit tie) beside the formatter's own extremes, in every column.
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    extremes = [tiny, -2.2250738585072014e-308, 1e-300, -1e-281, 1e-280, 1e280]
+    extremes += [-1e281, 1e300, huge, math.inf, -math.inf, math.nan, 0.0, -0.0]
+    extremes += [1.0 + 2.0**-17, 0.5, 2.5, 1e23, 9.9999999999999999e-5, 1e16, 1e17]
+    n_tau = 4
+    taus = [tiny, -0.0, math.inf, 1e-300]
+    n_blocks = len(extremes)
+    rows = n_blocks * n_tau
+    values = np.array(extremes * 2 * n_tau).reshape(2, rows)
+    table = [
+        [[2, 10**400][b % 2] for b in range(n_blocks) for _ in range(n_tau)],
+        np.repeat(extremes, n_tau),
+        np.repeat(extremes[::-1], n_tau),
+        np.tile(taus, n_blocks),
+        values[0],
+        values[1, ::-1],
+    ]
+    columns = ["N", "beta", "T_K", "tau", "a", "b"]
+    text = io.StringIO()
+    _write_csv(columns, table, n_tau, text)
+    _assert_matches_reference(text.getvalue(), columns, table)
 
 
 @pytest.mark.parametrize("grid", ["edges", "single-tau"])
@@ -702,12 +742,14 @@ class _WriteLog:
 
 
 def test_writes_hold_at_most_one_chunk():
-    # One tau, so every row is its own (N, beta) block.
-    betas = [0.001 * k for k in range(2 * CSV_CHUNK_ROWS + 5)]
+    # One tau, so every row is its own (N, beta) block; the 5 value columns
+    # set the rows that CSV_CHUNK_BYTES holds.
+    rows = _chunk_rows(5)
+    betas = [0.001 * k for k in range(2 * rows + 5)]
     columns, table = run_sweep("correlations", [2], betas, [0.3])
     log = _WriteLog()
     _write_csv(columns, table, 1, log)
-    assert max(text.count("\n") for text in log.writes) == CSV_CHUNK_ROWS
+    assert max(text.count("\n") for text in log.writes) == rows
     assert len(log.writes) == 2 + 3
     _assert_matches_reference("".join(log.writes), columns, table)
 

@@ -1,0 +1,107 @@
+"""The CSV formatter against Python: format(v, ".17g") is the reference."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nanospin_qcorr import _g17
+from nanospin_qcorr._g17 import format_g17
+
+
+def _texts(values):
+    # The formatter's cells, one string each.
+    cells = format_g17(np.asarray(values, dtype=float))
+    cells[:, -1] |= np.uint64(ord("\n") << 56)
+    text = cells.view(np.uint8).ravel()
+    return text[text != 0].tobytes().decode().splitlines()
+
+
+def _assert_exact(values):
+    got = _texts(values)
+    want = [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1))
+def test_any_floats(values):
+    _assert_exact(values)
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(20240917)
+    for _ in range(16):
+        bits = rng.integers(0, 2**64, 62_500, dtype=np.uint64, endpoint=False)
+        _assert_exact(bits.view(np.float64))
+
+
+def _powers_of_ten():
+    return np.array([float(f"1e{k}") for k in range(-310, 309)])
+
+
+def test_boundaries():
+    p10 = _powers_of_ten()
+    p10 = p10[p10 > 0]
+    values = [p10, np.nextafter(p10, np.inf), np.nextafter(p10, 0.0)]
+    values.append(
+        [
+            # The fixed/exponent switches, each side.
+            1e-5, 9.9999999999999991e-06, 1e-4, 9.9999999999999991e-05,
+            9.9999999999999999e-05, 1e16, 9999999999999998.0, 1e17,
+            99999999999999984.0, 1.0000000000000002e17,
+            # Three-digit exponents.
+            1e100, 1.5e-100, 2.4247657066047952e-210, 2.5e250, -3.3e-300,
+            # Ties at the 18th digit, and the usual suspects.
+            1.0 + 2.0**-17, 0.5, 2.5, 1e23, 0.1, 1.0 / 3.0,
+            5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            0.0, -0.0, math.inf, -math.inf, math.nan,
+        ]
+    )
+    values = np.concatenate([np.ravel(v) for v in values])
+    _assert_exact(np.concatenate([values, -values]))
+
+
+def test_boundaries_include_values_that_round_up_a_decade():
+    # Doubles just below 10^k whose 17 digits round up to 10^17: the exponent
+    # moves up by one, as %g's does.
+    up = [
+        v
+        for k, v in zip(range(-310, 309), _powers_of_ten().tolist())
+        if 0 < v and Fraction(v) < Fraction(10) ** k and format(v, ".17g")[:2] == "1e"
+    ]
+    assert len(up) > 10
+    _assert_exact(up)
+
+
+def _near_ties():
+    # Doubles v = m 2^-(j + n), 10^x <= v < 10^(x + 1) and n = 16 - x, whose
+    # scaled value v 10^n lies 2^-j from a tie: 5^n m = 2^(j-1) +- 1
+    # (mod 2^j), m of 53 bits.
+    for x in range(-12, 16):
+        n = 16 - x
+        for j in range(20, 53):
+            for step in (1, -1):
+                m = (2 ** (j - 1) + step) * pow(5**n, -1, 2**j) % 2**j
+                m += -(-(2**52 - m) // 2**j) * 2**j
+                v = math.ldexp(m, -(j + n))
+                if m < 2**53 and 10.0**x <= v < 10.0 ** (x + 1):
+                    yield v
+
+
+def test_near_ties():
+    # Within the double-double's error of a tie, only Python can tell.
+    values = list(_near_ties())
+    assert len(values) > 20
+    _assert_exact(values)
+
+
+def test_power_of_ten_table_is_exact_to_2_pow_104():
+    table = zip(*_g17._pow10_table())
+    for k, (hi, lo) in zip(range(_g17._X_MIN, _g17._X_MAX + 1), table, strict=True):
+        exact = Fraction(10) ** k
+        assert hi == float(exact)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104
