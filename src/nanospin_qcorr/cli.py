@@ -89,6 +89,8 @@ MAX_SWEEP_ROWS = 1_000_000
 CSV_CHUNK_BYTES = 224 << 10
 
 _SCALARS = ("concurrence", "discord", "geometric_discord")
+# The CSV separators, in the last byte of a formatted cell.
+_COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
 
 
 def _base_columns(quantity: str):
@@ -193,29 +195,24 @@ def _write_csv(columns, table, n_tau, stream) -> None:
     stream.write(_HEADER + "\n")
     stream.write(",".join(columns) + "\n")
     n_col, values = table[0], table[4:]
-    beta_col, temp_col, tau_col = (np.asarray(c, float) for c in table[1:4])
     rows = _chunk_rows(len(values))
-    comma, newline = (np.uint64(ord(c) << 56) for c in ",\n")
     for lo in range(0, len(n_col), rows):
         hi = min(lo + rows, len(n_col))
         first = lo - lo % n_tau
-        starts = np.arange(first, hi, n_tau)
+        starts = range(first, hi, n_tau)
         # The chunk meets n_taus distinct taus, from row lo's in axis order
         # (wrapping): row i's is number (i - lo) % n_tau.
         n_blocks, n_taus = len(starts), min(hi - lo, n_tau)
         n_lead = 2 * n_blocks + n_taus
-        cells = format_g17(
-            np.concatenate(
-                [
-                    beta_col[starts],
-                    temp_col[starts],
-                    tau_col[lo : lo + n_taus],
-                    np.column_stack([col[lo:hi] for col in values]).ravel(),
-                ]
-            )
-        )
-        cells[:, -1] |= comma
-        cells[n_lead + len(values) - 1 :: len(values), -1] ^= comma ^ newline
+        x = np.empty(n_lead + (hi - lo) * len(values))
+        x[:n_blocks] = table[1][first:hi:n_tau]
+        x[n_blocks : 2 * n_blocks] = table[2][first:hi:n_tau]
+        x[2 * n_blocks : n_lead] = table[3][lo : lo + n_taus]
+        for j, col in enumerate(values):
+            x[n_lead + j :: len(values)] = col[lo:hi]
+        cells = format_g17(x)
+        cells[:, -1] |= _COMMA
+        cells[n_lead + len(values) - 1 :: len(values), -1] ^= _COMMA ^ _NEWLINE
         cells = cells.view(np.uint8)
         # "N,beta,T_K," per block and "tau," per tau, NUL-padded to the
         # longest of each.
