@@ -2,7 +2,7 @@
 
 Closed-form entanglement (concurrence, entanglement of formation),
 quantum discord and geometric discord for the centrosymmetric reduced
-states of the nanopore model, together with a dense brute-force engine
+states of the nanopore model, together with a brute-force pair oracle
 that validates every closed form.
 """
 
@@ -12,14 +12,12 @@ from .cs_matrix import (
     CSDensityMatrix,
     check_cs_rows,
     cs_bloch,
-    cs_eigenvalues,
     cs_from_params,
     cs_from_vector,
     cs_spectrum,
 )
 from .discord import (
     DiscordResult,
-    MeasurementBasis,
     discord_bell_diagonal,
     discord_cs,
     discord_cs_rows,

@@ -4,7 +4,7 @@ Two subcommands:
 
 * ``sweep`` evaluates correlation quantities over a grid of pore size,
   inverse temperature and interaction time, writing CSV or JSON,
-* ``verify`` runs the closed forms against the dense reference engine
+* ``verify`` runs the closed forms against the brute-force pair oracle
   and reports the worst discrepancy per quantity, failing on violation.
 
 Output is deterministic: identical configuration produces byte-identical
@@ -13,20 +13,12 @@ exactly.
 
 The CSV writer uses the grid's shape: rows come in blocks of one (N, beta)
 pair over every tau.  It writes as many rows at a time as CSV_CHUNK_BYTES
-of value cells hold, 56 bytes of padded text each, and at least one, so
-that it holds one chunk at a time whatever the grid's shape.  For each
-chunk one call of ``_g17.format_g17`` formats, in numpy, the beta and T_K of
-each block it meets, each of its taus once, and its value cells: the exact
-decimal exponent from log10 and a table of powers of ten, and 17
-significant digits, rounded half to even, from Dekker's exact product of
-|x| with the power of ten that scales it, as a double-double.  Each cell's
-text sits in fixed, zero-padded slots laid out by %g's rules (fixed
-notation for exponents -4 to 16, else "e+dd[d]"; no trailing zeros or bare
-point); the writer joins each row's "N,beta,T_K,", tau and cells, drops
-the zero bytes and makes one write.  A cell within 2^-36 of a rounding
-tie, one outside [1e-280, 1e280], inf and nan go to Python's
-``format(x, '.17g')`` one at a time, so the bytes are those of a
-cell-by-cell writer.
+of value cells hold, and at least one, so that it holds one chunk at a
+time whatever the grid's shape.  For each chunk one call of
+``_g17.format_g17``, whose docstring gives its method, formats the beta
+and T_K of each block it meets, each of its taus once, and its value cells,
+with the bytes of Python's ``format(x, '.17g')``; the writer joins each
+row's "N,beta,T_K,", tau and cells, drops the zero bytes and makes one write.
 JSON output records the grid (N, beta, tau and omega0) it was built from,
 and is written on one line by a single ``json.dumps`` call.
 
@@ -52,6 +44,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .exact_oracle import pair_states
 from .nanopore import (
     OMEGA0_DEFAULT,
     beta_from_temperature,
@@ -68,7 +61,6 @@ from .verification import (
     analytic_rows,
     format_report,
     oracle_rows,
-    pair_states,
     run_verification,
 )
 
@@ -151,15 +143,26 @@ def run_sweep(
     Returns (columns, table): ``table`` holds one sequence per column, each
     with one value per row, and rows iterate n (outer), beta, tau (inner).
     The N column is a list of int (or inf); the others are float arrays.
+    Every discord column is clamped at 0, the closed form's and the
+    oracle's alike, since mutual - classical of a classical state is
+    rounding that may fall below 0 (a clamped cell reads 0, not -0);
+    ``discord_diff`` is the difference of the two clamped columns.
     """
     base = _base_columns(quantity)
     n_values = check_axes(n_values, betas, taus, omega0)
+
+    def written(side):
+        return {c: np.maximum(v, 0.0) if c == "discord" else v for c, v in side.items()}
+
     if engine != "analytic":
-        states = pair_states(n_values, betas, taus)
-        parts = [oracle_rows(rhos, base) for _, rhos in states]
-        oracle = {c: np.concatenate([[]] + [p[c] for p in parts]) for c in base}
+        parts = [oracle_rows(rhos, base) for rhos in pair_states(n_values, betas, taus)]
+        oracle = written(
+            {c: np.concatenate([[]] + [p[c] for p in parts]) for c in base}
+        )
     if engine != "oracle":
-        analytic = analytic_rows(correlation_grid(n_values, betas, taus), base)
+        analytic = written(
+            analytic_rows(correlation_grid(n_values, betas, taus), base)
+        )
 
     temps = [temperature_from_beta(b, omega0) for b in betas]
     per_n = len(betas) * len(taus)

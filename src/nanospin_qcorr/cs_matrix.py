@@ -35,7 +35,6 @@ __all__ = [
     "cs_from_vector",
     "cs_dense",
     "cs_spectrum",
-    "cs_eigenvalues",
     "check_cs_rows",
     "cs_bloch",
 ]
@@ -104,12 +103,15 @@ def cs_dense(params) -> np.ndarray:
 
 
 def cs_spectrum(params) -> np.ndarray:
-    """Closed-form eigenvalues of centrosymmetric parameter vectors.
+    """Closed-form eigenvalues (..., 4) of CS parameter vectors (..., 7).
 
-    ``params`` has shape (..., 7); returns shape (..., 4) in the order of
-    ``cs_eigenvalues``.
+    Each row is (L1, L2, L3, L4): L1, L2 share the branch with mean
+    (p6 + p7 + 1/2)/2, L3, L4 the one with mean (1/2 - p6 - p7)/2, the '+'
+    root first; they sum to 1.  Rows are computed as a (-1, 7) array, so a
+    single vector gets the bits of its row inside an array.
     """
-    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    p = np.asarray(params, dtype=float)
+    p1, p2, p3, p4, p5, p6, p7 = p.reshape(-1, 7).T
     s1 = 0.5 * (p6 + p7 + 0.5)
     r1 = np.sqrt(
         0.25 * (2.0 * p1 + p6 - p7 - 0.5) ** 2 + (p2 + p4) ** 2 + (p3 + p5) ** 2
@@ -118,17 +120,8 @@ def cs_spectrum(params) -> np.ndarray:
     r2 = np.sqrt(
         0.25 * (2.0 * p1 - p6 + p7 - 0.5) ** 2 + (p2 - p4) ** 2 + (p3 - p5) ** 2
     )
-    return np.stack([s1 + r1, s1 - r1, s2 + r2, s2 - r2], axis=-1)
-
-
-def cs_eigenvalues(m: CSDensityMatrix) -> tuple:
-    """Closed-form eigenvalues (L1, L2, L3, L4) of a centrosymmetric matrix.
-
-    The first pair shares the branch with mean (p6 + p7 + 1/2)/2, the second
-    the branch with mean (1/2 - p6 - p7)/2; within each pair the '+' root
-    comes first.  The four values always sum to 1.
-    """
-    return tuple(cs_spectrum(m.params[None])[0].tolist())
+    evals = np.stack([s1 + r1, s1 - r1, s2 + r2, s2 - r2], axis=-1)
+    return evals.reshape(p.shape[:-1] + (4,))
 
 
 def check_cs_rows(params) -> np.ndarray:

@@ -41,11 +41,9 @@ import numpy as np
 
 from ._kernels import _DIRECTIONS, _directions, conditional_entropy_dirs
 from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
-from .states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .states import bloch_data, check_density_matrix, entropy_bits
 
 __all__ = [
-    "MeasurementBasis",
     "DiscordResult",
     "discord_bell_diagonal",
     "discord_low_t_asymptotic",
@@ -90,45 +88,21 @@ _R_CAP = 0.5
 
 
 @dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective measurement direction on the Bloch sphere.
-
-    theta is the polar angle in [0, pi], phi the azimuth in [0, 2 pi).
-    """
-
-    theta: float
-    phi: float
-
-    @property
-    def axis(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
-    def projectors(self):
-        """The pair of rank-1 projectors (1 +- n.sigma)/2."""
-        n = self.axis
-        ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        return 0.5 * (ID2 + ns), 0.5 * (ID2 - ns)
-
-
-@dataclass(frozen=True)
 class DiscordResult:
-    """Correlation split of a state for the optimal measurement."""
+    """Correlation split of a state for the optimal measurement, measured
+    along the unit vector axis = (n_x, n_y, n_z) (-axis is the same one)."""
 
     mutual_information: float
     classical_correlation: float
     discord: float
-    basis: MeasurementBasis
+    axis: tuple
 
     def as_dict(self) -> dict:
         return {
             "mutual_information": self.mutual_information,
             "classical_correlation": self.classical_correlation,
             "discord": self.discord,
-            "theta": self.basis.theta,
-            "phi": self.basis.phi,
+            "axis": self.axis,
         }
 
 
@@ -236,27 +210,16 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best):
     return theta, phi, best
 
 
-def _basis(n: np.ndarray) -> MeasurementBasis:
-    """The measurement basis along the unit vector n."""
-    # atan2 keeps the polar angle accurate near the poles; a tiny negative
-    # azimuth would round to 2 pi under %, so that case wraps to 0.
-    phi = math.atan2(n[1], n[0]) % (2.0 * math.pi)
-    return MeasurementBasis(
-        theta=math.atan2(math.hypot(n[0], n[1]), n[2]),
-        phi=0.0 if phi == 2.0 * math.pi else phi,
-    )
-
-
 def _first_row(mutual, classical, axis) -> DiscordResult:
     """The DiscordResult of the first row of a solver's arrays."""
     mi, cc = float(mutual[0]), float(classical[0])
-    return DiscordResult(mi, cc, mi - cc, _basis(axis[0]))
+    return DiscordResult(mi, cc, mi - cc, tuple(axis[0].tolist()))
 
 
 def discord_numeric(rho, validate=True):
     """Discord of a 4x4 state rho by measurement search, as a DiscordResult.
 
-    The one-row case of ``discord_numeric_rows``, with the optimal basis.
+    The one-row case of ``discord_numeric_rows``, with the optimal axis.
     """
     return _first_row(*discord_numeric_rows([rho], validate))
 
@@ -494,7 +457,7 @@ def _refine_rows(data, phi, best, h):
 def discord_cs(m: CSDensityMatrix) -> DiscordResult:
     """Discord of a centrosymmetric state, second qubit measured.
 
-    The one-row case of ``discord_cs_rows``, with the optimal basis.
+    The one-row case of ``discord_cs_rows``, with the optimal axis.
     Raises InvalidStateError when m is not positive semidefinite.
     """
     return _first_row(*discord_cs_rows(m.params))

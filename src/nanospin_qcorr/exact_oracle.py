@@ -4,13 +4,15 @@ Everything here works in the z product basis (bit 0 = up, bit 1 = down)
 and uses none of the package's closed forms: the initial state is the exact
 transverse thermal product, and the dipolar evolution is applied through
 the diagonal phases of the squared collective z component.  The oracle,
-``pair_state``, sums the first two spins' evolved state over all 2^(n-2)
+``pair_states``, sums the first two spins' evolved state over all 2^(n-2)
 configurations of the other spins, brute force in O(2^n) memory, in a
 phase sum that every beta shares (``pair_gram``, over an array of taus,
-with one exp per tau and magnetization level); the analytic values are
-validated against it.  The dense 2^n x 2^n engine (``thermal_initial``,
-``evolve``, ``partial_trace_pair``) grows as 4^n and is the reference the
-oracle is tested against.
+with one exp per tau and magnetization level), and stacks the states of a
+grid chunk by chunk; ``pair_state`` is its one-point case.  The analytic
+values are validated against it.  The dense 2^n x 2^n engine
+(``thermal_initial``, ``evolve``, ``partial_trace_pair``) grows as 4^n;
+no package path calls it: it serves the tests, as the reference the oracle
+is checked against, and the benchmark's bindings.
 
 Sizes are checked in bytes from n, before anything is allocated: the
 budget admits pair states up to n = 20, a phase-sum block of one tau
@@ -32,6 +34,7 @@ __all__ = [
     "DenseState",
     "magnetizations",
     "pair_gram",
+    "pair_states",
     "pair_state",
     "thermal_initial",
     "evolve",
@@ -45,6 +48,8 @@ BYTE_BUDGET = 64 * 2**20
 # Bytes a pair_gram block of taus aims at, to stay in cache; a block holds
 # one tau at least, within BYTE_BUDGET.
 _BLOCK_BYTES = 2**20
+# Grid points per chunk of pair_states: about 1 MiB of arrays.
+STATE_CHUNK = 256
 
 
 class ResourceLimitError(ValueError):
@@ -55,6 +60,10 @@ def _tau_bytes(n: int) -> int:
     """Bytes each tau of a pair_gram block holds, 16 an entry: the phases on
     the basis states and their conjugate, and two arrays of level phases."""
     return 32 * ((1 << n) + n + 1)
+
+
+# Bytes of one tau's phase sum G (4 x 4 complex) that pair_states holds.
+_G_BYTES = 256
 
 
 def _check_size(n, dense: bool = False) -> int:
@@ -114,14 +123,18 @@ def thermal_initial(n: int, beta: float) -> DenseState:
     """Transverse thermal product state.
 
     Exactly equal to exp(beta I_x) / Tr[...] because the single-site
-    factors commute: each site carries (1 + tanh(beta/2) sigma_x) / 2.
+    factors commute: each site carries _site_factor(beta).
     """
     n = _check_size(n, dense=True)
-    factor = 0.5 * (ID2 + math.tanh(beta / 2.0) * PAULI_X)
-    rho = np.array([[1.0 + 0.0j]])
+    factor, rho = _site_factor(beta), np.array([[1.0 + 0.0j]])
     for _ in range(n):
         rho = np.kron(rho, factor)
     return DenseState(n=n, matrix=rho)
+
+
+def _site_factor(beta) -> np.ndarray:
+    """One site's thermal factor (1 + tanh(beta/2) sigma_x) / 2."""
+    return 0.5 * (ID2 + math.tanh(beta / 2.0) * PAULI_X)
 
 
 def evolve(state: DenseState, tau: float) -> DenseState:
@@ -170,15 +183,50 @@ def pair_gram(n, tau):
     return g.reshape(tau.shape + (4, 4)), c
 
 
-def pair_state(n, beta, tau) -> np.ndarray:
-    """4x4 state of the first two spins of evolve(thermal_initial(n, beta), tau).
+def pair_states(n_values, betas, taus):
+    """Stacks (R, 4, 4) of the grid's pair states, n outer, tau inner, in
+    chunks of STATE_CHUNK (the last may hold fewer).
 
-    Tracing out the other spins, whose thermal factor has diagonal 1/2 per
-    site, leaves rho = rho0 G / c for (G, c) = pair_gram(n, tau) and rho0 =
-    thermal_initial(2, beta): the one-point case of verification.pair_states.
+    The state of the first two spins of evolve(thermal_initial(n, beta),
+    tau) is rho0 G / c, for (G, c) = pair_gram(n, tau) and rho0 the
+    Kronecker square of _site_factor(beta): the other spins' factors have
+    diagonal 1/2.  Every n is checked against the byte budget before any
+    work.  Every beta shares an n's G while its taus fit the budget at
+    _G_BYTES apiece; past that each beta takes them in parts that do.
     """
-    g, c = pair_gram(n, tau)
-    return thermal_initial(2, beta).matrix * g / c
+    for n in n_values:
+        _check_size(n)
+    rho0 = [np.kron(f, f) for f in map(_site_factor, betas)]
+    held = BYTE_BUDGET // _G_BYTES
+
+    def blocks():
+        for n in n_values:
+            shared = len(taus) <= held and pair_gram(n, taus)
+            for r0 in rho0:
+                for lo in range(0, len(taus), held):
+                    g, c = shared or pair_gram(n, taus[lo : lo + held])
+                    yield r0, g, c
+
+    def chunks():
+        size, parts = 0, []
+        for r0, g, c in blocks():
+            lo = 0
+            while lo < len(g):
+                hi = lo + STATE_CHUNK - size
+                parts.append(r0 * g[lo:hi] / c)
+                size, lo = size + len(parts[-1]), hi
+                if size == STATE_CHUNK:
+                    yield np.concatenate(parts)
+                    size, parts = 0, []
+        if parts:
+            yield np.concatenate(parts)
+
+    return chunks()
+
+
+def pair_state(n, beta, tau) -> np.ndarray:
+    """The 4x4 pair state at one (n, beta, tau): pair_states' one-point case."""
+    return next(pair_states((n,), (beta,), (tau,)))[0]
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

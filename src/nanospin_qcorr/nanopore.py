@@ -226,8 +226,7 @@ def _correlation_table(n_values, th, cos_tau, cos_2tau, sin_tau) -> CorrelationS
 
 def correlations(params: NanoporeParams) -> CorrelationSet:
     """Pair correlators at time tau for the given pore parameters."""
-    grid = correlation_grid((params.n,), (params.beta,), (params.tau,))
-    return CorrelationSet(**{f: float(a[0]) for f, a in grid.as_dict().items()})
+    return _one_row(correlation_grid((params.n,), (params.beta,), (params.tau,)))
 
 
 def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet:
@@ -245,7 +244,11 @@ def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet
         raise ValueError("flickering times require a finite pore occupancy")
     l = _check_l(l)
     th = math.tanh(beta / 2.0)
-    grid = _correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** (l % 2)])
+    return _one_row(_correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** (l % 2)]))
+
+
+def _one_row(grid: CorrelationSet) -> CorrelationSet:
+    # The correlators of a one-point grid, as floats.
     return CorrelationSet(**{f: float(a[0]) for f, a in grid.as_dict().items()})
 
 

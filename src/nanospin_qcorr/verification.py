@@ -1,10 +1,11 @@
 """Closed forms and the brute-force pair oracle, both as columns over a grid.
 
 ``analytic_rows`` (fed by ``correlation_grid``) and ``oracle_rows`` (fed by
-``pair_states``) are the one evaluation path behind both CLI subcommands:
-``sweep`` writes their values, and ``verify`` runs them side by side, chunk
-by chunk, over a grid of (n, beta, tau), adds checks of its own and tracks
-the worst absolute discrepancy per quantity and where it occurred.
+``exact_oracle.pair_states``) are the one evaluation path behind both CLI
+subcommands: ``sweep`` writes their values, and ``verify`` runs them side
+by side, chunk by chunk, over a grid of (n, beta, tau), adds checks of its
+own and tracks the worst absolute discrepancy per quantity and where it
+occurred.  Both return raw values; ``sweep`` clamps the discord it writes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from .cs_matrix import cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
-from .exact_oracle import BYTE_BUDGET, _check_size, pair_correlations
-from .exact_oracle import pair_gram, thermal_initial
+from .exact_oracle import pair_correlations, pair_states
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import _cs_params, check_axes, concurrence_rows, correlation_grid
 from .states import _check_stack, expansion_coefficients
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "VerificationReport",
     "analytic_rows",
-    "pair_states",
     "oracle_rows",
     "run_verification",
     "format_report",
@@ -50,9 +49,6 @@ DEFAULT_N_VALUES = (3, 4, 5, 6, 7, 8, 9)
 DEFAULT_BETAS = (0.5, 1.0, 3.0, 10.0)
 DEFAULT_N_TAU = 32
 
-# Grid points per chunk of pair_states and verify: about 1 MiB of arrays.
-STATE_CHUNK = 256
-
 # Operator-expansion indices that must vanish for this model: mixed
 # identity-z, xy/yx and zx/xz products (index 0 = identity, 1..3 = x, y, z).
 _ZERO_ALPHA_INDICES = ((0, 3), (3, 0), (1, 2), (2, 1), (3, 1), (1, 3))
@@ -65,10 +61,9 @@ def analytic_rows(corr, needed) -> dict:
     concurrence, geometric_discord, discord and params, the (R, 7) CS
     parameter rows.  All derive from ``corr``, so an offset on it reaches
     every quantity.  Discord takes the exact CS reduction for every pore
-    occupancy; it is clamped at 0, since mutual - classical of a classical
-    state is rounding that may fall below 0 (a clamped row reads 0, not
-    -0).  The parameter rows are not checked here: each measure runs
-    check_cs_rows once on the rows it takes, and so do verify's checks.
+    occupancy, as mutual - classical.  The parameter rows are not checked
+    here: each measure runs check_cs_rows once on the rows it takes, and so
+    do verify's checks.
     """
     out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
     if "concurrence" in needed:
@@ -79,51 +74,10 @@ def analytic_rows(corr, needed) -> dict:
             out["geometric_discord"] = geometric_discord_rows(params)
         if "discord" in needed:
             mutual, classical, _ = discord_cs_rows(params)
-            out["discord"] = np.maximum(mutual - classical, 0.0)
+            out["discord"] = mutual - classical
         if "params" in needed:
             out["params"] = params
     return out
-
-
-def pair_states(n_values, betas, taus):
-    """(points, rhos) chunks of up to STATE_CHUNK grid points, n outer, tau inner.
-
-    rhos stacks the points' 4x4 pair states, built as in pair_state as
-    rho0(beta) G / c, broadcast over slices of each (n, beta)'s stacked
-    phase sums.  Every n is checked against the oracle's byte budget before
-    any work.  Every beta shares one pair_gram call's phase sums G over an
-    n's taus while their 256 bytes apiece fit the budget; past that each
-    beta takes them in parts that do.
-    """
-    for n in n_values:
-        _check_size(n)
-    rho0 = [thermal_initial(2, beta).matrix for beta in betas]
-    held = BYTE_BUDGET // 256
-
-    def blocks():
-        for n in n_values:
-            shared = len(taus) <= held and pair_gram(n, taus)
-            for beta, r0 in zip(betas, rho0):
-                for lo in range(0, len(taus), held):
-                    g, c = shared or pair_gram(n, taus[lo : lo + held])
-                    yield [(n, beta, t) for t in taus[lo : lo + len(g)]], r0, g, c
-
-    def chunks(stream):
-        points, parts = [], []
-        for pts, r0, g, c in stream:
-            lo = 0
-            while lo < len(pts):
-                hi = lo + STATE_CHUNK - len(points)
-                points += pts[lo:hi]
-                parts.append(r0 * g[lo:hi] / c)
-                lo = hi
-                if len(points) == STATE_CHUNK:
-                    yield points, np.concatenate(parts)
-                    points, parts = [], []
-        if points:
-            yield points, np.concatenate(parts)
-
-    return chunks(blocks())
 
 
 def oracle_rows(rhos, needed) -> dict:
@@ -208,7 +162,7 @@ def run_verification(
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
     grid's axes and every n's size budget are checked before anything is
-    evaluated; both sides then run on STATE_CHUNK grid points at a time.
+    evaluated; both sides then run on each chunk of pair_states in turn.
     """
     if n_tau < 1 or not n_values or not betas:
         raise ValueError(
@@ -221,21 +175,30 @@ def run_verification(
     worst = {name: 0.0 for name in DEFAULT_TOLERANCES}
     if not include_discord:
         worst.pop("discord")
-    worst_at = {}
+    worst_row = {}
     needed = tuple(worst) + CORR_FIELDS + ("params",)
 
     states = pair_states(n_values, betas, taus)
     corr = correlation_grid(n_values, betas, taus)
     corr = replace(corr, q=corr.q + corruption)
-    for lo, (points, rhos) in zip(range(0, len(corr.q), STATE_CHUNK), states):
-        part = slice(lo, lo + STATE_CHUNK)
+    lo = 0
+    for rhos in states:
+        part = slice(lo, lo + len(rhos))
         model = analytic_rows(
             replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS}), needed
         )
         for name, diff in _diffs(model, oracle_rows(rhos, needed), rhos, worst).items():
             k = int(np.argmax(diff))
             if diff[k] > worst[name]:
-                worst[name], worst_at[name] = float(diff[k]), points[k]
+                worst[name], worst_row[name] = float(diff[k]), lo + k
+        lo += len(rhos)
+    # Rows run n outer, tau inner: row i is at n_values[i // (B T)],
+    # betas[i // T % B], taus[i % T].
+    n_b, n_t = len(betas), len(taus)
+    worst_at = {
+        name: (n_values[i // (n_b * n_t)], betas[i // n_t % n_b], taus[i % n_t])
+        for name, i in worst_row.items()
+    }
     tols = {name: DEFAULT_TOLERANCES[name] for name in worst}
     return VerificationReport(worst, tols, len(corr.q), worst_at)
 

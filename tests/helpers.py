@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from nanospin_qcorr import cs_from_params
-from nanospin_qcorr._kernels import conditional_entropy_point
-from nanospin_qcorr.exact_oracle import pair_state
+from nanospin_qcorr._kernels import conditional_entropy_dirs
+from nanospin_qcorr.exact_oracle import pair_state, pair_states
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
 from nanospin_qcorr.states import bloch_data, check_density_matrix
-from nanospin_qcorr.verification import pair_states
 
 BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
 BELL_PHI_PLUS[0, 0] = BELL_PHI_PLUS[0, 3] = 0.5
@@ -45,13 +44,13 @@ def numeric_batch() -> np.ndarray:
 def verify_dense_states() -> np.ndarray:
     """The pair states of the verify grid N 8 9 10, beta 0.5 3, 16 taus (96)."""
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
-    return np.concatenate([r for _, r in pair_states((8, 9, 10), (0.5, 3.0), taus)])
+    return np.concatenate(list(pair_states((8, 9, 10), (0.5, 3.0), taus)))
 
 
-def measurement_conditional_entropy(rho, theta: float, phi: float) -> float:
-    """Conditional entropy of the first qubit, second measured along (theta, phi)."""
+def measurement_conditional_entropy(rho, axis) -> float:
+    """Conditional entropy of the first qubit, second measured along axis."""
     x, y, T = bloch_data(check_density_matrix(rho))
-    return conditional_entropy_point(x, y, T, theta, phi)
+    return float(conditional_entropy_dirs(x, y, T, [axis])[0])
 
 
 def centrosymmetrize(rho: np.ndarray) -> np.ndarray:

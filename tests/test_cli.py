@@ -301,6 +301,8 @@ _HUGE_SPECIAL = "special:1" + "0" * 400
             f"--tau {_HUGE_SPECIAL!r}: l is too large",
             id="tau-special-overflows",
         ),
+        (["--N", "4", "--tau-range", "0:1:0"], "--tau-range step must be > 0"),
+        (["--N", "4", "--tau-range", "3:1:1"], "--tau-range needs hi >= lo"),
     ],
 )
 def test_unparsable_token_named(capsys, grid, named):
@@ -762,6 +764,29 @@ def test_discord_sweep_clamps_rounding_below_zero(tmp_path):
     assert path.read_text().splitlines()[2].split(",")[4] == "0"
     columns, table = run_sweep("discord", [2, 3, 6], [1.0, 3.0, 5.0, 7.0], [0.0])
     assert min(table[columns.index("discord")]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "n_values, engine, n_rows",
+    [(["2", "3", "16"], "oracle", 36), (["2", "3"], "both", 24)],
+    ids=["oracle", "both"],
+)
+def test_oracle_sweeps_clamp_discord_below_zero(tmp_path, n_values, engine, n_rows):
+    # The oracle's discord rounds below 0 on these grids (to -5.6e-16);
+    # every discord column is written clamped, the oracle's too, and
+    # discord_diff is the difference of the two written cells.
+    argv = ["sweep", "--quantity", "all", "--beta-range", "1:3:1", "--tau-range"]
+    argv += ["0:1.5:0.5", "--engine", engine, "--N", *n_values]
+    path = run_to_file(tmp_path, "oracle.csv", argv)
+    header, *rows = path.read_text().splitlines()[1:]
+    columns = header.split(",")
+    cells = np.array([[float(c) for c in row.split(",")] for row in rows])
+    discord = [columns.index(c) for c in ("discord", "discord_oracle") if c in columns]
+    assert len(rows) == n_rows and discord
+    assert cells[:, discord].min() == 0.0
+    if engine == "both":
+        diff = cells[:, columns.index("discord_diff")]
+        assert np.array_equal(diff, cells[:, discord[0]] - cells[:, discord[1]])
 
 
 def test_reused_parser_carries_no_state(tmp_path, capsys):

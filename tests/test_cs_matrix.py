@@ -15,7 +15,6 @@ from nanospin_qcorr import (
     check_cs_rows,
     concurrence_cs,
     cs_bloch,
-    cs_eigenvalues,
     cs_from_correlations,
     cs_from_params,
     cs_from_vector,
@@ -58,7 +57,7 @@ def test_centrosymmetry_exact(p):
 
 @given(params_strategy)
 def test_eigenvalue_sum_is_trace(p):
-    evals = cs_eigenvalues(cs_from_vector(p))
+    evals = cs_spectrum(p)
     assert abs(sum(evals) - 1.0) < 1e-14
 
 
@@ -67,7 +66,7 @@ def test_eigenvalues_match_dense_solver_any_hermitian(p):
     # The closed form holds for every Hermitian member, PSD or not.
     m = cs_from_vector(p)
     dense = np.linalg.eigvalsh(m.to_matrix())
-    assert np.max(np.abs(np.sort(cs_eigenvalues(m)) - dense)) < 1e-12
+    assert np.max(np.abs(np.sort(cs_spectrum(m.params)) - dense)) < 1e-12
 
 
 def test_eigenvalues_match_dense_solver_bulk(rng):
@@ -77,7 +76,7 @@ def test_eigenvalues_match_dense_solver_bulk(rng):
     for _ in range(10_000):
         m = random_cs(rng)
         mats.append(m.to_matrix())
-        closed.append(np.sort(cs_eigenvalues(m)))
+        closed.append(np.sort(cs_spectrum(m.params)))
     dense = np.linalg.eigvalsh(np.array(mats))
     worst = np.max(np.abs(np.array(closed) - dense))
     assert worst < 1e-12
@@ -89,13 +88,17 @@ def test_eigenvalues_are_spectrum_rows_bit_for_bit():
     # thousand, so a length-7 vector must not take the scalar path.
     rows = np.random.default_rng(5).uniform(-0.5, 0.5, size=(20_000, 7))
     spectra = cs_spectrum(rows)
+    assert spectra.shape == (20_000, 4)
     for k, p in enumerate(rows):
-        assert cs_eigenvalues(cs_from_vector(p)) == tuple(spectra[k].tolist())
+        one = cs_spectrum(p)
+        assert one.shape == (4,) and one.tolist() == spectra[k].tolist()
+    grid = cs_spectrum(rows.reshape(100, 200, 7))
+    assert np.array_equal(grid, spectra.reshape(100, 200, 4))
 
 
 def test_branch_sums():
     m = cs_from_params(0.21, 0.02, -0.01, 0.03, 0.02, 0.04, 0.05)
-    l1, l2, l3, l4 = cs_eigenvalues(m)
+    l1, l2, l3, l4 = cs_spectrum(m.params)
     assert l1 + l2 == pytest.approx(0.5 + m.p6 + m.p7, abs=1e-15)
     assert l3 + l4 == pytest.approx(0.5 - m.p6 - m.p7, abs=1e-15)
     assert l1 >= l2
@@ -107,7 +110,7 @@ def test_eigenvalues_inner_coupling_example():
     # the spectrum is {1/4 + 2q, 1/4, 1/4, 1/4 - 2q}.
     q = 0.11
     m = cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * q)
-    got = np.sort(cs_eigenvalues(m))
+    got = np.sort(cs_spectrum(m.params))
     expected = np.sort([0.25 + 2.0 * q, 0.25, 0.25, 0.25 - 2.0 * q])
     assert np.max(np.abs(got - expected)) < 1e-14
     dense = np.linalg.eigvalsh(m.to_matrix())
@@ -117,7 +120,7 @@ def test_eigenvalues_inner_coupling_example():
 def test_maximally_mixed():
     m = cs_from_params(0.25, 0, 0, 0, 0, 0, 0)
     assert np.allclose(m.to_matrix(), np.eye(4) / 4.0)
-    assert cs_eigenvalues(m) == (0.25, 0.25, 0.25, 0.25)
+    assert cs_spectrum(m.params).tolist() == [0.25, 0.25, 0.25, 0.25]
     assert check_cs_rows(m.params).tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
 

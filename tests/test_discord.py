@@ -18,7 +18,6 @@ from helpers import (
     von_neumann_entropy,
 )
 from nanospin_qcorr import (
-    MeasurementBasis,
     NanoporeParams,
     cs_from_params,
     discord_bell_diagonal,
@@ -35,6 +34,9 @@ from nanospin_qcorr.cs_matrix import _top_singular, cs_bloch, cs_dense
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.nanopore import _cs_params, correlation_grid
 from nanospin_qcorr.states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     InvalidStateError,
     binary_entropy,
     bloch_data,
@@ -92,20 +94,6 @@ def test_high_t_asymptotic_values():
     assert abs(discord_high_t_asymptotic(0.01) - exact) / exact < 1e-4
 
 
-@given(
-    st.floats(min_value=0.0, max_value=math.pi),
-    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
-)
-def test_measurement_basis_projectors(theta, phi):
-    basis = MeasurementBasis(theta=theta, phi=phi)
-    pp, pm = basis.projectors()
-    assert np.max(np.abs(pp + pm - np.eye(2))) < 1e-15
-    assert np.max(np.abs(pp @ pp - pp)) < 1e-14
-    assert np.max(np.abs(pm @ pm - pm)) < 1e-14
-    assert np.max(np.abs(pp @ pm)) < 1e-14
-    assert np.linalg.norm(basis.axis) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_product_state_has_no_discord(rng):
     rho = np.kron(random_qubit_density(rng), random_qubit_density(rng))
     res = discord_numeric(rho)
@@ -137,8 +125,8 @@ def test_result_invariants(rng):
         assert res.discord >= -1e-9
         assert res.discord <= res.mutual_information + 1e-9
         assert res.classical_correlation >= -1e-12
-        assert 0.0 <= res.basis.theta <= math.pi
-        assert 0.0 <= res.basis.phi < 2.0 * math.pi
+        assert isinstance(res.axis, tuple) and len(res.axis) == 3
+        assert np.linalg.norm(res.axis) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_local_unitary_invariance(rng):
@@ -170,7 +158,7 @@ def test_reported_basis_reproduces_objective(rng):
     res = discord_numeric(rho)
     x, _, _ = bloch_data(rho)
     s_a = binary_entropy(0.5 * (1.0 + np.linalg.norm(x)))
-    val = measurement_conditional_entropy(rho, res.basis.theta, res.basis.phi)
+    val = measurement_conditional_entropy(rho, res.axis)
     assert res.classical_correlation == pytest.approx(s_a - val, abs=1e-12)
 
 
@@ -179,10 +167,12 @@ def test_azimuthal_flatness_at_optimum():
     # objective at the optimal polar angle must not depend on phi.
     for beta in (0.5, 3.0, 20.0):
         rho = large_pore_state(beta)
-        res = discord_numeric(rho)
+        nx, ny, nz = discord_numeric(rho).axis
+        sin_theta = math.hypot(nx, ny)
+        phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         values = [
-            measurement_conditional_entropy(rho, res.basis.theta, phi)
-            for phi in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+            measurement_conditional_entropy(rho, (sin_theta * cos, sin_theta * sin, nz))
+            for cos, sin in zip(np.cos(phis), np.sin(phis))
         ]
         assert max(values) - min(values) < 1e-9
 
@@ -207,9 +197,9 @@ def test_result_as_dict():
         "mutual_information",
         "classical_correlation",
         "discord",
-        "theta",
-        "phi",
+        "axis",
     }
+    assert d["axis"] == res.axis
 
 
 def nanopore_grid():
@@ -268,7 +258,7 @@ def test_cs_reduction_basis_reproduces_objective():
     for m in states:
         res = discord_cs(m)
         rho = m.to_matrix()
-        val = measurement_conditional_entropy(rho, res.basis.theta, res.basis.phi)
+        val = measurement_conditional_entropy(rho, res.axis)
         assert res.classical_correlation == pytest.approx(
             unmeasured_entropy(rho) - val, abs=1e-12
         )
@@ -278,12 +268,12 @@ def test_cs_reduction_finds_interior_optimum():
     m = cs_from_params(*INTERIOR_OPTIMUM)
     res = discord_cs(m)
     rho = m.to_matrix()
-    assert 0.1 < abs(res.basis.axis[0]) < 0.9
+    assert 0.1 < abs(res.axis[0]) < 0.9
     # Without the zoom the grid point alone sits 4e-10 above the sphere search.
     gap = res.discord - discord_numeric(rho).discord
     assert -1e-9 < gap < 1e-12
     best = unmeasured_entropy(rho) - res.classical_correlation
-    along_x = measurement_conditional_entropy(rho, 0.5 * math.pi, 0.0)
+    along_x = measurement_conditional_entropy(rho, (1.0, 0.0, 0.0))
     assert along_x - best > 1e-6
 
 
@@ -310,7 +300,7 @@ def test_cs_rows_equal_per_state_results():
         assert mutual[k] == res.mutual_information
         assert classical[k] == res.classical_correlation
         assert mutual[k] - classical[k] == res.discord
-        assert np.allclose(axis[k], res.basis.axis, rtol=0.0, atol=1e-15)
+        assert res.axis == tuple(axis[k].tolist())
 
 
 def test_cs_rows_span_chunks():
@@ -361,10 +351,12 @@ def test_cs_rows_empty_batch():
     assert axis.shape == (0, 3)
 
 
-def explicit_conditional_entropy(rho, basis):
-    """sum_s p_s S(rho_A | s) from the projectors, not the Bloch kernel."""
+def explicit_conditional_entropy(rho, axis):
+    """sum_s p_s S(rho_A | s) from the projectors (1 +- n.sigma)/2, not the
+    Bloch kernel."""
+    ns = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
     total = 0.0
-    for proj in basis.projectors():
+    for proj in (0.5 * (np.eye(2) + ns), 0.5 * (np.eye(2) - ns)):
         op = np.kron(np.eye(2), proj)
         post = op @ rho @ op
         p = post.trace().real
@@ -387,7 +379,7 @@ def test_numeric_optimum_on_generic_states(rank):
         best = unmeasured_entropy(rho) - res.classical_correlation
         assert best <= np.min(conditional_entropy_grid(x, y, T, thetas, phis)) + 1e-12
         s_a = von_neumann_entropy(reduced_first(rho))
-        explicit = s_a - explicit_conditional_entropy(rho, res.basis)
+        explicit = s_a - explicit_conditional_entropy(rho, res.axis)
         assert res.classical_correlation == pytest.approx(explicit, abs=1e-12)
 
 

@@ -18,8 +18,8 @@ from nanospin_qcorr import (
     NanoporeParams,
     concurrence_cs,
     concurrence_numeric,
-    cs_eigenvalues,
     cs_from_params,
+    cs_spectrum,
     entanglement_of_formation,
     reduced_density,
 )
@@ -167,7 +167,7 @@ def test_block_spectra_match_closed_form(rng):
     for _ in range(100):
         m = random_cs(rng)
         b1, b2 = cs_block_diagonalize(m)
-        l1, l2, l3, l4 = cs_eigenvalues(m)
+        l1, l2, l3, l4 = cs_spectrum(m.params)
         ev1 = np.linalg.eigvalsh(b1)
         ev2 = np.linalg.eigvalsh(b2)
         assert np.max(np.abs(ev1 - np.sort([l1, l2]))) < 1e-12

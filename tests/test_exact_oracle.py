@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from nanospin_qcorr.exact_oracle import (
     magnetizations,
     pair_gram,
     pair_state,
+    pair_states,
 )
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
 
@@ -299,3 +302,89 @@ def test_pair_gram_blocks_change_no_bit(monkeypatch):
     monkeypatch.setattr(exact_oracle, "_tau_bytes", lambda n: block // 2)
     blocked = pair_gram(9, taus)
     assert blocked[1] == whole[1] and np.array_equal(blocked[0], whole[0])
+
+
+def parent_pair_state(n, beta, tau):
+    """A pair state as built point by point from the dense engine's two-spin
+    thermal state: rho0 G / c for one (n, beta, tau)."""
+    g, c = pair_gram(n, tau)
+    return thermal_initial(2, beta).matrix * g / c
+
+
+@pytest.mark.parametrize("tau_block", [None, 2, "parts"])
+def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
+    # One pair_gram call per n serves every beta, its taus in blocks of as
+    # many as a block's bytes hold (one at n = 20, or two when patched);
+    # past a part of G's that the budget holds (patched to four taus), each
+    # beta takes its parts.  Either way, and across chunk boundaries, the
+    # chunks hold the per-point states bit for bit, in grid order.
+    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 7)
+    if tau_block == 2:
+        block = exact_oracle._BLOCK_BYTES
+        monkeypatch.setattr(exact_oracle, "_tau_bytes", lambda n: block // tau_block)
+    elif tau_block == "parts":
+        monkeypatch.setattr(exact_oracle, "_G_BYTES", BYTE_BUDGET // 4)
+    calls = []
+    monkeypatch.setattr(
+        exact_oracle, "pair_gram", lambda n, t: calls.append(len(t)) or pair_gram(n, t)
+    )
+    # Two-tau blocks at n = 20 would hold more than the real budget.
+    n_values, betas = (3, 9, 16 if tau_block == 2 else 20), (0.0, math.inf)
+    taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 5.9)
+    chunks = list(pair_states(n_values, betas, taus))
+    points = [(n, b, t) for n in n_values for b in betas for t in taus]
+    assert [len(rhos) for rhos in chunks] == [7] * 5 + [1]
+    per_n = [4, 2] * len(betas) if tau_block == "parts" else [6]
+    assert calls == per_n * len(n_values)
+    for point, rho in zip(points, np.concatenate(chunks), strict=True):
+        assert np.array_equal(rho, parent_pair_state(*point))
+
+
+def per_point_chunks(n_values, betas, taus, size):
+    """pair_states' chunks built point by point: a (rho0, G, c) per grid
+    point, stacked per chunk into one broadcast rho0 G / c."""
+    rho0 = [thermal_initial(2, beta).matrix for beta in betas]
+    rows = []
+    for n in n_values:
+        g, c = pair_gram(n, taus)
+        rows += [(r0, gk, c) for r0 in rho0 for gk in g]
+    for lo in range(0, len(rows), size):
+        r0, g, c = zip(*rows[lo : lo + size])
+        yield np.array(r0) * np.array(g) / np.array(c)[:, None, None]
+
+
+def test_pair_states_slices_equal_per_point_chunks(monkeypatch):
+    # Five-point chunks over 3 N x 2 betas x 7 taus start at every offset
+    # of an (n, beta) block and span up to three blocks; each equals the
+    # point-by-point construction bit for bit.
+    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
+    grid = ((3, 8, 12), (0.7, math.inf), tuple(np.linspace(0.0, 6.0, 7)))
+    chunks = list(pair_states(*grid))
+    want = list(per_point_chunks(*grid, 5))
+    assert [len(rhos) for rhos in chunks] == [5] * 8 + [2]
+    assert len(chunks) == len(want)
+    for rhos, want_rhos in zip(chunks, want):
+        assert np.array_equal(rhos, want_rhos)
+
+
+def test_no_package_path_uses_the_dense_engine():
+    # The 4^n engine serves the tests and the benchmark's bindings: the
+    # other modules name none of it (the package root re-exports it), and
+    # take nothing private from this module.
+    dense = {
+        "thermal_initial",
+        "evolve",
+        "partial_trace_pair",
+        "measure_correlations",
+        "DenseState",
+    }
+    for path in Path(exact_oracle.__file__).parent.glob("*.py"):
+        if path.name in ("exact_oracle.py", "__init__.py"):
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in nodes}
+        imports = [n for n in nodes if isinstance(n, ast.ImportFrom)]
+        names |= {a.name for n in imports for a in n.names}
+        assert not dense & names, path.name
+        taken = [a.name for n in imports if n.module == "exact_oracle" for a in n.names]
+        assert not [name for name in taken if name.startswith("_")], path.name

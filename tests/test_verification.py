@@ -16,7 +16,6 @@ from nanospin_qcorr import (
 )
 from nanospin_qcorr.discord import discord_numeric_rows
 from nanospin_qcorr.entanglement import concurrence_numeric_rows
-from nanospin_qcorr.exact_oracle import pair_state
 
 
 def test_small_grid_passes():
@@ -93,7 +92,9 @@ def test_format_report_marks_failure():
     assert not report.ok
 
 
-def test_worst_discrepancy_is_located():
+def test_worst_discrepancy_is_located(monkeypatch):
+    # Five-state chunks: the 12 states' worst rows are located across chunks.
+    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
     grid = dict(n_tau=3, include_discord=False)
     report = run_verification(n_values=(3, 4), betas=(1.0, 2.0), **grid)
     assert report.worst_at
@@ -131,7 +132,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(verification, "pair_gram")
+    counting(exact_oracle, "pair_gram")
     counting(verification, "correlation_grid")
     counting(cli, "correlation_grid")
     return counts
@@ -179,73 +180,12 @@ def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
     # report of a single chunk, state for state.
     grid = dict(n_values=(3, 4), betas=(1.0, 2.5), n_tau=3)
     whole = run_verification(**grid)
-    monkeypatch.setattr(verification, "STATE_CHUNK", 5)
+    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
     chunked = run_verification(**grid)
     assert chunked == whole
     assert chunked.states_checked == 12
     # One phase sum per n, over its three taus, serves both betas.
     assert counted["pair_gram"] == 4
-
-
-@pytest.mark.parametrize("tau_block", [None, 2, "parts"])
-def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
-    # One pair_gram call per n serves every beta, its taus in blocks of as
-    # many as a block's bytes hold (one at n = 20, or two when patched);
-    # past a part of G's that the budget holds (patched to four taus), each
-    # beta takes its parts.  Either way, and across chunk boundaries, the
-    # chunks hold the per-point pair_state results bit for bit.
-    monkeypatch.setattr(verification, "STATE_CHUNK", 7)
-    if tau_block == 2:
-        block = exact_oracle._BLOCK_BYTES
-        monkeypatch.setattr(exact_oracle, "_tau_bytes", lambda n: block // tau_block)
-    elif tau_block == "parts":
-        monkeypatch.setattr(verification, "BYTE_BUDGET", 4 * 256)
-    calls = []
-    gram = verification.pair_gram
-    monkeypatch.setattr(
-        verification, "pair_gram", lambda n, t: calls.append(len(t)) or gram(n, t)
-    )
-    # Two-tau blocks at n = 20 would hold more than the real budget.
-    n_values, betas = (3, 9, 16 if tau_block == 2 else 20), (0.0, math.inf)
-    taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 5.9)
-    chunks = list(verification.pair_states(n_values, betas, taus))
-    points = [p for part, _ in chunks for p in part]
-    assert points == [(n, b, t) for n in n_values for b in betas for t in taus]
-    assert all(len(part) == len(rhos) <= 7 for part, rhos in chunks)
-    rhos = np.concatenate([rhos for _, rhos in chunks])
-    for point, rho in zip(points, rhos):
-        assert np.array_equal(rho, pair_state(*point))
-    per_n = [4, 2] * len(betas) if tau_block == "parts" else [6]
-    assert calls == per_n * len(n_values)
-
-
-def per_point_chunks(n_values, betas, taus, size):
-    """pair_states' chunks built point by point: a (point, rho0, G, c) per
-    grid point, stacked per chunk into one broadcast rho0 G / c."""
-    rho0 = [exact_oracle.thermal_initial(2, beta).matrix for beta in betas]
-    rows = []
-    for n in n_values:
-        g, c = exact_oracle.pair_gram(n, taus)
-        for beta, r0 in zip(betas, rho0):
-            rows += [((n, beta, t), r0, gk, c) for t, gk in zip(taus, g)]
-    for lo in range(0, len(rows), size):
-        pts, r0, g, c = zip(*rows[lo : lo + size])
-        yield list(pts), np.array(r0) * np.array(g) / np.array(c)[:, None, None]
-
-
-def test_pair_states_slices_equal_per_point_chunks(monkeypatch):
-    # Five-point chunks over 3 N x 2 betas x 7 taus start at every offset
-    # of an (n, beta) block and span up to three blocks; each equals the
-    # point-by-point construction bit for bit.
-    monkeypatch.setattr(verification, "STATE_CHUNK", 5)
-    grid = ((3, 8, 12), (0.7, math.inf), tuple(np.linspace(0.0, 6.0, 7)))
-    chunks = list(verification.pair_states(*grid))
-    want = list(per_point_chunks(*grid, 5))
-    assert [len(p) for p, _ in chunks] == [5] * 8 + [2]
-    assert len(chunks) == len(want)
-    for (points, rhos), (want_points, want_rhos) in zip(chunks, want):
-        assert points == want_points
-        assert np.array_equal(rhos, want_rhos)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -262,7 +202,7 @@ def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
 def test_oracle_rows_decompose_each_stack_once(monkeypatch):
     # The density check's eigh gives the discord's entropies and the
     # concurrence's spin flip; no other eigensolver sees a 4x4 stack.
-    (_, rhos), *_ = verification.pair_states((3, 8), (0.5, 3.0), [0.3, 1.1, 2.0])
+    rhos, *_ = exact_oracle.pair_states((3, 8), (0.5, 3.0), [0.3, 1.1, 2.0])
     needed = ("concurrence", "geometric_discord", "discord")
     calls = []
 
@@ -286,7 +226,7 @@ def test_oracle_rows_decompose_each_stack_once(monkeypatch):
 
 
 def test_oracle_rows_reject_a_stack_that_is_not_a_state():
-    (_, rhos), *_ = verification.pair_states((3,), (1.0,), [0.3, 1.1])
+    rhos, *_ = exact_oracle.pair_states((3,), (1.0,), [0.3, 1.1])
     bad = rhos.copy()
     bad[1] = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
