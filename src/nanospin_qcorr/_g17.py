@@ -9,7 +9,7 @@ between and after the slots' text; the writer drops the zero bytes.  Word 0
 holds the sign and the "0.000" lead of a fixed cell below 1; words 1-3 the
 digits before the point (d0-d7, d8-d15, d16) and the point (byte 7 of
 word 3); words 4-5 the digits d1-d16 after it; word 6 "e+dd" or "e+ddd",
-and the separator in its byte 7.
+and the separator in its byte 7.  A zero cell is the constant "0" or "-0".
 """
 
 from __future__ import annotations
@@ -104,22 +104,31 @@ _P10_UP = np.where(_P10_LO > 0.0, np.nextafter(_P10_HI, np.inf), _P10_HI)
 _DIGITS, _LENGTH, _ZONE, _N_INT, _MASKS = _text_tables()
 _D16 = np.arange(48, 58, dtype=np.uint64) | np.uint64(ord(".") << 56)
 _SIGN = np.array([0, ord("-")], np.uint64)
+# The cells of 0.0 and -0.0 ("0" in word 1), and a cell as one item.
+_ZERO = np.zeros((2, CELL_WORDS), np.uint64)
+_ZERO[:, 0], _ZERO[:, 1] = _SIGN, ord("0")
+_CELL = np.dtype((np.void, CELL_BYTES))
 
 
 def format_g17(x):
     """format(v, ".17g") of each v in the float64 array x, as (len(x), 7) uint64.
 
-    The bytes of row i, zero bytes dropped, are format(x[i], ".17g").  The
-    decimal exponent X is floor(log10|v|), corrected against the table of
-    powers of ten.  The 17-digit significand D = round-half-even(|v|
-    10^(16-X)) comes from Dekker's exact product of |v| with 10^(16-X) as
-    a double-double, with an error below 2^-45.  Python formats a cell
-    whose product lies within 2^-36 of a rounding tie, and one with |v|
-    outside [1e-280, 1e280] (where the split could leave the normal range),
-    inf or nan.
+    The bytes of row i, zero bytes dropped, are format(x[i], ".17g").  Zero
+    cells take _ZERO; the others run as a chunk of their own.  The decimal
+    exponent X is floor(log10|v|), corrected against the table of powers of
+    ten.  The 17-digit significand D = round-half-even(|v| 10^(16-X)) comes
+    from Dekker's exact product of |v| with 10^(16-X) as a double-double,
+    with an error below 2^-45.  Python formats a cell whose product lies
+    within 2^-36 of a rounding tie, and one with |v| outside [1e-280,
+    1e280] (where the split could leave the normal range), inf or nan.
     """
+    nonzero = x != 0.0
+    if not nonzero.all():
+        out = np.take(_ZERO, np.signbit(x).view(np.uint8), axis=0)
+        out.view(_CELL)[nonzero] = format_g17(x[nonzero]).view(_CELL)
+        return out
     a = np.abs(x)
-    zero, ok = a == 0.0, (a >= 1e-280) & (a <= 1e280)
+    ok = (a >= 1e-280) & (a <= 1e280)
     a = np.where(ok, a, 1.0)
     X = np.log10(a).astype(np.intp) - _X_MIN  # the floor, or 1 above it
     X -= a < _P10_UP[X]
@@ -128,7 +137,7 @@ def format_g17(x):
     p, r = _two_product(a, _P10_HI[k], (_P10_HH[k], _P10_HL[k]))
     r += a * _P10_LO[k]
     near = np.rint(r)
-    python = ~(ok | zero) | (np.abs(r - near) > 0.5 - 2.0**-36)
+    python = ~ok | (np.abs(r - near) > 0.5 - 2.0**-36)
     # p >= 2^53 is an even integer, so p + round(r) is D rounded half-even.
     D = p.astype(np.int64) + near.astype(np.int64)
     up = D == 10**17
@@ -141,7 +150,6 @@ def format_g17(x):
     A = _DIGITS[g0] | (_DIGITS[g1] << np.uint64(32))
     B = _DIGITS[g2] | (_DIGITS[g3] << np.uint64(32))
     C = _D16[d16]
-    A[zero] = ord("0")
     s = np.maximum(np.maximum(_LENGTH[0, g0], _LENGTH[1, g1]), _LENGTH[2, g2])
     s = np.where(d16 > 0, 17, np.maximum(s, _LENGTH[3, g3]))
     # The point follows digit n_int - 1, if more digits are kept.

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -168,7 +169,7 @@ def run_sweep(
     per_n = len(betas) * len(taus)
     columns = ["N", "beta", "T_K", "tau"]
     table = [
-        [n for n in n_values for _ in range(per_n)],
+        list(itertools.chain.from_iterable([n] * per_n for n in n_values)),
         np.tile(np.repeat(betas, len(taus)), len(n_values)),
         np.tile(np.repeat(temps, len(taus)), len(n_values)),
         np.tile(taus, len(n_values) * len(betas)),

@@ -14,10 +14,11 @@ The spectrum splits into two branches with closed-form eigenvalues; no
 dense eigensolver is needed for states of this family.  The matrix, the
 spectrum and the Bloch data are written once, for arrays of parameter
 vectors (``cs_dense``, ``cs_spectrum``, ``cs_bloch``); one state is one row.
-So are the two singular values of T's yz block, which both discord
-measures read (``_top_singular``).  Which rows are states is decided once
-too: ``check_cs_rows`` is the one validity rule that every
-centrosymmetric measure applies.
+So are the Bloch data's seven nonzero entries, which both discord measures
+read (``_cs_entries``), and the singular values and vector of T's yz block
+(``_top_singular``, ``_top_vector``).  Which rows are states is decided once
+too: ``check_cs_rows`` (with the entries: ``_checked_rows``) is the one
+validity rule that every centrosymmetric measure applies.
 """
 
 from __future__ import annotations
@@ -150,39 +151,48 @@ def check_cs_rows(params) -> np.ndarray:
     return evals
 
 
+def _cs_entries(params):
+    """x1, y1, T_xx and T's yz block a, b, c, d of CS rows (..., 7), each (...)."""
+    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    x1, y1, txx = 4.0 * p4, 4.0 * p2, 2.0 * (p6 + p7)
+    return x1, y1, txx, 2.0 * (p7 - p6), -4.0 * p5, -4.0 * p3, 4.0 * p1 - 1.0
+
+
+def _checked_rows(params):
+    """(check_cs_rows, _cs_entries) of CS rows (..., 7): a measure's _checked."""
+    params = np.asarray(params, dtype=float).reshape(-1, 7)
+    return check_cs_rows(params), _cs_entries(params)
+
+
 def cs_bloch(params):
     """Closed-form Bloch data (x, y, T) of centrosymmetric parameter vectors.
 
     ``params`` has shape (..., 7); returns arrays of shapes (..., 3),
     (..., 3) and (..., 3, 3).
     """
-    p = np.asarray(params, dtype=float)
-    p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(p, -1, 0)
-    zero = np.zeros_like(p1)
-    x = np.stack([4.0 * p4, zero, zero], axis=-1)
-    y = np.stack([4.0 * p2, zero, zero], axis=-1)
-    T = np.stack(
-        [
-            2.0 * (p6 + p7), zero, zero,
-            zero, 2.0 * (p7 - p6), -4.0 * p5,
-            zero, -4.0 * p3, 4.0 * p1 - 1.0,
-        ],
-        axis=-1,
-    ).reshape(p.shape[:-1] + (3, 3))
-    return x, y, T
+    x1, y1, txx, a, b, c, d = _cs_entries(params)
+    zero = np.zeros_like(x1)
+    x = np.stack([x1, zero, zero], axis=-1)
+    y = np.stack([y1, zero, zero], axis=-1)
+    T = np.stack([txx, zero, zero, zero, a, b, zero, c, d], axis=-1)
+    return x, y, T.reshape(x1.shape + (3, 3))
 
 
-def _top_singular(B):
-    """Singular values s_max, s_min (R,) and s_max's right vector (R, 2) of B (R, 2, 2).
+def _top_singular(a, b, c, d):
+    """Singular values s_max, s_min of the blocks [[a, b], [c, d]], each (R,).
 
     [[a, b], [c, d]] is a rotation by -alpha scaled by |(a + d, b - c)| / 2 plus
     a reflection about beta / 2 scaled by |(a - d, b + c)| / 2; at
-    g = (alpha + beta) / 2 both take (cos g, sin g) to one direction.
+    g = (alpha + beta) / 2 both take (cos g, sin g), s_max's right vector
+    (_top_vector), to one direction.
     s_min = |a d - b c| / s_max: with p3 = 0 and p6 = p7 a CS block has
     a = c = 0, so s_min is exactly 0, never a rounding residue.
     """
-    a, b, c, d = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
     s_max = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
-    s_min = np.abs(a * d - b * c) / np.maximum(s_max, 1e-300)
+    return s_max, np.abs(a * d - b * c) / np.maximum(s_max, 1e-300)
+
+
+def _top_vector(a, b, c, d):
+    """s_max's right singular vector (R, 2) of _top_singular's blocks."""
     g = 0.5 * (np.arctan2(b - c, a + d) + np.arctan2(b + c, a - d))
-    return s_max, s_min, np.stack([np.cos(g), np.sin(g)], axis=-1)
+    return np.stack([np.cos(g), np.sin(g)], axis=-1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _DIRECTIONS, _directions, conditional_entropy_dirs
-from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
+from .cs_matrix import CSDensityMatrix, _checked_rows, _top_singular, _top_vector
 from .states import bloch_data, check_density_matrix, entropy_bits
 
 __all__ = [
@@ -141,9 +141,12 @@ def discord_high_t_asymptotic(beta: float) -> float:
     return beta**4 / (128.0 * math.log(2.0))
 
 
-def _entropies(x, y, evals):
-    """Per row, the unmeasured qubit's entropy and the mutual information."""
-    half = 0.5 * (1.0 + np.linalg.norm(np.stack([x, y], axis=1), axis=-1))
+def _entropies(lengths, evals):
+    """Per row, the unmeasured qubit's entropy and the mutual information.
+
+    ``lengths`` (R, 2) holds the lengths |x| and |y| of the Bloch vectors.
+    """
+    half = 0.5 * (1.0 + lengths)
     s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
     return s_a, s_a + s_b - entropy_bits(evals)
 
@@ -257,7 +260,7 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     rhos = rhos.reshape(-1, 4, 4)
     x, y, T = bloch_data(rhos)
     evals = np.linalg.eigvalsh(rhos) if _evals is None else _evals
-    s_a, mutual = _entropies(x, y, evals)
+    s_a, mutual = _entropies(np.linalg.norm(np.stack([x, y], axis=1), axis=-1), evals)
 
     n_th, n_ph = DEFAULT_GRID
     thetas = np.linspace(0.0, math.pi, n_th)
@@ -292,14 +295,16 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     return mutual, s_a - best, axis
 
 
-def discord_cs_rows(params):
+def discord_cs_rows(params, *, _checked=None):
     """Discord of centrosymmetric states, second qubit measured, row by row.
 
     ``params`` holds one parameter vector p1..p7 per row, shape (..., 7).
     Returns the arrays (mutual_information, classical_correlation, axis) of
     shapes (R,), (R,) and (R, 3): discord is the first minus the second, and
     axis is the optimal measured direction.  A row that is not a state
-    raises InvalidStateError (check_cs_rows).
+    raises InvalidStateError (check_cs_rows), whose spectra give the
+    entropies.  ``_checked`` is the rows' cs_matrix._checked_rows when the
+    caller has made it (``verification.analytic_rows`` does).
 
     x and y of a CS state lie along x and T is T_xx plus a yz block B, so
     the objective depends on n only through t = |n_x| and |B n_yz|, least
@@ -312,15 +317,14 @@ def discord_cs_rows(params):
     minimum is not flat to rounding are refined (_refine_rows) when it is
     interior, or at an endpoint whose slope test fails:
     f'(1) = H'(1) - H'(-1) > 0 at t = 1, H''(0) < 0 at t = 0.  axis is
-    (t, sqrt(1 - t^2) v); s_max and v come from cs_matrix._top_singular,
-    which geometric discord reads too.
+    (t, sqrt(1 - t^2) v); x1, y1, T_xx and B come from cs_matrix._cs_entries,
+    s_max from _top_singular, which geometric discord reads too, and v from
+    _top_vector.
     """
-    params = np.asarray(params, dtype=float).reshape(-1, 7)
-    evals = check_cs_rows(params)  # once, not per chunk; spectra for the entropies
-    x, y, T = cs_bloch(params)
-    s_a, mutual = _entropies(x, y, evals)
-    s_max, _, v_max = _top_singular(T[:, 1:, 1:])
-    data = np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s_max], axis=1)
+    checked = _checked_rows(params) if _checked is None else _checked
+    evals, (x1, y1, txx, *block) = checked  # one check, not one per chunk
+    s_a, mutual = _entropies(np.abs(np.stack([x1, y1], axis=1)), evals)
+    data = np.stack([x1, y1, txx, _top_singular(*block)[0]], axis=1)
     phi, best = _certified_phi(data), np.empty(len(data))
     c, u = np.flatnonzero(~np.isnan(phi)), np.flatnonzero(np.isnan(phi))
     best[c] = _cs_objective(data[c], phi[c, None])[:, 0]
@@ -343,7 +347,7 @@ def discord_cs_rows(params):
     phi[r], best[r] = _refine_rows(data[r], phi[r], best[r], phis[1])
     # The refinement may step past an end: f is even in cos phi and in phi.
     t, st = np.abs(np.cos(phi)), np.abs(np.sin(phi))
-    axis = np.concatenate([t[:, None], st[:, None] * v_max], 1)
+    axis = np.concatenate([t[:, None], st[:, None] * _top_vector(*block)], 1)
     return mutual, s_a - best, axis
 
 

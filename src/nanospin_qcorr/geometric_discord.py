@@ -13,16 +13,16 @@ by the maximal value is applied.
 For the centrosymmetric family x lies on the x axis and T is T_xx plus a yz
 block B, so K is block-diagonal: an isolated xx entry x_1^2 + T_xx^2 and
 the yz block B B^T, whose eigenvalues are B's squared singular values
-s_max^2 and s_min^2 (``cs_matrix._top_singular``, which discord reads
-too).  No formula in p1..p7 is written here.  It is evaluated for arrays
-of parameter rows; a single state is the one-row case.
+s_max^2 and s_min^2.  The entries (``cs_matrix._cs_entries``) and s_max
+(``_top_singular``) are discord's too: no formula in p1..p7 is written
+here.  It is evaluated for arrays of parameter rows, one state per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cs_matrix import CSDensityMatrix, _top_singular, check_cs_rows, cs_bloch
+from .cs_matrix import CSDensityMatrix, _checked_rows, _top_singular
 from .states import bloch_data, check_density_matrix
 
 __all__ = [
@@ -33,17 +33,17 @@ __all__ = [
 ]
 
 
-def geometric_discord_rows(params) -> np.ndarray:
+def geometric_discord_rows(params, *, _checked=None) -> np.ndarray:
     """Closed-form geometric discord of CS parameter rows, shape (..., 7) -> (R,).
 
     Half the sum of K's two smaller eigenvalues: no k_max is subtracted.
-    A row that fails check_cs_rows raises InvalidStateError.
+    A row that fails check_cs_rows raises InvalidStateError.  ``_checked``
+    is the rows' cs_matrix._checked_rows when the caller has made it
+    (``verification.analytic_rows`` does, once for all its measures).
     """
-    params = np.asarray(params, dtype=float).reshape(-1, 7)
-    check_cs_rows(params)
-    x, _, T = cs_bloch(params)
-    s_max, s_min, _ = _top_singular(T[:, 1:, 1:])
-    k1 = x[:, 0] * x[:, 0] + T[:, 0, 0] * T[:, 0, 0]
+    _, (x1, _, txx, *block) = _checked_rows(params) if _checked is None else _checked
+    s_max, s_min = _top_singular(*block)
+    k1 = x1 * x1 + txx * txx
     return 0.5 * (np.minimum(k1, s_max * s_max) + s_min * s_min)
 
 

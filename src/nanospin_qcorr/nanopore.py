@@ -19,10 +19,13 @@ n = inf selects the large-reservoir limit, where only q = r survive and
 the pair state becomes Bell-diagonal and time-independent.
 
 The closed forms take a whole grid as arrays; one point is the one-row
-case.  The per-axis factors tanh(beta / 2), cos(tau), cos(2 tau), sin(tau)
-and ``cos_power`` stay on ``math``, whose results numpy's tanh, exp and log
-miss by one ulp for some inputs; the elementwise products and sums after
-them round as on floats, so a value does not depend on its batch.
+case.  The per-axis factors tanh(beta / 2), cos(tau), cos(2 tau) and
+sin(tau) stay on ``math``, whose results numpy's tanh, exp and log miss by
+one ulp for some inputs.  So do the powers of cos (``_powers``, whose
+one-point case is ``cos_power``): math.log|c| once per tau-axis value,
+then math.exp mapped over k log|c| per n, the bits of a scalar loop.  The
+elementwise products and sums after them round as on floats, so a value
+does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -167,18 +170,26 @@ def cos_power(c: float, k) -> float:
     """Sign-tracked c**k through log space, stable for very large k.
 
     k = 0 returns 1 for any c (empty product); c = 0 with k > 0 returns
-    exactly 0; magnitudes underflowing 1e-300 are flushed to zero.
+    exactly 0; magnitudes underflowing 1e-300 are flushed to +0.  The
+    one-point case of ``_powers``.
     """
+    c = np.array([c], dtype=float)
+    return float(_powers(c, _log_abs(c), k)[0])
+
+
+def _log_abs(c: np.ndarray) -> np.ndarray:
+    """math.log|c| per value of c, -inf where c = 0."""
+    return np.array([math.log(abs(x)) if x else -math.inf for x in c.tolist()])
+
+
+def _powers(c: np.ndarray, log_c: np.ndarray, k) -> np.ndarray:
+    """c**k per value of the array c by cos_power's rules; log_c = _log_abs(c)."""
     if k == 0:
-        return 1.0
-    if c == 0.0:
-        return 0.0
-    mag = math.exp(k * math.log(abs(c)))
-    if mag < _POWER_FLOOR:
-        return 0.0
-    if c < 0.0 and int(k) % 2 == 1:
-        return -mag
-    return mag
+        return np.ones(len(c))
+    mag = np.fromiter(map(math.exp, (float(k) * log_c).tolist()), float, len(c))
+    power = np.where((c < 0.0) & (int(k) % 2 == 1), -mag, mag)
+    power[mag < _POWER_FLOOR] = 0.0
+    return power
 
 
 def check_axes(n_values, betas, taus, omega0: float = OMEGA0_DEFAULT) -> list:
@@ -206,16 +217,17 @@ def correlation_grid(n_values, betas, taus) -> CorrelationSet:
 
 def _correlation_table(n_values, th, cos_tau, cos_2tau, sin_tau) -> CorrelationSet:
     # correlation_grid from its factors: tanh(beta / 2) per beta, the rest per tau.
-    th = np.asarray(th, dtype=float)
+    th, cos_tau, cos_2tau = (np.asarray(a, float) for a in (th, cos_tau, cos_2tau))
+    log_tau, log_2tau = _log_abs(cos_tau), _log_abs(cos_2tau)
     q_plus_r = (0.25 * th * th)[:, None]
     p, q, r, u = (np.zeros((len(n_values), len(th), len(cos_tau))) for _ in "pqru")
     for k, n in enumerate(n_values):
         if math.isinf(n):
             q[k] = r[k] = (th * th / 8.0)[:, None]
             continue
-        p[k] = np.multiply.outer(0.5 * th, [cos_power(c, n - 1) for c in cos_tau])
-        q_minus_r = q_plus_r * [cos_power(c, n - 2) for c in cos_2tau]
-        u[k] = np.multiply.outer(0.25 * th, [cos_power(c, n - 2) for c in cos_tau])
+        p[k] = np.multiply.outer(0.5 * th, _powers(cos_tau, log_tau, n - 1))
+        q_minus_r = q_plus_r * _powers(cos_2tau, log_2tau, n - 2)
+        u[k] = np.multiply.outer(0.25 * th, _powers(cos_tau, log_tau, n - 2))
         u[k] *= sin_tau
         q[k] = 0.5 * (q_plus_r + q_minus_r)
         r[k] = 0.5 * (q_plus_r - q_minus_r)
@@ -266,11 +278,13 @@ def cs_rows(corr: CorrelationSet) -> np.ndarray:
 
 
 def _cs_params(corr: CorrelationSet) -> np.ndarray:
-    """cs_rows without the check, for callers whose measures check the rows."""
-    p, q, r, u = (np.atleast_1d(getattr(corr, f)).astype(float) for f in "pqru")
-    return np.stack(
-        [np.full_like(p, 0.25), p / 2.0, -u, p / 2.0, -u, q - r, q + r], axis=1
-    )
+    """cs_rows without the check, for callers that check the rows themselves."""
+    p, q, r, u = (np.atleast_1d(getattr(corr, f)) for f in "pqru")
+    rows = np.empty((len(p), 7))
+    rows[:, 0], rows[:, 5], rows[:, 6] = 0.25, q - r, q + r
+    rows[:, 1] = rows[:, 3] = p / 2.0
+    rows[:, 2] = rows[:, 4] = -u
+    return rows
 
 
 def cs_from_correlations(corr: CorrelationSet) -> CSDensityMatrix:

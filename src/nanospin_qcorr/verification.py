@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cs_matrix import cs_dense
+from .cs_matrix import _checked_rows, cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
 from .exact_oracle import pair_correlations, pair_states
@@ -58,25 +58,30 @@ def analytic_rows(corr, needed) -> dict:
     """Closed-form columns for the rows of correlator arrays ``corr``.
 
     Returns an array per column that ``needed`` names among p, q, r, u, v,
-    concurrence, geometric_discord, discord and params, the (R, 7) CS
-    parameter rows.  All derive from ``corr``, so an offset on it reaches
-    every quantity.  Discord takes the exact CS reduction for every pore
-    occupancy, as mutual - classical.  The parameter rows are not checked
-    here: each measure runs check_cs_rows once on the rows it takes, and so
-    do verify's checks.
+    concurrence, geometric_discord, discord, params, the (R, 7) CS
+    parameter rows, and concurrence_cs, their CS closed-form concurrence.
+    All derive from ``corr``, so an offset on it reaches every quantity.
+    Discord takes the exact CS reduction for every pore occupancy, as
+    mutual - classical.  The parameter rows pass check_cs_rows once, here
+    (InvalidStateError when one is not a state), and every CS measure reads
+    that check (cs_matrix._checked_rows).
     """
     out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
     if "concurrence" in needed:
         out["concurrence"] = concurrence_rows(corr)
-    if not {"geometric_discord", "discord", "params"}.isdisjoint(needed):
+    cs = {"geometric_discord", "discord", "params", "concurrence_cs"}
+    if not cs.isdisjoint(needed):
         params = _cs_params(corr)
+        checked = _checked_rows(params)
         if "geometric_discord" in needed:
-            out["geometric_discord"] = geometric_discord_rows(params)
+            out["geometric_discord"] = geometric_discord_rows(params, _checked=checked)
         if "discord" in needed:
-            mutual, classical, _ = discord_cs_rows(params)
+            mutual, classical, _ = discord_cs_rows(params, _checked=checked)
             out["discord"] = mutual - classical
         if "params" in needed:
             out["params"] = params
+        if "concurrence_cs" in needed:
+            out["concurrence_cs"] = concurrence_cs_rows(params, _checked=checked)
     return out
 
 
@@ -130,7 +135,7 @@ class VerificationReport:
 
 def _diffs(model, ref, rhos, names) -> dict:
     """|analytic - reference| per quantity, an array over a chunk's rows."""
-    closed = concurrence_cs_rows(model["params"])
+    closed = model["concurrence_cs"]
     alpha = expansion_coefficients(rhos)
     zeros = [alpha[:, i, j] for i, j in _ZERO_ALPHA_INDICES] + [ref["v"]]
     diffs = {
@@ -176,7 +181,7 @@ def run_verification(
     if not include_discord:
         worst.pop("discord")
     worst_row = {}
-    needed = tuple(worst) + CORR_FIELDS + ("params",)
+    needed = tuple(worst) + CORR_FIELDS + ("params", "concurrence_cs")
 
     states = pair_states(n_values, betas, taus)
     corr = correlation_grid(n_values, betas, taus)

@@ -22,6 +22,7 @@ from nanospin_qcorr import (
     discord_cs,
     geometric_discord_cs,
 )
+from nanospin_qcorr.cs_matrix import _cs_entries
 from nanospin_qcorr.discord import discord_cs_rows
 from nanospin_qcorr.entanglement import concurrence_cs_rows
 from nanospin_qcorr.geometric_discord import geometric_discord_rows
@@ -222,6 +223,28 @@ def test_bloch_decompose_structure(rng):
     assert x[1] == x[2] == 0.0
     assert y[1] == y[2] == 0.0
     assert T[0, 1] == T[0, 2] == T[1, 0] == T[2, 0] == 0.0
+
+
+def test_entries_are_cs_bloch_bit_for_bit(rng):
+    # The seven shared entries against cs_bloch's placed entries and the
+    # entries written out in p1..p7, for one vector and (R, 7), (2, 3, 7)
+    # stacks; every other Bloch entry is +0.0.
+    rows = np.array([random_cs(rng).params for _ in range(60)])
+    for params in (rows[0], rows, rows[:6].reshape(2, 3, 7)):
+        p1, p2, p3, p4, p5, p6, p7 = np.moveaxis(params, -1, 0)
+        written = [
+            4.0 * p4, 4.0 * p2, 2.0 * (p6 + p7),
+            2.0 * (p7 - p6), -4.0 * p5, -4.0 * p3, 4.0 * p1 - 1.0,
+        ]
+        x, y, T = cs_bloch(params)
+        placed = [x[..., 0], y[..., 0], T[..., 0, 0]]
+        placed += [T[..., 1, 1], T[..., 1, 2], T[..., 2, 1], T[..., 2, 2]]
+        for got, bloch, want in zip(_cs_entries(params), placed, written):
+            assert got.tobytes() == np.asarray(bloch).tobytes() == want.tobytes()
+        rest = np.concatenate(
+            [x[..., 1:], y[..., 1:], T[..., 0, 1:], T[..., 1:, 0]], axis=-1
+        )
+        assert rest.tobytes() == np.zeros_like(rest).tobytes()
 
 
 def test_from_vector_rejects_bad_shape():

@@ -105,3 +105,24 @@ def test_power_of_ten_table_is_exact_to_2_pow_104():
         exact = Fraction(10) ** k
         assert hi == float(exact)
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104
+
+
+def test_zero_cells_take_the_constant_cell():
+    # Zero cells skip the digit pipeline: chunks of zeros alone, of no zeros,
+    # zeros among near-ties, inf and nan, and single cells.
+    near = list(_near_ties())[:40]
+    rng = np.random.default_rng(7)
+    mixed = near + [0.0, -0.0] * 20 + [math.inf, -math.inf, math.nan] * 3
+    chunks = [
+        [0.0] * 50,
+        [-0.0, 0.0, -0.0],
+        rng.uniform(-1.0, 1.0, 500),
+        near,
+        rng.permutation(np.array(mixed)),
+        [0.0],
+        [-0.0],
+        [0.1],
+        [math.nan],
+    ]
+    for chunk in chunks:
+        _assert_exact(chunk)

@@ -30,7 +30,13 @@ from nanospin_qcorr import (
 )
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
-from nanospin_qcorr.cs_matrix import _top_singular, cs_bloch, cs_dense
+from nanospin_qcorr.cs_matrix import (
+    _cs_entries,
+    _top_singular,
+    _top_vector,
+    cs_bloch,
+    cs_dense,
+)
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
 from nanospin_qcorr.nanopore import _cs_params, correlation_grid
 from nanospin_qcorr.states import (
@@ -603,9 +609,8 @@ def test_cs_rows_refine_interior_optimum_in_lockstep(monkeypatch):
 
 def cs_rows_data(params):
     """_cs_objective's arguments for CS rows as discord_cs_rows builds them."""
-    x, y, T = cs_bloch(params)
-    s_max = _top_singular(T[:, 1:, 1:])[0]
-    return np.stack([x[:, 0], y[:, 0], T[:, 0, 0], s_max], axis=1)
+    x1, y1, txx, *block = _cs_entries(params)
+    return np.stack([x1, y1, txx, _top_singular(*block)[0]], axis=1)
 
 
 def cs_objective_data(params):
@@ -644,7 +649,8 @@ def test_top_singular_matches_svd():
             rng.normal(size=(50, 2, 1)) * rng.normal(size=(50, 1, 2)),  # rank 1
         ]
     )
-    s_max, s_min, v = _top_singular(blocks)
+    entries = blocks.reshape(-1, 4).T  # a, b, c, d of [[a, b], [c, d]]
+    (s_max, s_min), v = _top_singular(*entries), _top_vector(*entries)
     _, s, vt = np.linalg.svd(blocks)
     assert np.allclose(s_max, s[:, 0], rtol=1e-14, atol=1e-15)
     assert np.allclose(s_min, s[:, 1], rtol=1e-14, atol=1e-15)
@@ -820,7 +826,7 @@ def test_cs_rows_refine_a_valley_at_an_endpoint():
     assert 0.9996 < axis[0, 0] < 0.9997
     rho = cs_from_params(*ENDPOINT_VALLEY).to_matrix()
     x, y, T = bloch_data(rho)
-    v_max = _top_singular(T[None, 1:, 1:])[2][0]
+    v_max = _top_vector(*T[1:, 1:].reshape(4, 1))[0]
     angle = np.linspace(0.0, math.pi, 2**16 + 1)[:, None]
     n = np.concatenate([np.cos(angle), np.sin(angle) * v_max], axis=1)
     circle = conditional_entropy_dirs(x, y, T, n)

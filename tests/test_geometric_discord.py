@@ -16,7 +16,7 @@ from nanospin_qcorr import (
     geometric_discord_high_t_asymptotic,
     reduced_density,
 )
-from nanospin_qcorr.cs_matrix import _top_singular, cs_dense
+from nanospin_qcorr.cs_matrix import _cs_entries, _top_singular, cs_dense
 from nanospin_qcorr.geometric_discord import geometric_discord_rows
 from nanospin_qcorr.nanopore import correlation_grid, cs_rows
 from nanospin_qcorr.states import InvalidStateError, swap_qubits
@@ -41,9 +41,9 @@ def test_bell_state_value():
 
 def k_spectrum(params):
     """K's eigenvalues (x_1^2 + T_xx^2, s_max^2, s_min^2) of CS rows (R, 7)."""
-    x, _, T = cs_bloch(params)
-    s_max, s_min, _ = _top_singular(T[:, 1:, 1:])
-    k1 = x[:, 0] * x[:, 0] + T[:, 0, 0] * T[:, 0, 0]
+    x1, _, txx, *block = _cs_entries(params)
+    s_max, s_min = _top_singular(*block)
+    k1 = x1 * x1 + txx * txx
     return np.stack([k1, s_max * s_max, s_min * s_min], axis=1)
 
 
@@ -215,7 +215,7 @@ def test_singular_yz_block_has_exact_zero_k3():
     params[:, 0] = rng.uniform(0.0, 0.5, 50)
     params[:, 3:5] = rng.uniform(-0.1, 0.1, (50, 2))
     params[:, 5] = params[:, 6] = rng.uniform(-0.05, 0.05, 50)
-    assert np.all(_top_singular(cs_bloch(params)[2][:, 1:, 1:])[1] == 0.0)
+    assert np.all(_top_singular(*_cs_entries(params)[3:])[1] == 0.0)
     states = np.array([_is_state(row) for row in params])
     assert states.sum() == 46
     assert np.all(geometric_discord_rows(params[states]) >= 0.0)

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nanospin_qcorr import (
@@ -24,6 +24,9 @@ from nanospin_qcorr.nanopore import (
     HBAR,
     K_BOLTZMANN,
     OMEGA0_DEFAULT,
+    _POWER_FLOOR,
+    _log_abs,
+    _powers,
     check_axes,
     concurrence_rows,
     correlation_grid,
@@ -109,6 +112,58 @@ def test_cos_power_matches_direct(c, k):
     assert cos_power(c, k) == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
 
+def _scalar_power(c, k):
+    """The reference power: the loop version on math, one value at a time."""
+    if k == 0:
+        return 1.0
+    if c == 0.0:
+        return 0.0
+    mag = math.exp(k * math.log(abs(c)))
+    if mag < _POWER_FLOOR:
+        return 0.0
+    return -mag if c < 0.0 and k % 2 == 1 else mag
+
+
+# |c| just below and just above the value whose 1,000,001st power is the
+# floor.
+_BELOW, _ABOVE = 0.9993094636928876, 0.9993094636928878
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=20),
+    st.one_of(
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from([999_999, 1_000_000, 1_000_001]),
+    ),
+)
+@example([0.0, -0.0, 0.5, -0.5], 0)  # a special time: cos tau = 0 exactly
+@example([0.0, -0.0, 1.0, -1.0], 1)
+@example([0.0, -0.0, -1.0], 2)
+@example([-0.3, -1.0, -0.999, 0.7], 1)  # cos tau < 0, n = 2's p and n = 3's u
+@example([-0.3, -1.0, -0.999, 0.7], 2)
+@example([-_BELOW, _BELOW, -_ABOVE, _ABOVE], 1_000_001)  # either side of the floor
+@example([-_BELOW, _BELOW, -_ABOVE, _ABOVE], 1_000_000)
+@example([-9.9e-101, 9.9e-101, -1.01e-100, 1.01e-100], 3)
+def test_powers_match_cos_power_bit_for_bit(cs, k):
+    # The array power of a tau axis against cos_power and the loop reference,
+    # each value on its own; -0.0 never stands where they give +0.0.
+    c = np.array(cs)
+    got = _powers(c, _log_abs(c), k)
+    want = [_scalar_power(x, k) for x in cs]
+    assert list(map(_bits, got)) == list(map(_bits, want))
+    assert [_bits(cos_power(x, k)) for x in cs] == list(map(_bits, want))
+
+
+def test_powers_meet_the_floor():
+    # The examples above straddle the floor: one side flushes to +0.0.
+    c = np.array([-_BELOW, _BELOW, -_ABOVE, _ABOVE, -9.9e-101, -1.01e-100])
+    odd = _powers(c, _log_abs(c), 1_000_001)
+    assert list(map(_bits, odd[:2])) == [_bits(0.0)] * 2
+    assert odd[2] < 0.0 < odd[3] and abs(odd[2]) == odd[3] >= _POWER_FLOOR
+    cubes = _powers(c[4:], _log_abs(c[4:]), 3)
+    assert _bits(cubes[0]) == _bits(0.0) and -cubes[1] >= _POWER_FLOOR
+
+
 def test_correlations_at_time_zero():
     for beta in (0.0, 0.5, 3.0, math.inf):
         for n in (2, 3, 6, 41):
@@ -192,6 +247,15 @@ def test_special_time_matches_float_evaluation():
                 assert getattr(exact, field) == pytest.approx(
                     getattr(floated, field), abs=1e-12
                 )
+
+
+def test_special_time_matches_scalar_reference_bit_for_bit():
+    # cos tau_l = 0 exactly: the powers of 0 and of cos 2 tau_l = -1.
+    for n in (2, 3, 4, 1_000_001):
+        for l in (0, 1):
+            got = special_time_correlations(n, 3.0, l).as_dict().values()
+            want = _scalar_reference(n, 3.0, None, (0.0, -1.0, (-1.0) ** l))
+            assert list(map(_bits, got)) == list(map(_bits, want))
 
 
 def test_special_time_rejects_bad_input():
@@ -326,20 +390,23 @@ def _bits(value) -> str:
     return float(value).hex()
 
 
-def _scalar_reference(n, beta, tau):
-    """The correlators for one state, operation by operation on floats."""
+def _scalar_reference(n, beta, tau, factors=None):
+    """The correlators for one state, operation by operation on floats.
+
+    factors, if given, are (cos tau, cos 2 tau, sin tau) in place of math's.
+    """
     th = math.tanh(beta / 2.0)
     if math.isinf(n):
         qr = th * th / 8.0
         return (0.0, qr, qr, 0.0, 0.0)
-    c = math.cos(tau)
+    c, c2, s = factors or (math.cos(tau), math.cos(2.0 * tau), math.sin(tau))
     q_plus_r = 0.25 * th * th
-    q_minus_r = 0.25 * th * th * cos_power(math.cos(2.0 * tau), n - 2)
+    q_minus_r = 0.25 * th * th * _scalar_power(c2, n - 2)
     return (
-        0.5 * th * cos_power(c, n - 1),
+        0.5 * th * _scalar_power(c, n - 1),
         0.5 * (q_plus_r + q_minus_r),
         0.5 * (q_plus_r - q_minus_r),
-        0.25 * th * cos_power(c, n - 2) * math.sin(tau),
+        0.25 * th * _scalar_power(c, n - 2) * s,
         0.0,
     )
 
@@ -349,6 +416,7 @@ def _scalar_reference(n, beta, tau):
     st.lists(grid_beta, min_size=1, max_size=3),
     st.lists(grid_tau, min_size=1, max_size=5),
 )
+@example([2, 3, 1_000_001], [1.0, 3.0], [0.0, 0.4, 1.6, 2.8, tau_special(0)])
 def test_grid_matches_one_point_calls_bit_for_bit(ns, betas, taus):
     grid = correlation_grid(ns, betas, taus)
     rows = cs_rows(grid)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nanospin_qcorr.cli as cli
+import nanospin_qcorr.cs_matrix as cs_matrix
 import nanospin_qcorr.exact_oracle as exact_oracle
 import nanospin_qcorr.verification as verification
 from nanospin_qcorr import (
@@ -186,6 +187,24 @@ def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
     assert chunked.states_checked == 12
     # One phase sum per n, over its three taus, serves both betas.
     assert counted["pair_gram"] == 4
+
+
+def test_cs_rows_are_checked_once_per_chunk(monkeypatch):
+    # check_cs_rows takes one spectrum per call: a verify chunk and a
+    # --quantity all sweep check their rows once, for every measure.
+    calls, spectrum = [], cs_matrix.cs_spectrum
+
+    def counted_spectrum(params):
+        calls.append(len(params))
+        return spectrum(params)
+
+    monkeypatch.setattr(cs_matrix, "cs_spectrum", counted_spectrum)
+    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
+    run_verification(n_values=(3, 4), betas=(1.0, 2.5), n_tau=3)
+    assert calls == [5, 5, 2]
+    calls.clear()
+    cli.run_sweep("all", [2, 3, math.inf], [1.0, 2.0], [0.0, 0.5])
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
