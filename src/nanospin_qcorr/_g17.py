@@ -38,29 +38,16 @@ def _two_product(a, b, b_split):
 
 
 def _pow10_table():
-    # 10^k as hi + lo (double-double) for k in [_X_MIN, _X_MAX]: (10^22)^q
-    # by repeated exact products, times 10^r for k = 22 q + r >= 0 (10^r and
-    # 10^22 are exact), then reciprocals.  hi is 10^k rounded, and hi + lo
-    # is within 2^-104 of 10^k (tested).
-    big, ten22 = [(1.0, 0.0)], _split(1e22)
-    for _ in range(_X_MAX // 22):
-        p, e = _two_product(big[-1][0], 1e22, ten22)
-        e += big[-1][1] * 1e22
-        big.append((p + e, e - ((p + e) - p)))
-    q, r = np.divmod(np.arange(_X_MAX + 1), 22)
-    (h, l), r = np.array(big).T[:, q], 10.0**r
-    p, e = _two_product(r, h, _split(h))
-    e += l * r
-    hi, lo = p + e, e - ((p + e) - p)
-    h, l = hi[1 : 1 - _X_MIN], lo[1 : 1 - _X_MIN]
-    inv = 1.0 / h
-    p, e = _two_product(inv, h, _split(h))
-    corr = (((1.0 - p) - e) - inv * l) / h
-    s = inv + corr
-    return (
-        np.concatenate([s[::-1], hi]),
-        np.concatenate([(corr - (s - inv))[::-1], lo]),
-    )
+    # 10^k as hi + lo for k in [_X_MIN, _X_MAX]: hi is 10^k rounded and lo
+    # is 10^k - hi rounded, both from exact integer ratios (int / int rounds
+    # correctly), so hi + lo is within 2^-104 of 10^k (tested).
+    hi, lo = [], []
+    for k in range(_X_MIN, _X_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        a, b = (num / den).as_integer_ratio()
+        hi.append(a / b)
+        lo.append((num * b - a * den) / (den * b))
+    return np.array(hi), np.array(lo)
 
 
 def _text_tables():

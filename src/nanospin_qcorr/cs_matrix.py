@@ -16,9 +16,10 @@ spectrum and the Bloch data are written once, for arrays of parameter
 vectors (``cs_dense``, ``cs_spectrum``, ``cs_bloch``); one state is one row.
 So are the Bloch data's seven nonzero entries, which both discord measures
 read (``_cs_entries``), and the singular values and vector of T's yz block
-(``_top_singular``, ``_top_vector``).  Which rows are states is decided once
-too: ``check_cs_rows`` (with the entries: ``_checked_rows``) is the one
-validity rule that every centrosymmetric measure applies.
+(``_top_singular``, ``_top_vector``).  Which rows are states is written once
+too: ``check_cs_rows`` is the one validity rule, and each centrosymmetric
+measure applies it to the rows it is given (with the entries:
+``_checked_rows``).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _cs_entries(params):
 
 
 def _checked_rows(params):
-    """(check_cs_rows, _cs_entries) of CS rows (..., 7): a measure's _checked."""
+    """(check_cs_rows, _cs_entries) of CS rows (..., 7), for a measure's rows."""
     params = np.asarray(params, dtype=float).reshape(-1, 7)
     return check_cs_rows(params), _cs_entries(params)
 

@@ -7,29 +7,19 @@ Discord is the gap between total and classical correlations,
     C = max_basis [ S(rho_A) - sum_s p_s S(rho_A | outcome s) ],
 
 where the maximum runs over projective measurements on one qubit (the
-second by convention here).  Both solvers take arrays of states and step
+second by convention here).  Two solvers take arrays of states and step
 all rows in lockstep; they share no objective and no optimizer:
 
-* ``discord_cs_rows`` for centrosymmetric states of the nanopore model
-  (``discord_cs`` is its one-row case).  Rotating each qubit about x
-  turns such a state into an X-state of the same discord; the search is
-  exact in one variable, t = |n_x|, with an objective written in the
-  X-state's entries, f(t) = H(t) + H(-t).  A closed-form certificate
-  (``_certified_phi``; Chen et al., PRA 84, 042313 (2011); Yurischev, QIP
-  14, 3399 (2015)) settles most rows at an endpoint, t = 1 or t = 0.  The
-  rest run on a grid whose ends are those endpoints, then refine.
-* ``discord_numeric_rows`` for any two-qubit states (``discord_numeric``
-  is its one-row case): the conditional entropy in Bloch form
-  (``_kernels``) on 147 directions per row, a hemisphere grid without its
-  poles (the objective is even in n), five seeds, the x and y axes and the
-  right singular vectors of T, and half great circles through each pair
-  of those vectors, where a rotated CS state's optimum lies; then
-  safeguarded Newton steps (``_zoom_rows``) in a rotated frame centred on
-  each row's best first-pass direction, away from the coordinate poles.
+* ``discord_cs_rows``, for the centrosymmetric states of the nanopore
+  model: an exact search in one variable, settled at an endpoint by a
+  closed-form certificate (``_certified_phi``) where it can be.
+* ``discord_numeric_rows``, for any two-qubit states: a first pass over
+  fixed and per-state directions (``_kernels``), then Newton steps
+  (``_zoom_rows``).
 
-A closed form is available for the symmetric-correlator states that arise
-in the large-reservoir limit of the nanopore model, together with its low-
-and high-temperature asymptotes; it is kept as an independent reference.
+A closed form for the symmetric-correlator states of the large-reservoir
+limit, with its low- and high-temperature asymptotes, is kept as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -220,10 +210,7 @@ def _first_row(mutual, classical, axis) -> DiscordResult:
 
 
 def discord_numeric(rho, validate=True):
-    """Discord of a 4x4 state rho by measurement search, as a DiscordResult.
-
-    The one-row case of ``discord_numeric_rows``, with the optimal axis.
-    """
+    """Discord of a 4x4 state, a DiscordResult: discord_numeric_rows' one-row case."""
     return _first_row(*discord_numeric_rows([rho], validate))
 
 
@@ -237,12 +224,12 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     states' eigenvalues when the caller already has them
     (``verification.oracle_rows`` passes its check's).
 
+    The objective is the conditional entropy in Bloch form (``_kernels``).
     The first pass evaluates each row on 147 directions, in kernel calls of
-    as many rows as one pass of _DIRECTIONS holds: +z; a DEFAULT_GRID of 8
-    polar angles over [0, pi] by 8 azimuths over the hemisphere phi in
-    [0, pi) less its theta = 0 and pi rows (copies of +z and, to rounding,
-    -z); x, y and the three right singular vectors v1, v2, v3 of the row's
-    T; then three half great circles, cos(k pi / _CIRCLE) vi +
+    as many rows as one pass of _DIRECTIONS holds: +z; the DEFAULT_GRID
+    hemisphere less its theta = 0 and pi rows (copies of +z and, to
+    rounding, -z); x, y and the three right singular vectors v1, v2, v3 of
+    the row's T; then three half great circles, cos(k pi / _CIRCLE) vi +
     sin(k pi / _CIRCLE) vj for k = 1 .. _CIRCLE - 1 through (v1, v2),
     (v1, v3) and (v2, v3).  A locally rotated CS state is an X-state whose
     optimum lies in the plane of two of T's right singular vectors (Chen et
@@ -250,11 +237,11 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     grid alone misses interior optima.  The half sphere and half circles
     suffice: measuring along -n swaps the two outcomes, p_+(-n) = p_-(n) and
     a_+(-n) = a_-(n), so the objective is even in n.  Each row's best
-    direction n0 is then zoomed, all rows in lockstep, in a rotated frame
-    whose equator holds n0, away from the poles, by Newton steps on 3x3
-    stencils that start at the grid's spacing, pi/7 (_zoom_rows).  A row's
-    result does not depend on the other rows; ties go to the first
-    direction in the order above, the grid in (theta, phi) order.
+    direction n0 is then zoomed (_zoom_rows), all rows in lockstep, in a
+    rotated frame whose equator holds n0, away from the poles, from the
+    grid's spacing, pi/7.  A row's result does not depend on the other
+    rows; ties go to the first direction in the order above, the grid in
+    (theta, phi) order.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
@@ -295,7 +282,7 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     return mutual, s_a - best, axis
 
 
-def discord_cs_rows(params, *, _checked=None):
+def discord_cs_rows(params):
     """Discord of centrosymmetric states, second qubit measured, row by row.
 
     ``params`` holds one parameter vector p1..p7 per row, shape (..., 7).
@@ -303,26 +290,25 @@ def discord_cs_rows(params, *, _checked=None):
     shapes (R,), (R,) and (R, 3): discord is the first minus the second, and
     axis is the optimal measured direction.  A row that is not a state
     raises InvalidStateError (check_cs_rows), whose spectra give the
-    entropies.  ``_checked`` is the rows' cs_matrix._checked_rows when the
-    caller has made it (``verification.analytic_rows`` does).
+    entropies.
 
     x and y of a CS state lie along x and T is T_xx plus a yz block B, so
     the objective depends on n only through t = |n_x| and |B n_yz|, least
-    with the transverse weight on B's larger singular value: the search is
-    exact in t = cos phi (_cs_objective), f(t) = H(t) + H(-t).
+    with the transverse weight on B's larger singular value s_max.  Rotating
+    each qubit about x makes the state an X-state of the same discord, and
+    the search is exact in t = cos phi: f(t) = H(t) + H(-t) (_cs_objective).
 
     A row that _certified_phi settles at an endpoint takes the objective
     once, there.  The other rows run on a grid of _CS_POINTS angles, whose
     ends are t = 1 and t = 0, _CS_CHUNK rows at a time; rows whose grid
     minimum is not flat to rounding are refined (_refine_rows) when it is
-    interior, or at an endpoint whose slope test fails:
+    interior, or at an endpoint whose slope test fails or is NaN:
     f'(1) = H'(1) - H'(-1) > 0 at t = 1, H''(0) < 0 at t = 0.  axis is
-    (t, sqrt(1 - t^2) v); x1, y1, T_xx and B come from cs_matrix._cs_entries,
-    s_max from _top_singular, which geometric discord reads too, and v from
-    _top_vector.
+    (t, sqrt(1 - t^2) v), v from _top_vector.  x1, y1, T_xx and B come from
+    cs_matrix._cs_entries and s_max from _top_singular, as geometric
+    discord's do.
     """
-    checked = _checked_rows(params) if _checked is None else _checked
-    evals, (x1, y1, txx, *block) = checked  # one check, not one per chunk
+    evals, (x1, y1, txx, *block) = _checked_rows(params)  # once, not per chunk
     s_a, mutual = _entropies(np.abs(np.stack([x1, y1], axis=1)), evals)
     data = np.stack([x1, y1, txx, _top_singular(*block)[0]], axis=1)
     phi, best = _certified_phi(data), np.empty(len(data))
@@ -335,8 +321,6 @@ def discord_cs_rows(params, *, _checked=None):
         values = _cs_objective(data[u[k]], phis)
         j[k], spread[k], best[u[k]] = values.argmin(1), np.ptp(values, 1), values.min(1)
     phi[u] = phis[j]
-    # Interior minima are refined, and so are endpoints whose slope test
-    # fails: f'(1) = H'(1) - H'(-1) > 0, H''(0) < 0, or either NaN.
     h1, h2 = _slopes(data[u], np.array([[1.0], [-1.0], [0.0]]))
     with np.errstate(invalid="ignore"):  # inf - inf at N = D
         rise = h1[0] - h1[1]
@@ -383,7 +367,7 @@ def _cs_terms(data):
 
 
 def _slopes(data, tau):
-    """H'(tau) and H''(tau) in nats, f(t) = H(t) + H(-t) (see _certified_phi).
+    """H'(tau) and H''(tau) in nats, H as in _certified_phi.
 
     One row of data per state (R, 4); tau broadcasts against (R,).  With D,
     N, r and H'' as in _certified_phi,
@@ -405,6 +389,8 @@ def _slopes(data, tau):
 def _certified_phi(data):
     """Per row, the phi of a certified global minimum, 0 (t = 1) or pi/2, else NaN.
 
+    The certificate follows Chen et al., PRA 84, 042313 (2011) and
+    Yurischev, QIP 14, 3399 (2015).
     f(t) = H(t) + H(-t) with H(tau) = G(D, N) = D phi_2(N / D), where
     phi_2(r) is the binary entropy in nats (phi_2' = -artanh,
     phi_2'' = -1 / (1 - r^2)), so f'(t) is the integral of H'' over
@@ -459,9 +445,5 @@ def _refine_rows(data, phi, best, h):
 
 
 def discord_cs(m: CSDensityMatrix) -> DiscordResult:
-    """Discord of a centrosymmetric state, second qubit measured.
-
-    The one-row case of ``discord_cs_rows``, with the optimal axis.
-    Raises InvalidStateError when m is not positive semidefinite.
-    """
+    """Discord of a CS state, a DiscordResult: discord_cs_rows' one-row case."""
     return _first_row(*discord_cs_rows(m.params))

@@ -104,11 +104,10 @@ def concurrence_numeric(rho, validate: bool = True) -> ConcurrenceResult:
     return _result_from_lambdas(_numeric_lambdas(rho)[0])
 
 
-def _cs_lambdas(params, checked=None) -> np.ndarray:
+def _cs_lambdas(params) -> np.ndarray:
     """Spin-flip singular values (R, 4) of CS parameter vectors (..., 7).
 
-    The rows must pass check_cs_rows, unless ``checked``, their
-    cs_matrix._checked_rows, says that they have.  The spin flip preserves
+    The rows must pass check_cs_rows.  The spin flip preserves
     centrosymmetry, so the four singular values combine pairwise
     sums/differences of four square roots.  The radicands of b and d are
     a^2 + 4 L1 L2 and c^2 + 4 L3 L4 (L the cs_spectrum eigenvalues): a
@@ -116,8 +115,7 @@ def _cs_lambdas(params, checked=None) -> np.ndarray:
     is clamped.
     """
     params = np.asarray(params, dtype=float).reshape(-1, 7)
-    if checked is None:
-        check_cs_rows(params)
+    check_cs_rows(params)
     p1, p2, p3, p4, p5, p6, p7 = params.T
     a = np.sqrt((2.0 * p1 + p6 - 0.5 - p7) ** 2 + 4.0 * (p3 + p5) ** 2)
     b = np.sqrt(np.maximum((0.5 + p6 + p7) ** 2 - 4.0 * (p2 + p4) ** 2, 0.0))
@@ -127,9 +125,9 @@ def _cs_lambdas(params, checked=None) -> np.ndarray:
     return np.stack(lambdas, axis=-1)
 
 
-def concurrence_cs_rows(params, *, _checked=None) -> np.ndarray:
+def concurrence_cs_rows(params) -> np.ndarray:
     """Closed-form concurrence of CS parameter rows, shape (..., 7) -> (R,)."""
-    return _sorted_concurrence(_cs_lambdas(params, _checked))[1]
+    return _sorted_concurrence(_cs_lambdas(params))[1]
 
 
 def concurrence_cs(m: CSDensityMatrix) -> ConcurrenceResult:

@@ -33,15 +33,13 @@ __all__ = [
 ]
 
 
-def geometric_discord_rows(params, *, _checked=None) -> np.ndarray:
+def geometric_discord_rows(params) -> np.ndarray:
     """Closed-form geometric discord of CS parameter rows, shape (..., 7) -> (R,).
 
     Half the sum of K's two smaller eigenvalues: no k_max is subtracted.
-    A row that fails check_cs_rows raises InvalidStateError.  ``_checked``
-    is the rows' cs_matrix._checked_rows when the caller has made it
-    (``verification.analytic_rows`` does, once for all its measures).
+    A row that fails check_cs_rows raises InvalidStateError.
     """
-    _, (x1, _, txx, *block) = _checked_rows(params) if _checked is None else _checked
+    _, (x1, _, txx, *block) = _checked_rows(params)
     s_max, s_min = _top_singular(*block)
     k1 = x1 * x1 + txx * txx
     return 0.5 * (np.minimum(k1, s_max * s_max) + s_min * s_min)

@@ -30,9 +30,9 @@ does not depend on its batch.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +71,8 @@ OMEGA0_DEFAULT = 2.0 * math.pi * 500.0e6
 
 # Magnitudes below this after exponentiation are flushed to zero.
 _POWER_FLOOR = 1e-300
+# The largest |tau| whose 2 tau is finite (halving is exact).
+_TAU_MAX = 0.5 * sys.float_info.max
 
 
 def beta_from_temperature(temperature: float, omega0: float = OMEGA0_DEFAULT) -> float:
@@ -115,10 +117,10 @@ def tau_special(l: int = 0) -> float:
 class NanoporeParams:
     """Model parameters: pore occupancy n, inverse temperature, time.
 
-    n is an integer >= 2 or math.inf for the large-reservoir limit;
-    beta >= 0 (math.inf selects zero temperature); tau is the dimensionless
-    interaction time, with 2 tau finite; omega0 the finite, positive resonance
-    frequency used for temperature conversions.
+    n is the pore occupancy, beta the inverse temperature (math.inf selects
+    zero temperature), tau the dimensionless interaction time and omega0
+    the resonance frequency used for temperature conversions.  They must
+    pass check_axes, as a grid of one point.
     """
 
     n: float
@@ -127,24 +129,8 @@ class NanoporeParams:
     omega0: float = OMEGA0_DEFAULT
 
     def __post_init__(self):
-        n = self.n
-        if n != math.inf:
-            try:
-                whole = math.isfinite(n) and float(n) == int(n)
-            except OverflowError:
-                raise ValueError("n is too large: it overflows a float") from None
-            if not whole:
-                raise ValueError(f"n must be an integer or inf, got {n}")
-            if int(n) < 2:
-                raise ValueError(f"n must be >= 2, got {n}")
-            object.__setattr__(self, "n", int(n))
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not math.isfinite(2.0 * self.tau):
-            # The model takes cos(2 tau), so 2 tau must not overflow either.
-            raise ValueError(f"tau must be finite, and 2 tau too, got {self.tau}")
-        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
+        (n,) = check_axes([self.n], [self.beta], [self.tau], self.omega0)
+        object.__setattr__(self, "n", n)
 
     @property
     def temperature(self) -> float:
@@ -193,10 +179,35 @@ def _powers(c: np.ndarray, log_c: np.ndarray, k) -> np.ndarray:
 
 
 def check_axes(n_values, betas, taus, omega0: float = OMEGA0_DEFAULT) -> list:
-    """Check each axis value once by NanoporeParams' rules; return n as int or inf."""
-    ns = [NanoporeParams(n, 0.0, 0.0, omega0).n for n in n_values]
-    for beta, tau in itertools.zip_longest(betas, taus, fillvalue=0.0):
-        NanoporeParams(2, beta, tau, omega0)
+    """Check a grid's axes; return its n values as int, or inf.
+
+    n is an integer >= 2 or math.inf for the large-reservoir limit; every
+    beta is >= 0 (NaN is not); every |tau| is at most float max / 2, which
+    is exactly when 2 tau is finite (the model takes cos(2 tau)); omega0 is
+    finite and > 0.  The n values are checked first, in order, then omega0,
+    the betas and the taus, and ValueError names the first bad value.
+    """
+    ns = []
+    for n in n_values:
+        if n != math.inf:
+            try:
+                whole = math.isfinite(n) and float(n) == int(n)
+            except OverflowError:
+                raise ValueError("n is too large: it overflows a float") from None
+            if not whole:
+                raise ValueError(f"n must be an integer or inf, got {n}")
+            if int(n) < 2:
+                raise ValueError(f"n must be >= 2, got {n}")
+            n = int(n)
+        ns.append(n)
+    if not (math.isfinite(omega0) and omega0 > 0.0):
+        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
+    (bad,) = np.nonzero(~(np.asarray(betas, dtype=float) >= 0.0))
+    if bad.size:
+        raise ValueError(f"beta must be >= 0, got {betas[bad[0]]}")
+    (bad,) = np.nonzero(~(np.abs(np.asarray(taus, dtype=float)) <= _TAU_MAX))
+    if bad.size:
+        raise ValueError(f"tau must be finite, and 2 tau too, got {taus[bad[0]]}")
     return ns
 
 

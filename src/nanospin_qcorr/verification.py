@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cs_matrix import _checked_rows, cs_dense
+from .cs_matrix import cs_dense
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
 from .exact_oracle import pair_correlations, pair_states
@@ -58,30 +58,22 @@ def analytic_rows(corr, needed) -> dict:
     """Closed-form columns for the rows of correlator arrays ``corr``.
 
     Returns an array per column that ``needed`` names among p, q, r, u, v,
-    concurrence, geometric_discord, discord, params, the (R, 7) CS
-    parameter rows, and concurrence_cs, their CS closed-form concurrence.
-    All derive from ``corr``, so an offset on it reaches every quantity.
-    Discord takes the exact CS reduction for every pore occupancy, as
-    mutual - classical.  The parameter rows pass check_cs_rows once, here
-    (InvalidStateError when one is not a state), and every CS measure reads
-    that check (cs_matrix._checked_rows).
+    concurrence, geometric_discord and discord, the columns that sweep
+    writes.  All derive from ``corr``, so an offset on it reaches every
+    quantity.  Discord takes the exact CS reduction for every pore
+    occupancy, as mutual - classical.  Each CS measure checks its rows
+    (check_cs_rows): InvalidStateError when one is not a state.
     """
     out = {f: getattr(corr, f) for f in CORR_FIELDS if f in needed}
     if "concurrence" in needed:
         out["concurrence"] = concurrence_rows(corr)
-    cs = {"geometric_discord", "discord", "params", "concurrence_cs"}
-    if not cs.isdisjoint(needed):
+    if "geometric_discord" in needed or "discord" in needed:
         params = _cs_params(corr)
-        checked = _checked_rows(params)
         if "geometric_discord" in needed:
-            out["geometric_discord"] = geometric_discord_rows(params, _checked=checked)
+            out["geometric_discord"] = geometric_discord_rows(params)
         if "discord" in needed:
-            mutual, classical, _ = discord_cs_rows(params, _checked=checked)
+            mutual, classical, _ = discord_cs_rows(params)
             out["discord"] = mutual - classical
-        if "params" in needed:
-            out["params"] = params
-        if "concurrence_cs" in needed:
-            out["concurrence_cs"] = concurrence_cs_rows(params, _checked=checked)
     return out
 
 
@@ -134,7 +126,11 @@ class VerificationReport:
 
 
 def _diffs(model, ref, rhos, names) -> dict:
-    """|analytic - reference| per quantity, an array over a chunk's rows."""
+    """|analytic - reference| per quantity, an array over a chunk's rows.
+
+    ``model`` holds analytic_rows' columns, the chunk's CS parameter rows
+    (params) and their closed-form CS concurrence (concurrence_cs).
+    """
     closed = model["concurrence_cs"]
     alpha = expansion_coefficients(rhos)
     zeros = [alpha[:, i, j] for i, j in _ZERO_ALPHA_INDICES] + [ref["v"]]
@@ -181,7 +177,7 @@ def run_verification(
     if not include_discord:
         worst.pop("discord")
     worst_row = {}
-    needed = tuple(worst) + CORR_FIELDS + ("params", "concurrence_cs")
+    needed = tuple(worst) + CORR_FIELDS
 
     states = pair_states(n_values, betas, taus)
     corr = correlation_grid(n_values, betas, taus)
@@ -189,9 +185,10 @@ def run_verification(
     lo = 0
     for rhos in states:
         part = slice(lo, lo + len(rhos))
-        model = analytic_rows(
-            replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS}), needed
-        )
+        chunk = replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS})
+        params = _cs_params(chunk)
+        model = analytic_rows(chunk, needed)
+        model.update(params=params, concurrence_cs=concurrence_cs_rows(params))
         for name, diff in _diffs(model, oracle_rows(rhos, needed), rhos, worst).items():
             k = int(np.argmax(diff))
             if diff[k] > worst[name]:

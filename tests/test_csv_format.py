@@ -104,6 +104,7 @@ def test_power_of_ten_table_is_exact_to_2_pow_104():
     for k, (hi, lo) in zip(range(_g17._X_MIN, _g17._X_MAX + 1), table, strict=True):
         exact = Fraction(10) ** k
         assert hi == float(exact)
+        assert lo == float(exact - Fraction(hi))  # the rounded residual
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,37 @@ def test_check_axes_uses_params_rules():
     check_axes([3], [1.0], [0.5 * sys.float_info.max])
     with pytest.raises(ValueError, match="omega0"):
         check_axes([3], [1.0], [0.0], omega0=-1.0)
+
+
+def test_check_axes_names_the_first_bad_value():
+    # Arrays of betas and taus are compared at once; the error names the
+    # first bad value of the first failing axis: n, omega0, beta, tau.
+    with pytest.raises(ValueError, match=r"beta must be >= 0, got -1$"):
+        check_axes([3], [1.0, -1, -2.0, math.nan], [0.0, math.inf])
+    with pytest.raises(ValueError, match=r"beta must be >= 0, got nan$"):
+        check_axes([3], np.array([0.0, math.nan, -1.0]), [0.0])
+    with pytest.raises(ValueError, match=r"tau must be finite, and 2 tau too, got nan"):
+        check_axes([3], [1.0], [0.0, math.nan, math.inf])
+    with pytest.raises(ValueError, match="omega0"):
+        check_axes([3], [-1.0], [0.0], omega0=math.nan)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        check_axes([3, 1], [-1.0], [0.0], omega0=math.nan)
+    assert check_axes([], [], []) == []
+
+
+def test_check_axes_tau_bound_is_two_tau_finite():
+    # |tau| = max / 2 doubles to a finite value; the next double up does
+    # not, and neither is multiplied, so no overflow warning is raised.
+    edge = 0.5 * sys.float_info.max
+    assert math.isfinite(2.0 * edge)
+    check_axes([3], [1.0], [edge, -edge])
+    for tau in (np.nextafter(edge, math.inf), -np.nextafter(edge, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tau must be finite"):
+                check_axes([3], [1.0], [0.0, tau])
+    with pytest.raises(ValueError, match="tau must be finite"):
+        NanoporeParams(n=3, beta=1.0, tau=np.nextafter(edge, math.inf))
 
 
 def test_empty_grid_has_no_rows():

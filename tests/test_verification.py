@@ -1,15 +1,16 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nanospin_qcorr.cli as cli
-import nanospin_qcorr.cs_matrix as cs_matrix
 import nanospin_qcorr.exact_oracle as exact_oracle
 import nanospin_qcorr.verification as verification
 from nanospin_qcorr import (
     DEFAULT_TOLERANCES,
+    InvalidStateError,
     ResourceLimitError,
     VerificationReport,
     format_report,
@@ -17,6 +18,7 @@ from nanospin_qcorr import (
 )
 from nanospin_qcorr.discord import discord_numeric_rows
 from nanospin_qcorr.entanglement import concurrence_numeric_rows
+from nanospin_qcorr.nanopore import correlation_grid
 
 
 def test_small_grid_passes():
@@ -189,22 +191,14 @@ def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
     assert counted["pair_gram"] == 4
 
 
-def test_cs_rows_are_checked_once_per_chunk(monkeypatch):
-    # check_cs_rows takes one spectrum per call: a verify chunk and a
-    # --quantity all sweep check their rows once, for every measure.
-    calls, spectrum = [], cs_matrix.cs_spectrum
-
-    def counted_spectrum(params):
-        calls.append(len(params))
-        return spectrum(params)
-
-    monkeypatch.setattr(cs_matrix, "cs_spectrum", counted_spectrum)
-    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
-    run_verification(n_values=(3, 4), betas=(1.0, 2.5), n_tau=3)
-    assert calls == [5, 5, 2]
-    calls.clear()
-    cli.run_sweep("all", [2, 3, math.inf], [1.0, 2.0], [0.0, 0.5])
-    assert calls == [12]
+@pytest.mark.parametrize("column", ["geometric_discord", "discord"])
+def test_analytic_rows_reject_a_row_that_is_not_a_state(column):
+    # Each CS measure checks its own rows: one bad row fails the chunk.
+    corr = correlation_grid((3,), (1.0,), [0.0, 0.5, 1.0])
+    corr = replace(corr, q=corr.q + np.array([0.0, 0.5, 0.0]))
+    with pytest.raises(InvalidStateError, match="not a density matrix"):
+        verification.analytic_rows(corr, (column,))
+    assert len(verification.analytic_rows(corr, ("q", "concurrence"))["q"]) == 3
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
