@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .cs_matrix import (
     CSDensityMatrix,
     check_cs_rows,
-    cs_bloch,
     cs_from_params,
     cs_from_vector,
     cs_spectrum,

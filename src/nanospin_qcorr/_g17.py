@@ -10,6 +10,9 @@ holds the sign and the "0.000" lead of a fixed cell below 1; words 1-3 the
 digits before the point (d0-d7, d8-d15, d16) and the point (byte 7 of
 word 3); words 4-5 the digits d1-d16 after it; word 6 "e+dd" or "e+ddd",
 and the separator in its byte 7.  A zero cell is the constant "0" or "-0".
+The digits split into the groups d0-d3, d4-d7, d8-d11, d12-d15 and d16 by
+floor division and a multiply-subtract, and each word of a cell is one 1-D
+gather from its own contiguous table row (words 1-5 ANDed with a mask row).
 """
 
 from __future__ import annotations
@@ -53,22 +56,23 @@ def _pow10_table():
 def _text_tables():
     # Per 4-digit group g: its ASCII digits (bytes 0-3 of a word) and its
     # length without trailing zeros, 4 j + that as the j-th group of the 17
-    # digits (0 for 0000).  Per decimal exponent: words 0 and 6, and the
-    # digits before the point (0: all of them).  Per digit count n_int
-    # before the point and digits kept, 1..17 each: the masks of words 1-5.
+    # digits (0 for 0000), one row per j.  Per decimal exponent: words 0 and
+    # 6, one row each, and the digits before the point (0: all of them).
+    # Per digit count n_int before the point and digits kept, 1..17 each:
+    # the masks of words 1-5, one row each.
     d = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # the digits of g
     digits = np.ascontiguousarray((d + np.uint8(48)).T).view(np.uint32)[:, 0]
     last = ((d != 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(0)
     length = (last + 4 * np.arange(4, dtype=np.uint8)[:, None]) * (last > 0)
     x = np.arange(_X_MIN, _X_MAX + 1)
     m, fixed = np.abs(x), (x >= -4) & (x < 17)
-    zone = np.zeros((len(x), 2, 8), np.uint8)
-    zone[:, 0, 1:6] = np.frombuffer(b"0.000", np.uint8) * (
+    zone = np.zeros((2, len(x), 8), np.uint8)
+    zone[0, :, 1:6] = np.frombuffer(b"0.000", np.uint8) * (
         np.arange(5) < np.where(fixed & (x < 0), 1 - x, 0)[:, None]
     )
     sign, hundreds = np.where(x < 0, 45, 43), (48 + m // 100) * (m >= 100)
     exp = [np.full(len(x), 101), sign, hundreds, 48 + m // 10 % 10, 48 + m % 10]
-    zone[:, 1, :5] = np.stack(exp, 1) * ~fixed[:, None]
+    zone[1, :, :5] = np.stack(exp, 1) * ~fixed[:, None]
     n_int = np.where(fixed, np.where(x >= 0, x + 1, 0), 1).astype(np.int8)
     # The digit index of each byte of words 1-5; 17 is the point, -1 unused.
     index = np.full((5, 8), -1)
@@ -80,8 +84,8 @@ def _text_tables():
     after = (index >= n) & (index < k)
     keep = np.concatenate([before[..., :3, :], after[..., 3:, :]], -2)
     masks = (keep.astype(np.uint8) * 255).view(np.uint64)[..., 0].reshape(-1, 5)
-    zone = zone.view(np.uint64)[..., 0]
-    return digits.astype(np.uint64), length, zone, n_int, masks
+    masks = np.ascontiguousarray(masks.T)
+    return digits.astype(np.uint64), length, zone.view(np.uint64)[..., 0], n_int, masks
 
 
 _P10_HI, _P10_LO = _pow10_table()
@@ -130,26 +134,28 @@ def format_g17(x):
     up = D == 10**17
     X += up
     D[up] = 10**16
-    hi, lo = np.divmod(D, 10**9)
-    mid, d16 = np.divmod(lo, 10)
-    g0, g1 = np.divmod(hi, 10**4)
-    g2, g3 = np.divmod(mid, 10**4)
+    # d0-d3, d4-d7, d8-d11, d12-d15 and d16 (np.divmod is several times slower).
+    hi = D // 10**9
+    lo = D - hi * 10**9
+    mid = lo // 10
+    d16 = lo - mid * 10
+    g0, g2 = hi // 10**4, mid // 10**4
+    g1, g3 = hi - g0 * 10**4, mid - g2 * 10**4
     A = _DIGITS[g0] | (_DIGITS[g1] << np.uint64(32))
     B = _DIGITS[g2] | (_DIGITS[g3] << np.uint64(32))
     C = _D16[d16]
-    s = np.maximum(np.maximum(_LENGTH[0, g0], _LENGTH[1, g1]), _LENGTH[2, g2])
-    s = np.where(d16 > 0, 17, np.maximum(s, _LENGTH[3, g3]))
+    s = np.maximum(np.maximum(_LENGTH[0][g0], _LENGTH[1][g1]), _LENGTH[2][g2])
+    s = np.where(d16 > 0, 17, np.maximum(s, _LENGTH[3][g3]))
     # The point follows digit n_int - 1, if more digits are kept.
     n_int = _N_INT[X]
     n_int = np.where(n_int > 0, n_int, s)
-    out = np.empty((len(a), CELL_WORDS), np.uint64)
-    out[:, ::6] = np.take(_ZONE, X, axis=0)
-    out[:, 0] |= _SIGN[np.signbit(x).view(np.uint8)]
-    out[:, 1], out[:, 2], out[:, 3] = A, B, C
-    out[:, 4] = (A >> np.uint64(8)) | (B << np.uint64(56))
-    out[:, 5] = (B >> np.uint64(8)) | (C << np.uint64(56))
     kept = n_int.astype(np.intp) * 18 + np.maximum(s, n_int)
-    out[:, 1:6] &= np.take(_MASKS, kept, axis=0)
+    out = np.empty((len(a), CELL_WORDS), np.uint64)
+    np.bitwise_or(_ZONE[0][X], _SIGN[np.signbit(x).view(np.uint8)], out=out[:, 0])
+    after = [(w >> np.uint64(8)) | (v << np.uint64(56)) for w, v in ((A, B), (B, C))]
+    for j, (word, mask) in enumerate(zip([A, B, C, *after], _MASKS), 1):
+        np.bitwise_and(word, mask[kept], out=out[:, j])
+    out[:, 6] = _ZONE[1][X]
     text = out.view(np.uint8)
     for i in np.flatnonzero(python):
         cell = format(float(x[i]), ".17g").encode()

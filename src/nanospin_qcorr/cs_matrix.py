@@ -12,10 +12,10 @@ entries this leaves seven real parameters p1..p7:
 
 The spectrum splits into two branches with closed-form eigenvalues; no
 dense eigensolver is needed for states of this family.  The matrix, the
-spectrum and the Bloch data are written once, for arrays of parameter
-vectors (``cs_dense``, ``cs_spectrum``, ``cs_bloch``); one state is one row.
-So are the Bloch data's seven nonzero entries, which both discord measures
-read (``_cs_entries``), and the singular values and vector of T's yz block
+spectrum are written once, for arrays of parameter vectors (``cs_dense``,
+``cs_spectrum``); one state is one row.  So are the seven nonzero entries of
+the Bloch data, which both discord measures read (``_cs_entries``), and the
+singular values and vector of T's yz block
 (``_top_singular``, ``_top_vector``).  Which rows are states is written once
 too: ``check_cs_rows`` is the one validity rule, and each centrosymmetric
 measure applies it to the rows it is given (with the entries:
@@ -38,7 +38,6 @@ __all__ = [
     "cs_dense",
     "cs_spectrum",
     "check_cs_rows",
-    "cs_bloch",
 ]
 
 
@@ -163,20 +162,6 @@ def _checked_rows(params):
     """(check_cs_rows, _cs_entries) of CS rows (..., 7), for a measure's rows."""
     params = np.asarray(params, dtype=float).reshape(-1, 7)
     return check_cs_rows(params), _cs_entries(params)
-
-
-def cs_bloch(params):
-    """Closed-form Bloch data (x, y, T) of centrosymmetric parameter vectors.
-
-    ``params`` has shape (..., 7); returns arrays of shapes (..., 3),
-    (..., 3) and (..., 3, 3).
-    """
-    x1, y1, txx, a, b, c, d = _cs_entries(params)
-    zero = np.zeros_like(x1)
-    x = np.stack([x1, zero, zero], axis=-1)
-    y = np.stack([y1, zero, zero], axis=-1)
-    T = np.stack([txx, zero, zero, zero, a, b, zero, c, d], axis=-1)
-    return x, y, T.reshape(x1.shape + (3, 3))
 
 
 def _top_singular(a, b, c, d):

@@ -50,6 +50,17 @@ DEFAULT_GRID = (8, 8)
 # Points on each half great circle through two of T's right singular vectors,
 # at spacing pi/_CIRCLE: the plane of a rotated CS state's optimum.
 _CIRCLE = 32
+# discord_numeric_rows' fixed first-pass directions, built once: +z and the
+# DEFAULT_GRID hemisphere less its poles; the circles' cos and sin of
+# k pi/_CIRCLE, k = 1 .. _CIRCLE - 1; the grid's spacing, where the zoom starts.
+_THETAS = np.linspace(0.0, math.pi, DEFAULT_GRID[0])
+_PHIS = np.linspace(0.0, math.pi, DEFAULT_GRID[1], endpoint=False)
+_GRID = np.concatenate(
+    [[(0.0, 0.0, 1.0)], _directions(_THETAS[1:-1], _PHIS).reshape(-1, 3)]
+)
+_ARC = np.arange(1, _CIRCLE)[:, None] * (math.pi / _CIRCLE)
+_ARC_COS, _ARC_SIN = np.cos(_ARC), np.sin(_ARC)
+_GRID_H = max(float(_THETAS[1] - _THETAS[0]), float(_PHIS[1] - _PHIS[0]))
 
 # A zoom row that does not move divides its stencil's spacing by _ZOOM_SHRINK.
 # The spacing stays >= _H_FLOOR after a Newton move, so the differenced
@@ -249,23 +260,16 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     evals = np.linalg.eigvalsh(rhos) if _evals is None else _evals
     s_a, mutual = _entropies(np.linalg.norm(np.stack([x, y], axis=1), axis=-1), evals)
 
-    n_th, n_ph = DEFAULT_GRID
-    thetas = np.linspace(0.0, math.pi, n_th)
-    phis = np.linspace(0.0, math.pi, n_ph, endpoint=False)
-    grid = _directions(thetas[1:-1], phis).reshape(-1, 3)
-    grid = np.concatenate([[(0.0, 0.0, 1.0)], grid])
     v = np.linalg.svd(T)[2]
     seeds = np.concatenate([np.broadcast_to(np.eye(3)[:2], (len(T), 2, 3)), v], 1)
-    arc = np.arange(1, _CIRCLE)[:, None] * (math.pi / _CIRCLE)
-    cos, sin = np.cos(arc), np.sin(arc)
     pairs = ((0, 1), (0, 2), (1, 2))
     n0, best = np.empty((len(rhos), 3)), np.empty(len(rhos))
-    chunk = max(1, _DIRECTIONS // (len(grid) + 5 + len(pairs) * len(arc)))
+    chunk = max(1, _DIRECTIONS // (len(_GRID) + 5 + len(pairs) * len(_ARC)))
     for lo in range(0, len(rhos), chunk):
         c = slice(lo, lo + chunk)
         rows = len(seeds[c])
-        n = [np.broadcast_to(grid, (rows,) + grid.shape), seeds[c]]
-        n += [cos * v[c, None, i] + sin * v[c, None, j] for i, j in pairs]
+        n = [np.broadcast_to(_GRID, (rows,) + _GRID.shape), seeds[c]]
+        n += [_ARC_COS * v[c, None, i] + _ARC_SIN * v[c, None, j] for i, j in pairs]
         n = np.concatenate(n, axis=1)
         values = conditional_entropy_dirs(x[c], y[c], T[c], n)
         at = np.argmin(values, axis=1)
@@ -275,9 +279,8 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     # for (x, y, T); R maps n0 to (theta, phi) = (pi/2, 0).
     R = _chart(n0)
     Rt = np.swapaxes(R, 1, 2)
-    h = max(float(thetas[1] - thetas[0]), float(phis[1] - phis[0]))
     Ry = (R @ y[..., None])[..., 0]
-    theta, phi, best = _zoom_rows(x, Ry, T @ Rt, 0.5 * math.pi, 0.0, h, best)
+    theta, phi, best = _zoom_rows(x, Ry, T @ Rt, 0.5 * math.pi, 0.0, _GRID_H, best)
     axis = (Rt @ _directions(theta[:, None], phi[:, None]).reshape(-1, 3, 1))[..., 0]
     return mutual, s_a - best, axis
 

@@ -2,10 +2,10 @@
 
 Besides the samplers, this holds short independent references the tests
 compare the package against: the conditional entropy after one
-measurement, parameter extraction from a dense CS matrix,
-a partial trace and the von Neumann entropy, the spin flip, the rotation
-that splits a CS matrix into two 2x2 blocks, and Kronecker-product
-collective operators.
+measurement, parameter extraction from a dense CS matrix, the Bloch data
+of CS parameter vectors, a partial trace and the von Neumann entropy, the
+spin flip, the rotation that splits a CS matrix into two 2x2 blocks, and
+Kronecker-product collective operators.
 """
 
 import math
@@ -15,6 +15,7 @@ import numpy as np
 
 from nanospin_qcorr import cs_from_params
 from nanospin_qcorr._kernels import conditional_entropy_dirs
+from nanospin_qcorr.cs_matrix import _cs_entries
 from nanospin_qcorr.exact_oracle import pair_state, pair_states
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
 from nanospin_qcorr.states import bloch_data, check_density_matrix
@@ -84,6 +85,19 @@ def cs_from_matrix(rho, tol: float = 1e-10):
     resid = np.max(np.abs(m.to_matrix() - rho))
     assert resid <= tol, f"not of the 7-parameter form: residual {resid:.3e}"
     return m
+
+
+def cs_bloch(params):
+    """Bloch data (x, y, T) of CS parameter vectors (..., 7) from _cs_entries.
+
+    Returns arrays of shapes (..., 3), (..., 3) and (..., 3, 3).
+    """
+    x1, y1, txx, a, b, c, d = _cs_entries(params)
+    zero = np.zeros_like(x1)
+    x = np.stack([x1, zero, zero], axis=-1)
+    y = np.stack([y1, zero, zero], axis=-1)
+    T = np.stack([txx, zero, zero, zero, a, b, zero, c, d], axis=-1)
+    return x, y, T.reshape(x1.shape + (3, 3))
 
 
 def random_cs(rng, rank: int = 4):

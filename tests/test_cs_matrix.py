@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     centrosymmetrize,
+    cs_bloch,
     cs_from_matrix,
     is_centrosymmetric,
     random_cs,
@@ -14,7 +15,6 @@ from nanospin_qcorr import (
     CorrelationSet,
     check_cs_rows,
     concurrence_cs,
-    cs_bloch,
     cs_from_correlations,
     cs_from_params,
     cs_from_vector,

@@ -77,6 +77,50 @@ def test_boundaries_include_values_that_round_up_a_decade():
     _assert_exact(up)
 
 
+def _digits(v):
+    # The 17 significant digits of format(v, ".17g").
+    text = format(abs(v), ".16e")
+    return text[0] + text[2:18]
+
+
+def test_digit_split_edges():
+    # The 17 digits split into the groups d0-d3, d4-d7, d8-d11, d12-d15 and
+    # the digit d16.  Each target puts 0000 or 9999 into group j (the first
+    # holds d0 >= 1, so 1000 is its least), alone or with the same digit
+    # after it, and ends in d16 = 0 or 9.  Where a 1 leads, doubles lie at
+    # most 5 units of d16 apart, so the 19 around each target reach its
+    # group, and d16 takes both edges.  The exponents take the fixed form
+    # (-4 to 16) and the exponent form, each with both signs.
+    base = "1234567812345678"
+    targets = [
+        (j, base[: 4 * j] + group + rest + d16)
+        for j in range(4)
+        for fill, group in (("0", "1000" if j == 0 else "0000"), ("9", "9999"))
+        for rest in (base[4 * j + 4 :], fill * (12 - 4 * j))
+        for d16 in "09"
+    ]
+    steps = np.arange(-9, 10)
+    for x in (-4, -1, 0, 7, 16, -5, 17, -123, 250):
+        centres = np.array([float(f"{t[0]}.{t[1:]}e{x}") for _, t in targets])
+        values = (centres[:, None] + np.spacing(centres)[:, None] * steps).ravel()
+        digits = [_digits(v) for v in values.tolist()]
+        for j, t in targets:
+            assert any(d[4 * j : 4 * j + 4] == t[4 * j : 4 * j + 4] for d in digits)
+        # At x = 16 the doubles are even integers, so d16 is even.
+        assert {d[16] for d in digits} >= ({"0"} if x == 16 else {"0", "9"})
+        assert ("e" in format(centres[0], ".17g")) == (x < -4 or x > 16)
+        _assert_exact(np.concatenate([values, -values]))
+    # D = 10^16 after a decade round-up: a double just below 10^k whose 17
+    # digits round up to 10^17.  None lies in the fixed form's range.
+    up = [
+        v
+        for k, v in zip(range(-310, 309), _powers_of_ten().tolist())
+        if 0 < Fraction(v) < Fraction(10) ** k and _digits(v) == "1" + "0" * 16
+    ]
+    assert len(up) > 10
+    _assert_exact(np.concatenate([up, np.negative(up)]))
+
+
 def _near_ties():
     # Doubles v = m 2^-(j + n), 10^x <= v < 10^(x + 1) and n = 16 - x, whose
     # scaled value v 10^n lies 2^-j from a tie: 5^n m = 2^(j-1) +- 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     BELL_PHI_PLUS,
+    cs_bloch,
     measurement_conditional_entropy,
     numeric_batch,
     random_cs,
@@ -34,7 +35,6 @@ from nanospin_qcorr.cs_matrix import (
     _cs_entries,
     _top_singular,
     _top_vector,
-    cs_bloch,
     cs_dense,
 )
 from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows

@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import BELL_PHI_PLUS, random_cs, random_qubit_density
+from helpers import BELL_PHI_PLUS, cs_bloch, random_cs, random_qubit_density
 from nanospin_qcorr import (
     NanoporeParams,
     check_cs_rows,
-    cs_bloch,
     cs_from_params,
     discord_high_t_asymptotic,
     geometric_discord_cs,
