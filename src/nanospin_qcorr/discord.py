@@ -14,8 +14,8 @@ all rows in lockstep; they share no objective and no optimizer:
   model: an exact search in one variable, settled at an endpoint by a
   closed-form certificate (``_certified_phi``) where it can be.
 * ``discord_numeric_rows``, for any two-qubit states: a first pass over
-  fixed and per-state directions (``_kernels``), then Newton steps
-  (``_zoom_rows``).
+  the axes, T's right singular vectors and the half great circles through
+  them (``_kernels``), then Newton steps (``_zoom_rows``).
 
 A closed form for the symmetric-correlator states of the large-reservoir
 limit, with its low- and high-temperature asymptotes, is kept as an
@@ -44,23 +44,17 @@ __all__ = [
     "discord_cs_rows",
 ]
 
-# Points in theta over [0, pi] and in phi over the half period [0, pi); the
-# first pass's spacing, pi/7, is where the zoom's finish starts.
-DEFAULT_GRID = (8, 8)
-# Points on each half great circle through two of T's right singular vectors,
-# at spacing pi/_CIRCLE: the plane of a rotated CS state's optimum.
+# The first pass's half great circles through two of T's right singular
+# vectors, the plane of a rotated CS state's optimum, at spacing pi/_CIRCLE.
 _CIRCLE = 32
-# discord_numeric_rows' fixed first-pass directions, built once: +z and the
-# DEFAULT_GRID hemisphere less its poles; the circles' cos and sin of
-# k pi/_CIRCLE, k = 1 .. _CIRCLE - 1; the grid's spacing, where the zoom starts.
-_THETAS = np.linspace(0.0, math.pi, DEFAULT_GRID[0])
-_PHIS = np.linspace(0.0, math.pi, DEFAULT_GRID[1], endpoint=False)
-_GRID = np.concatenate(
-    [[(0.0, 0.0, 1.0)], _directions(_THETAS[1:-1], _PHIS).reshape(-1, 3)]
-)
+# discord_numeric_rows' fixed first-pass directions +z, x and y, and the
+# circles' cos and sin of k pi/_CIRCLE, k = 1 .. _CIRCLE - 1.
+_AXES = np.eye(3)[[2, 0, 1]]
 _ARC = np.arange(1, _CIRCLE)[:, None] * (math.pi / _CIRCLE)
 _ARC_COS, _ARC_SIN = np.cos(_ARC), np.sin(_ARC)
-_GRID_H = max(float(_THETAS[1] - _THETAS[0]), float(_PHIS[1] - _PHIS[0]))
+# The finish's first stencil spacing, that of the 8 x 8 hemisphere grid the
+# first pass once held: kept so that the finish takes the same path.
+_ZOOM_H = math.pi / 7
 
 # A zoom row that does not move divides its stencil's spacing by _ZOOM_SHRINK.
 # The spacing stays >= _H_FLOOR after a Newton move, so the differenced
@@ -236,23 +230,20 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     (``verification.oracle_rows`` passes its check's).
 
     The objective is the conditional entropy in Bloch form (``_kernels``).
-    The first pass evaluates each row on 147 directions, in kernel calls of
-    as many rows as one pass of _DIRECTIONS holds: +z; the DEFAULT_GRID
-    hemisphere less its theta = 0 and pi rows (copies of +z and, to
-    rounding, -z); x, y and the three right singular vectors v1, v2, v3 of
-    the row's T; then three half great circles, cos(k pi / _CIRCLE) vi +
-    sin(k pi / _CIRCLE) vj for k = 1 .. _CIRCLE - 1 through (v1, v2),
-    (v1, v3) and (v2, v3).  A locally rotated CS state is an X-state whose
-    optimum lies in the plane of two of T's right singular vectors (Chen et
-    al., PRA 84, 042313 (2011)), so the circles sample that plane where the
-    grid alone misses interior optima.  The half sphere and half circles
-    suffice: measuring along -n swaps the two outcomes, p_+(-n) = p_-(n) and
-    a_+(-n) = a_-(n), so the objective is even in n.  Each row's best
-    direction n0 is then zoomed (_zoom_rows), all rows in lockstep, in a
-    rotated frame whose equator holds n0, away from the poles, from the
-    grid's spacing, pi/7.  A row's result does not depend on the other
-    rows; ties go to the first direction in the order above, the grid in
-    (theta, phi) order.
+    The first pass evaluates each row on 99 directions, in kernel calls of
+    as many rows as one pass of _DIRECTIONS holds: +z, x, y and the three
+    right singular vectors v1, v2, v3 of the row's T; then three half great
+    circles, cos(k pi / _CIRCLE) vi + sin(k pi / _CIRCLE) vj for
+    k = 1 .. _CIRCLE - 1 through (v1, v2), (v1, v3) and (v2, v3).  A locally
+    rotated CS state is an X-state whose optimum lies in the plane of two of
+    T's right singular vectors (Chen et al., PRA 84, 042313 (2011)), so the
+    circles sample that plane.  Half circles suffice: measuring along -n
+    swaps the two outcomes, p_+(-n) = p_-(n) and a_+(-n) = a_-(n), so the
+    objective is even in n.  Each row's best direction n0 is then zoomed
+    (_zoom_rows), all rows in lockstep, in a rotated frame whose equator
+    holds n0, away from the poles, from the spacing _ZOOM_H = pi/7.  A
+    row's result does not depend on the other rows; ties go to the first
+    direction in the order above.
     """
     rhos = check_density_matrix(rhos) if validate else np.asarray(rhos, dtype=complex)
     rhos = rhos.reshape(-1, 4, 4)
@@ -261,16 +252,15 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     s_a, mutual = _entropies(np.linalg.norm(np.stack([x, y], axis=1), axis=-1), evals)
 
     v = np.linalg.svd(T)[2]
-    seeds = np.concatenate([np.broadcast_to(np.eye(3)[:2], (len(T), 2, 3)), v], 1)
+    seeds = np.concatenate([np.broadcast_to(_AXES, (len(T), 3, 3)), v], 1)
     pairs = ((0, 1), (0, 2), (1, 2))
     n0, best = np.empty((len(rhos), 3)), np.empty(len(rhos))
-    chunk = max(1, _DIRECTIONS // (len(_GRID) + 5 + len(pairs) * len(_ARC)))
+    chunk = max(1, _DIRECTIONS // (seeds.shape[1] + len(pairs) * len(_ARC)))
     for lo in range(0, len(rhos), chunk):
         c = slice(lo, lo + chunk)
         rows = len(seeds[c])
-        n = [np.broadcast_to(_GRID, (rows,) + _GRID.shape), seeds[c]]
-        n += [_ARC_COS * v[c, None, i] + _ARC_SIN * v[c, None, j] for i, j in pairs]
-        n = np.concatenate(n, axis=1)
+        arcs = [_ARC_COS * v[c, None, i] + _ARC_SIN * v[c, None, j] for i, j in pairs]
+        n = np.concatenate([seeds[c], *arcs], axis=1)
         values = conditional_entropy_dirs(x[c], y[c], T[c], n)
         at = np.argmin(values, axis=1)
         n0[c], best[c] = n[np.arange(rows), at], values[np.arange(rows), at]
@@ -280,7 +270,7 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     R = _chart(n0)
     Rt = np.swapaxes(R, 1, 2)
     Ry = (R @ y[..., None])[..., 0]
-    theta, phi, best = _zoom_rows(x, Ry, T @ Rt, 0.5 * math.pi, 0.0, _GRID_H, best)
+    theta, phi, best = _zoom_rows(x, Ry, T @ Rt, 0.5 * math.pi, 0.0, _ZOOM_H, best)
     axis = (Rt @ _directions(theta[:, None], phi[:, None]).reshape(-1, 3, 1))[..., 0]
     return mutual, s_a - best, axis
 

@@ -159,7 +159,8 @@ def run_verification(
 
     ``corruption`` is a test hook: it is added to the analytic correlator
     q before any derived quantity is computed, so a nonzero value must
-    make the comparison fail; it must be finite.
+    make the comparison fail.  It must lie in [-1, 1]: a state has
+    |q| <= 1/4, so a larger offset leaves no state to compare.
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
     grid's axes and every n's size budget are checked before anything is
@@ -169,8 +170,8 @@ def run_verification(
         raise ValueError(
             "verification needs at least one N, one beta and one tau point"
         )
-    if not math.isfinite(corruption):
-        raise ValueError(f"corruption must be finite, got {corruption}")
+    if not abs(corruption) <= 1.0:  # NaN too
+        raise ValueError(f"corruption must lie in [-1, 1], got {corruption}")
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)]
     n_values = check_axes(n_values, betas, taus)
     worst = {name: 0.0 for name in DEFAULT_TOLERANCES}

@@ -37,7 +37,7 @@ from nanospin_qcorr.cs_matrix import (
     _top_vector,
     cs_dense,
 )
-from nanospin_qcorr.discord import _CS_CHUNK, DEFAULT_GRID, discord_numeric_rows
+from nanospin_qcorr.discord import _CS_CHUNK, discord_numeric_rows
 from nanospin_qcorr.nanopore import _cs_params, correlation_grid
 from nanospin_qcorr.states import (
     PAULI_X,
@@ -371,10 +371,10 @@ def explicit_conditional_entropy(rho, axis):
     return total
 
 
-@pytest.mark.parametrize("rank", [4, 2, 1])
+@pytest.mark.parametrize("rank", [4, 3, 2, 1])
 def test_numeric_optimum_on_generic_states(rank):
-    # A finer grid than DEFAULT_GRID never beats the refined optimum, and the
-    # reported basis reproduces it through explicit projectors.
+    # A 181 x 360 grid over the whole sphere never beats the refined optimum,
+    # and the reported basis reproduces it through explicit projectors.
     thetas = np.linspace(0.0, math.pi, 181)
     phis = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     rng = np.random.default_rng(17)
@@ -390,10 +390,11 @@ def test_numeric_optimum_on_generic_states(rank):
 
 
 @pytest.mark.parametrize("rank", [4, 2, 1])
-def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
-    # The first grid covers phi in [0, pi) only; at the same spacing, its
-    # minimum is never above that of the whole sphere's grid, twice as wide.
-    n_th, n_ph = DEFAULT_GRID
+def test_even_objective_hemisphere_matches_the_whole_sphere(rank):
+    # The objective is even in n, which lets the first pass's great circles
+    # stop at half a turn: an 8 x 8 grid over phi in [0, pi) has a minimum
+    # never above that of the whole sphere's grid at the same spacing.
+    n_th, n_ph = 8, 8
     thetas = np.linspace(0.0, math.pi, n_th)
     half = np.linspace(0.0, math.pi, n_ph, endpoint=False)
     whole = np.linspace(0.0, 2.0 * math.pi, 2 * n_ph, endpoint=False)
@@ -408,9 +409,9 @@ def test_hemisphere_grid_minimum_matches_the_whole_sphere(rank):
 
 @pytest.mark.parametrize("measured", ["second", "first"])
 def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured, monkeypatch):
-    # Small first-pass chunks, 8 rows of 147 directions, so the batch
+    # Small first-pass chunks, 8 rows of 99 directions, so the batch
     # crosses their boundaries.
-    monkeypatch.setattr(discord_module, "_DIRECTIONS", 8 * 147)
+    monkeypatch.setattr(discord_module, "_DIRECTIONS", 8 * 99)
     rhos = numeric_batch()
     assert len(rhos) > 2 * 8
     if measured == "first":
@@ -447,21 +448,20 @@ def count_kernel_shapes(monkeypatch):
 
 
 def test_numeric_rows_zoom_in_lockstep(monkeypatch):
-    # The first pass takes every row on 147 directions, +z, the 6x8 grid
-    # without its poles, five seeds and three half great circles of 31
+    # The first pass takes every row on 99 directions, +z, x and y, T's
+    # three right singular vectors and three half great circles of 31
     # points, in kernel calls of as many rows as the direction budget holds
-    # (27, so one call for these 20); every zoom step that follows is a 3x3
+    # (41, so one call for these 20); every zoom step that follows is a 3x3
     # stencil call and a Newton trial call over the rows still zooming, the
     # first taking all of them.  The zoom stays within 350 directions per
     # row (it takes about 31 here).
     shapes = count_kernel_shapes(monkeypatch)
     rhos = numeric_batch()
     discord_numeric_rows(rhos)
-    n_th, n_ph = DEFAULT_GRID
-    per_call = discord_module._DIRECTIONS // 147
-    assert (n_th - 2) * n_ph + 1 + 5 + 3 * 31 == 147
-    assert len(rhos) <= per_call == 27
-    assert shapes[0] == (len(rhos), 147, 3)
+    per_call = discord_module._DIRECTIONS // 99
+    assert 1 + 2 + 3 + 3 * 31 == 99
+    assert len(rhos) <= per_call == 41
+    assert shapes[0] == (len(rhos), 99, 3)
     zoom = shapes[1:]
     assert zoom[0] == (len(rhos), 9, 3)
     assert all(s[0] <= len(rhos) and s[1:] in {(9, 3), (1, 3)} for s in zoom)
@@ -476,7 +476,7 @@ def test_numeric_zoom_follows_a_valley(monkeypatch):
     want = discord_cs(m).discord
     shapes = count_kernel_shapes(monkeypatch)
     got = discord_numeric(m.to_matrix()).discord
-    assert shapes[0][1] == 147
+    assert shapes[0][1] == 99
     assert sum(s[1] for s in shapes[1:]) < 200
     assert abs(got - want) < 1e-12
 
@@ -690,6 +690,19 @@ def test_cs_rows_interior_optima_meet_sphere_search():
 # n_x = 1 end: the optimum is at n_x = 0.99967, 5.6e-10 below that end,
 # which is the best of the 33 grid points.
 ENDPOINT_VALLEY = (0.195309, 0.159205, 0.0, 0.180164, 0.0, 0.09426, 0.221153)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the dense finish stops at the x end, 5.56e-10 above"
+)
+def test_sphere_search_meets_the_endpoint_valley():
+    # The valley lies within the great circles' spacing of the x endpoint,
+    # where the first pass's best direction and the Newton finish both stop.
+    params = np.array([ENDPOINT_VALLEY])
+    mutual, classical, _ = discord_cs_rows(params)
+    n_mutual, n_classical, _ = discord_numeric_rows(cs_dense(params))
+    gap = (n_mutual - n_classical) - (mutual - classical)
+    assert np.max(np.abs(gap)) < 1e-12
 
 
 def entropy_h(data, tau):

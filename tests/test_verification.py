@@ -201,15 +201,25 @@ def test_analytic_rows_reject_a_row_that_is_not_a_state(column):
     assert len(verification.analytic_rows(corr, ("q", "concurrence"))["q"]) == 3
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
-    with pytest.raises(ValueError, match=f"corruption must be finite, got {value}"):
+    # An offset near the float maximum would overflow in the closed forms.
+    message = f"corruption must lie in [-1, 1], got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_verification(n_values=(3,), betas=(1.0,), n_tau=4, corruption=value)
     argv = ["verify", "--N", "3", "--tau-points", "4"]
     assert cli.main([*argv, f"--inject-corruption={value}"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: --inject-corruption must be finite, got {value}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert counted == {"pair_gram": 0, "correlation_grid": 0}
+
+
+def test_dense_grid_discord_agrees_to_rounding():
+    # The dense search's first pass is the axes, T's right singular vectors
+    # and the great circles through them; on the benchmark's dense grid the
+    # two discord sides meet far inside the gate's 1e-6.
+    report = run_verification(n_values=(8, 9, 10), betas=(0.5, 3.0), n_tau=16)
+    assert report.ok, format_report(report)
+    assert report.max_discrepancies["discord"] < 1e-12
 
 
 def test_oracle_rows_decompose_each_stack_once(monkeypatch):
