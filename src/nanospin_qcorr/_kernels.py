@@ -68,17 +68,20 @@ def conditional_entropy_dirs(x, y, T, n):
     for c in (slice(lo, lo + step) for lo in range(0, rows, step)):
         tn, yn = T[c] @ n[c], (y[c] @ n[c])[:, 0]
         # Each step of the plain expression for sum_s p_s H2, in its order;
-        # x - T n overwrites T n once x + T n is built.
+        # x - T n overwrites T n once x + T n is built.  2 p_s = 1 + s y.n
+        # divides; -(w ln w) is 0 - w ln w but for the sign of a 0 res drops.
         for p, b in ((1.0 + yn, x[c] + tn), (1.0 - yn, np.subtract(x[c], tn, tn))):
-            p *= 0.5
             b *= b
             r = np.sqrt(b[:, 0] + b[:, 1] + b[:, 2])
-            r = np.minimum(r / np.maximum(2.0 * p, 1e-300), 1.0)
+            r /= np.maximum(p, 1e-300)
+            np.minimum(r, 1.0, out=r)
+            p *= 0.5
             # A weight at or below _H_FLOOR takes ln 1 = 0: its product is 0.
-            h = np.zeros_like(p)
+            h = None
             for w in (1.0 - r, np.add(1.0, r, out=r)):
                 w *= 0.5
-                h -= w * np.log(np.where(w > _H_FLOOR, w, 1.0))
+                w *= np.log(np.where(w > _H_FLOOR, w, 1.0))
+                h = np.negative(w, out=w) if h is None else np.subtract(h, w, out=h)
             h /= LOG2
             h *= p
             h[p < _P_FLOOR] = 0.0

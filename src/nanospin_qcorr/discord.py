@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _DIRECTIONS, _directions, conditional_entropy_dirs
+from ._kernels import _directions, conditional_entropy_dirs
 from .cs_matrix import CSDensityMatrix, _checked_rows, _top_singular, _top_vector
 from .states import bloch_data, check_density_matrix, entropy_bits
 
@@ -45,12 +45,14 @@ __all__ = [
 ]
 
 # The first pass's half great circles through two of T's right singular
-# vectors, the plane of a rotated CS state's optimum, at spacing pi/_CIRCLE.
+# vectors, the plane of a rotated CS state's optimum, at spacing pi/_CIRCLE,
+# in blocks of at most _FIRST_BYTES of directions (441 rows of 99).
 _CIRCLE = 32
+_FIRST_BYTES = 2**20
 # discord_numeric_rows' fixed first-pass directions +z, x and y, and the
 # circles' cos and sin of k pi/_CIRCLE, k = 1 .. _CIRCLE - 1.
 _AXES = np.eye(3)[[2, 0, 1]]
-_ARC = np.arange(1, _CIRCLE)[:, None] * (math.pi / _CIRCLE)
+_ARC = np.arange(1, _CIRCLE) * (math.pi / _CIRCLE)
 _ARC_COS, _ARC_SIN = np.cos(_ARC), np.sin(_ARC)
 # The finish's first stencil spacing, that of the 8 x 8 hemisphere grid the
 # first pass once held: kept so that the finish takes the same path.
@@ -230,8 +232,8 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     (``verification.oracle_rows`` passes its check's).
 
     The objective is the conditional entropy in Bloch form (``_kernels``).
-    The first pass evaluates each row on 99 directions, in kernel calls of
-    as many rows as one pass of _DIRECTIONS holds: +z, x, y and the three
+    The first pass evaluates each row on 99 directions, one kernel call per
+    block of rows (at most _FIRST_BYTES of directions): +z, x, y and the three
     right singular vectors v1, v2, v3 of the row's T; then three half great
     circles, cos(k pi / _CIRCLE) vi + sin(k pi / _CIRCLE) vj for
     k = 1 .. _CIRCLE - 1 through (v1, v2), (v1, v3) and (v2, v3).  A locally
@@ -251,19 +253,23 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     evals = np.linalg.eigvalsh(rhos) if _evals is None else _evals
     s_a, mutual = _entropies(np.linalg.norm(np.stack([x, y], axis=1), axis=-1), evals)
 
+    # A block's directions, (rows, 99, 3) as the kernel takes them (its y.n
+    # and T n round by their layout); each circle is written through its
+    # component-major view (rows, 3, 31), so the products run along it.
     v = np.linalg.svd(T)[2]
-    seeds = np.concatenate([np.broadcast_to(_AXES, (len(T), 3, 3)), v], 1)
-    pairs = ((0, 1), (0, 2), (1, 2))
     n0, best = np.empty((len(rhos), 3)), np.empty(len(rhos))
-    chunk = max(1, _DIRECTIONS // (seeds.shape[1] + len(pairs) * len(_ARC)))
-    for lo in range(0, len(rhos), chunk):
-        c = slice(lo, lo + chunk)
-        rows = len(seeds[c])
-        arcs = [_ARC_COS * v[c, None, i] + _ARC_SIN * v[c, None, j] for i, j in pairs]
-        n = np.concatenate([seeds[c], *arcs], axis=1)
+    block = max(1, _FIRST_BYTES // (3 * 8 * (6 + 3 * len(_ARC))))
+    for lo in range(0, len(rhos), block):
+        c = slice(lo, lo + block)
+        n = np.empty((len(v[c]), 6 + 3 * len(_ARC), 3))
+        n[:, :3], n[:, 3:6] = _AXES, v[c]
+        arcs = np.swapaxes(n[:, 6:].reshape(len(n), 3, len(_ARC), 3), 2, 3)
+        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+            np.multiply(_ARC_COS, v[c, i, :, None], out=arcs[:, k], order="C")
+            np.add(arcs[:, k], _ARC_SIN * v[c, j, :, None], out=arcs[:, k], order="C")
         values = conditional_entropy_dirs(x[c], y[c], T[c], n)
-        at = np.argmin(values, axis=1)
-        n0[c], best[c] = n[np.arange(rows), at], values[np.arange(rows), at]
+        at, rows = np.argmin(values, axis=1), np.arange(len(n))
+        n0[c], best[c] = n[rows, at], values[rows, at]
 
     # The objective at m for data (x, R y, T R^T) is the objective at R^T m
     # for (x, y, T); R maps n0 to (theta, phi) = (pi/2, 0).

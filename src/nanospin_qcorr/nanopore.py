@@ -77,24 +77,25 @@ _TAU_MAX = 0.5 * sys.float_info.max
 
 def beta_from_temperature(temperature: float, omega0: float = OMEGA0_DEFAULT) -> float:
     """Dimensionless inverse temperature h_bar omega0 / (k_B T)."""
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
-        return math.inf
-    if math.isinf(temperature):
-        return 0.0
-    return HBAR * omega0 / (K_BOLTZMANN * temperature)
+    return _over_k("temperature", temperature, omega0)
 
 
 def temperature_from_beta(beta: float, omega0: float = OMEGA0_DEFAULT) -> float:
     """Temperature in kelvin for a dimensionless inverse temperature."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if beta == 0.0:
+    return _over_k("beta", beta, omega0)
+
+
+def _over_k(name: str, x: float, omega0: float) -> float:
+    """h_bar omega0 / (k_B x) for x >= 0, T from beta or beta from T; where k_B x
+    is not a normal float (x < 1.6e-285), as (h_bar omega0 / k_B) / x."""
+    if x < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {x}")
+    if x == 0.0:
         return math.inf
-    if math.isinf(beta):
-        return 0.0
-    return HBAR * omega0 / (K_BOLTZMANN * beta)
+    kx = K_BOLTZMANN * x  # inf for x = inf, and then the ratio is 0
+    if kx >= sys.float_info.min:
+        return HBAR * omega0 / kx
+    return HBAR * omega0 / K_BOLTZMANN / x
 
 
 def _check_l(l) -> int:

@@ -182,6 +182,27 @@ def test_temperature_grid_round_trip(tmp_path):
         assert t_k == pytest.approx(t, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid, beta, t_k",
+    [
+        (["--beta-range", "1e-320:1e-320:1"], "9.9998886718268301e-321", "inf"),
+        (["--temp-range", "1e-320:1e-320:1"], "inf", "0"),
+        (
+            ["--temp-range", "1e308:1e308:1"],
+            "2.3996215366830962e-310",
+            "1.000000000000006e+308",
+        ),
+    ],
+)
+def test_subnormal_temperature_or_beta_sweeps(capsys, grid, beta, t_k):
+    # k_B times a subnormal beta or T, or times 1e-320 K, is not a normal
+    # float, and 1e308 K's beta is subnormal; each sweep writes its row.
+    rc = main(["sweep", "--quantity", "all", "--N", "2", *grid, "--tau", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and len(lines) == 3
+    assert lines[2].split(",")[1:3] == [beta, t_k]
+
+
 def test_large_pore_cold_discord_saturates(tmp_path):
     # The headline regime: a very cold large pore sits at the plateau.
     path = run_to_file(

@@ -29,6 +29,7 @@ from nanospin_qcorr import (
     discord_numeric,
     reduced_density,
 )
+import nanospin_qcorr._kernels as kernels_module
 import nanospin_qcorr.discord as discord_module
 from nanospin_qcorr._kernels import conditional_entropy_dirs, conditional_entropy_grid
 from nanospin_qcorr.cs_matrix import (
@@ -407,13 +408,18 @@ def test_even_objective_hemisphere_matches_the_whole_sphere(rank):
     assert np.all(low_half <= low_whole + 1e-15)
 
 
+# The bytes of one row's first-pass directions, 99 of 3 doubles.
+FIRST_ROW_BYTES = 99 * 3 * 8
+
+
 @pytest.mark.parametrize("measured", ["second", "first"])
 def test_numeric_rows_equal_one_row_calls_bit_for_bit(measured, monkeypatch):
-    # Small first-pass chunks, 8 rows of 99 directions, so the batch
-    # crosses their boundaries.
-    monkeypatch.setattr(discord_module, "_DIRECTIONS", 8 * 99)
+    # Small first-pass blocks, 8 rows of 99 directions, and kernel passes of
+    # 3 rows, so the batch crosses the boundaries of both.
+    monkeypatch.setattr(discord_module, "_FIRST_BYTES", 8 * FIRST_ROW_BYTES)
+    monkeypatch.setattr(kernels_module, "_DIRECTIONS", 3 * 99)
     rhos = numeric_batch()
-    assert len(rhos) > 2 * 8
+    assert len(rhos) > 2 * 8 and len(rhos) % 8 and len(rhos) % 3
     if measured == "first":
         rhos = swap_qubits(rhos)
     mutual, classical, axis = discord_numeric_rows(rhos)
@@ -450,22 +456,69 @@ def count_kernel_shapes(monkeypatch):
 def test_numeric_rows_zoom_in_lockstep(monkeypatch):
     # The first pass takes every row on 99 directions, +z, x and y, T's
     # three right singular vectors and three half great circles of 31
-    # points, in kernel calls of as many rows as the direction budget holds
-    # (41, so one call for these 20); every zoom step that follows is a 3x3
-    # stencil call and a Newton trial call over the rows still zooming, the
-    # first taking all of them.  The zoom stays within 350 directions per
-    # row (it takes about 31 here).
+    # points, in one kernel call per block of at most _FIRST_BYTES of
+    # directions (441 rows, so one call for these 20); every zoom step that
+    # follows is a 3x3 stencil call and a Newton trial call over the rows
+    # still zooming, the first taking all of them.  The zoom stays within
+    # 350 directions per row (it takes about 31 here).
     shapes = count_kernel_shapes(monkeypatch)
     rhos = numeric_batch()
     discord_numeric_rows(rhos)
-    per_call = discord_module._DIRECTIONS // 99
+    per_block = discord_module._FIRST_BYTES // FIRST_ROW_BYTES
     assert 1 + 2 + 3 + 3 * 31 == 99
-    assert len(rhos) <= per_call == 41
+    assert len(rhos) <= per_block == 441
     assert shapes[0] == (len(rhos), 99, 3)
     zoom = shapes[1:]
     assert zoom[0] == (len(rhos), 9, 3)
     assert all(s[0] <= len(rhos) and s[1:] in {(9, 3), (1, 3)} for s in zoom)
     assert sum(s[0] * s[1] for s in zoom) <= 350 * len(rhos)
+
+
+def capture_kernel_directions(monkeypatch):
+    """Copies of the directions of every objective call the discord module makes."""
+    calls = []
+    kernel = discord_module.conditional_entropy_dirs
+
+    def capturing(x, y, T, n):
+        calls.append(np.array(n))
+        return kernel(x, y, T, n)
+
+    monkeypatch.setattr(discord_module, "conditional_entropy_dirs", capturing)
+    return calls
+
+
+def first_pass_directions(rhos):
+    """The first pass's 99 directions of each state, (R, 99, 3), built here
+    state by state: +z, x and y, the rows v1, v2, v3 of svd(T)[2], then the
+    half circles cos(k pi/32) vi + sin(k pi/32) vj through each pair."""
+    cos, sin = discord_module._ARC_COS[:, None], discord_module._ARC_SIN[:, None]
+    rows = []
+    for v in np.linalg.svd(bloch_data(rhos)[2])[2]:
+        arcs = [cos * v[i] + sin * v[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+        rows.append(np.concatenate([np.eye(3)[[2, 0, 1]], v, *arcs]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("batch", ["numeric", "verify-dense"])
+def test_first_pass_directions_bit_for_bit(batch, monkeypatch):
+    # The first kernel call holds every row's directions, in the order that
+    # settles ties; verify's 96-state chunks take one first-pass call.
+    rhos = numeric_batch() if batch == "numeric" else verify_dense_states()
+    calls = capture_kernel_directions(monkeypatch)
+    discord_numeric_rows(rhos)
+    assert calls[0].tobytes() == first_pass_directions(rhos).tobytes()
+    assert [len(n) for n in calls if n.shape[1] == 99] == [len(rhos)]
+
+
+def test_first_pass_blocks_are_bounded(monkeypatch):
+    # A stack past the block bound takes first-pass calls of at most
+    # _FIRST_BYTES of directions, 441 rows.
+    per_block = discord_module._FIRST_BYTES // FIRST_ROW_BYTES
+    rng = np.random.default_rng(41)
+    rhos = np.array([random_density4(rng, 1 + k % 4) for k in range(2 * per_block + 5)])
+    shapes = count_kernel_shapes(monkeypatch)
+    discord_numeric_rows(rhos)
+    assert [s[0] for s in shapes if s[1] == 99] == [per_block, per_block, 5]
 
 
 def test_numeric_zoom_follows_a_valley(monkeypatch):

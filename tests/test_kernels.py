@@ -172,7 +172,7 @@ def unit_directions(rng, rows, m):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
-@pytest.mark.parametrize("m", [1, 9, 81, 230, 300])
+@pytest.mark.parametrize("m", [1, 9, 81, 99, 230, 300])
 def test_floors_give_the_nested_where_values_bit_for_bit(m):
     rng = np.random.default_rng(m)
     x, y, T = bloch_data(np.concatenate([floor_states(), numeric_batch()]))

@@ -88,6 +88,25 @@ def test_temperature_conversion_edges():
         beta_from_temperature(-1.0)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320])
+def test_temperature_conversion_of_subnormals(x):
+    # k_B x rounds to 0 or to a subnormal; the ratio, about 0.024 / x, is
+    # past the largest float either way.
+    assert beta_from_temperature(x) == math.inf
+    assert temperature_from_beta(x) == math.inf
+
+
+def test_temperature_conversion_round_trip_at_the_top():
+    # T = 1e308 K has a subnormal beta, which converts back.
+    beta = beta_from_temperature(1e308)
+    assert 0.0 < beta < sys.float_info.min
+    assert temperature_from_beta(beta) == 1.000000000000006e308
+    # Where k_B x is a normal float the conversion is the one expression.
+    for x in (1.7e-285, 1e-280, 1e-3, 1.0, 1e300, 1e308):
+        want = HBAR * OMEGA0_DEFAULT / (K_BOLTZMANN * x)
+        assert beta_from_temperature(x) == temperature_from_beta(x) == want
+
+
 def test_params_from_temperature():
     p = NanoporeParams(6, beta_from_temperature(0.01), 0.5)
     assert p.beta == pytest.approx(beta_from_temperature(0.01), rel=1e-15)
