@@ -335,11 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--tau-points", type=int, default=DEFAULT_N_TAU)
     verify.add_argument(
-        "--skip-discord",
-        action="store_true",
-        help="skip the (slowest) discord comparison",
-    )
-    verify.add_argument(
         "--inject-corruption",
         type=float,
         default=0.0,
@@ -351,14 +346,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     n_values = _parse_n(args.N)
-    if args.beta_range:
+    if args.beta_range is not None:
         betas = _parse_range(args.beta_range, "--beta-range")
     else:
         temps = _parse_range(args.temp_range, "--temp-range")
         betas = [beta_from_temperature(t, args.omega0) for t in temps]
-    if args.tau_range:
+    if args.coupling is not None and args.time_range is None:
+        raise ValueError("--coupling applies only to --time-range")
+    if args.tau_range is not None:
         taus = _parse_range(args.tau_range, "--tau-range")
-    elif args.time_range:
+    elif args.time_range is not None:
         if args.coupling is None:
             raise ValueError("--time-range requires --coupling")
         times = _parse_range(args.time_range, "--time-range")
@@ -414,7 +411,6 @@ def _cmd_verify(args) -> int:
         n_values=n_values,
         betas=tuple(args.beta),
         n_tau=args.tau_points,
-        include_discord=not args.skip_discord,
         corruption=args.inject_corruption,
     )
     print(format_report(report))
@@ -441,6 +437,11 @@ def main(argv=None) -> int:
         # devnull so that the interpreter's final flush stays silent too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an --out or a stdout that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "out", None) is None:  # stdout: silence its flush too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -125,34 +125,35 @@ class VerificationReport:
         return not self.failures
 
 
-def _diffs(model, ref, rhos, names) -> dict:
+def _diffs(corr, rhos) -> dict:
     """|analytic - reference| per quantity, an array over a chunk's rows.
 
-    ``model`` holds analytic_rows' columns, the chunk's CS parameter rows
-    (params) and their closed-form CS concurrence (concurrence_cs).
+    ``corr`` holds the chunk's correlators and ``rhos`` its pair states; the
+    states are also compared with the CS parameter rows, and both sides'
+    concurrence with the rows' closed-form CS concurrence.
     """
-    closed = model["concurrence_cs"]
+    params = _cs_params(corr)
+    model = analytic_rows(corr, DEFAULT_TOLERANCES)
+    closed = concurrence_cs_rows(params)
+    ref = oracle_rows(rhos, DEFAULT_TOLERANCES)
     alpha = expansion_coefficients(rhos)
     zeros = [alpha[:, i, j] for i, j in _ZERO_ALPHA_INDICES] + [ref["v"]]
-    diffs = {
-        "correlations": np.abs([model[f] - ref[f] for f in CORR_FIELDS]).max(0),
-        "reduced_matrix": np.abs(rhos - cs_dense(model["params"])).max((1, 2)),
+    return {
+        "correlations": np.abs([getattr(corr, f) - ref[f] for f in CORR_FIELDS]).max(0),
+        "reduced_matrix": np.abs(rhos - cs_dense(params)).max((1, 2)),
         "concurrence": np.maximum(
             abs(model["concurrence"] - closed), abs(closed - ref["concurrence"])
         ),
+        "geometric_discord": abs(model["geometric_discord"] - ref["geometric_discord"]),
+        "discord": abs(model["discord"] - ref["discord"]),
         "structural_zeros": np.abs(zeros).max(0),
     }
-    for name in ("geometric_discord", "discord"):
-        if name in names:
-            diffs[name] = abs(model[name] - ref[name])
-    return diffs
 
 
 def run_verification(
     n_values=DEFAULT_N_VALUES,
     betas=DEFAULT_BETAS,
     n_tau: int = DEFAULT_N_TAU,
-    include_discord: bool = True,
     corruption: float = 0.0,
 ) -> VerificationReport:
     """Compare closed forms against the pair oracle on a parameter grid.
@@ -174,11 +175,8 @@ def run_verification(
         raise ValueError(f"corruption must lie in [-1, 1], got {corruption}")
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)]
     n_values = check_axes(n_values, betas, taus)
-    worst = {name: 0.0 for name in DEFAULT_TOLERANCES}
-    if not include_discord:
-        worst.pop("discord")
+    worst = dict.fromkeys(DEFAULT_TOLERANCES, 0.0)
     worst_row = {}
-    needed = tuple(worst) + CORR_FIELDS
 
     states = pair_states(n_values, betas, taus)
     corr = correlation_grid(n_values, betas, taus)
@@ -187,10 +185,7 @@ def run_verification(
     for rhos in states:
         part = slice(lo, lo + len(rhos))
         chunk = replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS})
-        params = _cs_params(chunk)
-        model = analytic_rows(chunk, needed)
-        model.update(params=params, concurrence_cs=concurrence_cs_rows(params))
-        for name, diff in _diffs(model, oracle_rows(rhos, needed), rhos, worst).items():
+        for name, diff in _diffs(chunk, rhos).items():
             k = int(np.argmax(diff))
             if diff[k] > worst[name]:
                 worst[name], worst_row[name] = float(diff[k]), lo + k
@@ -202,8 +197,7 @@ def run_verification(
         name: (n_values[i // (n_b * n_t)], betas[i // n_t % n_b], taus[i % n_t])
         for name, i in worst_row.items()
     }
-    tols = {name: DEFAULT_TOLERANCES[name] for name in worst}
-    return VerificationReport(worst, tols, len(corr.q), worst_at)
+    return VerificationReport(worst, dict(DEFAULT_TOLERANCES), len(corr.q), worst_at)
 
 
 def format_report(report: VerificationReport) -> str:

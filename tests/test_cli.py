@@ -2,6 +2,8 @@ import inspect
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
@@ -452,6 +454,78 @@ def test_time_range_needs_coupling(capsys):
     assert "--coupling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tau", [["--tau", "0"], ["--tau-range", "0:1:0.5"], ["--tau", "special:0"]]
+)
+def test_coupling_needs_time_range(monkeypatch, capsys, tau):
+    # A --coupling that no --time-range reads is an error, not ignored.
+    monkeypatch.setattr(cli, "run_sweep", None)  # reached only by a bug
+    argv = ["sweep", "--quantity", "all", "--N", "2", "--beta-range", "1:1:1"]
+    assert main(argv + tau + ["--coupling", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --coupling applies only to --time-range\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--beta-range", "", "--tau", "0"],
+        ["--temp-range", "", "--tau", "0"],
+        ["--beta-range", "1:1:1", "--tau-range", ""],
+        ["--beta-range", "1:1:1", "--time-range", "", "--coupling", "1"],
+    ],
+)
+def test_empty_range_named(capsys, grid):
+    # An empty range is one that does not parse, not one left out.
+    flag = grid[grid.index("") - 1]
+    assert main(["sweep", "--N", "4"] + grid) == 2
+    assert capsys.readouterr().err == f"error: {flag} expects lo:hi:step, got ''\n"
+
+
+_TINY_SWEEP = ["sweep", "--quantity", "all", "--N", "2", "--beta-range", "1:1:1"]
+_TINY_SWEEP += ["--tau", "0"]
+
+
+def _assert_one_error_line(err: str):
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path
+    assert main(_TINY_SWEEP + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured.err)
+    assert str(out) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _TINY_SWEEP,
+        _TINY_SWEEP + ["--out", "/dev/full"],
+        ["verify", "--N", "3", "--tau-points", "2"],
+    ],
+    ids=["sweep", "sweep-out", "verify"],
+)
+def test_full_disk_exits_2(argv):
+    # Every write fails with ENOSPC: one error line, and a silent exit.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nanospin_qcorr", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr)
+    assert "No space left on device" in proc.stderr
+
+
 def test_time_range_matches_tau_range(tmp_path):
     # tau = 1.5 D t, so D = 2 maps t in steps of 0.5 onto tau steps of 1.5.
     via_time = run_to_file(
@@ -506,7 +580,6 @@ def test_verify_small_grid(capsys):
             "1.0",
             "--tau-points",
             "4",
-            "--skip-discord",
         ]
     )
     out = capsys.readouterr().out
@@ -514,6 +587,17 @@ def test_verify_small_grid(capsys):
     assert "checked" in out
     assert "ok" in out
     assert "FAIL" not in out
+
+
+def test_verify_has_one_configuration(capsys):
+    # Every run compares every quantity: the options set the grid and the
+    # corruption test hook, and nothing else.
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    flags = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--N", "--beta", "--tau-points", "--inject-corruption"}
+    params = inspect.signature(run_verification).parameters
+    assert list(params) == ["n_values", "betas", "n_tau", "corruption"]
 
 
 def test_verify_defaults_are_run_verification_defaults(monkeypatch, capsys):
@@ -540,7 +624,6 @@ def test_verify_detects_corruption(capsys):
             "1.0",
             "--tau-points",
             "4",
-            "--skip-discord",
             "--inject-corruption",
             "1e-6",
         ]
@@ -553,7 +636,7 @@ def test_verify_detects_corruption(capsys):
 
 
 def test_verify_rejects_infinite_pore(capsys):
-    rc = main(["verify", "--N", "inf", "--skip-discord"])
+    rc = main(["verify", "--N", "inf"])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
 

@@ -31,18 +31,8 @@ def test_small_grid_passes():
     assert report.max_discrepancies["discord"] < 1e-8
 
 
-def test_skip_discord_drops_key():
-    report = run_verification(
-        n_values=(3,), betas=(0.5,), n_tau=2, include_discord=False
-    )
-    assert "discord" not in report.max_discrepancies
-    assert report.ok
-
-
 def test_corruption_is_detected():
-    report = run_verification(
-        n_values=(3,), betas=(1.0,), n_tau=4, include_discord=False, corruption=1e-6
-    )
+    report = run_verification(n_values=(3,), betas=(1.0,), n_tau=4, corruption=1e-6)
     assert not report.ok
     assert "correlations" in report.failures
     assert "reduced_matrix" in report.failures
@@ -50,9 +40,7 @@ def test_corruption_is_detected():
 
 
 def test_corruption_below_tolerance_passes():
-    report = run_verification(
-        n_values=(3,), betas=(1.0,), n_tau=2, include_discord=False, corruption=1e-12
-    )
+    report = run_verification(n_values=(3,), betas=(1.0,), n_tau=2, corruption=1e-12)
     assert report.ok
 
 
@@ -66,13 +54,11 @@ def test_corruption_below_tolerance_passes():
 )
 def test_empty_grid_is_rejected(grid):
     with pytest.raises(ValueError, match="at least one"):
-        run_verification(include_discord=False, **grid)
+        run_verification(**grid)
 
 
 def test_format_report_lines():
-    report = run_verification(
-        n_values=(3,), betas=(1.0,), n_tau=2, include_discord=False
-    )
+    report = run_verification(n_values=(3,), betas=(1.0,), n_tau=2)
     text = format_report(report)
     lines = text.splitlines()
     assert lines[0] == "checked 2 states"
@@ -98,7 +84,7 @@ def test_format_report_marks_failure():
 def test_worst_discrepancy_is_located(monkeypatch):
     # Five-state chunks: the 12 states' worst rows are located across chunks.
     monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
-    grid = dict(n_tau=3, include_discord=False)
+    grid = dict(n_tau=3)
     report = run_verification(n_values=(3, 4), betas=(1.0, 2.0), **grid)
     assert report.worst_at
     taus = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
@@ -119,6 +105,18 @@ def test_report_without_locations_formats():
     assert format_report(report).splitlines()[1] == (
         "concurrence: max |diff| = 0.000e+00 (tolerance 1e-10) ok"
     )
+
+
+def test_diffs_compare_every_tolerance():
+    # One chunk: one array over its rows per quantity, and no tolerance
+    # without a comparison (it would read 0.0 and ok forever).
+    n_values, betas, taus = (3, 8), (0.5, 3.0), [0.3, 1.1, 2.0]
+    (rhos,) = exact_oracle.pair_states(n_values, betas, taus)
+    diffs = verification._diffs(correlation_grid(n_values, betas, taus), rhos)
+    assert diffs.keys() == DEFAULT_TOLERANCES.keys()
+    for name, diff in diffs.items():
+        assert isinstance(diff, np.ndarray) and diff.shape == (12,), name
+        assert (diff <= DEFAULT_TOLERANCES[name]).all(), name
 
 
 @pytest.fixture
