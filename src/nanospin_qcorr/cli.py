@@ -387,7 +387,7 @@ def _cmd_sweep(args) -> int:
         engine=args.engine,
         omega0=args.omega0,
     )
-    if args.out:
+    if args.out is not None:
         stream = open(args.out, "w", newline="")
     else:
         stream = contextlib.nullcontext(sys.stdout)
@@ -426,9 +426,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_verify(args)
+        rc = _cmd_sweep(args) if args.command == "sweep" else _cmd_verify(args)
+        sys.stdout.flush()  # off a tty stdout is buffered: fail here, not at exit
+        return rc
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

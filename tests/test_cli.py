@@ -492,9 +492,11 @@ def _assert_one_error_line(err: str):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("where", ["missing", "directory", "empty"])
 def test_unwritable_out_exits_2(tmp_path, capsys, where):
-    out = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path
+    # An empty --out names no file; it does not stand for stdout.
+    out = {"missing": tmp_path / "missing" / "x.csv", "directory": tmp_path}
+    out = out.get(where, "")
     assert main(_TINY_SWEEP + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     _assert_one_error_line(captured.err)
@@ -512,14 +514,20 @@ def test_unwritable_out_exits_2(tmp_path, capsys, where):
     ],
     ids=["sweep", "sweep-out", "verify"],
 )
-def test_full_disk_exits_2(argv):
-    # Every write fails with ENOSPC: one error line, and a silent exit.
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_full_disk_exits_2(argv, buffered):
+    # Every write fails with ENOSPC: one error line, and a silent exit.  A
+    # buffered stdout holds a small output until main() flushes it.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "nanospin_qcorr", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
     assert proc.returncode == 2
     _assert_one_error_line(proc.stderr)
