@@ -11,14 +11,11 @@ __version__ = "0.1.0"
 from .cs_matrix import (
     CSDensityMatrix,
     check_cs_rows,
-    cs_from_params,
-    cs_from_vector,
     cs_spectrum,
 )
 from .discord import (
     DiscordResult,
     discord_bell_diagonal,
-    discord_cs,
     discord_cs_rows,
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,

@@ -33,8 +33,6 @@ from .states import EPS_PSD, InvalidStateError
 
 __all__ = [
     "CSDensityMatrix",
-    "cs_from_params",
-    "cs_from_vector",
     "cs_dense",
     "cs_spectrum",
     "check_cs_rows",
@@ -75,23 +73,6 @@ class CSDensityMatrix:
     def to_matrix(self) -> np.ndarray:
         """Dense 4x4 complex matrix."""
         return cs_dense(self.params)
-
-
-def cs_from_params(
-    p1: float, p2: float, p3: float, p4: float, p5: float, p6: float, p7: float
-) -> CSDensityMatrix:
-    """Build a CSDensityMatrix from its seven real parameters."""
-    return CSDensityMatrix(
-        float(p1), float(p2), float(p3), float(p4), float(p5), float(p6), float(p7)
-    )
-
-
-def cs_from_vector(params) -> CSDensityMatrix:
-    """Build a CSDensityMatrix from a length-7 sequence (p1..p7)."""
-    p = np.asarray(params, dtype=float)
-    if p.shape != (7,):
-        raise ValueError(f"expected 7 parameters, got shape {p.shape}")
-    return cs_from_params(*p)
 
 
 def cs_dense(params) -> np.ndarray:

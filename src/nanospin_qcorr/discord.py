@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _directions, conditional_entropy_dirs
-from .cs_matrix import CSDensityMatrix, _checked_rows, _top_singular, _top_vector
+from .cs_matrix import _checked_rows, _top_singular, _top_vector
 from .states import bloch_data, check_density_matrix, entropy_bits
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "discord_high_t_asymptotic",
     "discord_numeric",
     "discord_numeric_rows",
-    "discord_cs",
     "discord_cs_rows",
 ]
 
@@ -93,14 +92,6 @@ class DiscordResult:
     classical_correlation: float
     discord: float
     axis: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "mutual_information": self.mutual_information,
-            "classical_correlation": self.classical_correlation,
-            "discord": self.discord,
-            "axis": self.axis,
-        }
 
 
 def _xlog2x(t: float) -> float:
@@ -210,15 +201,11 @@ def _zoom_rows(x, y, T, theta, phi, h: float, best):
     return theta, phi, best
 
 
-def _first_row(mutual, classical, axis) -> DiscordResult:
-    """The DiscordResult of the first row of a solver's arrays."""
-    mi, cc = float(mutual[0]), float(classical[0])
-    return DiscordResult(mi, cc, mi - cc, tuple(axis[0].tolist()))
-
-
 def discord_numeric(rho, validate=True):
     """Discord of a 4x4 state, a DiscordResult: discord_numeric_rows' one-row case."""
-    return _first_row(*discord_numeric_rows([rho], validate))
+    mutual, classical, axis = discord_numeric_rows([rho], validate)
+    mi, cc = float(mutual[0]), float(classical[0])
+    return DiscordResult(mi, cc, mi - cc, tuple(axis[0].tolist()))
 
 
 def discord_numeric_rows(rhos, validate=True, *, _evals=None):
@@ -441,8 +428,3 @@ def _refine_rows(data, phi, best, h):
         k = np.argmin(values, axis=1)
         phi, best, h = points[np.arange(len(k)), k], values.min(axis=1), h / 4.0
     return phi, best
-
-
-def discord_cs(m: CSDensityMatrix) -> DiscordResult:
-    """Discord of a CS state, a DiscordResult: discord_cs_rows' one-row case."""
-    return _first_row(*discord_cs_rows(m.params))

@@ -47,13 +47,6 @@ class ConcurrenceResult:
     concurrence: float
     eof: float
 
-    def as_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "concurrence": self.concurrence,
-            "eof": self.eof,
-        }
-
 
 def entanglement_of_formation(concurrence: float) -> float:
     """Entanglement of formation in bits for a given concurrence."""

@@ -8,8 +8,8 @@ the diagonal phases of the squared collective z component.  The oracle,
 configurations of the other spins, brute force in O(2^n) memory, in a
 phase sum that every beta shares (``pair_gram``, over an array of taus,
 with one exp per tau and magnetization level), and stacks the states of a
-grid chunk by chunk; ``pair_state`` is its one-point case.  The analytic
-values are validated against it.  The dense 2^n x 2^n engine
+grid chunk by chunk; one point is a grid of one.  The analytic values are
+validated against it.  The dense 2^n x 2^n engine
 (``thermal_initial``, ``evolve``, ``partial_trace_pair``) grows as 4^n;
 no package path calls it: it serves the tests, as the reference the oracle
 is checked against, and the benchmark's bindings.
@@ -35,7 +35,6 @@ __all__ = [
     "magnetizations",
     "pair_gram",
     "pair_states",
-    "pair_state",
     "thermal_initial",
     "evolve",
     "partial_trace_pair",
@@ -162,7 +161,7 @@ def partial_trace_pair(state: DenseState) -> np.ndarray:
 
 def pair_gram(n, tau):
     """(G, c), G = ph @ ph^H for the phases ph = exp(-i tau m^2) of ``evolve``
-    as (4, c), c = 2^(n-2): pair_state's phase sum, free of beta.
+    as (4, c), c = 2^(n-2): pair_states' phase sum, free of beta.
 
     For an array of taus G has shape tau.shape + (4, 4), one batched
     product per block of as many taus as _BLOCK_BYTES holds (_tau_bytes).
@@ -222,11 +221,6 @@ def pair_states(n_values, betas, taus):
             yield np.concatenate(parts)
 
     return chunks()
-
-
-def pair_state(n, beta, tau) -> np.ndarray:
-    """The 4x4 pair state at one (n, beta, tau): pair_states' one-point case."""
-    return next(pair_states((n,), (beta,), (tau,)))[0]
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

@@ -21,11 +21,11 @@ the pair state becomes Bell-diagonal and time-independent.
 The closed forms take a whole grid as arrays; one point is the one-row
 case.  The per-axis factors tanh(beta / 2), cos(tau), cos(2 tau) and
 sin(tau) stay on ``math``, whose results numpy's tanh, exp and log miss by
-one ulp for some inputs.  So do the powers of cos (``_powers``, whose
-one-point case is ``cos_power``): math.log|c| once per tau-axis value,
-then math.exp mapped over k log|c| per n, the bits of a scalar loop.  The
-elementwise products and sums after them round as on floats, so a value
-does not depend on its batch.
+one ulp for some inputs.  So do the powers of cos (``_powers``):
+math.log|c| once per tau-axis value, then math.exp mapped over k log|c|
+per n, the bits of a scalar loop.  The elementwise products and sums after
+them round as on floats, so a value does not depend on its batch.  At a
+flickering time tau_special(l) the factors are exact (``_tau_factors``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cs_matrix import CSDensityMatrix, check_cs_rows, cs_from_vector
+from .cs_matrix import CSDensityMatrix, check_cs_rows
 
 __all__ = [
     "H_PLANCK",
@@ -49,7 +49,6 @@ __all__ = [
     "beta_from_temperature",
     "temperature_from_beta",
     "tau_special",
-    "cos_power",
     "check_axes",
     "correlation_grid",
     "correlations",
@@ -119,24 +118,17 @@ class NanoporeParams:
     """Model parameters: pore occupancy n, inverse temperature, time.
 
     n is the pore occupancy, beta the inverse temperature (math.inf selects
-    zero temperature), tau the dimensionless interaction time and omega0
-    the resonance frequency used for temperature conversions.  They must
-    pass check_axes, as a grid of one point.
+    zero temperature) and tau the dimensionless interaction time.  They
+    must pass check_axes, as a grid of one point.
     """
 
     n: float
     beta: float
     tau: float
-    omega0: float = OMEGA0_DEFAULT
 
     def __post_init__(self):
-        (n,) = check_axes([self.n], [self.beta], [self.tau], self.omega0)
+        (n,) = check_axes([self.n], [self.beta], [self.tau])
         object.__setattr__(self, "n", n)
-
-    @property
-    def temperature(self) -> float:
-        """Temperature in kelvin corresponding to beta at omega0."""
-        return temperature_from_beta(self.beta, self.omega0)
 
 
 @dataclass(frozen=True)
@@ -153,24 +145,14 @@ class CorrelationSet:
         return {"p": self.p, "q": self.q, "r": self.r, "u": self.u, "v": self.v}
 
 
-def cos_power(c: float, k) -> float:
-    """Sign-tracked c**k through log space, stable for very large k.
-
-    k = 0 returns 1 for any c (empty product); c = 0 with k > 0 returns
-    exactly 0; magnitudes underflowing 1e-300 are flushed to +0.  The
-    one-point case of ``_powers``.
-    """
-    c = np.array([c], dtype=float)
-    return float(_powers(c, _log_abs(c), k)[0])
-
-
 def _log_abs(c: np.ndarray) -> np.ndarray:
     """math.log|c| per value of c, -inf where c = 0."""
     return np.array([math.log(abs(x)) if x else -math.inf for x in c.tolist()])
 
 
 def _powers(c: np.ndarray, log_c: np.ndarray, k) -> np.ndarray:
-    """c**k per value of the array c by cos_power's rules; log_c = _log_abs(c)."""
+    """Sign-tracked c**k per value of c in log space, log_c = _log_abs(c): 1 for
+    k = 0 (an empty product), exactly 0 for c = 0 and k > 0, +0 below 1e-300."""
     if k == 0:
         return np.ones(len(c))
     mag = np.fromiter(map(math.exp, (float(k) * log_c).tolist()), float, len(c))
@@ -216,15 +198,26 @@ def correlation_grid(n_values, betas, taus) -> CorrelationSet:
     """Pair correlators over the (n, beta, tau) grid, as arrays.
 
     Returns a CorrelationSet whose fields are float arrays in sweep order:
-    n outer, then beta, then tau inner.  The axes must pass check_axes.
+    n outer, then beta, then tau inner.  The axes must pass check_axes.  A
+    tau equal to tau_special(l) gives special_time_correlations' values.
     """
-    return _correlation_table(
-        n_values,
-        [math.tanh(beta / 2.0) for beta in betas],
-        [math.cos(tau) for tau in taus],
-        [math.cos(2.0 * tau) for tau in taus],
-        [math.sin(tau) for tau in taus],
-    )
+    factors = np.array([_tau_factors(tau) for tau in taus]).reshape(-1, 3).T
+    return _correlation_table(n_values, [math.tanh(b / 2.0) for b in betas], *factors)
+
+
+def _tau_factors(tau: float) -> tuple:
+    """(cos tau, cos 2 tau, sin tau), exact at tau = tau_special(l).  For
+    l < 2^50, 2 tau / pi rounds to 1 + 2 l; from 2^53 up it rounds to an even
+    number and no l is tried, so a huge tau never overflows."""
+    l, odd = divmod(round(2.0 * tau / math.pi), 2)
+    if odd and l >= 0 and tau == tau_special(l):
+        return _flicker_factors(l)
+    return math.cos(tau), math.cos(2.0 * tau), math.sin(tau)
+
+
+def _flicker_factors(l: int) -> tuple:
+    """cos, cos 2 and sin of tau_special(l), exactly."""
+    return 0.0, -1.0, (-1.0) ** (l % 2)
 
 
 def _correlation_table(n_values, th, cos_tau, cos_2tau, sin_tau) -> CorrelationSet:
@@ -266,9 +259,8 @@ def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet
     (n,) = check_axes([n], [beta], [])
     if math.isinf(n):
         raise ValueError("flickering times require a finite pore occupancy")
-    l = _check_l(l)
-    th = math.tanh(beta / 2.0)
-    return _one_row(_correlation_table([n], [th], [0.0], [-1.0], [(-1.0) ** (l % 2)]))
+    factors = np.array([_flicker_factors(_check_l(l))]).T
+    return _one_row(_correlation_table([n], [math.tanh(beta / 2.0)], *factors))
 
 
 def _one_row(grid: CorrelationSet) -> CorrelationSet:
@@ -281,16 +273,10 @@ def cs_rows(corr: CorrelationSet) -> np.ndarray:
 
     The fields of ``corr`` are arrays of length R, or floats for one row.
     The map is p1 = 1/4, p2 = p4 = p/2, p3 = p5 = -u, p6 = q - r,
-    p7 = q + r; v enters only through its being zero for this model.
-    The rows pass check_cs_rows: InvalidStateError when one is not a state.
+    p7 = q + r; v enters only through its being zero for this model.  The
+    rows are not checked: each CS measure checks the rows it is given
+    (check_cs_rows).
     """
-    rows = _cs_params(corr)
-    check_cs_rows(rows)
-    return rows
-
-
-def _cs_params(corr: CorrelationSet) -> np.ndarray:
-    """cs_rows without the check, for callers that check the rows themselves."""
     p, q, r, u = (np.atleast_1d(getattr(corr, f)) for f in "pqru")
     rows = np.empty((len(p), 7))
     rows[:, 0], rows[:, 5], rows[:, 6] = 0.25, q - r, q + r
@@ -300,8 +286,10 @@ def _cs_params(corr: CorrelationSet) -> np.ndarray:
 
 
 def cs_from_correlations(corr: CorrelationSet) -> CSDensityMatrix:
-    """Reduced pair density matrix for a set of correlators (see cs_rows)."""
-    return cs_from_vector(cs_rows(corr)[0])
+    """Reduced pair density matrix of correlators (cs_rows), if check_cs_rows passes."""
+    rows = cs_rows(corr)
+    check_cs_rows(rows)
+    return CSDensityMatrix(*rows[0].tolist())
 
 
 def reduced_density(params: NanoporeParams) -> CSDensityMatrix:

@@ -20,8 +20,8 @@ from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
 from .exact_oracle import pair_correlations, pair_states
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
-from .nanopore import _cs_params, check_axes, concurrence_rows, correlation_grid
-from .states import _check_stack, expansion_coefficients
+from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
+from .states import InvalidStateError, _check_stack, expansion_coefficients
 
 __all__ = [
     "CORR_FIELDS",
@@ -68,7 +68,7 @@ def analytic_rows(corr, needed) -> dict:
     if "concurrence" in needed:
         out["concurrence"] = concurrence_rows(corr)
     if "geometric_discord" in needed or "discord" in needed:
-        params = _cs_params(corr)
+        params = cs_rows(corr)
         if "geometric_discord" in needed:
             out["geometric_discord"] = geometric_discord_rows(params)
         if "discord" in needed:
@@ -132,7 +132,7 @@ def _diffs(corr, rhos) -> dict:
     states are also compared with the CS parameter rows, and both sides'
     concurrence with the rows' closed-form CS concurrence.
     """
-    params = _cs_params(corr)
+    params = cs_rows(corr)
     model = analytic_rows(corr, DEFAULT_TOLERANCES)
     closed = concurrence_cs_rows(params)
     ref = oracle_rows(rhos, DEFAULT_TOLERANCES)
@@ -161,7 +161,8 @@ def run_verification(
     ``corruption`` is a test hook: it is added to the analytic correlator
     q before any derived quantity is computed, so a nonzero value must
     make the comparison fail.  It must lie in [-1, 1]: a state has
-    |q| <= 1/4, so a larger offset leaves no state to compare.
+    |q| <= 1/4, so a larger offset leaves no state to compare.  A chunk
+    whose offset rows are not all states differs by inf in every quantity.
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
     grid's axes and every n's size budget are checked before anything is
@@ -185,7 +186,13 @@ def run_verification(
     for rhos in states:
         part = slice(lo, lo + len(rhos))
         chunk = replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS})
-        for name, diff in _diffs(chunk, rhos).items():
+        try:
+            diffs = _diffs(chunk, rhos)
+        except InvalidStateError:
+            if not corruption:
+                raise
+            diffs = dict.fromkeys(worst, np.full(len(rhos), np.inf))
+        for name, diff in diffs.items():
             k = int(np.argmax(diff))
             if diff[k] > worst[name]:
                 worst[name], worst_row[name] = float(diff[k]), lo + k

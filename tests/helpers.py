@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nanospin_qcorr import cs_from_params
+from nanospin_qcorr import CSDensityMatrix
 from nanospin_qcorr._kernels import conditional_entropy_dirs
 from nanospin_qcorr.cs_matrix import _cs_entries
-from nanospin_qcorr.exact_oracle import pair_state, pair_states
+from nanospin_qcorr.exact_oracle import pair_states
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
 from nanospin_qcorr.states import bloch_data, check_density_matrix
 
@@ -37,9 +37,9 @@ def numeric_batch() -> np.ndarray:
     rng = np.random.default_rng(23)
     states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(4)]
     states += [BELL_PHI_PLUS, np.eye(4) / 4.0]
-    states += [pair_state(n, beta, 0.9) for n in (3, 8) for beta in (0.5, 3.0)]
-    states += [pair_state(9, 3.0, tau) for tau in (0.0, math.pi / 2.0)]
-    return np.array(states)
+    pairs = pair_states((3, 8), (0.5, 3.0), (0.9,))
+    rest = pair_states((9,), (3.0,), (0.0, math.pi / 2.0))
+    return np.concatenate([np.array(states), *pairs, *rest])
 
 
 def verify_dense_states() -> np.ndarray:
@@ -73,14 +73,14 @@ def cs_from_matrix(rho, tol: float = 1e-10):
     matrices with equal middle diagonal entries.
     """
     rho = np.asarray(rho, dtype=complex)
-    m = cs_from_params(
-        rho[0, 0].real,
-        rho[0, 1].real,
-        rho[0, 1].imag,
-        rho[0, 2].real,
-        rho[0, 2].imag,
-        rho[0, 3].real,
-        rho[1, 2].real,
+    m = CSDensityMatrix(
+        float(rho[0, 0].real),
+        float(rho[0, 1].real),
+        float(rho[0, 1].imag),
+        float(rho[0, 2].real),
+        float(rho[0, 2].imag),
+        float(rho[0, 3].real),
+        float(rho[1, 2].real),
     )
     resid = np.max(np.abs(m.to_matrix() - rho))
     assert resid <= tol, f"not of the 7-parameter form: residual {resid:.3e}"

@@ -19,7 +19,11 @@ from nanospin_qcorr.cli import (
     main,
     run_sweep,
 )
-from nanospin_qcorr.nanopore import OMEGA0_DEFAULT, tau_special
+from nanospin_qcorr.nanopore import (
+    OMEGA0_DEFAULT,
+    special_time_correlations,
+    tau_special,
+)
 from nanospin_qcorr.verification import VerificationReport, run_verification
 
 SWEEP_BASE = [
@@ -247,6 +251,21 @@ def test_special_time_token(tmp_path):
     assert line[3] == "4.7123889803846897"
     # Flickering: the discord vanishes at odd half-periods.
     assert abs(float(line[4])) < 1e-6
+
+
+def test_special_time_sweep_is_exact(capsys):
+    # special:0 takes cos tau_0 = 0 exactly: p = 0 and q r = 0 on every row,
+    # u = 0 from N = 3 on, each cell special_time_correlations' bits.
+    argv = ["sweep", "--quantity", "correlations", "--N", "2", "3"]
+    assert main([*argv, "--beta-range", "1:3:1", "--tau", "special:0"]) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == 6
+    for line in lines:
+        n, beta, _, _, *cells = line.split(",")
+        p, q, r, u, v = map(float, cells)
+        assert p == 0.0 and q * r == 0.0 and (n == "2" or u == 0.0)
+        exact = special_time_correlations(int(n), float(beta), 0).as_dict().values()
+        assert cells == [format(x, ".17g") for x in exact]
 
 
 def test_engine_comparison_columns(tmp_path):
@@ -641,6 +660,26 @@ def test_verify_detects_corruption(capsys):
     assert "FAIL" in captured.out
     assert "verification FAILED" in captured.err
     assert "correlations" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--inject-corruption", "1e-4"],
+        ["--N", "3", "--tau-points", "2", "--inject-corruption", "0.5"],
+    ],
+    ids=["default-grid-1e-4", "small-grid-0.5"],
+)
+def test_verify_reports_corruption_that_leaves_no_state(capsys, argv):
+    # The offset makes some closed-form rows no states at all (an eigenvalue
+    # of -5.5e-5 at beta = 10 on the default grid): the report fails, every
+    # quantity at inf, rather than the run ending in an error.
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert all("= inf at N=3" in line and line.endswith("FAIL") for line in lines[1:])
+    assert "error:" not in captured.err
+    assert captured.err.startswith("verification FAILED for: correlations, ")
 
 
 def test_verify_rejects_infinite_pore(capsys):

@@ -13,16 +13,14 @@ from helpers import (
 )
 from nanospin_qcorr import (
     CorrelationSet,
+    CSDensityMatrix,
     check_cs_rows,
     concurrence_cs,
     cs_from_correlations,
-    cs_from_params,
-    cs_from_vector,
     cs_spectrum,
-    discord_cs,
     geometric_discord_cs,
 )
-from nanospin_qcorr.cs_matrix import _cs_entries
+from nanospin_qcorr.cs_matrix import _cs_entries, cs_dense
 from nanospin_qcorr.discord import discord_cs_rows
 from nanospin_qcorr.entanglement import concurrence_cs_rows
 from nanospin_qcorr.geometric_discord import geometric_discord_rows
@@ -36,7 +34,7 @@ params_strategy = st.lists(
 
 
 def test_matrix_layout():
-    m = cs_from_params(0.2, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
+    m = CSDensityMatrix(0.2, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
     rho = m.to_matrix()
     assert rho[0, 0] == 0.2
     assert rho[1, 1] == rho[2, 2] == pytest.approx(0.3)
@@ -51,7 +49,7 @@ def test_matrix_layout():
 @given(params_strategy)
 def test_centrosymmetry_exact(p):
     # Holds structurally for any parameter vector, valid state or not.
-    rho = cs_from_vector(p).to_matrix()
+    rho = cs_dense(p)
     assert np.array_equal(rho, rho[::-1, ::-1])
     assert np.array_equal(rho, rho.conj().T)
 
@@ -65,9 +63,8 @@ def test_eigenvalue_sum_is_trace(p):
 @given(params_strategy)
 def test_eigenvalues_match_dense_solver_any_hermitian(p):
     # The closed form holds for every Hermitian member, PSD or not.
-    m = cs_from_vector(p)
-    dense = np.linalg.eigvalsh(m.to_matrix())
-    assert np.max(np.abs(np.sort(cs_spectrum(m.params)) - dense)) < 1e-12
+    dense = np.linalg.eigvalsh(cs_dense(p))
+    assert np.max(np.abs(np.sort(cs_spectrum(p)) - dense)) < 1e-12
 
 
 def test_eigenvalues_match_dense_solver_bulk(rng):
@@ -98,7 +95,7 @@ def test_eigenvalues_are_spectrum_rows_bit_for_bit():
 
 
 def test_branch_sums():
-    m = cs_from_params(0.21, 0.02, -0.01, 0.03, 0.02, 0.04, 0.05)
+    m = CSDensityMatrix(0.21, 0.02, -0.01, 0.03, 0.02, 0.04, 0.05)
     l1, l2, l3, l4 = cs_spectrum(m.params)
     assert l1 + l2 == pytest.approx(0.5 + m.p6 + m.p7, abs=1e-15)
     assert l3 + l4 == pytest.approx(0.5 - m.p6 - m.p7, abs=1e-15)
@@ -110,7 +107,7 @@ def test_eigenvalues_inner_coupling_example():
     # p7 = 2q with all off-diagonals except the inner coupling zero:
     # the spectrum is {1/4 + 2q, 1/4, 1/4, 1/4 - 2q}.
     q = 0.11
-    m = cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * q)
+    m = CSDensityMatrix(0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * q)
     got = np.sort(cs_spectrum(m.params))
     expected = np.sort([0.25 + 2.0 * q, 0.25, 0.25, 0.25 - 2.0 * q])
     assert np.max(np.abs(got - expected)) < 1e-14
@@ -119,14 +116,14 @@ def test_eigenvalues_inner_coupling_example():
 
 
 def test_maximally_mixed():
-    m = cs_from_params(0.25, 0, 0, 0, 0, 0, 0)
+    m = CSDensityMatrix(0.25, 0, 0, 0, 0, 0, 0)
     assert np.allclose(m.to_matrix(), np.eye(4) / 4.0)
     assert cs_spectrum(m.params).tolist() == [0.25, 0.25, 0.25, 0.25]
     assert check_cs_rows(m.params).tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
 
 def test_check_cs_rows_reports_violation():
-    m = cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0)
+    m = CSDensityMatrix(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0)
     with pytest.raises(InvalidStateError) as err:
         check_cs_rows(m.params)
     assert str(err.value) == (
@@ -140,7 +137,6 @@ _NOT_A_STATE = (0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0)
 _CS_MEASURES = {
     "concurrence_cs": concurrence_cs,
     "geometric_discord_cs": geometric_discord_cs,
-    "discord_cs": discord_cs,
 }
 _CS_ROW_MEASURES = {
     "concurrence_cs_rows": concurrence_cs_rows,
@@ -152,7 +148,7 @@ _CS_ROW_MEASURES = {
 @pytest.mark.parametrize("measure", sorted(_CS_MEASURES))
 def test_cs_measures_reject_a_non_state(measure):
     with pytest.raises(InvalidStateError, match="eigenvalue L4 = "):
-        _CS_MEASURES[measure](cs_from_params(*_NOT_A_STATE))
+        _CS_MEASURES[measure](CSDensityMatrix(*_NOT_A_STATE))
 
 
 @pytest.mark.parametrize("measure", sorted(_CS_ROW_MEASURES))
@@ -182,13 +178,9 @@ def test_cs_row_measures_take_any_stack_of_rows(rng, measure, shape):
 # Each entry point builds the CS state with p2 = bad (p = 2 bad for the
 # correlator map) and the other parameters of a valid state.
 _NON_FINITE_ENTRY_POINTS = {
-    "cs_from_params": lambda bad: cs_from_params(0.25, bad, 0, 0, 0, 0.1, 0.1),
-    "cs_from_vector": lambda bad: cs_from_vector([0.25, bad, 0, 0, 0, 0.1, 0.1]),
+    "CSDensityMatrix": lambda bad: CSDensityMatrix(0.25, bad, 0, 0, 0, 0.1, 0.1),
     "cs_from_correlations": lambda bad: cs_from_correlations(
         CorrelationSet(p=2.0 * bad, q=0.1, r=0.0, u=0.0)
-    ),
-    "discord_cs": lambda bad: discord_cs(
-        cs_from_params(0.25, bad, 0, 0, 0, 0.1, 0.1)
     ),
     "concurrence_cs_rows": lambda bad: concurrence_cs_rows(
         np.array([[0.25, bad, 0, 0, 0, 0.1, 0.1]])
@@ -245,11 +237,6 @@ def test_entries_are_cs_bloch_bit_for_bit(rng):
             [x[..., 1:], y[..., 1:], T[..., 0, 1:], T[..., 1:, 0]], axis=-1
         )
         assert rest.tobytes() == np.zeros_like(rest).tobytes()
-
-
-def test_from_vector_rejects_bad_shape():
-    with pytest.raises(ValueError, match="7"):
-        cs_from_vector([0.25, 0.0])
 
 
 def test_from_matrix_round_trip(rng):

@@ -19,10 +19,9 @@ from helpers import (
     von_neumann_entropy,
 )
 from nanospin_qcorr import (
+    CSDensityMatrix,
     NanoporeParams,
-    cs_from_params,
     discord_bell_diagonal,
-    discord_cs,
     discord_cs_rows,
     discord_high_t_asymptotic,
     discord_low_t_asymptotic,
@@ -39,7 +38,7 @@ from nanospin_qcorr.cs_matrix import (
     cs_dense,
 )
 from nanospin_qcorr.discord import _CS_CHUNK, discord_numeric_rows
-from nanospin_qcorr.nanopore import _cs_params, correlation_grid
+from nanospin_qcorr.nanopore import correlation_grid, cs_rows
 from nanospin_qcorr.states import (
     PAULI_X,
     PAULI_Y,
@@ -197,18 +196,6 @@ def test_bell_state_discord_is_one():
     assert res.discord == pytest.approx(1.0, abs=1e-9)
 
 
-def test_result_as_dict():
-    res = discord_numeric(BELL_PHI_PLUS)
-    d = res.as_dict()
-    assert set(d) == {
-        "mutual_information",
-        "classical_correlation",
-        "discord",
-        "axis",
-    }
-    assert d["axis"] == res.axis
-
-
 def nanopore_grid():
     for n in (3, 6, 9, 25):
         for beta in range(1, 11):
@@ -219,30 +206,30 @@ def nanopore_grid():
 @pytest.mark.parametrize("rank", [4, 2, 1])
 def test_cs_reduction_matches_sphere_search(rank):
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        m = random_cs(rng, rank)
-        got = discord_cs(m)
+    states = [random_cs(rng, rank) for _ in range(100)]
+    mutual, classical, _ = discord_cs_rows(params_of(states))
+    for k, m in enumerate(states):
         want = discord_numeric(m.to_matrix())
-        assert abs(got.discord - want.discord) < 1e-9
-        assert got.mutual_information == pytest.approx(
-            want.mutual_information, abs=1e-12
-        )
+        assert abs(mutual[k] - classical[k] - want.discord) < 1e-9
+        assert mutual[k] == pytest.approx(want.mutual_information, abs=1e-12)
 
 
 def test_cs_reduction_on_nanopore_grid():
     # The reduction is exact, so it may sit below the sphere search by that
     # search's own error but never above it beyond rounding.
-    for m in nanopore_grid():
-        gap = discord_cs(m).discord - discord_numeric(m.to_matrix()).discord
+    states = list(nanopore_grid())
+    mutual, classical, _ = discord_cs_rows(params_of(states))
+    for m, got in zip(states, mutual - classical):
+        gap = got - discord_numeric(m.to_matrix()).discord
         assert -1e-6 < gap < 1e-12
 
 
 def test_cs_reduction_matches_closed_form_at_large_pore():
     for beta in TEMPERATURE_BETAS:
         m = reduced_density(NanoporeParams(n=math.inf, beta=beta, tau=0.0))
-        assert abs(
-            discord_cs(m).discord - discord_bell_diagonal(large_pore_q(beta))
-        ) < 1e-12
+        mutual, classical, _ = discord_cs_rows(m.params)
+        got = mutual[0] - classical[0]
+        assert abs(got - discord_bell_diagonal(large_pore_q(beta))) < 1e-12
 
 
 # A CS state whose optimal n_x lies strictly inside (0, 1): the conditional
@@ -260,33 +247,31 @@ def unmeasured_entropy(rho):
 def test_cs_reduction_basis_reproduces_objective():
     rng = np.random.default_rng(11)
     states = [random_cs(rng) for _ in range(20)]
-    states += [cs_from_params(*INTERIOR_OPTIMUM)]
+    states += [CSDensityMatrix(*INTERIOR_OPTIMUM)]
     states += list(nanopore_grid())[::7]
-    for m in states:
-        res = discord_cs(m)
+    _, classical, axis = discord_cs_rows(params_of(states))
+    for k, m in enumerate(states):
         rho = m.to_matrix()
-        val = measurement_conditional_entropy(rho, res.axis)
-        assert res.classical_correlation == pytest.approx(
-            unmeasured_entropy(rho) - val, abs=1e-12
-        )
+        val = measurement_conditional_entropy(rho, axis[k])
+        assert classical[k] == pytest.approx(unmeasured_entropy(rho) - val, abs=1e-12)
 
 
 def test_cs_reduction_finds_interior_optimum():
-    m = cs_from_params(*INTERIOR_OPTIMUM)
-    res = discord_cs(m)
+    m = CSDensityMatrix(*INTERIOR_OPTIMUM)
+    mutual, classical, axis = discord_cs_rows(m.params)
     rho = m.to_matrix()
-    assert 0.1 < abs(res.axis[0]) < 0.9
+    assert 0.1 < abs(axis[0, 0]) < 0.9
     # Without the zoom the grid point alone sits 4e-10 above the sphere search.
-    gap = res.discord - discord_numeric(rho).discord
+    gap = mutual[0] - classical[0] - discord_numeric(rho).discord
     assert -1e-9 < gap < 1e-12
-    best = unmeasured_entropy(rho) - res.classical_correlation
+    best = unmeasured_entropy(rho) - classical[0]
     along_x = measurement_conditional_entropy(rho, (1.0, 0.0, 0.0))
     assert along_x - best > 1e-6
 
 
 def test_cs_reduction_rejects_non_psd_state():
     with pytest.raises(InvalidStateError, match="L4"):
-        discord_cs(cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0))
+        discord_cs_rows(np.array([0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0]))
 
 
 def cs_batch():
@@ -303,11 +288,10 @@ def test_cs_rows_equal_per_state_results():
     states = cs_batch()
     mutual, classical, axis = discord_cs_rows(params_of(states))
     for k, m in enumerate(states):
-        res = discord_cs(m)
-        assert mutual[k] == res.mutual_information
-        assert classical[k] == res.classical_correlation
-        assert mutual[k] - classical[k] == res.discord
-        assert res.axis == tuple(axis[k].tolist())
+        one = discord_cs_rows(m.params)
+        assert mutual[k] == one[0][0]
+        assert classical[k] == one[1][0]
+        assert axis[k].tolist() == one[2][0].tolist()
 
 
 def test_cs_rows_span_chunks():
@@ -325,18 +309,17 @@ def test_cs_rows_span_chunks():
 
 def test_cs_rows_reject_one_non_psd_state():
     states = cs_batch()[:20]
-    states.insert(11, cs_from_params(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0))
+    states.insert(11, CSDensityMatrix(0.25, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0))
     with pytest.raises(InvalidStateError, match="eigenvalue L4 = "):
         discord_cs_rows(params_of(states))
 
 
 def test_cs_rows_zoom_interior_optimum_in_a_batch():
     states = cs_batch()[:40]
-    inner = cs_from_params(*INTERIOR_OPTIMUM)
+    inner = CSDensityMatrix(*INTERIOR_OPTIMUM)
     states.insert(17, inner)
     mutual, classical, axis = discord_cs_rows(params_of(states))
-    res = discord_cs(inner)
-    assert classical[17] == res.classical_correlation
+    assert classical[17] == discord_cs_rows(inner.params)[1][0]
     assert 0.1 < abs(axis[17, 0]) < 0.9
     gap = mutual[17] - classical[17] - discord_numeric(inner.to_matrix()).discord
     assert -1e-9 < gap < 1e-12
@@ -525,8 +508,9 @@ def test_numeric_zoom_follows_a_valley(monkeypatch):
     # The interior optimum lies along a flat valley, which a great circle of
     # the first pass crosses; the finish's trust radius grows while it moves
     # along it, so it arrives in about 100 directions.
-    m = cs_from_params(*INTERIOR_OPTIMUM)
-    want = discord_cs(m).discord
+    m = CSDensityMatrix(*INTERIOR_OPTIMUM)
+    mutual, classical, _ = discord_cs_rows(m.params)
+    want = mutual[0] - classical[0]
     shapes = count_kernel_shapes(monkeypatch)
     got = discord_numeric(m.to_matrix()).discord
     assert shapes[0][1] == 99
@@ -636,7 +620,7 @@ def test_cs_rows_refine_interior_optimum_in_lockstep(monkeypatch):
     # then 9-point steps over the rows to refine only, and the refinement
     # lifts its classical correlation above the value at its best grid point.
     states = cs_batch()[:40]
-    states.insert(17, cs_from_params(*INTERIOR_OPTIMUM))
+    states.insert(17, CSDensityMatrix(*INTERIOR_OPTIMUM))
     params = params_of(states)
     left = np.isnan(discord_module._certified_phi(cs_rows_data(params)))
     assert left[17] and 0 < left.sum() < len(states)
@@ -726,8 +710,8 @@ def test_cs_rows_interior_optima_meet_sphere_search():
     # 2.2e-5 below the better endpoint.
     rng = np.random.default_rng(5)
     row_425 = [random_cs(rng, 2) for _ in range(3000)][425]
-    params = params_of([row_425, cs_from_params(*NARROW_VALLEY)])
-    rhos = np.array([cs_from_params(*p).to_matrix() for p in params])
+    params = params_of([row_425, CSDensityMatrix(*NARROW_VALLEY)])
+    rhos = cs_dense(params)
     mutual, classical, axis = discord_cs_rows(params)
     best = [unmeasured_entropy(rho) for rho in rhos] - classical
     data, _ = cs_objective_data(params)
@@ -853,7 +837,7 @@ def test_cs_certificate_takes_n_x_one():
     small = rng.uniform(-0.05, 0.05, size=(50, 3))
     zero_block = [(0.25, p2, 0.0, p4, 0.0, p6, p6) for p2, p4, p6 in small]
     betas = [0.1, 1.0, 3.0, 10.0, 40.0]
-    large_pore = _cs_params(correlation_grid([math.inf], betas, [0.0, 1.0]))
+    large_pore = cs_rows(correlation_grid([math.inf], betas, [0.0, 1.0]))
     rows = np.concatenate([params[delta > 0], zero_block, large_pore])
     data = cs_rows_data(rows)
     assert np.all(data[len(params[delta > 0]) : -len(large_pore), 3] == 0.0)
@@ -863,7 +847,7 @@ def test_cs_certificate_takes_n_x_one():
 def paper_grid_params():
     """The paper's sweep grid: N 3 6 9 25 inf, beta 1..10, tau 0..6.28 step 0.01."""
     taus = [0.01 * k for k in range(629)]
-    return _cs_params(correlation_grid((3, 6, 9, 25, math.inf), range(1, 11), taus))
+    return cs_rows(correlation_grid((3, 6, 9, 25, math.inf), range(1, 11), taus))
 
 
 def test_cs_certificate_on_the_paper_grid():
@@ -890,7 +874,7 @@ def test_cs_rows_refine_a_valley_at_an_endpoint():
     assert h1[0, 0] - h1[1, 0] > 4e-6 and h2[2, 0] < 0.0
     mutual, classical, axis = discord_cs_rows(params)
     assert 0.9996 < axis[0, 0] < 0.9997
-    rho = cs_from_params(*ENDPOINT_VALLEY).to_matrix()
+    rho = cs_dense(ENDPOINT_VALLEY)
     x, y, T = bloch_data(rho)
     v_max = _top_vector(*T[1:, 1:].reshape(4, 1))[0]
     angle = np.linspace(0.0, math.pi, 2**16 + 1)[:, None]

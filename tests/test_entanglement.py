@@ -15,10 +15,10 @@ from helpers import (
     spin_flip,
 )
 from nanospin_qcorr import (
+    CSDensityMatrix,
     NanoporeParams,
     concurrence_cs,
     concurrence_numeric,
-    cs_from_params,
     cs_spectrum,
     entanglement_of_formation,
     reduced_density,
@@ -69,7 +69,7 @@ def test_werner_family_both_routes():
         expected = max(0.0, (3.0 * w - 1.0) / 2.0)
         c_num = concurrence_numeric(rho).concurrence
         assert c_num == pytest.approx(expected, abs=1e-10)
-        m = cs_from_params(*[rho[0, 0].real, 0, 0, 0, 0, rho[0, 3].real, rho[1, 2].real])
+        m = CSDensityMatrix(rho[0, 0].real, 0, 0, 0, 0, rho[0, 3].real, rho[1, 2].real)
         assert concurrence_cs(m).concurrence == pytest.approx(expected, abs=1e-12)
 
 
@@ -115,23 +115,20 @@ def test_lambdas_descending(rng):
 def test_result_consistency(rng):
     res = concurrence_cs(random_cs(rng))
     assert res.eof == entanglement_of_formation(res.concurrence)
-    d = res.as_dict()
-    assert d["concurrence"] == res.concurrence
-    assert len(d["lambdas"]) == 4
 
 
 def test_invalid_parameters_raise():
     # Large symmetric off-diagonals drive a difference-of-squares radicand
     # far negative and L2 = 1/4 - 0.6 below zero: an invalid state, not
     # rounding noise.
-    m = cs_from_params(0.25, 0.3, 0.0, 0.3, 0.0, 0.0, 0.0)
+    m = CSDensityMatrix(0.25, 0.3, 0.0, 0.3, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidStateError, match="eigenvalue L2 = -3.500000e-01"):
         concurrence_cs(m)
 
 
 def test_radicand_noise_is_clamped():
     # A pure Bell state sits exactly on the radicand boundary.
-    m = cs_from_params(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)
+    m = CSDensityMatrix(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)
     res = concurrence_cs(m)
     assert res.concurrence == pytest.approx(1.0, abs=1e-12)
 
@@ -157,7 +154,7 @@ def test_block_rotation_is_orthogonal_involution():
 
 
 def test_block_diagonalize_maximally_mixed():
-    m = cs_from_params(0.25, 0, 0, 0, 0, 0, 0)
+    m = CSDensityMatrix(0.25, 0, 0, 0, 0, 0, 0)
     b1, b2 = cs_block_diagonalize(m)
     assert np.allclose(b1, np.eye(2) / 4.0)
     assert np.allclose(b2, np.eye(2) / 4.0)
@@ -177,7 +174,7 @@ def test_block_spectra_match_closed_form(rng):
 def test_blocks_of_real_matrix_are_real(rng):
     for _ in range(50):
         m = random_cs(rng)
-        real_m = cs_from_params(m.p1, m.p2, 0.0, m.p4, 0.0, m.p6, m.p7)
+        real_m = CSDensityMatrix(m.p1, m.p2, 0.0, m.p4, 0.0, m.p6, m.p7)
         b1, b2 = cs_block_diagonalize(real_m)
         assert np.max(np.abs(b1.imag)) == 0.0
         assert np.max(np.abs(b2.imag)) == 0.0

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nanospin_qcorr
 from helpers import build_operators, dipolar_hamiltonian, site_operator
 from nanospin_qcorr import (
     NanoporeParams,
@@ -23,7 +26,6 @@ from nanospin_qcorr.exact_oracle import (
     DenseState,
     magnetizations,
     pair_gram,
-    pair_state,
     pair_states,
 )
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
@@ -220,7 +222,7 @@ def test_resource_limits():
     "call, charged",
     [
         (lambda: thermal_initial(10, 1.0), 20 * 4**10),
-        (lambda: pair_state(16, 1.0, 0.3), 40 * 2**16),
+        (lambda: next(pair_states((16,), (1.0,), (0.3,))), 40 * 2**16),
         # Two taus at n = 20 run as two one-tau blocks.
         (lambda: pair_gram(20, [0.5, 1.0]), 40 * 2**20),
     ],
@@ -243,39 +245,45 @@ def test_pair_state_matches_dense_engine(n):
     # The O(2^n) phase sum equals tracing the evolved 2^n x 2^n state,
     # including the odd half-periods where the model's parity split sits.
     taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 3.0 * math.pi / 2.0, 5.9)
+    betas = (0.0, 1.7, math.inf)
     g, c = pair_gram(n, taus)
-    for beta in (0.0, 1.7, math.inf):
+    states = np.concatenate(list(pair_states((n,), betas, taus)))
+    for b, beta in enumerate(betas):
         rho0 = thermal_initial(n, beta)
         for k, tau in enumerate(taus):
             dense = partial_trace_pair(evolve(rho0, tau))
-            assert np.max(np.abs(pair_state(n, beta, tau) - dense)) < 1e-13
+            assert np.max(np.abs(states[b * len(taus) + k] - dense)) < 1e-13
             # One phase sum over every tau gives each point's state.
             from_block = thermal_initial(2, beta).matrix * g[k] / c
-            assert np.array_equal(from_block, pair_state(n, beta, tau))
+            assert np.array_equal(from_block, parent_pair_state(n, beta, tau))
 
 
 @pytest.mark.parametrize("n", [3, 9])
 def test_pair_state_thermal_factor_matches_kronecker_form(n):
     # The two-spin factor is built without np.kron, from the same products.
     m = magnetizations(n)
+    taus = (0.0, 0.37, math.pi / 2.0, 2.2)
     for beta in (0.0, 0.5, 3.0, math.inf):
         rho0 = thermal_initial(2, beta).matrix
-        for tau in (0.0, 0.37, math.pi / 2.0, 2.2):
+        for tau, got in zip(taus, next(pair_states((n,), (beta,), taus))):
             ph = np.exp(-1j * tau * m * m).reshape(4, -1)
             want = rho0 * (ph @ ph.conj().T) / ph.shape[1]
-            assert np.array_equal(pair_state(n, beta, tau), want)
+            assert np.array_equal(got, want)
 
 
 def test_pair_state_resource_limits():
+    def one_state(n):
+        return next(pair_states((n,), (1.0,), (0.5,)))
+
     with pytest.raises(ResourceLimitError, match=r"n = 21 needs 40 \* 2\^21 bytes"):
-        pair_state(21, 1.0, 0.5)
+        one_state(21)
     # An infinite N is out of the model's domain, not past a resource limit.
     with pytest.raises(ValueError, match="needs a finite N, got inf") as info:
-        pair_state(math.inf, 1.0, 0.5)
+        one_state(math.inf)
     assert not isinstance(info.value, ResourceLimitError)
     with pytest.raises(ValueError, match="two spins"):
-        pair_state(1, 1.0, 0.5)
-    assert pair_state(20, 1.0, 0.5).shape == (4, 4)
+        one_state(1)
+    assert one_state(20).shape == (1, 4, 4)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -388,3 +396,41 @@ def test_no_package_path_uses_the_dense_engine():
         assert not dense & names, path.name
         taken = [a.name for n in imports if n.module == "exact_oracle" for a in n.names]
         assert not [name for name in taken if name.startswith("_")], path.name
+
+
+def test_the_benchmark_bindings_resolve():
+    # perfbench binds package functions by name: worker.US_FUNCTIONS and the
+    # tracer's _WORK as (layer, function) pairs, tracer.LAYERS as modules
+    # whose __all__ it wraps, and the imports of checks.py and worker.py.
+    # Each must be a function defined in its module and listed in its
+    # __all__, so that a cut in src/ that breaks the benchmark fails here.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    values, imports = {}, set()
+    for name in ("worker.py", "checks.py", "tracer.py"):
+        for node in ast.walk(ast.parse((perfbench / name).read_text())):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                values[node.targets[0].id] = node.value
+            elif isinstance(node, ast.ImportFrom) and name != "tracer.py":
+                if (node.module or "").startswith("nanospin_qcorr"):
+                    imports |= {(node.module, a.name) for a in node.names}
+    layers = ast.literal_eval(values["LAYERS"])
+    pairs = list(ast.literal_eval(values["US_FUNCTIONS"]))
+    pairs += [ast.literal_eval(key) for key in values["_WORK"].keys]
+    assert layers and pairs and imports
+    for layer in layers:
+        assert importlib.import_module(f"nanospin_qcorr.{layer}").__all__
+    bound = [(f"nanospin_qcorr.{layer}", fn) for layer, fn in pairs]
+    for module, name in bound + sorted(imports):
+        obj = getattr(importlib.import_module(module), name)
+        if inspect.ismodule(obj):  # worker.py runs the package's cli module
+            assert obj.__name__ == f"{module}.{name}"
+            continue
+        assert inspect.isfunction(obj), (module, name)
+        home = importlib.import_module(obj.__module__)
+        assert module in (home.__name__, "nanospin_qcorr"), (module, name)
+        assert home.__name__.rsplit(".", 1)[1] in layers, (module, name)
+        assert name in home.__all__, (module, name)
+    # The attributes the checks and the tracer read off the results.
+    assert callable(nanospin_qcorr.CorrelationSet.as_dict)
+    assert "discord" in nanospin_qcorr.DiscordResult.__dataclass_fields__
+    assert "matrix" in DenseState.__dataclass_fields__

@@ -6,9 +6,9 @@ import pytest
 
 from helpers import BELL_PHI_PLUS, cs_bloch, random_cs, random_qubit_density
 from nanospin_qcorr import (
+    CSDensityMatrix,
     NanoporeParams,
     check_cs_rows,
-    cs_from_params,
     discord_high_t_asymptotic,
     geometric_discord_cs,
     geometric_discord_generic,
@@ -22,7 +22,7 @@ from nanospin_qcorr.states import InvalidStateError, swap_qubits
 
 
 def test_maximally_mixed_is_zero():
-    m = cs_from_params(0.25, 0, 0, 0, 0, 0, 0)
+    m = CSDensityMatrix(0.25, 0, 0, 0, 0, 0, 0)
     assert geometric_discord_cs(m) == 0.0
     assert geometric_discord_generic(np.eye(4) / 4.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -73,7 +73,7 @@ def test_closed_form_matches_generic_bulk(rng):
 def test_equal_yz_diagonal_entries():
     # K's yz block with equal diagonal entries: its eigenvalues written in
     # the block's entries would take the difference of two equal numbers.
-    m = cs_from_params(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01)
+    m = CSDensityMatrix(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01)
     ks = k_spectrum(m.params[None])[0]
     x, _, T = cs_bloch(m.params)
     dense = np.linalg.eigvalsh(np.outer(x, x) + T @ T.T)
@@ -137,7 +137,7 @@ def test_side_selection():
     # When the axial correlation dominates, the local vector cancels out
     # of the spectrum and both sides agree even for p2 != p4; to see the
     # sides differ the transverse block must carry the top eigenvalue.
-    asym = cs_from_params(0.1, 0.08, 0.1, -0.03, 0.05, 0.0, 0.0)
+    asym = CSDensityMatrix(0.1, 0.08, 0.1, -0.03, 0.05, 0.0, 0.0)
     r = asym.to_matrix()
     q_first = geometric_discord_generic(r)
     q_second = geometric_discord_generic(swap_qubits(r))
@@ -157,7 +157,7 @@ def test_non_psd_input_rejected():
 def test_one_state_equals_its_batched_row(rng):
     # The last state has equal yz-block diagonal entries in K.
     states = [random_cs(rng) for _ in range(200)]
-    states.append(cs_from_params(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01))
+    states.append(CSDensityMatrix(0.25, 0.0, 0.05, 0.0, 0.05, 0.01, 0.01))
     params = np.array([m.params for m in states])
     batched = geometric_discord_rows(params)
     spectra = k_spectrum(params)

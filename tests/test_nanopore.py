@@ -30,11 +30,11 @@ from nanospin_qcorr.nanopore import (
     _powers,
     check_axes,
     concurrence_rows,
+    _TAU_MAX,
     correlation_grid,
-    cos_power,
     cs_rows,
 )
-from nanospin_qcorr.states import swap_qubits
+from nanospin_qcorr.states import InvalidStateError, swap_qubits
 
 finite_params = st.tuples(
     st.integers(min_value=2, max_value=60),
@@ -62,8 +62,6 @@ def test_params_validation():
         NanoporeParams(n=4, beta=-0.1, tau=0.0)
     with pytest.raises(ValueError, match="beta"):
         NanoporeParams(n=4, beta=math.nan, tau=0.0)
-    with pytest.raises(ValueError, match="omega0"):
-        NanoporeParams(n=4, beta=1.0, tau=0.0, omega0=0.0)
 
 
 def test_temperature_conversion_round_trip():
@@ -110,17 +108,18 @@ def test_temperature_conversion_round_trip_at_the_top():
 def test_params_from_temperature():
     p = NanoporeParams(6, beta_from_temperature(0.01), 0.5)
     assert p.beta == pytest.approx(beta_from_temperature(0.01), rel=1e-15)
-    assert p.temperature == pytest.approx(0.01, rel=1e-12)
+    assert temperature_from_beta(p.beta) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_cos_power_conventions():
-    assert cos_power(0.7, 0) == 1.0
-    assert cos_power(0.0, 0) == 1.0
-    assert cos_power(0.0, 5) == 0.0
-    assert cos_power(-0.5, 3) == pytest.approx(-0.125, rel=1e-15)
-    assert cos_power(-0.5, 4) == pytest.approx(0.0625, rel=1e-15)
+    c = np.array([0.7, 0.0, -0.5, 0.5])
+    log_c = _log_abs(c)
+    assert _powers(c, log_c, 0).tolist() == [1.0] * 4
+    assert _powers(c, log_c, 5)[1] == 0.0
+    assert _powers(c, log_c, 3)[2] == pytest.approx(-0.125, rel=1e-15)
+    assert _powers(c, log_c, 4)[2] == pytest.approx(0.0625, rel=1e-15)
     # Deep underflow flushes to exact zero instead of denormals.
-    assert cos_power(0.5, 5000) == 0.0
+    assert _powers(c, log_c, 5000)[3] == 0.0
 
 
 @given(
@@ -129,7 +128,8 @@ def test_cos_power_conventions():
 )
 def test_cos_power_matches_direct(c, k):
     direct = c**k
-    assert cos_power(c, k) == pytest.approx(direct, rel=1e-12, abs=1e-300)
+    got = _powers(np.array([c]), _log_abs(np.array([c])), k)[0]
+    assert got == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
 
 def _scalar_power(c, k):
@@ -165,13 +165,12 @@ _BELOW, _ABOVE = 0.9993094636928876, 0.9993094636928878
 @example([-_BELOW, _BELOW, -_ABOVE, _ABOVE], 1_000_000)
 @example([-9.9e-101, 9.9e-101, -1.01e-100, 1.01e-100], 3)
 def test_powers_match_cos_power_bit_for_bit(cs, k):
-    # The array power of a tau axis against cos_power and the loop reference,
-    # each value on its own; -0.0 never stands where they give +0.0.
+    # The array power of a tau axis against the loop reference, each value on
+    # its own; -0.0 never stands where it gives +0.0.
     c = np.array(cs)
     got = _powers(c, _log_abs(c), k)
     want = [_scalar_power(x, k) for x in cs]
     assert list(map(_bits, got)) == list(map(_bits, want))
-    assert [_bits(cos_power(x, k)) for x in cs] == list(map(_bits, want))
 
 
 def test_powers_meet_the_floor():
@@ -222,6 +221,14 @@ def test_correlator_bounds_and_state_validity(args):
     check_cs_rows(m.params)
 
 
+def test_cs_from_correlations_rejects_a_non_state():
+    # cs_rows maps any correlators; a matrix is built only from a state.
+    corr = CorrelationSet(p=0.0, q=0.4, r=0.0, u=0.0)
+    assert cs_rows(corr).tolist() == [[0.25, 0.0, -0.0, 0.0, -0.0, 0.4, 0.4]]
+    with pytest.raises(InvalidStateError, match="eigenvalue L3 = "):
+        cs_from_correlations(corr)
+
+
 @given(finite_params)
 def test_correlations_periodic_in_tau(args):
     n, beta, tau = args
@@ -259,14 +266,30 @@ def test_special_time_pair_only_keeps_u():
 
 
 def test_special_time_matches_float_evaluation():
-    for n in range(2, 10):
-        for l in (0, 1, 2):
-            exact = special_time_correlations(n, 3.0, l)
+    # A float tau equal to tau_special(l) takes the exact factors: the same
+    # bits as special_time_correlations, p = 0 and u = 0 from n = 3 on.
+    for n in (2, 3, 4, 9, 1_000_001):
+        for l in (0, 1, 2, 7, 2**49 - 1, 2**49):
+            exact = special_time_correlations(n, 3.0, l).as_dict().values()
             floated = correlations(NanoporeParams(n=n, beta=3.0, tau=tau_special(l)))
-            for field in ("p", "q", "r", "u", "v"):
-                assert getattr(exact, field) == pytest.approx(
-                    getattr(floated, field), abs=1e-12
-                )
+            assert list(map(_bits, floated.as_dict().values())) == list(
+                map(_bits, exact)
+            )
+
+
+def test_special_time_check_holds_at_the_tau_bound():
+    # 2 tau / pi of a tau near float max / 2 is a huge even integer: no
+    # tau_special(l) is evaluated, nothing overflows, and math's factors stand.
+    taus = [_TAU_MAX, -_TAU_MAX, np.nextafter(_TAU_MAX, 0.0), -tau_special(0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = correlation_grid([3], [1.0], taus)
+    got = zip(*(grid.as_dict().values()))
+    want = [_scalar_reference(3, 1.0, tau) for tau in taus]
+    assert [list(map(_bits, row)) for row in got] == [
+        list(map(_bits, row)) for row in want
+    ]
+    assert grid.p[3] > 0.0  # -tau_0 is no tau_special(l)
 
 
 def test_special_time_matches_scalar_reference_bit_for_bit():
@@ -410,6 +433,15 @@ def _bits(value) -> str:
     return float(value).hex()
 
 
+def _scalar_factors(tau):
+    """math's cos tau, cos 2 tau and sin tau; at tau_special(l), every one
+    up to tau = 100, the exact 0, -1 and (-1)^l."""
+    for l in range(32):
+        if tau == tau_special(l):
+            return 0.0, -1.0, (-1.0) ** l
+    return math.cos(tau), math.cos(2.0 * tau), math.sin(tau)
+
+
 def _scalar_reference(n, beta, tau, factors=None):
     """The correlators for one state, operation by operation on floats.
 
@@ -419,7 +451,7 @@ def _scalar_reference(n, beta, tau, factors=None):
     if math.isinf(n):
         qr = th * th / 8.0
         return (0.0, qr, qr, 0.0, 0.0)
-    c, c2, s = factors or (math.cos(tau), math.cos(2.0 * tau), math.sin(tau))
+    c, c2, s = factors or _scalar_factors(tau)
     q_plus_r = 0.25 * th * th
     q_minus_r = 0.25 * th * th * _scalar_power(c2, n - 2)
     return (

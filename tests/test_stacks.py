@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from helpers import BELL_PHI_PLUS, random_cs, random_density4
-from nanospin_qcorr.cs_matrix import cs_dense, cs_from_vector
+from nanospin_qcorr.cs_matrix import CSDensityMatrix, cs_dense
 from nanospin_qcorr.discord import discord_numeric_rows
 from nanospin_qcorr.entanglement import concurrence_cs, concurrence_cs_rows
-from nanospin_qcorr.exact_oracle import pair_correlations, pair_state
+from nanospin_qcorr.exact_oracle import pair_correlations, pair_states
 from nanospin_qcorr.geometric_discord import geometric_discord_generic
 from nanospin_qcorr.nanopore import correlation_grid, cs_rows
 from nanospin_qcorr.states import (
@@ -27,8 +27,7 @@ from nanospin_qcorr.states import (
 
 
 def pair_stack():
-    grid = [(n, b, t) for n in (3, 8) for b in (0.5, 3.0) for t in (0.0, 0.9, 1.5)]
-    return np.array([pair_state(*point) for point in grid])
+    return np.concatenate(list(pair_states((3, 8), (0.5, 3.0), (0.0, 0.9, 1.5))))
 
 
 def mixed_stack():
@@ -102,14 +101,14 @@ def test_cs_dense_rows():
     params = param_rows()
     mats = cs_dense(params)
     assert mats.shape == (len(params), 4, 4) and mats.dtype == complex
-    assert_rows_equal(mats, lambda p: cs_from_vector(p).to_matrix(), params)
+    assert_rows_equal(mats, cs_dense, params)
 
 
 def test_concurrence_cs_rows():
     params = param_rows()
     conc = concurrence_cs_rows(params)
     assert conc.shape == (len(params),)
-    one_row = lambda p: concurrence_cs(cs_from_vector(p)).concurrence  # noqa: E731
+    one_row = lambda p: concurrence_cs(CSDensityMatrix(*p)).concurrence  # noqa: E731
     assert_rows_equal(conc, one_row, params)
 
 

@@ -199,6 +199,21 @@ def test_analytic_rows_reject_a_row_that_is_not_a_state(column):
     assert len(verification.analytic_rows(corr, ("q", "concurrence"))["q"]) == 3
 
 
+def test_an_invalid_row_without_corruption_still_raises(monkeypatch):
+    # Only an offset's invalid rows count as a failed comparison: with no
+    # offset, a closed-form row that is no state is an error.
+    def bad_grid(*axes):
+        corr = correlation_grid(*axes)
+        return replace(corr, q=corr.q + 0.5)
+
+    monkeypatch.setattr(verification, "correlation_grid", bad_grid)
+    with pytest.raises(InvalidStateError, match="not a density matrix"):
+        run_verification(n_values=(3,), betas=(1.0,), n_tau=2)
+    report = run_verification(n_values=(3,), betas=(1.0,), n_tau=2, corruption=1e-9)
+    assert report.max_discrepancies == dict.fromkeys(DEFAULT_TOLERANCES, math.inf)
+    assert report.failures == tuple(DEFAULT_TOLERANCES)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
     # An offset near the float maximum would overflow in the closed forms.
