@@ -11,16 +11,18 @@ Output is deterministic: identical configuration produces byte-identical
 files.  CSV floats carry 17 significant digits so values round-trip
 exactly.
 
-The CSV writer uses the grid's shape: rows come in blocks of one (N, beta)
-pair over every tau.  It writes as many rows at a time as CSV_CHUNK_BYTES
-of value cells hold, and at least one, so that it holds one chunk at a
-time whatever the grid's shape.  For each chunk one call of
+``run_sweep`` returns the value columns; the writers read each row's N,
+beta, T_K and tau from the grid, whose rows come in blocks of one (N, beta)
+pair over every tau.  Each writes as many rows at a time as CSV_CHUNK_BYTES
+of value cells hold, and at least one, so it holds one chunk of text at a
+time whatever the grid's shape.  For each CSV chunk one call of
 ``_g17.format_g17``, whose docstring gives its method, formats the beta
 and T_K of each block it meets, each of its taus once, and its value cells,
 with the bytes of Python's ``format(x, '.17g')``; the writer joins each
 row's "N,beta,T_K,", tau and cells, drops the zero bytes and makes one write.
-JSON output records the grid (N, beta, tau and omega0) it was built from,
-and is written on one line by a single ``json.dumps`` call.
+JSON output records the grid (N, beta, tau and omega0) it was built from.
+It is the one line of ``json.dumps`` of the whole document, written as the
+head, each chunk's rows and the tail.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later one.  Building it (its help formatters, each of
@@ -81,6 +83,7 @@ MAX_SWEEP_ROWS = 1_000_000
 # writer formats as many rows at a time as fit, and at least one.
 CSV_CHUNK_BYTES = 224 << 10
 
+_AXES = ["N", "beta", "T_K", "tau"]
 _SCALARS = ("concurrence", "discord", "geometric_discord")
 # The CSV separators, in the last byte of a formatted cell.
 _COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
@@ -131,26 +134,18 @@ def _parse_n(tokens):
         raise ValueError(f"--N: {exc}") from None
 
 
-def run_sweep(
-    quantity: str,
-    n_values,
-    betas,
-    taus,
-    engine: str = "analytic",
-    omega0: float = OMEGA0_DEFAULT,
-):
+def run_sweep(quantity: str, n_values, betas, taus, engine: str = "analytic"):
     """Evaluate the requested quantity over the grid.
 
-    Returns (columns, table): ``table`` holds one sequence per column, each
-    with one value per row, and rows iterate n (outer), beta, tau (inner).
-    The N column is a list of int (or inf); the others are float arrays.
-    Every discord column is clamped at 0, the closed form's and the
-    oracle's alike, since mutual - classical of a classical state is
-    rounding that may fall below 0 (a clamped cell reads 0, not -0);
+    Returns (names, values): the value columns' names and one float array
+    per value column, with one value per row; rows iterate n (outer), beta,
+    tau (inner).  Every discord column is clamped at 0, the closed form's
+    and the oracle's alike, since mutual - classical of a classical state
+    is rounding that may fall below 0 (a clamped cell reads 0, not -0);
     ``discord_diff`` is the difference of the two clamped columns.
     """
     base = _base_columns(quantity)
-    n_values = check_axes(n_values, betas, taus, omega0)
+    n_values = check_axes(n_values, betas, taus)
 
     def written(side):
         return {c: np.maximum(v, 0.0) if c == "discord" else v for c, v in side.items()}
@@ -165,53 +160,46 @@ def run_sweep(
             analytic_rows(correlation_grid(n_values, betas, taus), base)
         )
 
-    temps = [temperature_from_beta(b, omega0) for b in betas]
-    per_n = len(betas) * len(taus)
-    columns = ["N", "beta", "T_K", "tau"]
-    table = [
-        list(itertools.chain.from_iterable([n] * per_n for n in n_values)),
-        np.tile(np.repeat(betas, len(taus)), len(n_values)),
-        np.tile(np.repeat(temps, len(taus)), len(n_values)),
-        np.tile(taus, len(n_values) * len(betas)),
-    ]
+    names, values = [], []
     for col in base:
         if engine == "both":
-            columns += [col, f"{col}_oracle", f"{col}_diff"]
-            table += [analytic[col], oracle[col], analytic[col] - oracle[col]]
+            names += [col, f"{col}_oracle", f"{col}_diff"]
+            values += [analytic[col], oracle[col], analytic[col] - oracle[col]]
         else:
-            columns.append(col)
-            table.append(analytic[col] if engine == "analytic" else oracle[col])
-    return columns, table
+            names.append(col)
+            values.append(analytic[col] if engine == "analytic" else oracle[col])
+    return names, values
 
 
 def _chunk_rows(n_values: int) -> int:
-    # Rows per CSV write: CSV_CHUNK_BYTES of value cells, at least one row.
+    # Rows per write: CSV_CHUNK_BYTES of value cells, at least one row.
     from ._g17 import CELL_BYTES
 
     return max(1, CSV_CHUNK_BYTES // (n_values * CELL_BYTES))
 
 
-def _write_csv(columns, table, n_tau, stream) -> None:
-    # table is run_sweep's: blocks of n_tau rows, one per (N, beta).  See
-    # the module docstring.
+def _write_csv(names, values, grid, stream) -> None:
+    # values are run_sweep's over grid = (N values, betas, T_K values, taus):
+    # blocks of len(taus) rows, one per (N, beta).  See the module docstring.
     from ._g17 import format_g17  # only CSV sweeps load the formatter
 
+    n_names = [str(n).encode() for n in grid[0]]
+    betas, temps, tau_axis = (np.asarray(axis, dtype=float) for axis in grid[1:])
+    n_beta, n_tau = len(betas), len(tau_axis)
     stream.write(_HEADER + "\n")
-    stream.write(",".join(columns) + "\n")
-    n_col, values = table[0], table[4:]
-    rows = _chunk_rows(len(values))
-    for lo in range(0, len(n_col), rows):
-        hi = min(lo + rows, len(n_col))
-        first = lo - lo % n_tau
-        starts = range(first, hi, n_tau)
+    stream.write(",".join(_AXES + names) + "\n")
+    rows, n_rows = _chunk_rows(len(values)), len(n_names) * n_beta * n_tau
+    for lo in range(0, n_rows, rows):
+        hi = min(lo + rows, n_rows)
+        blocks = np.arange(lo // n_tau, (hi - 1) // n_tau + 1)
         # The chunk meets n_taus distinct taus, from row lo's in axis order
         # (wrapping): row i's is number (i - lo) % n_tau.
-        n_blocks, n_taus = len(starts), min(hi - lo, n_tau)
+        n_blocks, n_taus = len(blocks), min(hi - lo, n_tau)
         n_lead = 2 * n_blocks + n_taus
         x = np.empty(n_lead + (hi - lo) * len(values))
-        x[:n_blocks] = table[1][first:hi:n_tau]
-        x[n_blocks : 2 * n_blocks] = table[2][first:hi:n_tau]
-        x[2 * n_blocks : n_lead] = table[3][lo : lo + n_taus]
+        x[:n_blocks] = betas[blocks % n_beta]
+        x[n_blocks : 2 * n_blocks] = temps[blocks % n_beta]
+        x[2 * n_blocks : n_lead] = tau_axis.take(range(lo, lo + n_taus), mode="wrap")
         for j, col in enumerate(values):
             x[n_lead + j :: len(values)] = col[lo:hi]
         cells = format_g17(x)
@@ -222,15 +210,15 @@ def _write_csv(columns, table, n_tau, stream) -> None:
         # longest of each.
         lead = cells[:n_lead].ravel()
         lead = lead[lead != 0].tobytes().split(b",")
-        names = [str(n_col[start]).encode() for start in starts]
-        heads = [b"%s,%s,%s," % row for row in zip(names, lead, lead[n_blocks:])]
+        n_col = [n_names[b] for b in (blocks // n_beta).tolist()]
+        heads = [b"%s,%s,%s," % row for row in zip(n_col, lead, lead[n_blocks:])]
         taus = [tau + b"," for tau in lead[2 * n_blocks : n_lead]]
         heads, taus = (
             np.array(t).view(np.uint8).reshape(len(t), -1) for t in (heads, taus)
         )
         text = np.concatenate(
             [
-                heads[(np.arange(lo, hi) - first) // n_tau],
+                heads[np.arange(lo, hi) // n_tau - blocks[0]],
                 taus[np.arange(hi - lo) % n_tau],
                 cells[n_lead:].reshape(hi - lo, -1),
             ],
@@ -248,19 +236,28 @@ def _json_safe(values) -> list:
     return [v if isinstance(v, int) or math.isfinite(v) else str(v) for v in values]
 
 
-def _write_json(columns, table, engine, axes, omega0, stream) -> None:
-    # axes maps "N", "beta" and "tau" to the values the rows were built from.
-    # One json.dumps call takes the C encoder (an indent would not).
-    grid = {name: _json_safe(values) for name, values in axes.items()}
+def _write_json(names, values, grid, engine, omega0, stream) -> None:
+    # The one line that json.dumps gives the whole document (its C encoder:
+    # an indent would not take it), written a chunk of rows at a time.
+    n_values, betas, temps, taus = map(_json_safe, grid)
     doc = {
         "tool": "nanospin-qcorr",
         "version": __version__,
         "engine": engine,
-        "grid": {**grid, "omega0": omega0},
-        "columns": columns,
-        "rows": list(zip(*map(_json_safe, table))),
+        "grid": {"N": n_values, "beta": betas, "tau": taus, "omega0": omega0},
+        "columns": _AXES + names,
+        "rows": [],
     }
-    stream.write(json.dumps(doc) + "\n")
+    head, tail = json.dumps(doc).rsplit("[]", 1)
+    stream.write(head + "[")
+    axes = itertools.product(n_values, zip(betas, temps), taus)
+    rows = _chunk_rows(len(values))
+    for lo in range(0, len(values[0]), rows):
+        cells = zip(*(_json_safe(col[lo : lo + rows]) for col in values))
+        # cells first: zip ends on them before it takes a row of axes.
+        chunk = [(n, b, t, tau, *c) for c, (n, (b, t), tau) in zip(cells, axes)]
+        stream.write((", " if lo else "") + json.dumps(chunk)[1:-1])
+    stream.write("]" + tail + "\n")
 
 
 @functools.cache
@@ -379,24 +376,19 @@ def _cmd_sweep(args) -> int:
         raise ValueError(
             f"the sweep grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}"
         )
-    columns, table = run_sweep(
-        args.quantity,
-        n_values,
-        betas,
-        taus,
-        engine=args.engine,
-        omega0=args.omega0,
-    )
+    check_axes([], [], [], args.omega0)
+    names, values = run_sweep(args.quantity, n_values, betas, taus, engine=args.engine)
+    temps = [temperature_from_beta(b, args.omega0) for b in betas]
+    grid = (n_values, betas, temps, taus)
     if args.out is not None:
         stream = open(args.out, "w", newline="")
     else:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as fh:
         if args.format == "csv":
-            _write_csv(columns, table, len(taus), fh)
+            _write_csv(names, values, grid, fh)
         else:
-            axes = {"N": n_values, "beta": betas, "tau": taus}
-            _write_json(columns, table, args.engine, axes, args.omega0, fh)
+            _write_json(names, values, grid, args.engine, args.omega0, fh)
     return 0
 
 

@@ -199,30 +199,11 @@ def correlation_grid(n_values, betas, taus) -> CorrelationSet:
 
     Returns a CorrelationSet whose fields are float arrays in sweep order:
     n outer, then beta, then tau inner.  The axes must pass check_axes.  A
-    tau equal to tau_special(l) gives special_time_correlations' values.
+    tau equal to tau_special(l) takes the exact factors (``_tau_factors``).
     """
+    th = np.array([math.tanh(b / 2.0) for b in betas], dtype=float)
     factors = np.array([_tau_factors(tau) for tau in taus]).reshape(-1, 3).T
-    return _correlation_table(n_values, [math.tanh(b / 2.0) for b in betas], *factors)
-
-
-def _tau_factors(tau: float) -> tuple:
-    """(cos tau, cos 2 tau, sin tau), exact at tau = tau_special(l).  For
-    l < 2^50, 2 tau / pi rounds to 1 + 2 l; from 2^53 up it rounds to an even
-    number and no l is tried, so a huge tau never overflows."""
-    l, odd = divmod(round(2.0 * tau / math.pi), 2)
-    if odd and l >= 0 and tau == tau_special(l):
-        return _flicker_factors(l)
-    return math.cos(tau), math.cos(2.0 * tau), math.sin(tau)
-
-
-def _flicker_factors(l: int) -> tuple:
-    """cos, cos 2 and sin of tau_special(l), exactly."""
-    return 0.0, -1.0, (-1.0) ** (l % 2)
-
-
-def _correlation_table(n_values, th, cos_tau, cos_2tau, sin_tau) -> CorrelationSet:
-    # correlation_grid from its factors: tanh(beta / 2) per beta, the rest per tau.
-    th, cos_tau, cos_2tau = (np.asarray(a, float) for a in (th, cos_tau, cos_2tau))
+    cos_tau, cos_2tau, sin_tau = factors
     log_tau, log_2tau = _log_abs(cos_tau), _log_abs(cos_2tau)
     q_plus_r = (0.25 * th * th)[:, None]
     p, q, r, u = (np.zeros((len(n_values), len(th), len(cos_tau))) for _ in "pqru")
@@ -241,6 +222,16 @@ def _correlation_table(n_values, th, cos_tau, cos_2tau, sin_tau) -> CorrelationS
     )
 
 
+def _tau_factors(tau: float) -> tuple:
+    """(cos tau, cos 2 tau, sin tau), exact at tau = tau_special(l).  For
+    l < 2^50, 2 tau / pi rounds to 1 + 2 l; from 2^53 up it rounds to an even
+    number and no l is tried, so a huge tau never overflows."""
+    l, odd = divmod(round(2.0 * tau / math.pi), 2)
+    if odd and l >= 0 and tau == tau_special(l):
+        return 0.0, -1.0, (-1.0) ** (l % 2)
+    return math.cos(tau), math.cos(2.0 * tau), math.sin(tau)
+
+
 def correlations(params: NanoporeParams) -> CorrelationSet:
     """Pair correlators at time tau for the given pore parameters."""
     return _one_row(correlation_grid((params.n,), (params.beta,), (params.tau,)))
@@ -249,18 +240,17 @@ def correlations(params: NanoporeParams) -> CorrelationSet:
 def special_time_correlations(n: int, beta: float, l: int = 0) -> CorrelationSet:
     """Correlators at the flickering time tau_l = (1 + 2 l) pi / 2.
 
-    Evaluated with the exact cos(tau_l) = 0, cos(2 tau_l) = -1 and
-    sin(tau_l) = (-1)^l rather than through floating tau_l: the
-    transverse polarization vanishes identically, u survives only for
-    n = 2, and the pair correlators alternate with the parity of n
-    (even n keeps q, odd n keeps r).  n and beta must pass check_axes, n
-    finite, and l an integer >= 0.
+    Evaluated at tau_special(l % 2), where correlation_grid takes the exact
+    cos(tau_l) = 0, cos(2 tau_l) = -1 and sin(tau_l) = (-1)^l, which hold
+    for every l of that parity: the transverse polarization vanishes
+    identically, u survives only for n = 2, and the pair correlators
+    alternate with the parity of n (even n keeps q, odd n keeps r).  n and
+    beta must pass check_axes, n finite, and l an integer >= 0.
     """
     (n,) = check_axes([n], [beta], [])
     if math.isinf(n):
         raise ValueError("flickering times require a finite pore occupancy")
-    factors = np.array([_flicker_factors(_check_l(l))]).T
-    return _one_row(_correlation_table([n], [math.tanh(beta / 2.0)], *factors))
+    return correlations(NanoporeParams(n, beta, tau_special(_check_l(l) % 2)))
 
 
 def _one_row(grid: CorrelationSet) -> CorrelationSet:

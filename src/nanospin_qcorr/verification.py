@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cs_matrix import cs_dense
+from .cs_matrix import cs_dense, cs_spectrum
 from .discord import discord_cs_rows, discord_numeric_rows
 from .entanglement import concurrence_cs_rows, concurrence_numeric_rows
 from .exact_oracle import pair_correlations, pair_states
 from .geometric_discord import geometric_discord_generic, geometric_discord_rows
 from .nanopore import check_axes, concurrence_rows, correlation_grid, cs_rows
-from .states import InvalidStateError, _check_stack, expansion_coefficients
+from .states import EPS_PSD, InvalidStateError, _check_stack, expansion_coefficients
 
 __all__ = [
     "CORR_FIELDS",
@@ -161,8 +161,10 @@ def run_verification(
     ``corruption`` is a test hook: it is added to the analytic correlator
     q before any derived quantity is computed, so a nonzero value must
     make the comparison fail.  It must lie in [-1, 1]: a state has
-    |q| <= 1/4, so a larger offset leaves no state to compare.  A chunk
-    whose offset rows are not all states differs by inf in every quantity.
+    |q| <= 1/4, so a larger offset leaves no state to compare.  In a chunk
+    whose offset rows are not all states, each row that is not a state
+    differs by inf in every quantity, and the chunk's other rows by 0 (they
+    are not compared).
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
     grid's axes and every n's size budget are checked before anything is
@@ -189,9 +191,10 @@ def run_verification(
         try:
             diffs = _diffs(chunk, rhos)
         except InvalidStateError:
-            if not corruption:
+            bad = ~np.all(cs_spectrum(cs_rows(chunk)) >= -EPS_PSD, axis=1)
+            if not (corruption and bad.any()):
                 raise
-            diffs = dict.fromkeys(worst, np.full(len(rhos), np.inf))
+            diffs = dict.fromkeys(worst, np.where(bad, np.inf, 0.0))
         for name, diff in diffs.items():
             k = int(np.argmax(diff))
             if diff[k] > worst[name]:

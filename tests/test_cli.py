@@ -1,5 +1,6 @@
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from nanospin_qcorr.nanopore import (
     OMEGA0_DEFAULT,
     special_time_correlations,
     tau_special,
+    temperature_from_beta,
 )
 from nanospin_qcorr.verification import VerificationReport, run_verification
 
@@ -42,6 +44,22 @@ def run_to_file(tmp_path, name, argv):
     rc = main(argv + ["--out", str(path)])
     assert rc == 0
     return path
+
+
+AXES = ["N", "beta", "T_K", "tau"]
+
+
+def _grid(n_values, betas, taus):
+    # The writers' grid, with T_K at the default omega0.
+    return n_values, betas, [temperature_from_beta(b) for b in betas], taus
+
+
+def _rows(values, grid):
+    # Each row's N, beta, T_K and tau, then its value cells: n outer, tau inner.
+    n_values, betas, temps, taus = grid
+    axes = list(itertools.product(n_values, zip(betas, temps), taus))
+    assert all(len(col) == len(axes) for col in values)
+    return [(n, b, t, tau, *c) for (n, (b, t), tau), c in zip(axes, zip(*values))]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -66,12 +84,13 @@ def test_csv_shape_and_header(tmp_path):
 def test_csv_floats_round_trip(tmp_path):
     path = run_to_file(tmp_path, "out.csv", SWEEP_BASE)
     lines = path.read_text().splitlines()
-    columns, table = run_sweep(
-        "all", [4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], engine="analytic"
-    )
-    assert lines[1].split(",") == columns
-    assert len(lines[2:]) == len(table[0]) == 9
-    for text_row, row in zip(lines[2:], zip(*table)):
+    axes = ([4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0])
+    names, values = run_sweep("all", *axes, engine="analytic")
+    grid = _grid(*axes)
+    assert lines[1].split(",") == AXES + names
+    rows = _rows(values, grid)
+    assert len(lines[2:]) == len(rows) == 9
+    for text_row, row in zip(lines[2:], rows):
         parsed = [float(cell) for cell in text_row.split(",")]
         assert parsed == [float(v) for v in row]
 
@@ -84,12 +103,13 @@ def test_json_output(tmp_path):
     assert doc["tool"] == "nanospin-qcorr"
     assert doc["version"] == "0.1.0"
     assert doc["engine"] == "analytic"
-    columns, table = run_sweep(
-        "all", [4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], engine="analytic"
-    )
-    assert doc["columns"] == columns
-    assert len(doc["rows"]) == len(table[0]) == 9
-    for json_row, row in zip(doc["rows"], zip(*table)):
+    axes = ([4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0])
+    names, values = run_sweep("all", *axes, engine="analytic")
+    grid = _grid(*axes)
+    assert doc["columns"] == AXES + names
+    rows = _rows(values, grid)
+    assert len(doc["rows"]) == len(rows) == 9
+    for json_row, row in zip(doc["rows"], rows):
         for a, b in zip(json_row, row):
             assert float(a) == float(b)
     assert list(doc) == ["tool", "version", "engine", "grid", "columns", "rows"]
@@ -436,16 +456,16 @@ def test_oversized_grid_rejected(tmp_path, capsys):
 
 
 def test_empty_grid_gives_no_rows():
-    columns, table = run_sweep("all", [3, math.inf], [1.0], [])
-    assert columns[:4] == ["N", "beta", "T_K", "tau"]
-    assert len(table) == len(columns)
-    assert all(len(col) == 0 for col in table)
+    names, values = run_sweep("all", [3, math.inf], [1.0], [])
+    assert names[0] == "concurrence"
+    assert len(values) == len(names) == 8
+    assert all(len(col) == 0 for col in values)
+    grid = _grid([3, math.inf], [1.0], [])
     text = io.StringIO()
-    _write_csv(columns, table, 0, text)
-    assert text.getvalue().splitlines()[1:] == [",".join(columns)]
+    _write_csv(names, values, grid, text)
+    assert text.getvalue().splitlines()[1:] == [",".join(AXES + names)]
     text = io.StringIO()
-    axes = {"N": [3, math.inf], "beta": [1.0], "tau": []}
-    _write_json(columns, table, "analytic", axes, OMEGA0_DEFAULT, text)
+    _write_json(names, values, grid, "analytic", OMEGA0_DEFAULT, text)
     assert json.loads(text.getvalue())["rows"] == []
 
 
@@ -471,6 +491,18 @@ def test_time_range_needs_coupling(capsys):
     )
     assert rc == 2
     assert "--coupling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega0", ["nan", "0"])
+def test_bad_omega0_is_rejected_before_any_row(monkeypatch, capsys, omega0):
+    # _cmd_sweep checks --omega0 itself: run_sweep takes no omega0.
+    monkeypatch.setattr(cli, "run_sweep", None)  # reached only by a bug
+    argv = ["sweep", "--N", "3", "--temp-range", "1:1:1", "--tau", "0"]
+    assert main(argv + ["--omega0", omega0]) == 2
+    captured = capsys.readouterr()
+    message = f"omega0 must be finite and > 0, got {float(omega0)}"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -663,21 +695,24 @@ def test_verify_detects_corruption(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, where",
     [
-        ["--inject-corruption", "1e-4"],
-        ["--N", "3", "--tau-points", "2", "--inject-corruption", "0.5"],
+        (["--inject-corruption", "1e-4"], "beta=10"),
+        (["--N", "3", "--tau-points", "2", "--inject-corruption", "0.5"], "beta=0.5"),
     ],
     ids=["default-grid-1e-4", "small-grid-0.5"],
 )
-def test_verify_reports_corruption_that_leaves_no_state(capsys, argv):
+def test_verify_reports_corruption_that_leaves_no_state(capsys, argv, where):
     # The offset makes some closed-form rows no states at all (an eigenvalue
     # of -5.5e-5 at beta = 10 on the default grid): the report fails, every
-    # quantity at inf, rather than the run ending in an error.
+    # quantity at inf, rather than the run ending in an error.  The inf is
+    # at the first such row; the rows of its chunk that are states are not
+    # compared.
     assert main(["verify", *argv]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert all("= inf at N=3" in line and line.endswith("FAIL") for line in lines[1:])
+    at = f"= inf at N=3, {where}, tau=0.0000 "
+    assert all(at in line and line.endswith("FAIL") for line in lines[1:])
     assert "error:" not in captured.err
     assert captured.err.startswith("verification FAILED for: correlations, ")
 
@@ -762,6 +797,23 @@ def test_sweep_longer_than_a_chunk_matches_chunk_sized_sweeps(tmp_path):
     )
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_json_sweep_peak_memory_is_bounded():
+    # 250,000 rows of five columns.  The whole document built in memory
+    # peaked near 200 MiB; chunk by chunk the writer holds one chunk's rows.
+    argv = ["sweep", "--quantity", "correlations", "--N", "3", "6", "9", "25"]
+    argv += ["--beta-range", "1:10:1", "--tau-range", "0:6.249:0.001"]
+    argv += ["--format", "json", "--out", os.devnull]
+    code = "import resource, sys; from nanospin_qcorr.cli import main; "
+    code += "assert main(sys.argv[1:]) == 0; "
+    code += "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 100 * 1024
+
+
 def test_closed_pipe_exits_without_traceback():
     argv = ["sweep", "--quantity", "correlations", "--N", "2", "3"]
     argv += ["--beta-range", "1:30:1", "--tau-range", "0:6:0.01"]
@@ -781,11 +833,11 @@ def test_closed_pipe_exits_without_traceback():
     assert b"Exception ignored" not in err
 
 
-def _assert_matches_reference(text, columns, table):
+def _assert_matches_reference(text, names, values, grid):
     # The writer cell by cell: str for N, format(v, ".17g") for the rest.
-    lines = [f"# nanospin-qcorr v{__version__}", ",".join(columns)]
-    for n, *values in zip(*table):
-        lines.append(",".join([str(n)] + [format(float(v), ".17g") for v in values]))
+    lines = [f"# nanospin-qcorr v{__version__}", ",".join(AXES + names)]
+    for n, *cells in _rows(values, grid):
+        lines.append(",".join([str(n)] + [format(float(v), ".17g") for v in cells]))
     same = text == "".join(line + "\n" for line in lines)
     # Name the first differing line; a diff of the whole text is slow.
     got = text.splitlines()
@@ -796,8 +848,8 @@ def _assert_matches_reference(text, columns, table):
 # Grids the writer treats differently: signed zeros, N = inf, T_K = inf
 # (beta 0) and T_K = 0 (beta inf), one tau, a chunk boundary inside an
 # (N, beta) block, a chunk that starts inside a block and holds whole blocks
-# after it (1,134 rows per N, 126 taus), and N = 100, whose correlations
-# reach 1e-210.
+# after it (1,134 rows per N, 126 taus), N = 100, whose correlations reach
+# 1e-210, and no tau at all.
 WRITER_GRIDS = {
     "edges": ([2, 3, math.inf], [0.0, 1.0, math.inf], [-0.0, 0.5, 1.0]),
     "special-time": ([3, 50, 51, math.inf], [0.0, 2.0], [tau_special(1)]),
@@ -809,6 +861,7 @@ WRITER_GRIDS = {
         [0.05 * k for k in range(126)],
     ),
     "pore-100": ([100], [0.5, 3.0, 10.0], [0.013 + 0.05 * k for k in range(126)]),
+    "empty": ([3, math.inf], [1.0], []),
 }
 QUANTITIES = ["all", "correlations", "concurrence", "discord", "geometric_discord"]
 
@@ -816,18 +869,18 @@ QUANTITIES = ["all", "correlations", "concurrence", "discord", "geometric_discor
 @pytest.mark.parametrize("grid", sorted(WRITER_GRIDS))
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_csv_matches_cell_by_cell_reference(grid, quantity):
-    n_values, betas, taus = WRITER_GRIDS[grid]
-    columns, table = run_sweep(quantity, n_values, betas, taus)
+    names, values = run_sweep(quantity, *WRITER_GRIDS[grid])
+    grid = _grid(*WRITER_GRIDS[grid])
     text = io.StringIO()
-    _write_csv(columns, table, len(taus), text)
-    _assert_matches_reference(text.getvalue(), columns, table)
+    _write_csv(names, values, grid, text)
+    _assert_matches_reference(text.getvalue(), names, values, grid)
 
 
 def test_writer_grids_have_the_cases_they_name():
     # Rows per chunk follow from the byte budget and the value columns: 1, 5
     # or 8 of them.
     for quantity in QUANTITIES:
-        rows = _chunk_rows(len(run_sweep(quantity, [3], [1.0], [0.0])[0]) - 4)
+        rows = _chunk_rows(len(run_sweep(quantity, [3], [1.0], [0.0])[0]))
         # A chunk boundary inside a block of 1,100 taus.
         n_values, betas, taus = WRITER_GRIDS["chunk-in-block"]
         assert rows % len(taus) != 0
@@ -838,41 +891,32 @@ def test_writer_grids_have_the_cases_they_name():
         after = -(-rows // len(taus)) * len(taus)
         assert rows % len(taus) != 0
         assert after + len(taus) <= min(2 * rows, total)
-    columns, table = run_sweep("correlations", *WRITER_GRIDS["special-time"])
+    names, values = run_sweep("correlations", *WRITER_GRIDS["special-time"])
     text = io.StringIO()
-    _write_csv(columns, table, 1, text)
+    _write_csv(names, values, _grid(*WRITER_GRIDS["special-time"]), text)
     rows = [line.split(",") for line in text.getvalue().splitlines()[2:]]
-    assert "-0" in [row[columns.index("u")] for row in rows]
+    assert "-0" in [row[4 + names.index("u")] for row in rows]
     assert {row[2] for row in rows if row[1] == "0"} == {"inf"}
-    columns, table = run_sweep("correlations", *WRITER_GRIDS["pore-100"])
-    cells = np.abs(np.concatenate(table[4:]))
+    names, values = run_sweep("correlations", *WRITER_GRIDS["pore-100"])
+    cells = np.abs(np.concatenate(values))
     assert cells[cells > 0].min() < 1e-200
 
 
+# Cells Python formats itself (subnormals, |v| > 1e280, inf, nan, a 17-digit
+# tie) beside the formatter's own extremes.  The grid puts every one of them
+# in every column: as a beta, a T_K, a tau and a cell of both value columns.
+_TINY, _HUGE = 5e-324, 1.7976931348623157e308
+EXTREMES = [_TINY, -2.2250738585072014e-308, 1e-300, -1e-281, 1e-280, 1e280]
+EXTREMES += [-1e281, 1e300, _HUGE, math.inf, -math.inf, math.nan, 0.0, -0.0]
+EXTREMES += [1.0 + 2.0**-17, 0.5, 2.5, 1e23, 9.9999999999999999e-5, 1e16, 1e17]
+EXTREME_GRID = ([2, 10**400], EXTREMES, EXTREMES[::-1], EXTREMES)
+EXTREME_VALUES = [np.resize(col, 2 * len(EXTREMES) ** 2) for col in EXTREME_GRID[1:3]]
+
+
 def test_csv_of_extreme_values_matches_reference():
-    # Cells Python formats itself (subnormals, |v| > 1e280, inf, nan, a 17-
-    # digit tie) beside the formatter's own extremes, in every column.
-    tiny, huge = 5e-324, 1.7976931348623157e308
-    extremes = [tiny, -2.2250738585072014e-308, 1e-300, -1e-281, 1e-280, 1e280]
-    extremes += [-1e281, 1e300, huge, math.inf, -math.inf, math.nan, 0.0, -0.0]
-    extremes += [1.0 + 2.0**-17, 0.5, 2.5, 1e23, 9.9999999999999999e-5, 1e16, 1e17]
-    n_tau = 4
-    taus = [tiny, -0.0, math.inf, 1e-300]
-    n_blocks = len(extremes)
-    rows = n_blocks * n_tau
-    values = np.array(extremes * 2 * n_tau).reshape(2, rows)
-    table = [
-        [[2, 10**400][b % 2] for b in range(n_blocks) for _ in range(n_tau)],
-        np.repeat(extremes, n_tau),
-        np.repeat(extremes[::-1], n_tau),
-        np.tile(taus, n_blocks),
-        values[0],
-        values[1, ::-1],
-    ]
-    columns = ["N", "beta", "T_K", "tau", "a", "b"]
     text = io.StringIO()
-    _write_csv(columns, table, n_tau, text)
-    _assert_matches_reference(text.getvalue(), columns, table)
+    _write_csv(["a", "b"], EXTREME_VALUES, EXTREME_GRID, text)
+    _assert_matches_reference(text.getvalue(), ["a", "b"], EXTREME_VALUES, EXTREME_GRID)
 
 
 @pytest.mark.parametrize("grid", ["edges", "single-tau"])
@@ -880,10 +924,53 @@ def test_engine_comparison_csv_matches_reference(grid):
     # The oracle needs finite N.
     n_values, betas, taus = WRITER_GRIDS[grid]
     n_values = [n for n in n_values if not math.isinf(n)]
-    columns, table = run_sweep("all", n_values, betas, taus, engine="both")
+    names, values = run_sweep("all", n_values, betas, taus, engine="both")
+    grid = _grid(n_values, betas, taus)
     text = io.StringIO()
-    _write_csv(columns, table, len(taus), text)
-    _assert_matches_reference(text.getvalue(), columns, table)
+    _write_csv(names, values, grid, text)
+    _assert_matches_reference(text.getvalue(), names, values, grid)
+
+
+def _one_dumps(names, values, grid, engine, omega0):
+    # The whole document as one json.dumps call writes it.
+    def safe(cells):
+        return [v if isinstance(v, int) or math.isfinite(v) else str(v) for v in cells]
+
+    doc = {
+        "tool": "nanospin-qcorr",
+        "version": __version__,
+        "engine": engine,
+        "grid": {
+            "N": safe(grid[0]),
+            "beta": safe(grid[1]),
+            "tau": safe(grid[3]),
+            "omega0": omega0,
+        },
+        "columns": AXES + names,
+        "rows": [safe(row) for row in _rows(values, grid)],
+    }
+    return json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize(
+    "grid, quantity",
+    [(g, q) for g in sorted(WRITER_GRIDS) for q in ("all", "concurrence")]
+    + [("extremes", None)],
+)
+def test_json_matches_one_dumps_of_the_document(grid, quantity):
+    # The chunked writer gives the bytes of one json.dumps of the document:
+    # on the empty grid, on non-finite axes and cells, and over many chunks.
+    if grid == "extremes":
+        names, values, grid = ["a", "b"], EXTREME_VALUES, EXTREME_GRID
+    else:
+        names, values = run_sweep(quantity, *WRITER_GRIDS[grid])
+        grid = _grid(*WRITER_GRIDS[grid])
+    text = io.StringIO()
+    _write_json(names, values, grid, "analytic", 2e9, text)
+    got, want = text.getvalue(), _one_dumps(names, values, grid, "analytic", 2e9)
+    # Show where they part; a diff of the whole text is slow.
+    same = got == want
+    assert same, os.path.commonprefix([got, want])[-100:]
 
 
 class _WriteLog:
@@ -899,12 +986,13 @@ def test_writes_hold_at_most_one_chunk():
     # set the rows that CSV_CHUNK_BYTES holds.
     rows = _chunk_rows(5)
     betas = [0.001 * k for k in range(2 * rows + 5)]
-    columns, table = run_sweep("correlations", [2], betas, [0.3])
+    names, values = run_sweep("correlations", [2], betas, [0.3])
+    grid = _grid([2], betas, [0.3])
     log = _WriteLog()
-    _write_csv(columns, table, 1, log)
+    _write_csv(names, values, grid, log)
     assert max(text.count("\n") for text in log.writes) == rows
     assert len(log.writes) == 2 + 3
-    _assert_matches_reference("".join(log.writes), columns, table)
+    _assert_matches_reference("".join(log.writes), names, values, grid)
 
 
 def test_discord_sweep_clamps_rounding_below_zero(tmp_path):
@@ -913,8 +1001,8 @@ def test_discord_sweep_clamps_rounding_below_zero(tmp_path):
     argv = ["sweep", "--quantity", "discord", "--N", "2", "--beta-range", "5:5:1"]
     path = run_to_file(tmp_path, "clamp.csv", argv + ["--tau", "0"])
     assert path.read_text().splitlines()[2].split(",")[4] == "0"
-    columns, table = run_sweep("discord", [2, 3, 6], [1.0, 3.0, 5.0, 7.0], [0.0])
-    assert min(table[columns.index("discord")]) == 0.0
+    names, values = run_sweep("discord", [2, 3, 6], [1.0, 3.0, 5.0, 7.0], [0.0])
+    assert min(values[names.index("discord")]) == 0.0
 
 
 @pytest.mark.parametrize(
