@@ -1,7 +1,9 @@
 """format(x, ".17g") for a float64 array at once.
 
 ``format_g17`` gives, for every double, the bytes of Python's
-``format(x, ".17g")``.  The CSV writer in ``cli`` imports this module on
+``format(x, ".17g")``.  It takes an array of any shape and can write into a
+given array (``out=``), such as the CSV writer's strided view of the value
+cells in its row buffer.  The CSV writer in ``cli`` imports this module on
 its first write: ``verify`` and JSON sweeps need none of it.
 
 A cell is CELL_WORDS uint64 words of text in fixed slots, with zero bytes
@@ -9,10 +11,11 @@ between and after the slots' text; the writer drops the zero bytes.  Word 0
 holds the sign and the "0.000" lead of a fixed cell below 1; words 1-3 the
 digits before the point (d0-d7, d8-d15, d16) and the point (byte 7 of
 word 3); words 4-5 the digits d1-d16 after it; word 6 "e+dd" or "e+ddd",
-and the separator in its byte 7.  A zero cell is the constant "0" or "-0".
-The digits split into the groups d0-d3, d4-d7, d8-d11, d12-d15 and d16 by
-floor division and a multiply-subtract, and each word of a cell is one 1-D
-gather from its own contiguous table row (words 1-5 ANDed with a mask row).
+and the CSV separator "," in its byte 7.  A zero cell is the constant "0,"
+or "-0,".  The digits split into the groups d0-d3, d4-d7, d8-d11, d12-d15
+and d16 by floor division and a multiply-subtract, and each word of a cell
+is one 1-D gather from its own contiguous table row (words 1-5 ANDed with a
+mask row).
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def _text_tables():
     # Per 4-digit group g: its ASCII digits (bytes 0-3 of a word) and its
     # length without trailing zeros, 4 j + that as the j-th group of the 17
     # digits (0 for 0000), one row per j.  Per decimal exponent: words 0 and
-    # 6, one row each, and the digits before the point (0: all of them).
+    # 6 (the comma in its byte 7), one row each, and the digits before the
+    # point (0: all of them).
     # Per digit count n_int before the point and digits kept, 1..17 each:
     # the masks of words 1-5, one row each.
     d = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # the digits of g
@@ -73,6 +77,7 @@ def _text_tables():
     sign, hundreds = np.where(x < 0, 45, 43), (48 + m // 100) * (m >= 100)
     exp = [np.full(len(x), 101), sign, hundreds, 48 + m // 10 % 10, 48 + m % 10]
     zone[1, :, :5] = np.stack(exp, 1) * ~fixed[:, None]
+    zone[1, :, 7] = ord(",")
     n_int = np.where(fixed, np.where(x >= 0, x + 1, 0), 1).astype(np.int8)
     # The digit index of each byte of words 1-5; 17 is the point, -1 unused.
     index = np.full((5, 8), -1)
@@ -95,28 +100,35 @@ _P10_UP = np.where(_P10_LO > 0.0, np.nextafter(_P10_HI, np.inf), _P10_HI)
 _DIGITS, _LENGTH, _ZONE, _N_INT, _MASKS = _text_tables()
 _D16 = np.arange(48, 58, dtype=np.uint64) | np.uint64(ord(".") << 56)
 _SIGN = np.array([0, ord("-")], np.uint64)
-# The cells of 0.0 and -0.0 ("0" in word 1), and a cell as one item.
-_ZERO = np.zeros((2, CELL_WORDS), np.uint64)
-_ZERO[:, 0], _ZERO[:, 1] = _SIGN, ord("0")
+# The cell of 0.0 (-0.0 adds the sign), and a cell as one item.
+_ZERO = np.zeros(CELL_WORDS, np.uint64)
+_ZERO[1], _ZERO[6] = ord("0"), ord(",") << 56
 _CELL = np.dtype((np.void, CELL_BYTES))
 
 
-def format_g17(x):
-    """format(v, ".17g") of each v in the float64 array x, as (len(x), 7) uint64.
+def format_g17(x, out=None):
+    """format(v, ".17g") of each v in the float64 array x, as x.shape + (7,) uint64.
 
-    The bytes of row i, zero bytes dropped, are format(x[i], ".17g").  Zero
-    cells take _ZERO; the others run as a chunk of their own.  The decimal
-    exponent X is floor(log10|v|), corrected against the table of powers of
-    ten.  The 17-digit significand D = round-half-even(|v| 10^(16-X)) comes
-    from Dekker's exact product of |v| with 10^(16-X) as a double-double,
-    with an error below 2^-45.  Python formats a cell whose product lies
-    within 2^-36 of a rounding tie, and one with |v| outside [1e-280,
-    1e280] (where the split could leave the normal range), inf or nan.
+    The bytes of cell i, zero bytes dropped, are format(x[i], ".17g") and a
+    comma, the cell's last byte.  The cells go to ``out`` when it is given:
+    a uint64 array of that shape whose last axis is contiguous, such as a
+    strided view of a row buffer.  Zero cells take _ZERO; the others run as
+    a chunk of their own.  The decimal exponent X is floor(log10|v|),
+    corrected against the table of powers of ten.  The 17-digit significand
+    D = round-half-even(|v| 10^(16-X)) comes from Dekker's exact product of
+    |v| with 10^(16-X) as a double-double, with an error below 2^-45.
+    Python formats a cell whose product lies within 2^-36 of a rounding tie,
+    and one with |v| outside [1e-280, 1e280] (where the split could leave
+    the normal range), inf or nan.
     """
+    if out is None:
+        out = np.empty(x.shape + (CELL_WORDS,), np.uint64)
     nonzero = x != 0.0
     if not nonzero.all():
-        out = np.take(_ZERO, np.signbit(x).view(np.uint8), axis=0)
-        out.view(_CELL)[nonzero] = format_g17(x[nonzero]).view(_CELL)
+        cells = out.view(_CELL)[..., 0]
+        cells[...] = _ZERO.view(_CELL)
+        np.copyto(out[..., 0], _SIGN[1], where=np.signbit(x))
+        cells[nonzero] = format_g17(x[nonzero]).view(_CELL)[:, 0]
         return out
     a = np.abs(x)
     ok = (a >= 1e-280) & (a <= 1e280)
@@ -150,15 +162,15 @@ def format_g17(x):
     n_int = _N_INT[X]
     n_int = np.where(n_int > 0, n_int, s)
     kept = n_int.astype(np.intp) * 18 + np.maximum(s, n_int)
-    out = np.empty((len(a), CELL_WORDS), np.uint64)
-    np.bitwise_or(_ZONE[0][X], _SIGN[np.signbit(x).view(np.uint8)], out=out[:, 0])
+    np.bitwise_or(_ZONE[0][X], _SIGN[np.signbit(x).view(np.uint8)], out=out[..., 0])
     after = [(w >> np.uint64(8)) | (v << np.uint64(56)) for w, v in ((A, B), (B, C))]
     for j, (word, mask) in enumerate(zip([A, B, C, *after], _MASKS), 1):
-        np.bitwise_and(word, mask[kept], out=out[:, j])
-    out[:, 6] = _ZONE[1][X]
+        np.bitwise_and(word, mask[kept], out=out[..., j])
+    out[..., 6] = _ZONE[1][X]
     text = out.view(np.uint8)
-    for i in np.flatnonzero(python):
+    for i in zip(*np.nonzero(python)):
         cell = format(float(x[i]), ".17g").encode()
         text[i] = 0
-        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+        text[i][: len(cell)] = np.frombuffer(cell, np.uint8)
+        text[i][-1] = ord(",")
     return out

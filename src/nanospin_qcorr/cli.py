@@ -13,16 +13,22 @@ exactly.
 
 ``run_sweep`` returns the value columns; the writers read each row's N,
 beta, T_K and tau from the grid, whose rows come in blocks of one (N, beta)
-pair over every tau.  Each writes as many rows at a time as CSV_CHUNK_BYTES
-of value cells hold, and at least one, so it holds one chunk of text at a
-time whatever the grid's shape.  For each CSV chunk one call of
-``_g17.format_g17``, whose docstring gives its method, formats the beta
-and T_K of each block it meets, each of its taus once, and its value cells,
-with the bytes of Python's ``format(x, '.17g')``; the writer joins each
-row's "N,beta,T_K,", tau and cells, drops the zero bytes and makes one write.
-JSON output records the grid (N, beta, tau and omega0) it was built from.
-It is the one line of ``json.dumps`` of the whole document, written as the
-head, each chunk's rows and the tail.
+pair over every tau.  Each writes one chunk of rows at a time, at most as
+many as CSV_CHUNK_BYTES of value cells hold (``_chunk_rows``), so it holds
+one chunk of text whatever the grid's shape.  A CSV chunk is as many whole
+blocks as fit, or, when one block does not fit, a slice of one block.  It is
+one uint64 row buffer: per row, words for "N,beta,T_K,tau," and the value
+cells, which one call of ``_g17.format_g17`` (its docstring gives the
+method; the bytes are Python's ``format(x, '.17g')``) writes in place
+through a strided view.  The same call formats the chunk's betas and T_Ks,
+and its taus unless the last chunk had the same, in leading rows; a chunk
+whose axis cells outnumber its value cells (blocks of one or two taus)
+formats them in a second call.  Each block's "N,beta,T_K," and each tau's
+"tau," are broadcast into the prefix words of the block's rows; the writer
+drops the zero bytes and makes one write.  JSON output records the grid
+(N, beta, tau and omega0) it was built from.  It is the one line of
+``json.dumps`` of the whole document, written as the head, each chunk's
+rows and the tail.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later one.  Building it (its help formatters, each of
@@ -178,53 +184,73 @@ def _chunk_rows(n_values: int) -> int:
     return max(1, CSV_CHUNK_BYTES // (n_values * CELL_BYTES))
 
 
+def _words(texts, words=0):
+    # Byte strings as rows of uint64 words, zero-padded to the longest or to
+    # `words` words, if that is more.
+    words = max(words, -(-max(map(len, texts)) // 8))
+    return np.array(texts, f"S{8 * words}").view(np.uint64).reshape(len(texts), -1)
+
+
 def _write_csv(names, values, grid, stream) -> None:
     # values are run_sweep's over grid = (N values, betas, T_K values, taus):
     # blocks of len(taus) rows, one per (N, beta).  See the module docstring.
-    from ._g17 import format_g17  # only CSV sweeps load the formatter
+    from ._g17 import CELL_WORDS, format_g17  # only CSV sweeps load the formatter
 
-    n_names = [str(n).encode() for n in grid[0]]
+    n_text = [str(n).encode() for n in grid[0]]
     betas, temps, tau_axis = (np.asarray(axis, dtype=float) for axis in grid[1:])
-    n_beta, n_tau = len(betas), len(tau_axis)
+    n_beta, n_tau, n_val = len(betas), len(tau_axis), len(values)
+    n_blocks = len(n_text) * n_beta
     stream.write(_HEADER + "\n")
     stream.write(",".join(_AXES + names) + "\n")
-    rows, n_rows = _chunk_rows(len(values)), len(n_names) * n_beta * n_tau
-    for lo in range(0, n_rows, rows):
-        hi = min(lo + rows, n_rows)
-        blocks = np.arange(lo // n_tau, (hi - 1) // n_tau + 1)
-        # The chunk meets n_taus distinct taus, from row lo's in axis order
-        # (wrapping): row i's is number (i - lo) % n_tau.
-        n_blocks, n_taus = len(blocks), min(hi - lo, n_tau)
-        n_lead = 2 * n_blocks + n_taus
-        x = np.empty(n_lead + (hi - lo) * len(values))
-        x[:n_blocks] = betas[blocks % n_beta]
-        x[n_blocks : 2 * n_blocks] = temps[blocks % n_beta]
-        x[2 * n_blocks : n_lead] = tau_axis.take(range(lo, lo + n_taus), mode="wrap")
-        for j, col in enumerate(values):
-            x[n_lead + j :: len(values)] = col[lo:hi]
-        cells = format_g17(x)
-        cells[:, -1] |= _COMMA
-        cells[n_lead + len(values) - 1 :: len(values), -1] ^= _COMMA ^ _NEWLINE
-        cells = cells.view(np.uint8)
-        # "N,beta,T_K," per block and "tau," per tau, NUL-padded to the
-        # longest of each.
-        lead = cells[:n_lead].ravel()
-        lead = lead[lead != 0].tobytes().split(b",")
-        n_col = [n_names[b] for b in (blocks // n_beta).tolist()]
-        heads = [b"%s,%s,%s," % row for row in zip(n_col, lead, lead[n_blocks:])]
-        taus = [tau + b"," for tau in lead[2 * n_blocks : n_lead]]
-        heads, taus = (
-            np.array(t).view(np.uint8).reshape(len(t), -1) for t in (heads, taus)
-        )
-        text = np.concatenate(
-            [
-                heads[np.arange(lo, hi) // n_tau - blocks[0]],
-                taus[np.arange(hi - lo) % n_tau],
-                cells[n_lead:].reshape(hi - lo, -1),
-            ],
-            axis=1,
-        ).ravel()
-        stream.write(text[text != 0].tobytes().decode())
+    if not n_tau:
+        return
+    rows = _chunk_rows(n_val)
+    per, span = max(1, rows // n_tau), min(rows, n_tau)  # blocks, taus a chunk
+    # Words for the longest "N,beta,T_K," (a 17g cell has at most 24 bytes).
+    head_room = -(-(max(map(len, n_text)) + 51) // 8)
+    held = None  # the first tau of the chunk whose "tau," words taus holds
+    for b0 in range(0, n_blocks, per):
+        blocks = np.arange(b0, min(b0 + per, n_blocks))
+        k = len(blocks)
+        for t0 in range(0, n_tau, span):
+            t1 = min(t0 + span, n_tau)
+            lo, n_rows = b0 * n_tau + t0, k * (t1 - t0)
+            # The betas and T_Ks of the chunk's blocks, and its taus unless
+            # the last chunk had the same, go in the value cells of n_lead
+            # leading rows, so that one call formats every cell, unless they
+            # outnumber its value cells (blocks of one or two taus).
+            n_axis = 2 * k + (t1 - t0 if t0 != held else 0)
+            n_lead = -(-n_axis // n_val) if n_axis <= n_rows * n_val else 0
+            x = np.empty((n_lead + n_rows, n_val))
+            lead = x[:n_lead].reshape(-1) if n_lead else np.empty(n_axis)
+            lead[:k] = betas.take(blocks, mode="wrap")
+            lead[k : 2 * k] = temps.take(blocks, mode="wrap")
+            lead[2 * k : n_axis] = tau_axis[t0 : t0 + n_axis - 2 * k]
+            lead[n_axis:] = 1.0
+            for j, col in enumerate(values):
+                x[n_lead:, j] = col[lo : lo + n_rows]
+            # A row: room words for "N,beta,T_K,tau," (4 for "tau," until its
+            # text is known), then the value cells, formatted in place.
+            room = head_room + (4 if t0 != held else taus.shape[1])
+            buf = np.empty((len(x), room + CELL_WORDS * n_val), np.uint64)
+            cells = buf[:, room:].reshape(len(x), n_val, -1)
+            format_g17(x, out=cells)
+            cells[n_lead:, -1, -1] ^= _COMMA ^ _NEWLINE
+            text = buf[:n_lead, room:] if n_lead else format_g17(lead)
+            text = text.view(np.uint8)
+            text = text[text != 0].tobytes().split(b",")
+            if t0 != held:
+                taus, held = _words([t + b"," for t in text[2 * k : n_axis]]), t0
+            n_col = [n_text[n] for n in (blocks // n_beta).tolist()]
+            heads = [b"%s,%s,%s," % h for h in zip(n_col, text, text[k:])]
+            # Each block's head, zero-padded up to the "tau," words, and each
+            # tau's, broadcast over the rows.
+            cut = room - taus.shape[1]
+            body = buf[n_lead:].reshape(k, t1 - t0, -1)
+            body[:, :, :cut] = _words(heads, cut)[:, None]
+            body[:, :, cut:room] = taus
+            text = buf[n_lead:].view(np.uint8)
+            stream.write(text[text != 0].tobytes().decode())
 
 
 def _json_safe(values) -> list:

@@ -139,6 +139,14 @@ def _entropies(lengths, evals):
     return s_a, s_a + s_b - entropy_bits(evals)
 
 
+def _marginal_entropy(r):
+    # Entropy in bits of each 2x2 state [[a, b], [b*, d]] of the stack r, from
+    # its eigenvalues m +- g: m = (a + d)/2 and g = |((a - d)/2, b)|.
+    m = 0.5 * (r[..., 0, 0] + r[..., 1, 1]).real
+    g = np.hypot(0.5 * (r[..., 0, 0] - r[..., 1, 1]).real, np.abs(r[..., 0, 1]))
+    return entropy_bits(np.stack([m + g, m - g], axis=-1))
+
+
 def _chart(n0: np.ndarray) -> np.ndarray:
     """Per row of n0 (R, 3), the orthogonal matrix with rows n0, e1, n0 x e1."""
     helper = np.where(np.abs(n0[:, 2:]) >= 0.9, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
@@ -238,7 +246,12 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     rhos = rhos.reshape(-1, 4, 4)
     x, y, T = bloch_data(rhos)
     evals = np.linalg.eigvalsh(rhos) if _evals is None else _evals
-    s_a, mutual = _entropies(np.linalg.norm(np.stack([x, y], axis=1), axis=-1), evals)
+    # S(rho_A) + S(rho_B) - S(rho), the marginals from their own 2x2 partial
+    # traces: no entropy formula shared with discord_cs_rows.
+    pair = rhos.reshape(-1, 2, 2, 2, 2)
+    traces = [pair[:, :, 0, :, 0] + pair[:, :, 1, :, 1], pair[:, 0, :, 0] + pair[:, 1, :, 1]]
+    s_a, s_b = _marginal_entropy(np.stack(traces))
+    mutual = s_a + s_b - entropy_bits(evals)
 
     # A block's directions, (rows, 99, 3) as the kernel takes them (its y.n
     # and T n round by their layout); each circle is written through its

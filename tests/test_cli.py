@@ -797,21 +797,38 @@ def test_sweep_longer_than_a_chunk_matches_chunk_sized_sweeps(tmp_path):
     )
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def _peak_kib(argv):
+    # A child runs main(argv) and reports its peak RSS in KiB: VmHWM, which
+    # starts afresh at exec, where ru_maxrss keeps the spawning process's.
+    code = "import sys; from nanospin_qcorr.cli import main; "
+    code += "assert main(sys.argv[1:]) == 0; "
+    code += "print(*(s.split()[1] for s in open('/proc/self/status') "
+    code += "if s.startswith('VmHWM:')))"
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_json_sweep_peak_memory_is_bounded():
     # 250,000 rows of five columns.  The whole document built in memory
     # peaked near 200 MiB; chunk by chunk the writer holds one chunk's rows.
     argv = ["sweep", "--quantity", "correlations", "--N", "3", "6", "9", "25"]
     argv += ["--beta-range", "1:10:1", "--tau-range", "0:6.249:0.001"]
-    argv += ["--format", "json", "--out", os.devnull]
-    code = "import resource, sys; from nanospin_qcorr.cli import main; "
-    code += "assert main(sys.argv[1:]) == 0; "
-    code += "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    run = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True
-    )
-    assert run.returncode == 0, run.stderr
-    assert int(run.stdout) < 100 * 1024
+    assert _peak_kib([*argv, "--format", "json", "--out", os.devnull]) < 100 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_csv_sweep_peak_memory_is_bounded():
+    # 300,000 rows of one tau, each its own (N, beta) block.  The writer
+    # holds one chunk's axis text; a table of every block's "N,beta,T_K,"
+    # text, built once per sweep, peaked near 91 MiB, and chunk by chunk the
+    # sweep peaks near 50-57 MiB.
+    argv = ["sweep", "--quantity", "concurrence", "--N", "2", "3", "inf"]
+    argv += ["--beta-range", "0.001:100:0.001", "--tau", "special:0"]
+    assert _peak_kib([*argv, "--out", os.devnull]) < 75 * 1024
 
 
 def test_closed_pipe_exits_without_traceback():
@@ -846,15 +863,15 @@ def _assert_matches_reference(text, names, values, grid):
 
 
 # Grids the writer treats differently: signed zeros, N = inf, T_K = inf
-# (beta 0) and T_K = 0 (beta inf), one tau, a chunk boundary inside an
-# (N, beta) block, a chunk that starts inside a block and holds whole blocks
-# after it (1,134 rows per N, 126 taus), N = 100, whose correlations reach
-# 1e-210, and no tau at all.
+# (beta 0) and T_K = 0 (beta inf), one tau (every row its own (N, beta)
+# block), blocks longer than a chunk (4,400 taus: a chunk is a slice of one
+# block), chunks of several whole blocks that reach from one N into the next
+# (126 taus), N = 100, whose correlations reach 1e-210, and no tau at all.
 WRITER_GRIDS = {
     "edges": ([2, 3, math.inf], [0.0, 1.0, math.inf], [-0.0, 0.5, 1.0]),
     "special-time": ([3, 50, 51, math.inf], [0.0, 2.0], [tau_special(1)]),
     "single-tau": ([2, math.inf], [0.5 * k for k in range(7)], [0.3]),
-    "chunk-in-block": ([3, math.inf], [1.0, 2.0], [0.001 * k for k in range(1100)]),
+    "chunk-in-block": ([3, math.inf], [1.5], [0.00025 * k for k in range(4400)]),
     "blocks-after-boundary": (
         [2, 3, 6, math.inf],
         [0.5 + 0.5 * k for k in range(9)],
@@ -876,21 +893,33 @@ def test_csv_matches_cell_by_cell_reference(grid, quantity):
     _assert_matches_reference(text.getvalue(), names, values, grid)
 
 
+def _chunks(quantity, grid):
+    # The rows of each CSV write after the header, as (first, end) pairs.
+    names, values = run_sweep(quantity, *WRITER_GRIDS[grid])
+    log = _WriteLog()
+    _write_csv(names, values, _grid(*WRITER_GRIDS[grid]), log)
+    ends = np.cumsum([text.count("\n") for text in log.writes[2:]])
+    return list(zip([0, *ends[:-1]], ends))
+
+
 def test_writer_grids_have_the_cases_they_name():
-    # Rows per chunk follow from the byte budget and the value columns: 1, 5
-    # or 8 of them.
+    # A chunk holds as many whole (N, beta) blocks as _chunk_rows of value
+    # cells allows, or a slice of one block: checked for the 1, 5 and 8 value
+    # columns of every quantity.
     for quantity in QUANTITIES:
-        rows = _chunk_rows(len(run_sweep(quantity, [3], [1.0], [0.0])[0]))
-        # A chunk boundary inside a block of 1,100 taus.
+        # Blocks of 4,400 taus, each cut into several chunks.
         n_values, betas, taus = WRITER_GRIDS["chunk-in-block"]
-        assert rows % len(taus) != 0
-        assert rows < len(n_values) * len(betas) * len(taus)
-        # The second chunk starts inside a block and holds the next one whole.
+        chunks = _chunks(quantity, "chunk-in-block")
+        assert all(lo // len(taus) == (hi - 1) // len(taus) for lo, hi in chunks)
+        assert len(chunks) > len(n_values) * len(betas)
+        # Chunks of whole blocks, at least two, one of them from N into the
+        # next N.
         n_values, betas, taus = WRITER_GRIDS["blocks-after-boundary"]
-        total = len(n_values) * len(betas) * len(taus)
-        after = -(-rows // len(taus)) * len(taus)
-        assert rows % len(taus) != 0
-        assert after + len(taus) <= min(2 * rows, total)
+        chunks = _chunks(quantity, "blocks-after-boundary")
+        assert all(lo % len(taus) == hi % len(taus) == 0 for lo, hi in chunks)
+        assert min(hi - lo for lo, hi in chunks[:-1]) >= 2 * len(taus)
+        n_rows = len(betas) * len(taus)
+        assert any(lo // n_rows != (hi - 1) // n_rows for lo, hi in chunks)
     names, values = run_sweep("correlations", *WRITER_GRIDS["special-time"])
     text = io.StringIO()
     _write_csv(names, values, _grid(*WRITER_GRIDS["special-time"]), text)
@@ -982,17 +1011,53 @@ class _WriteLog:
 
 
 def test_writes_hold_at_most_one_chunk():
-    # One tau, so every row is its own (N, beta) block; the 5 value columns
-    # set the rows that CSV_CHUNK_BYTES holds.
+    # Each write holds one chunk, at most _chunk_rows(5) rows of the five
+    # value columns.  One tau: every row its own block, rows blocks a chunk.
+    # Two blocks of 2 rows + 3 taus: three slices of each.  Blocks of 7
+    # taus: rows // 7 whole blocks a chunk.
     rows = _chunk_rows(5)
-    betas = [0.001 * k for k in range(2 * rows + 5)]
-    names, values = run_sweep("correlations", [2], betas, [0.3])
-    grid = _grid([2], betas, [0.3])
-    log = _WriteLog()
-    _write_csv(names, values, grid, log)
-    assert max(text.count("\n") for text in log.writes) == rows
-    assert len(log.writes) == 2 + 3
-    _assert_matches_reference("".join(log.writes), names, values, grid)
+    many = [0.001 * k for k in range(2 * rows + 5)]
+    per = rows // 7
+    for betas, taus, lines, writes in [
+        (many, [0.3], rows, 3),
+        ([0.5, 1.0], [0.001 * k for k in range(2 * rows + 3)], rows, 2 * 3),
+        (many, [0.1 * k for k in range(7)], 7 * per, -(-len(many) // per)),
+    ]:
+        names, values = run_sweep("correlations", [2], betas, taus)
+        grid = _grid([2], betas, taus)
+        log = _WriteLog()
+        _write_csv(names, values, grid, log)
+        assert max(text.count("\n") for text in log.writes) == lines
+        assert len(log.writes) == 2 + writes
+        _assert_matches_reference("".join(log.writes), names, values, grid)
+
+
+@pytest.mark.parametrize("grid", sorted(WRITER_GRIDS) + ["extremes"])
+def test_csv_bytes_do_not_depend_on_the_chunk_size(monkeypatch, grid):
+    # CSV_CHUNK_BYTES for one row a chunk, a chunk inside a block (a third
+    # of its taus), chunks of two whole blocks and the default: the same
+    # bytes, cell by cell those of format(v, ".17g").
+    from nanospin_qcorr._g17 import CELL_BYTES
+
+    if grid == "extremes":
+        cases = [(["a", "b"], EXTREME_VALUES, EXTREME_GRID)]
+    else:
+        cases = [
+            (*run_sweep(q, *WRITER_GRIDS[grid]), _grid(*WRITER_GRIDS[grid]))
+            for q in ("all", "concurrence")
+        ]
+    default = cli.CSV_CHUNK_BYTES
+    for names, values, axes in cases:
+        n_tau = len(axes[3])
+        texts = []
+        for rows in (1, max(1, n_tau // 3), 2 * n_tau + 1, None):
+            size = default if rows is None else rows * len(values) * CELL_BYTES
+            monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", size)
+            text = io.StringIO()
+            _write_csv(names, values, axes, text)
+            texts.append(text.getvalue())
+        assert all(text == texts[-1] for text in texts)
+        _assert_matches_reference(texts[-1], names, values, axes)
 
 
 def test_discord_sweep_clamps_rounding_below_zero(tmp_path):

@@ -14,7 +14,7 @@ from nanospin_qcorr._g17 import format_g17
 def _texts(values):
     # The formatter's cells, one string each.
     cells = format_g17(np.asarray(values, dtype=float))
-    cells[:, -1] |= np.uint64(ord("\n") << 56)
+    cells[:, -1] ^= np.uint64((ord(",") ^ ord("\n")) << 56)  # each ends in ","
     text = cells.view(np.uint8).ravel()
     return text[text != 0].tobytes().decode().splitlines()
 
@@ -171,3 +171,25 @@ def test_zero_cells_take_the_constant_cell():
     ]
     for chunk in chunks:
         _assert_exact(chunk)
+
+
+def test_strided_destination_matches_the_1d_result():
+    # The CSV writer formats a chunk's (rows, V) cells straight into its row
+    # buffer: a strided (rows, V, 7) view between other words.  Each cell
+    # equals the 1-D call's for 0.0 and -0.0, cells that Python formats
+    # (near-ties, subnormals, |v| > 1e280, inf, nan) and the formatter's
+    # own; the words around the view keep their bytes.
+    near = list(_near_ties())[:12]
+    python = [5e-324, -2.2250738585072014e-308, 1e300, -1e281, math.inf, math.nan]
+    rng = np.random.default_rng(11)
+    cells = near + python + [0.0, -0.0] * 6 + rng.uniform(-1.0, 1.0, 12).tolist()
+    for chunk in (cells, [0.1, 2.5, -3e-7] * 4, [0.0, -0.0] * 6):
+        x = rng.permutation(np.array(chunk)).reshape(-1, 3)
+        flat = format_g17(x.ravel())
+        assert (flat.view(np.uint8)[:, -1] == ord(",")).all()
+        buf = np.full((len(x), 4 + 7 * 3 + 2), 0xA5A5A5A5A5A5A5A5, np.uint64)
+        out = buf[:, 4:-2].reshape(len(x), 3, 7)
+        assert format_g17(x, out=out) is out
+        assert np.array_equal(out.reshape(-1, 7), flat)
+        assert (buf[:, :4] == 0xA5A5A5A5A5A5A5A5).all()
+        assert (buf[:, -2:] == 0xA5A5A5A5A5A5A5A5).all()

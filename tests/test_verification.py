@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nanospin_qcorr.cli as cli
+import nanospin_qcorr.discord as discord
 import nanospin_qcorr.exact_oracle as exact_oracle
 import nanospin_qcorr.verification as verification
 from nanospin_qcorr import (
@@ -233,6 +234,23 @@ def test_dense_grid_discord_agrees_to_rounding():
     report = run_verification(n_values=(8, 9, 10), betas=(0.5, 3.0), n_tau=16)
     assert report.ok, format_report(report)
     assert report.max_discrepancies["discord"] < 1e-12
+
+
+def test_discord_sides_share_no_entropy_formula(monkeypatch):
+    # The closed form takes its mutual information from _entropies; the
+    # oracle side from the spectra of the state's own partial traces.  An
+    # error in _entropies therefore shows as a discord discrepancy, not as
+    # the same shift on both sides.
+    entropies = discord._entropies
+
+    def wrong(lengths, evals):
+        s_a, mutual = entropies(lengths, evals)
+        return s_a, mutual + 1e-3
+
+    monkeypatch.setattr(discord, "_entropies", wrong)
+    report = run_verification(n_values=(3, 8), betas=(0.5, 3.0), n_tau=4)
+    assert report.failures == ("discord",)
+    assert report.max_discrepancies["discord"] == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_oracle_rows_decompose_each_stack_once(monkeypatch):
