@@ -77,12 +77,11 @@ __all__ = ["main", "run_sweep"]
 
 _HEADER = f"# nanospin-qcorr v{__version__}"
 
-# Most points one lo:hi:step range may expand to.  _parse_range checks the
-# count, which may be inf for a tiny step, before it builds the list.
-MAX_RANGE_POINTS = 1_000_000
 # Most rows (N x beta x tau points) one sweep may evaluate, and most states
 # one verify may check; _cmd_sweep and _cmd_verify check the product before
-# they build any grid.
+# they build any grid.  A lo:hi:step range may not expand to more points
+# either: _parse_range checks its count, which may be inf for a tiny step,
+# before it builds the list.
 MAX_SWEEP_ROWS = 1_000_000
 
 # Bytes of value cells per CSV write (4,096 cells of _g17.CELL_BYTES): the
@@ -118,9 +117,9 @@ def _parse_range(text: str, flag: str):
     if hi < lo:
         raise ValueError(f"{flag} needs hi >= lo, got {text!r}")
     span = (hi - lo) / step
-    if not span < MAX_RANGE_POINTS:
+    if not span < MAX_SWEEP_ROWS:
         raise ValueError(
-            f"{flag} spans more than {MAX_RANGE_POINTS} points, got {text!r}"
+            f"{flag} spans more than {MAX_SWEEP_ROWS} points, got {text!r}"
         )
     count = int(math.floor(span + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
@@ -381,6 +380,8 @@ def _cmd_sweep(args) -> int:
     elif args.time_range is not None:
         if args.coupling is None:
             raise ValueError("--time-range requires --coupling")
+        if not math.isfinite(args.coupling):
+            raise ValueError(f"--coupling must be finite, got {args.coupling}")
         times = _parse_range(args.time_range, "--time-range")
         taus = [1.5 * args.coupling * t for t in times]
     else:

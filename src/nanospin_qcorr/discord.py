@@ -8,14 +8,17 @@ Discord is the gap between total and classical correlations,
 
 where the maximum runs over projective measurements on one qubit (the
 second by convention here).  Two solvers take arrays of states and step
-all rows in lockstep; they share no objective and no optimizer:
+all rows in lockstep; they share no entropy formula, no objective and no
+optimizer:
 
 * ``discord_cs_rows``, for the centrosymmetric states of the nanopore
   model: an exact search in one variable, settled at an endpoint by a
-  closed-form certificate (``_certified_phi``) where it can be.
+  closed-form certificate (``_certified_phi``) where it can be.  Its
+  entropies and its objective are sums of ``_eta``.
 * ``discord_numeric_rows``, for any two-qubit states: a first pass over
   the axes, T's right singular vectors and the half great circles through
-  them (``_kernels``), then Newton steps (``_zoom_rows``).
+  them (``_kernels``), then Newton steps (``_zoom_rows``).  Its entropies
+  are ``states.entropy_bits``; its objective is the kernel's.
 
 A closed form for the symmetric-correlator states of the large-reservoir
 limit, with its low- and high-temperature asymptotes, is kept as an
@@ -73,6 +76,10 @@ _CS_TOL = 1e-9
 # rounding (the large-pore limit, product states): an interior minimum there
 # is noise and is not refined, and a finishing row stops.
 _FLAT = 1e-14
+# Weights at or below _ZERO_WEIGHT, a pure state's rounded zero eigenvalues
+# among them, count as 0 in discord_cs_rows' entropies and in the
+# Bell-diagonal closed form.
+_ZERO_WEIGHT = 1e-14
 # Rows per chunk in discord_cs_rows: (rows, _CS_POINTS) temporaries of 135 kB.
 _CS_CHUNK = 512
 # The endpoint certificate's rounding: _EPS scales the bounds on Delta and
@@ -95,7 +102,7 @@ class DiscordResult:
 
 
 def _xlog2x(t: float) -> float:
-    return t * math.log2(t) if t > 1e-14 else 0.0
+    return t * math.log2(t) if t > _ZERO_WEIGHT else 0.0
 
 
 def discord_bell_diagonal(q: float) -> float:
@@ -127,24 +134,6 @@ def discord_low_t_asymptotic(beta: float) -> float:
 def discord_high_t_asymptotic(beta: float) -> float:
     """High-temperature asymptote of the large-reservoir discord."""
     return beta**4 / (128.0 * math.log(2.0))
-
-
-def _entropies(lengths, evals):
-    """Per row, the unmeasured qubit's entropy and the mutual information.
-
-    ``lengths`` (R, 2) holds the lengths |x| and |y| of the Bloch vectors.
-    """
-    half = 0.5 * (1.0 + lengths)
-    s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
-    return s_a, s_a + s_b - entropy_bits(evals)
-
-
-def _marginal_entropy(r):
-    # Entropy in bits of each 2x2 state [[a, b], [b*, d]] of the stack r, from
-    # its eigenvalues m +- g: m = (a + d)/2 and g = |((a - d)/2, b)|.
-    m = 0.5 * (r[..., 0, 0] + r[..., 1, 1]).real
-    g = np.hypot(0.5 * (r[..., 0, 0] - r[..., 1, 1]).real, np.abs(r[..., 0, 1]))
-    return entropy_bits(np.stack([m + g, m - g], axis=-1))
 
 
 def _chart(n0: np.ndarray) -> np.ndarray:
@@ -224,7 +213,9 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     InvalidStateError.  Returns the arrays (mutual_information,
     classical_correlation, axis) as discord_cs_rows.  ``_evals`` are the
     states' eigenvalues when the caller already has them
-    (``verification.oracle_rows`` passes its check's).
+    (``verification.oracle_rows`` passes its check's).  S(rho) takes them,
+    S(rho_A) and S(rho_B) the Bloch lengths |x| and |y|, all through
+    states.entropy_bits.
 
     The objective is the conditional entropy in Bloch form (``_kernels``).
     The first pass evaluates each row on 99 directions, one kernel call per
@@ -246,11 +237,8 @@ def discord_numeric_rows(rhos, validate=True, *, _evals=None):
     rhos = rhos.reshape(-1, 4, 4)
     x, y, T = bloch_data(rhos)
     evals = np.linalg.eigvalsh(rhos) if _evals is None else _evals
-    # S(rho_A) + S(rho_B) - S(rho), the marginals from their own 2x2 partial
-    # traces: no entropy formula shared with discord_cs_rows.
-    pair = rhos.reshape(-1, 2, 2, 2, 2)
-    traces = [pair[:, :, 0, :, 0] + pair[:, :, 1, :, 1], pair[:, 0, :, 0] + pair[:, 1, :, 1]]
-    s_a, s_b = _marginal_entropy(np.stack(traces))
+    half = 0.5 * (1.0 + np.linalg.norm(np.stack([x, y], axis=1), axis=-1))
+    s_a, s_b = entropy_bits(np.stack([half, 1.0 - half], axis=-1)).T
     mutual = s_a + s_b - entropy_bits(evals)
 
     # A block's directions, (rows, 99, 3) as the kernel takes them (its y.n
@@ -288,8 +276,9 @@ def discord_cs_rows(params):
     Returns the arrays (mutual_information, classical_correlation, axis) of
     shapes (R,), (R,) and (R, 3): discord is the first minus the second, and
     axis is the optimal measured direction.  A row that is not a state
-    raises InvalidStateError (check_cs_rows), whose spectra give the
-    entropies.
+    raises InvalidStateError (check_cs_rows).  S(rho) takes check_cs_rows'
+    spectrum, S(rho_A) and S(rho_B) the weights (1 +- |x1|) / 2 and
+    (1 +- |y1|) / 2, each a sum of _eta terms, as the objective is.
 
     x and y of a CS state lie along x and T is T_xx plus a yz block B, so
     the objective depends on n only through t = |n_x| and |B n_yz|, least
@@ -308,7 +297,11 @@ def discord_cs_rows(params):
     discord's do.
     """
     evals, (x1, y1, txx, *block) = _checked_rows(params)  # once, not per chunk
-    s_a, mutual = _entropies(np.abs(np.stack([x1, y1], axis=1)), evals)
+    half = 0.5 * (1.0 + np.abs(np.stack([x1, y1], axis=1)))
+    w = np.concatenate([half, 1.0 - half, evals], axis=1)
+    h = _eta(np.where(w > _ZERO_WEIGHT, w, 0.0)) / -math.log(2.0)
+    s_a, s_b = h[:, 0] + h[:, 2], h[:, 1] + h[:, 3]
+    mutual = s_a + s_b - h[:, 4:].sum(1)
     data = np.stack([x1, y1, txx, _top_singular(*block)[0]], axis=1)
     phi, best = _certified_phi(data), np.empty(len(data))
     c, u = np.flatnonzero(~np.isnan(phi)), np.flatnonzero(np.isnan(phi))

@@ -38,7 +38,7 @@ DEFAULT_TOLERANCES = {
     "reduced_matrix": 1e-10,
     "concurrence": 1e-10,
     "geometric_discord": 1e-10,
-    "discord": 1e-6,
+    "discord": 1e-10,
     "structural_zeros": 1e-12,
 }
 
@@ -82,8 +82,8 @@ def oracle_rows(rhos, needed) -> dict:
 
     The five correlators always; concurrence, geometric_discord and discord
     when ``needed`` names them.  The stack is validated once, up front, by
-    one eigh call whose eigenvalues also give the discord's von Neumann
-    entropies and whose eigenvectors give the concurrence's spin flip.
+    one eigh call whose eigenvalues also give the discord's S(rho) and
+    whose eigenvectors give the concurrence's spin flip.
     """
     rhos, evals, vecs = _check_stack(rhos)
     corr = pair_correlations(rhos)

@@ -442,7 +442,7 @@ def test_oversized_range_rejected(capsys, tau_range):
 
 
 def test_oversized_grid_rejected(tmp_path, capsys):
-    # Each range is within MAX_RANGE_POINTS; their product is not.
+    # Each range has fewer than MAX_SWEEP_ROWS points; their product does not.
     out = tmp_path / "big.csv"
     argv = ["sweep", "--N", "3", "6", "--beta-range", "1:1000:1"]
     argv += ["--tau-range", "0:999:1", "--out", str(out)]
@@ -515,6 +515,18 @@ def test_coupling_needs_time_range(monkeypatch, capsys, tau):
     assert main(argv + tau + ["--coupling", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --coupling applies only to --time-range\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("coupling", ["inf", "nan"])
+def test_non_finite_coupling_named(monkeypatch, capsys, coupling):
+    # The coupling is checked itself, not through the tau it would make.
+    monkeypatch.setattr(cli, "run_sweep", None)  # reached only by a bug
+    argv = ["sweep", "--N", "2", "--beta-range", "1:1:1", "--time-range", "0:1:0.5"]
+    assert main(argv + ["--coupling", coupling]) == 2
+    captured = capsys.readouterr()
+    message = f"--coupling must be finite, got {float(coupling)}"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

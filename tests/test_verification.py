@@ -1,10 +1,13 @@
 import math
+import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nanospin_qcorr
 import nanospin_qcorr.cli as cli
 import nanospin_qcorr.discord as discord
 import nanospin_qcorr.exact_oracle as exact_oracle
@@ -230,27 +233,67 @@ def test_non_finite_corruption_fails_before_any_work(counted, capsys, value):
 def test_dense_grid_discord_agrees_to_rounding():
     # The dense search's first pass is the axes, T's right singular vectors
     # and the great circles through them; on the benchmark's dense grid the
-    # two discord sides meet far inside the gate's 1e-6.
+    # two discord sides meet far inside verify's 1e-10.
     report = run_verification(n_values=(8, 9, 10), betas=(0.5, 3.0), n_tau=16)
     assert report.ok, format_report(report)
     assert report.max_discrepancies["discord"] < 1e-12
 
 
-def test_discord_sides_share_no_entropy_formula(monkeypatch):
-    # The closed form takes its mutual information from _entropies; the
-    # oracle side from the spectra of the state's own partial traces.  An
-    # error in _entropies therefore shows as a discord discrepancy, not as
-    # the same shift on both sides.
-    entropies = discord._entropies
+def _package_calls(fn, *args):
+    # (module file, name, first line) of each package function that
+    # fn(*args) calls, outside verification.py.
+    root = os.path.dirname(nanospin_qcorr.__file__)
+    seen = set()
 
-    def wrong(lengths, evals):
-        s_a, mutual = entropies(lengths, evals)
-        return s_a, mutual + 1e-3
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(root):
+            name = os.path.basename(code.co_filename)
+            seen.add((name, code.co_name, code.co_firstlineno))
 
-    monkeypatch.setattr(discord, "_entropies", wrong)
-    report = run_verification(n_values=(3, 8), betas=(0.5, 3.0), n_tau=4)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return {call for call in seen if call[0] != "verification.py"}
+
+
+def test_verify_sides_share_no_function():
+    # The closed forms and the oracle meet only in verification.py: no
+    # entropy, kernel or check of one side runs on the other.  The grid
+    # holds N = 2 and refined CS rows.
+    grid = ((2, 3, 8), (0.5, 3.0), [0.0, 0.3, 1.1, 2.0])
+    corr = correlation_grid(*grid)
+    (rhos,) = exact_oracle.pair_states(*grid)
+    needed = DEFAULT_TOLERANCES
+    model = _package_calls(verification.analytic_rows, corr, needed)
+    ref = _package_calls(verification.oracle_rows, rhos, needed)
+    assert ("discord.py", "_eta") in {call[:2] for call in model}
+    assert ("states.py", "entropy_bits") in {call[:2] for call in ref}
+    assert model & ref == set()
+
+
+def test_wrong_entropy_units_fail_discord(monkeypatch):
+    # The sphere search's entropies in nats: the closed form's own _eta
+    # entropies do not follow, so discord alone fails.  (Five taus: four
+    # would be 0, pi/2, pi and 3 pi/2, where the discord is about 0.)
+    bits = discord.entropy_bits
+    monkeypatch.setattr(discord, "entropy_bits", lambda w: bits(w) * math.log(2.0))
+    report = run_verification(n_values=(3, 8), betas=(0.5, 3.0), n_tau=5)
     assert report.failures == ("discord",)
-    assert report.max_discrepancies["discord"] == pytest.approx(1e-3, rel=1e-9)
+    assert report.max_discrepancies["discord"] > 1e-2
+
+
+def test_wrong_eta_fails_discord(monkeypatch):
+    # A 0.1% error in the closed form's _eta, which gives both its entropies
+    # and its objective, scales its discord by 1.001.
+    eta = discord._eta
+    monkeypatch.setattr(discord, "_eta", lambda z: 1.001 * eta(z))
+    report = run_verification(n_values=(3, 8), betas=(0.5, 3.0), n_tau=5)
+    assert report.failures == ("discord",)
+    assert report.max_discrepancies["discord"] > 1e-5
 
 
 def test_oracle_rows_decompose_each_stack_once(monkeypatch):
