@@ -11,24 +11,23 @@ Output is deterministic: identical configuration produces byte-identical
 files.  CSV floats carry 17 significant digits so values round-trip
 exactly.
 
-``run_sweep`` returns the value columns; the writers read each row's N,
-beta, T_K and tau from the grid, whose rows come in blocks of one (N, beta)
-pair over every tau.  Each writes one chunk of rows at a time, at most as
-many as CSV_CHUNK_BYTES of value cells hold (``_chunk_rows``), so it holds
-one chunk of text whatever the grid's shape.  A CSV chunk is as many whole
-blocks as fit, or, when one block does not fit, a slice of one block.  It is
-one uint64 row buffer: per row, words for "N,beta,T_K,tau," and the value
-cells, which one call of ``_g17.format_g17`` (its docstring gives the
-method; the bytes are Python's ``format(x, '.17g')``) writes in place
-through a strided view.  The same call formats the chunk's betas and T_Ks,
-and its taus unless the last chunk had the same, in leading rows; a chunk
-whose axis cells outnumber its value cells (blocks of one or two taus)
-formats them in a second call.  Each block's "N,beta,T_K," and each tau's
-"tau," are broadcast into the prefix words of the block's rows; the writer
-drops the zero bytes and makes one write.  JSON output records the grid
-(N, beta, tau and omega0) it was built from.  It is the one line of
-``json.dumps`` of the whole document, written as the head, each chunk's
-rows and the tail.
+``run_sweep`` yields the value columns of each chunk of the grid walk
+(``verification.grid_walk``).  The writers read each row's N, beta, T_K
+and tau from the grid, whose rows come in blocks of one (N, beta) pair over
+every tau, and write each chunk in pieces of at most CSV_CHUNK_BYTES of
+value cells (``_pieces``, by ``verification.grid_plan``): as many whole
+blocks as fit, or a slice of one block.  A CSV piece is one uint64 row
+buffer: per row, words for "N,beta,T_K,tau," and the value cells, which one
+call of ``_g17.format_g17`` (its docstring gives the method; the bytes are
+Python's ``format(x, '.17g')``) writes in place through a strided view.
+The same call formats the piece's betas and T_Ks, and its taus unless the
+last piece had the same, in leading rows, or, when they outnumber its
+value cells (blocks of one or two taus), a second call.  Each block's
+"N,beta,T_K," and each tau's "tau," are broadcast into the prefix words of
+the block's rows; the writer drops the zero bytes and makes one write.
+JSON output records the grid (N, beta, tau and omega0) it was built from:
+the one line of ``json.dumps`` of the whole document, written as the head,
+each piece's rows and the tail.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later one.  Building it (its help formatters, each of
@@ -53,12 +52,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .exact_oracle import pair_states
 from .nanopore import (
     OMEGA0_DEFAULT,
     beta_from_temperature,
     check_axes,
-    correlation_grid,
     tau_special,
     temperature_from_beta,
 )
@@ -69,6 +66,8 @@ from .verification import (
     DEFAULT_N_VALUES,
     analytic_rows,
     format_report,
+    grid_plan,
+    grid_walk,
     oracle_rows,
     run_verification,
 )
@@ -77,6 +76,9 @@ __all__ = ["main", "run_sweep"]
 
 _HEADER = f"# nanospin-qcorr v{__version__}"
 
+# Bytes of value cells a write holds: 4,096 cells of _g17.CELL_BYTES.
+CSV_CHUNK_BYTES = 224 << 10
+
 # Most rows (N x beta x tau points) one sweep may evaluate, and most states
 # one verify may check; _cmd_sweep and _cmd_verify check the product before
 # they build any grid.  A lo:hi:step range may not expand to more points
@@ -84,22 +86,12 @@ _HEADER = f"# nanospin-qcorr v{__version__}"
 # before it builds the list.
 MAX_SWEEP_ROWS = 1_000_000
 
-# Bytes of value cells per CSV write (4,096 cells of _g17.CELL_BYTES): the
-# writer formats as many rows at a time as fit, and at least one.
-CSV_CHUNK_BYTES = 224 << 10
-
 _AXES = ["N", "beta", "T_K", "tau"]
 _SCALARS = ("concurrence", "discord", "geometric_discord")
+# The value columns of each --quantity that names more than one.
+_GROUPS = {"correlations": CORR_FIELDS, "all": _SCALARS + CORR_FIELDS}
 # The CSV separators, in the last byte of a formatted cell.
 _COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
-
-
-def _base_columns(quantity: str):
-    if quantity == "correlations":
-        return list(CORR_FIELDS)
-    if quantity == "all":
-        return list(_SCALARS) + list(CORR_FIELDS)
-    return [quantity]
 
 
 def _parse_range(text: str, flag: str):
@@ -140,47 +132,47 @@ def _parse_n(tokens):
 
 
 def run_sweep(quantity: str, n_values, betas, taus, engine: str = "analytic"):
-    """Evaluate the requested quantity over the grid.
+    """Evaluate the requested quantity over the grid, chunk by chunk.
 
-    Returns (names, values): the value columns' names and one float array
-    per value column, with one value per row; rows iterate n (outer), beta,
-    tau (inner).  Every discord column is clamped at 0, the closed form's
-    and the oracle's alike, since mutual - classical of a classical state
-    is rounding that may fall below 0 (a clamped cell reads 0, not -0);
-    ``discord_diff`` is the difference of the two clamped columns.
+    Returns (names, chunks): the value columns' names, and an iterator of
+    grid_walk's chunks as (span, values), values one float array per value
+    column; rows iterate n (outer), beta, tau (inner).  The call checks the
+    axes and, for the oracle, every n's byte budget.  Every discord column
+    is clamped at 0, the closed form's and the oracle's alike, since mutual
+    - classical of a classical state is rounding that may fall below 0 (a
+    clamped cell reads 0, not -0); ``discord_diff`` is their difference.
     """
-    base = _base_columns(quantity)
+    base = list(_GROUPS.get(quantity, [quantity]))
     n_values = check_axes(n_values, betas, taus)
+    names = [f"{c}{s}" for c in base for s in ("", "_oracle", "_diff")]
+    names = names if engine == "both" else base
+    walk = grid_walk(n_values, betas, taus, 1 << 10, oracle=engine != "analytic")
 
     def written(side):
         return {c: np.maximum(v, 0.0) if c == "discord" else v for c, v in side.items()}
 
-    if engine != "analytic":
-        parts = [oracle_rows(rhos, base) for rhos in pair_states(n_values, betas, taus)]
-        oracle = written(
-            {c: np.concatenate([[]] + [p[c] for p in parts]) for c in base}
-        )
-    if engine != "oracle":
-        analytic = written(
-            analytic_rows(correlation_grid(n_values, betas, taus), base)
-        )
+    def chunks():
+        for span, corr, rhos in walk:
+            a = engine != "oracle" and written(analytic_rows(corr, base))
+            o = engine != "analytic" and written(oracle_rows(rhos, base))
+            if engine == "both":
+                yield span, [v for c in base for v in (a[c], o[c], a[c] - o[c])]
+            else:
+                yield span, [(a or o)[c] for c in base]
 
-    names, values = [], []
-    for col in base:
-        if engine == "both":
-            names += [col, f"{col}_oracle", f"{col}_diff"]
-            values += [analytic[col], oracle[col], analytic[col] - oracle[col]]
-        else:
-            names.append(col)
-            values.append(analytic[col] if engine == "analytic" else oracle[col])
-    return names, values
+    return names, chunks()
 
 
-def _chunk_rows(n_values: int) -> int:
-    # Rows per write: CSV_CHUNK_BYTES of value cells, at least one row.
+def _pieces(chunks, n_val):
+    # run_sweep's chunks of n_val value columns cut into grid_plan's pieces.
     from ._g17 import CELL_BYTES
 
-    return max(1, CSV_CHUNK_BYTES // (n_values * CELL_BYTES))
+    rows = max(1, CSV_CHUNK_BYTES // (n_val * CELL_BYTES))
+    for (c0, c1, s0, s1), values in chunks:
+        for b0, b1, t0, t1 in grid_plan(c1 - c0, s1 - s0, rows):
+            lo = b0 * (s1 - s0) + t0
+            part = [v[lo : lo + (b1 - b0) * (t1 - t0)] for v in values]
+            yield (c0 + b0, c0 + b1, s0 + t0, s0 + t1), part
 
 
 def _words(texts, words=0):
@@ -190,66 +182,58 @@ def _words(texts, words=0):
     return np.array(texts, f"S{8 * words}").view(np.uint64).reshape(len(texts), -1)
 
 
-def _write_csv(names, values, grid, stream) -> None:
-    # values are run_sweep's over grid = (N values, betas, T_K values, taus):
+def _write_csv(names, chunks, grid, stream) -> None:
+    # chunks are run_sweep's over grid = (N values, betas, T_K values, taus):
     # blocks of len(taus) rows, one per (N, beta).  See the module docstring.
     from ._g17 import CELL_WORDS, format_g17  # only CSV sweeps load the formatter
 
     n_text = [str(n).encode() for n in grid[0]]
     betas, temps, tau_axis = (np.asarray(axis, dtype=float) for axis in grid[1:])
-    n_beta, n_tau, n_val = len(betas), len(tau_axis), len(values)
-    n_blocks = len(n_text) * n_beta
+    n_beta, n_val = len(betas), len(names)
     stream.write(_HEADER + "\n")
     stream.write(",".join(_AXES + names) + "\n")
-    if not n_tau:
-        return
-    rows = _chunk_rows(n_val)
-    per, span = max(1, rows // n_tau), min(rows, n_tau)  # blocks, taus a chunk
     # Words for the longest "N,beta,T_K," (a 17g cell has at most 24 bytes).
     head_room = -(-(max(map(len, n_text)) + 51) // 8)
-    held = None  # the first tau of the chunk whose "tau," words taus holds
-    for b0 in range(0, n_blocks, per):
-        blocks = np.arange(b0, min(b0 + per, n_blocks))
-        k = len(blocks)
-        for t0 in range(0, n_tau, span):
-            t1 = min(t0 + span, n_tau)
-            lo, n_rows = b0 * n_tau + t0, k * (t1 - t0)
-            # The betas and T_Ks of the chunk's blocks, and its taus unless
-            # the last chunk had the same, go in the value cells of n_lead
-            # leading rows, so that one call formats every cell, unless they
-            # outnumber its value cells (blocks of one or two taus).
-            n_axis = 2 * k + (t1 - t0 if t0 != held else 0)
-            n_lead = -(-n_axis // n_val) if n_axis <= n_rows * n_val else 0
-            x = np.empty((n_lead + n_rows, n_val))
-            lead = x[:n_lead].reshape(-1) if n_lead else np.empty(n_axis)
-            lead[:k] = betas.take(blocks, mode="wrap")
-            lead[k : 2 * k] = temps.take(blocks, mode="wrap")
-            lead[2 * k : n_axis] = tau_axis[t0 : t0 + n_axis - 2 * k]
-            lead[n_axis:] = 1.0
-            for j, col in enumerate(values):
-                x[n_lead:, j] = col[lo : lo + n_rows]
-            # A row: room words for "N,beta,T_K,tau," (4 for "tau," until its
-            # text is known), then the value cells, formatted in place.
-            room = head_room + (4 if t0 != held else taus.shape[1])
-            buf = np.empty((len(x), room + CELL_WORDS * n_val), np.uint64)
-            cells = buf[:, room:].reshape(len(x), n_val, -1)
-            format_g17(x, out=cells)
-            cells[n_lead:, -1, -1] ^= _COMMA ^ _NEWLINE
-            text = buf[:n_lead, room:] if n_lead else format_g17(lead)
-            text = text.view(np.uint8)
-            text = text[text != 0].tobytes().split(b",")
-            if t0 != held:
-                taus, held = _words([t + b"," for t in text[2 * k : n_axis]]), t0
-            n_col = [n_text[n] for n in (blocks // n_beta).tolist()]
-            heads = [b"%s,%s,%s," % h for h in zip(n_col, text, text[k:])]
-            # Each block's head, zero-padded up to the "tau," words, and each
-            # tau's, broadcast over the rows.
-            cut = room - taus.shape[1]
-            body = buf[n_lead:].reshape(k, t1 - t0, -1)
-            body[:, :, :cut] = _words(heads, cut)[:, None]
-            body[:, :, cut:room] = taus
-            text = buf[n_lead:].view(np.uint8)
-            stream.write(text[text != 0].tobytes().decode())
+    held = None  # the first tau of the piece whose "tau," words taus holds
+    for (b0, b1, t0, t1), values in _pieces(chunks, n_val):
+        blocks = np.arange(b0, b1)
+        k, n_rows = b1 - b0, (b1 - b0) * (t1 - t0)
+        # The betas and T_Ks of the piece's blocks, and its taus unless
+        # the last piece had the same, go in the value cells of n_lead
+        # leading rows, so that one call formats every cell, unless they
+        # outnumber its value cells (blocks of one or two taus).
+        n_axis = 2 * k + (t1 - t0 if t0 != held else 0)
+        n_lead = -(-n_axis // n_val) if n_axis <= n_rows * n_val else 0
+        x = np.empty((n_lead + n_rows, n_val))
+        lead = x[:n_lead].reshape(-1) if n_lead else np.empty(n_axis)
+        lead[:k] = betas.take(blocks, mode="wrap")
+        lead[k : 2 * k] = temps.take(blocks, mode="wrap")
+        lead[2 * k : n_axis] = tau_axis[t0 : t0 + n_axis - 2 * k]
+        lead[n_axis:] = 1.0
+        for j, col in enumerate(values):
+            x[n_lead:, j] = col
+        # A row: room words for "N,beta,T_K,tau," (4 for "tau," until its
+        # text is known), then the value cells, formatted in place.
+        room = head_room + (4 if t0 != held else taus.shape[1])
+        buf = np.empty((len(x), room + CELL_WORDS * n_val), np.uint64)
+        cells = buf[:, room:].reshape(len(x), n_val, -1)
+        format_g17(x, out=cells)
+        cells[n_lead:, -1, -1] ^= _COMMA ^ _NEWLINE
+        text = buf[:n_lead, room:] if n_lead else format_g17(lead)
+        text = text.view(np.uint8)
+        text = text[text != 0].tobytes().split(b",")
+        if t0 != held:
+            taus, held = _words([t + b"," for t in text[2 * k : n_axis]]), t0
+        n_col = [n_text[n] for n in (blocks // n_beta).tolist()]
+        heads = [b"%s,%s,%s," % h for h in zip(n_col, text, text[k:])]
+        # Each block's head, zero-padded up to the "tau," words, and each
+        # tau's, broadcast over the rows.
+        cut = room - taus.shape[1]
+        body = buf[n_lead:].reshape(k, t1 - t0, -1)
+        body[:, :, :cut] = _words(heads, cut)[:, None]
+        body[:, :, cut:room] = taus
+        text = buf[n_lead:].view(np.uint8)
+        stream.write(text[text != 0].tobytes().decode())
 
 
 def _json_safe(values) -> list:
@@ -261,9 +245,9 @@ def _json_safe(values) -> list:
     return [v if isinstance(v, int) or math.isfinite(v) else str(v) for v in values]
 
 
-def _write_json(names, values, grid, engine, omega0, stream) -> None:
+def _write_json(names, chunks, grid, engine, omega0, stream) -> None:
     # The one line that json.dumps gives the whole document (its C encoder:
-    # an indent would not take it), written a chunk of rows at a time.
+    # an indent would not take it), written a piece of rows at a time.
     n_values, betas, temps, taus = map(_json_safe, grid)
     doc = {
         "tool": "nanospin-qcorr",
@@ -276,12 +260,11 @@ def _write_json(names, values, grid, engine, omega0, stream) -> None:
     head, tail = json.dumps(doc).rsplit("[]", 1)
     stream.write(head + "[")
     axes = itertools.product(n_values, zip(betas, temps), taus)
-    rows = _chunk_rows(len(values))
-    for lo in range(0, len(values[0]), rows):
-        cells = zip(*(_json_safe(col[lo : lo + rows]) for col in values))
+    for k, (_, values) in enumerate(_pieces(chunks, len(names))):
+        cells = zip(*map(_json_safe, values))
         # cells first: zip ends on them before it takes a row of axes.
         chunk = [(n, b, t, tau, *c) for c, (n, (b, t), tau) in zip(cells, axes)]
-        stream.write((", " if lo else "") + json.dumps(chunk)[1:-1])
+        stream.write((", " if k else "") + json.dumps(chunk)[1:-1])
     stream.write("]" + tail + "\n")
 
 
@@ -404,7 +387,7 @@ def _cmd_sweep(args) -> int:
             f"the sweep grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}"
         )
     check_axes([], [], [], args.omega0)
-    names, values = run_sweep(args.quantity, n_values, betas, taus, engine=args.engine)
+    names, chunks = run_sweep(args.quantity, n_values, betas, taus, engine=args.engine)
     temps = [temperature_from_beta(b, args.omega0) for b in betas]
     grid = (n_values, betas, temps, taus)
     if args.out is not None:
@@ -413,9 +396,9 @@ def _cmd_sweep(args) -> int:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as fh:
         if args.format == "csv":
-            _write_csv(names, values, grid, fh)
+            _write_csv(names, chunks, grid, fh)
         else:
-            _write_json(names, values, grid, args.engine, args.omega0, fh)
+            _write_json(names, chunks, grid, args.engine, args.omega0, fh)
     return 0
 
 

@@ -7,9 +7,9 @@ the diagonal phases of the squared collective z component.  The oracle,
 ``pair_states``, sums the first two spins' evolved state over all 2^(n-2)
 configurations of the other spins, brute force in O(2^n) memory, in a
 phase sum that every beta shares (``pair_gram``, over an array of taus,
-with one exp per tau and magnetization level), and stacks the states of a
-grid chunk by chunk; one point is a grid of one.  The analytic values are
-validated against it.  The dense 2^n x 2^n engine
+with one exp per tau and magnetization level), and stacks the states of
+each chunk of a grid walk; one point is a grid of one.  The analytic
+values are validated against it.  The dense 2^n x 2^n engine
 (``thermal_initial``, ``evolve``, ``partial_trace_pair``) grows as 4^n;
 no package path calls it: it serves the tests, as the reference the oracle
 is checked against, and the benchmark's bindings.
@@ -21,6 +21,7 @@ there, and dense states up to n = 10.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,8 +48,6 @@ BYTE_BUDGET = 64 * 2**20
 # Bytes a pair_gram block of taus aims at, to stay in cache; a block holds
 # one tau at least, within BYTE_BUDGET.
 _BLOCK_BYTES = 2**20
-# Grid points per chunk of pair_states: about 1 MiB of arrays.
-STATE_CHUNK = 256
 
 
 class ResourceLimitError(ValueError):
@@ -182,45 +181,37 @@ def pair_gram(n, tau):
     return g.reshape(tau.shape + (4, 4)), c
 
 
-def pair_states(n_values, betas, taus):
-    """Stacks (R, 4, 4) of the grid's pair states, n outer, tau inner, in
-    chunks of STATE_CHUNK (the last may hold fewer).
+def pair_states(n_values, betas, taus, chunks):
+    """Stacks (R, 4, 4) of a grid's pair states, one per chunk (b0, b1, t0,
+    t1) of ``chunks`` (verification.grid_plan): taus t0..t1-1 of the (n,
+    beta) blocks b0..b1-1, n outer, tau inner.
 
-    The state of the first two spins of evolve(thermal_initial(n, beta),
-    tau) is rho0 G / c, for (G, c) = pair_gram(n, tau) and rho0 the
-    Kronecker square of _site_factor(beta): the other spins' factors have
-    diagonal 1/2.  Every n is checked against the byte budget before any
-    work.  Every beta shares an n's G while its taus fit the budget at
-    _G_BYTES apiece; past that each beta takes them in parts that do.
+    A state of the first two spins of evolve(thermal_initial(n, beta), tau)
+    is rho0 G / c, for (G, c) = pair_gram(n, tau) and rho0 the Kronecker
+    square of _site_factor(beta): the other spins' factors have diagonal
+    1/2.  The call checks every n against the byte budget.  Every beta
+    shares an n's G while its taus fit the budget at _G_BYTES apiece; past
+    that each chunk takes its own.
     """
     for n in n_values:
         _check_size(n)
-    rho0 = [np.kron(f, f) for f in map(_site_factor, betas)]
-    held = BYTE_BUDGET // _G_BYTES
+    rho0 = np.array([np.kron(f, f) for f in map(_site_factor, betas)])
+    n_beta, whole = len(betas), len(taus) * _G_BYTES <= BYTE_BUDGET
+    gram = functools.lru_cache(1)(lambda n, g0, g1: pair_gram(n, taus[g0:g1]))
 
-    def blocks():
-        for n in n_values:
-            shared = len(taus) <= held and pair_gram(n, taus)
-            for r0 in rho0:
-                for lo in range(0, len(taus), held):
-                    g, c = shared or pair_gram(n, taus[lo : lo + held])
-                    yield r0, g, c
+    def stacks():
+        for b0, b1, t0, t1 in chunks:
+            out = np.empty((b1 - b0, t1 - t0, 4, 4), complex)
+            g0, g1 = (0, len(taus)) if whole else (t0, t1)  # the taus of G
+            edges = [b0, *range(b0 - b0 % n_beta + n_beta, b1, n_beta), b1]  # each n
+            for lo, hi in zip(edges, edges[1:]):
+                g, c = gram(n_values[lo // n_beta], g0, g1)
+                part = out[lo - b0 : hi - b0]
+                r0 = rho0[lo % n_beta : (hi - 1) % n_beta + 1, None]
+                np.divide(np.multiply(r0, g[t0 - g0 : t1 - g0], out=part), c, out=part)
+            yield out.reshape(-1, 4, 4)
 
-    def chunks():
-        size, parts = 0, []
-        for r0, g, c in blocks():
-            lo = 0
-            while lo < len(g):
-                hi = lo + STATE_CHUNK - size
-                parts.append(r0 * g[lo:hi] / c)
-                size, lo = size + len(parts[-1]), hi
-                if size == STATE_CHUNK:
-                    yield np.concatenate(parts)
-                    size, parts = 0, []
-        if parts:
-            yield np.concatenate(parts)
-
-    return chunks()
+    return stacks()
 
 
 def measure_correlations(state: DenseState) -> CorrelationSet:

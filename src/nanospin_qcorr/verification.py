@@ -1,11 +1,12 @@
 """Closed forms and the brute-force pair oracle, both as columns over a grid.
 
-``analytic_rows`` (fed by ``correlation_grid``) and ``oracle_rows`` (fed by
-``exact_oracle.pair_states``) are the one evaluation path behind both CLI
-subcommands: ``sweep`` writes their values, and ``verify`` runs them side
-by side, chunk by chunk, over a grid of (n, beta, tau), adds checks of its
-own and tracks the worst absolute discrepancy per quantity and where it
-occurred.  Both return raw values; ``sweep`` clamps the discord it writes.
+``grid_walk`` is the one walk over a grid of (n, beta, tau) behind both CLI
+subcommands: chunk by chunk (``grid_plan``), it gives the correlators of
+``correlation_grid`` to ``analytic_rows`` and the pair states of
+``exact_oracle.pair_states`` to ``oracle_rows``.  ``sweep`` writes their
+values, and ``verify`` runs them side by side, adds checks of its own and
+tracks the worst absolute discrepancy per quantity and where it occurred.
+Both return raw values; ``sweep`` clamps the discord it writes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ DEFAULT_TOLERANCES = {
 }
 
 CORR_FIELDS = ("p", "q", "r", "u", "v")
+
+# Bytes a chunk of grid_walk holds, at its caller's charge per row: 16,384
+# sweep rows at 1 KiB, or 4,096 verify states at 4 KiB (measured peaks).
+CHUNK_BYTES = 16 << 20
 
 # The default verify grid: n from 3 to 9, four temperatures, 32 taus.
 DEFAULT_N_VALUES = (3, 4, 5, 6, 7, 8, 9)
@@ -96,6 +101,37 @@ def oracle_rows(rhos, needed) -> dict:
         mutual, classical, _ = discord_numeric_rows(rhos, False, _evals=evals)
         out["discord"] = mutual - classical
     return out
+
+
+def grid_plan(n_blocks, n_tau, rows) -> list:
+    """Chunks (b0, b1, t0, t1) of n_blocks (n, beta) blocks of n_tau rows, in
+    order: taus t0..t1-1 of blocks b0..b1-1, as many whole blocks as ``rows``
+    holds, or a slice of one block of ``rows`` rows (one at least)."""
+    per, span = max(1, rows // max(n_tau, 1)), max(1, min(rows, n_tau))
+    return [
+        (b0, min(b0 + per, n_blocks), t0, min(t0 + span, n_tau))
+        for b0 in range(0, n_blocks, per)
+        for t0 in range(0, n_tau, span)
+    ]
+
+
+def grid_walk(n_values, betas, taus, row_bytes, oracle=False):
+    """grid_plan's chunks, CHUNK_BYTES // row_bytes rows each, as (span, corr,
+    rhos): span the chunk's (b0, b1, t0, t1), corr its rows of the correlators
+    (correlation_grid, built once), rhos its pair states if ``oracle``, else
+    None; exact_oracle.pair_states checks every n's byte budget at the call."""
+    n_tau = len(taus)
+    plan = grid_plan(len(n_values) * len(betas), n_tau, CHUNK_BYTES // row_bytes)
+    states = pair_states(n_values, betas, taus, plan) if oracle else None
+    corr = correlation_grid(n_values, betas, taus)
+
+    def chunks():
+        for b0, b1, t0, t1 in plan:
+            k = slice(b0 * n_tau + t0, (b1 - 1) * n_tau + t1)  # (b0, t0)..(b1 - 1, t1)
+            part = replace(corr, **{f: getattr(corr, f)[k] for f in CORR_FIELDS})
+            yield (b0, b1, t0, t1), part, next(states) if oracle else None
+
+    return chunks()
 
 
 @dataclass(frozen=True)
@@ -168,7 +204,7 @@ def run_verification(
 
     Tau values cover one full period, ``n_tau`` points in [0, 2 pi).  The
     grid's axes and every n's size budget are checked before anything is
-    evaluated; both sides then run on each chunk of pair_states in turn.
+    evaluated; both sides then run on each chunk of grid_walk in turn.
     """
     if n_tau < 1 or not n_values or not betas:
         raise ValueError(
@@ -178,16 +214,10 @@ def run_verification(
         raise ValueError(f"corruption must lie in [-1, 1], got {corruption}")
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, n_tau, endpoint=False)]
     n_values = check_axes(n_values, betas, taus)
-    worst = dict.fromkeys(DEFAULT_TOLERANCES, 0.0)
-    worst_row = {}
-
-    states = pair_states(n_values, betas, taus)
-    corr = correlation_grid(n_values, betas, taus)
-    corr = replace(corr, q=corr.q + corruption)
-    lo = 0
-    for rhos in states:
-        part = slice(lo, lo + len(rhos))
-        chunk = replace(corr, **{f: getattr(corr, f)[part] for f in CORR_FIELDS})
+    worst, worst_at = dict.fromkeys(DEFAULT_TOLERANCES, 0.0), {}
+    walk = grid_walk(n_values, betas, taus, 4 << 10, oracle=True)  # 4 KiB a state
+    for (b0, _, t0, _), chunk, rhos in walk:
+        chunk = replace(chunk, q=chunk.q + corruption)
         try:
             diffs = _diffs(chunk, rhos)
         except InvalidStateError:
@@ -198,16 +228,12 @@ def run_verification(
         for name, diff in diffs.items():
             k = int(np.argmax(diff))
             if diff[k] > worst[name]:
-                worst[name], worst_row[name] = float(diff[k]), lo + k
-        lo += len(rhos)
-    # Rows run n outer, tau inner: row i is at n_values[i // (B T)],
-    # betas[i // T % B], taus[i % T].
-    n_b, n_t = len(betas), len(taus)
-    worst_at = {
-        name: (n_values[i // (n_b * n_t)], betas[i // n_t % n_b], taus[i % n_t])
-        for name, i in worst_row.items()
-    }
-    return VerificationReport(worst, dict(DEFAULT_TOLERANCES), len(corr.q), worst_at)
+                block, t = divmod(b0 * n_tau + t0 + k, n_tau)  # n outer, tau inner
+                n, b = divmod(block, len(betas))
+                worst[name] = float(diff[k])
+                worst_at[name] = n_values[n], betas[b], taus[t]
+    n_states = len(n_values) * len(betas) * n_tau
+    return VerificationReport(worst, dict(DEFAULT_TOLERANCES), n_states, worst_at)
 
 
 def format_report(report: VerificationReport) -> str:

@@ -15,6 +15,7 @@ import numpy as np
 
 from nanospin_qcorr import CSDensityMatrix
 from nanospin_qcorr._kernels import conditional_entropy_dirs
+from nanospin_qcorr.cli import run_sweep
 from nanospin_qcorr.cs_matrix import _cs_entries
 from nanospin_qcorr.exact_oracle import pair_states
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z, entropy_bits
@@ -37,15 +38,29 @@ def numeric_batch() -> np.ndarray:
     rng = np.random.default_rng(23)
     states = [random_density4(rng, rank) for rank in (4, 2, 1) for _ in range(4)]
     states += [BELL_PHI_PLUS, np.eye(4) / 4.0]
-    pairs = pair_states((3, 8), (0.5, 3.0), (0.9,))
-    rest = pair_states((9,), (3.0,), (0.0, math.pi / 2.0))
-    return np.concatenate([np.array(states), *pairs, *rest])
+    pairs = grid_states((3, 8), (0.5, 3.0), (0.9,))
+    rest = grid_states((9,), (3.0,), (0.0, math.pi / 2.0))
+    return np.concatenate([np.array(states), pairs, rest])
 
 
 def verify_dense_states() -> np.ndarray:
     """The pair states of the verify grid N 8 9 10, beta 0.5 3, 16 taus (96)."""
     taus = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
-    return np.concatenate(list(pair_states((8, 9, 10), (0.5, 3.0), taus)))
+    return grid_states((8, 9, 10), (0.5, 3.0), taus)
+
+
+def grid_states(n_values, betas, taus) -> np.ndarray:
+    """A grid's pair states as one (R, 4, 4) stack, n outer, tau inner:
+    pair_states with the whole grid as its one chunk."""
+    whole = (0, len(n_values) * len(betas), 0, len(taus))
+    return next(pair_states(n_values, betas, taus, [whole]))
+
+
+def sweep_columns(quantity, n_values, betas, taus, engine="analytic"):
+    """run_sweep's names, and its chunks' values joined into whole columns."""
+    names, chunks = run_sweep(quantity, n_values, betas, taus, engine)
+    columns = zip(*(values for _, values in chunks))
+    return names, [np.concatenate(col) for col in columns] or [np.empty(0)] * len(names)
 
 
 def measurement_conditional_entropy(rho, axis) -> float:

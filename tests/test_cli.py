@@ -11,10 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from nanospin_qcorr import __version__, cli
+from helpers import sweep_columns
+from nanospin_qcorr import __version__, cli, verification
+from nanospin_qcorr._g17 import CELL_BYTES
 from nanospin_qcorr.cli import (
     MAX_SWEEP_ROWS,
-    _chunk_rows,
     _write_csv,
     _write_json,
     main,
@@ -62,6 +63,12 @@ def _rows(values, grid):
     return [(n, b, t, tau, *c) for (n, (b, t), tau), c in zip(axes, zip(*values))]
 
 
+def _whole(values, grid):
+    # Whole value columns over grid as the grid walk's one chunk.
+    n_blocks, n_tau = len(grid[0]) * len(grid[1]), len(grid[3])
+    return [((0, n_blocks, 0, n_tau), values)] if n_tau else []
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     a = run_to_file(tmp_path, "a.csv", SWEEP_BASE)
     b = run_to_file(tmp_path, "b.csv", SWEEP_BASE)
@@ -85,7 +92,7 @@ def test_csv_floats_round_trip(tmp_path):
     path = run_to_file(tmp_path, "out.csv", SWEEP_BASE)
     lines = path.read_text().splitlines()
     axes = ([4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0])
-    names, values = run_sweep("all", *axes, engine="analytic")
+    names, values = sweep_columns("all", *axes, engine="analytic")
     grid = _grid(*axes)
     assert lines[1].split(",") == AXES + names
     rows = _rows(values, grid)
@@ -104,7 +111,7 @@ def test_json_output(tmp_path):
     assert doc["version"] == "0.1.0"
     assert doc["engine"] == "analytic"
     axes = ([4], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0])
-    names, values = run_sweep("all", *axes, engine="analytic")
+    names, values = sweep_columns("all", *axes, engine="analytic")
     grid = _grid(*axes)
     assert doc["columns"] == AXES + names
     rows = _rows(values, grid)
@@ -455,17 +462,37 @@ def test_oversized_grid_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n_values, message",
+    [
+        (["3", "30"], "n = 30 needs 40 * 2^30 bytes"),
+        (["3", "inf"], "the oracle needs a finite N, got inf"),
+    ],
+    ids=["over-budget", "infinite"],
+)
+def test_oracle_input_errors_leave_out_untouched(tmp_path, capsys, n_values, message):
+    # The oracle's checks of every N run before --out is opened: an existing
+    # file keeps its bytes.
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"earlier output\n")
+    argv = ["sweep", "--quantity", "correlations", "--N", *n_values]
+    argv += ["--beta-range", "1:2:1", "--tau", "0.5", "--engine", "oracle"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output\n"
+
+
 def test_empty_grid_gives_no_rows():
-    names, values = run_sweep("all", [3, math.inf], [1.0], [])
+    names, chunks = run_sweep("all", [3, math.inf], [1.0], [])
     assert names[0] == "concurrence"
-    assert len(values) == len(names) == 8
-    assert all(len(col) == 0 for col in values)
+    assert len(names) == 8
+    assert list(chunks) == []
     grid = _grid([3, math.inf], [1.0], [])
     text = io.StringIO()
-    _write_csv(names, values, grid, text)
+    _write_csv(names, [], grid, text)
     assert text.getvalue().splitlines()[1:] == [",".join(AXES + names)]
     text = io.StringIO()
-    _write_json(names, values, grid, "analytic", OMEGA0_DEFAULT, text)
+    _write_json(names, [], grid, "analytic", OMEGA0_DEFAULT, text)
     assert json.loads(text.getvalue())["rows"] == []
 
 
@@ -795,7 +822,7 @@ def test_sweep_longer_than_a_chunk_matches_chunk_sized_sweeps(tmp_path):
     # per-N sweep fits in one.
     grid = ["--quantity", "concurrence", "--beta-range", "1:2:1"]
     grid += ["--tau-range", "0:1.099:0.001"]
-    assert 2 * 1100 <= _chunk_rows(1) < 2 * 2 * 1100
+    assert 2 * 1100 <= cli.CSV_CHUNK_BYTES // CELL_BYTES < 2 * 2 * 1100
     whole = run_to_file(tmp_path, "whole.csv", ["sweep", "--N", "3", "inf", *grid])
     parts = [
         run_to_file(tmp_path, f"part{n}.csv", ["sweep", "--N", n, *grid])
@@ -840,6 +867,16 @@ def test_csv_sweep_peak_memory_is_bounded():
     # sweep peaks near 50-57 MiB.
     argv = ["sweep", "--quantity", "concurrence", "--N", "2", "3", "inf"]
     argv += ["--beta-range", "0.001:100:0.001", "--tau", "special:0"]
+    assert _peak_kib([*argv, "--out", os.devnull]) < 75 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_discord_sweep_peak_memory_is_bounded():
+    # 250,000 rows.  Evaluated over the whole grid before any row was
+    # written, the discord's temporaries peaked near 161 MiB; chunk by chunk
+    # the sweep peaks near 47 MiB.
+    argv = ["sweep", "--quantity", "discord", "--N", "3", "6", "9", "25"]
+    argv += ["--beta-range", "1:10:1", "--tau-range", "0:6.249:0.001"]
     assert _peak_kib([*argv, "--out", os.devnull]) < 75 * 1024
 
 
@@ -898,24 +935,25 @@ QUANTITIES = ["all", "correlations", "concurrence", "discord", "geometric_discor
 @pytest.mark.parametrize("grid", sorted(WRITER_GRIDS))
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_csv_matches_cell_by_cell_reference(grid, quantity):
-    names, values = run_sweep(quantity, *WRITER_GRIDS[grid])
+    names, chunks = run_sweep(quantity, *WRITER_GRIDS[grid])
+    values = sweep_columns(quantity, *WRITER_GRIDS[grid])[1]
     grid = _grid(*WRITER_GRIDS[grid])
     text = io.StringIO()
-    _write_csv(names, values, grid, text)
+    _write_csv(names, chunks, grid, text)
     _assert_matches_reference(text.getvalue(), names, values, grid)
 
 
 def _chunks(quantity, grid):
     # The rows of each CSV write after the header, as (first, end) pairs.
-    names, values = run_sweep(quantity, *WRITER_GRIDS[grid])
+    names, chunks = run_sweep(quantity, *WRITER_GRIDS[grid])
     log = _WriteLog()
-    _write_csv(names, values, _grid(*WRITER_GRIDS[grid]), log)
+    _write_csv(names, chunks, _grid(*WRITER_GRIDS[grid]), log)
     ends = np.cumsum([text.count("\n") for text in log.writes[2:]])
     return list(zip([0, *ends[:-1]], ends))
 
 
 def test_writer_grids_have_the_cases_they_name():
-    # A chunk holds as many whole (N, beta) blocks as _chunk_rows of value
+    # A chunk holds as many whole (N, beta) blocks as CSV_CHUNK_BYTES of value
     # cells allows, or a slice of one block: checked for the 1, 5 and 8 value
     # columns of every quantity.
     for quantity in QUANTITIES:
@@ -932,13 +970,13 @@ def test_writer_grids_have_the_cases_they_name():
         assert min(hi - lo for lo, hi in chunks[:-1]) >= 2 * len(taus)
         n_rows = len(betas) * len(taus)
         assert any(lo // n_rows != (hi - 1) // n_rows for lo, hi in chunks)
-    names, values = run_sweep("correlations", *WRITER_GRIDS["special-time"])
+    names, chunks = run_sweep("correlations", *WRITER_GRIDS["special-time"])
     text = io.StringIO()
-    _write_csv(names, values, _grid(*WRITER_GRIDS["special-time"]), text)
+    _write_csv(names, chunks, _grid(*WRITER_GRIDS["special-time"]), text)
     rows = [line.split(",") for line in text.getvalue().splitlines()[2:]]
     assert "-0" in [row[4 + names.index("u")] for row in rows]
     assert {row[2] for row in rows if row[1] == "0"} == {"inf"}
-    names, values = run_sweep("correlations", *WRITER_GRIDS["pore-100"])
+    names, values = sweep_columns("correlations", *WRITER_GRIDS["pore-100"])
     cells = np.abs(np.concatenate(values))
     assert cells[cells > 0].min() < 1e-200
 
@@ -956,7 +994,7 @@ EXTREME_VALUES = [np.resize(col, 2 * len(EXTREMES) ** 2) for col in EXTREME_GRID
 
 def test_csv_of_extreme_values_matches_reference():
     text = io.StringIO()
-    _write_csv(["a", "b"], EXTREME_VALUES, EXTREME_GRID, text)
+    _write_csv(["a", "b"], _whole(EXTREME_VALUES, EXTREME_GRID), EXTREME_GRID, text)
     _assert_matches_reference(text.getvalue(), ["a", "b"], EXTREME_VALUES, EXTREME_GRID)
 
 
@@ -965,10 +1003,11 @@ def test_engine_comparison_csv_matches_reference(grid):
     # The oracle needs finite N.
     n_values, betas, taus = WRITER_GRIDS[grid]
     n_values = [n for n in n_values if not math.isinf(n)]
-    names, values = run_sweep("all", n_values, betas, taus, engine="both")
+    names, chunks = run_sweep("all", n_values, betas, taus, engine="both")
+    values = sweep_columns("all", n_values, betas, taus, engine="both")[1]
     grid = _grid(n_values, betas, taus)
     text = io.StringIO()
-    _write_csv(names, values, grid, text)
+    _write_csv(names, chunks, grid, text)
     _assert_matches_reference(text.getvalue(), names, values, grid)
 
 
@@ -1004,10 +1043,10 @@ def test_json_matches_one_dumps_of_the_document(grid, quantity):
     if grid == "extremes":
         names, values, grid = ["a", "b"], EXTREME_VALUES, EXTREME_GRID
     else:
-        names, values = run_sweep(quantity, *WRITER_GRIDS[grid])
+        names, values = sweep_columns(quantity, *WRITER_GRIDS[grid])
         grid = _grid(*WRITER_GRIDS[grid])
     text = io.StringIO()
-    _write_json(names, values, grid, "analytic", 2e9, text)
+    _write_json(names, _whole(values, grid), grid, "analytic", 2e9, text)
     got, want = text.getvalue(), _one_dumps(names, values, grid, "analytic", 2e9)
     # Show where they part; a diff of the whole text is slow.
     same = got == want
@@ -1023,11 +1062,11 @@ class _WriteLog:
 
 
 def test_writes_hold_at_most_one_chunk():
-    # Each write holds one chunk, at most _chunk_rows(5) rows of the five
+    # Each write holds one chunk, at most CSV_CHUNK_BYTES of rows of the five
     # value columns.  One tau: every row its own block, rows blocks a chunk.
     # Two blocks of 2 rows + 3 taus: three slices of each.  Blocks of 7
     # taus: rows // 7 whole blocks a chunk.
-    rows = _chunk_rows(5)
+    rows = cli.CSV_CHUNK_BYTES // (5 * CELL_BYTES)
     many = [0.001 * k for k in range(2 * rows + 5)]
     per = rows // 7
     for betas, taus, lines, writes in [
@@ -1035,10 +1074,11 @@ def test_writes_hold_at_most_one_chunk():
         ([0.5, 1.0], [0.001 * k for k in range(2 * rows + 3)], rows, 2 * 3),
         (many, [0.1 * k for k in range(7)], 7 * per, -(-len(many) // per)),
     ]:
-        names, values = run_sweep("correlations", [2], betas, taus)
+        names, chunks = run_sweep("correlations", [2], betas, taus)
+        values = sweep_columns("correlations", [2], betas, taus)[1]
         grid = _grid([2], betas, taus)
         log = _WriteLog()
-        _write_csv(names, values, grid, log)
+        _write_csv(names, chunks, grid, log)
         assert max(text.count("\n") for text in log.writes) == lines
         assert len(log.writes) == 2 + writes
         _assert_matches_reference("".join(log.writes), names, values, grid)
@@ -1046,30 +1086,49 @@ def test_writes_hold_at_most_one_chunk():
 
 @pytest.mark.parametrize("grid", sorted(WRITER_GRIDS) + ["extremes"])
 def test_csv_bytes_do_not_depend_on_the_chunk_size(monkeypatch, grid):
-    # CSV_CHUNK_BYTES for one row a chunk, a chunk inside a block (a third
-    # of its taus), chunks of two whole blocks and the default: the same
-    # bytes, cell by cell those of format(v, ".17g").
-    from nanospin_qcorr._g17 import CELL_BYTES
-
+    # The writers' CSV_CHUNK_BYTES and the grid walk's CHUNK_BYTES each for
+    # one row a chunk, a chunk inside a block (a third of its taus), chunks
+    # of two whole blocks and the default: the same CSV and JSON bytes, the
+    # CSV cell by cell those of format(v, ".17g"), for the closed forms
+    # (discord among them) and the engine comparison.  One row a chunk
+    # takes near 1 ms a row: on the grids of thousands of rows only the
+    # writers of the all and concurrence sweeps take one row a chunk.
     if grid == "extremes":
-        cases = [(["a", "b"], EXTREME_VALUES, EXTREME_GRID)]
+        cases = [(["a", "b"], EXTREME_VALUES, EXTREME_GRID, None)]
     else:
+        axes = WRITER_GRIDS[grid]
+        small = ([n for n in axes[0] if n <= 20], *axes[1:])  # the oracle's N
+        sweeps = [(q, axes, "analytic") for q in ("all", "concurrence", "discord")]
+        sweeps += [("all", small, "both")] if small[0] else []
         cases = [
-            (*run_sweep(q, *WRITER_GRIDS[grid]), _grid(*WRITER_GRIDS[grid]))
-            for q in ("all", "concurrence")
+            (*sweep_columns(q, *ax, engine=e), _grid(*ax), (q, ax, e))
+            for q, ax, e in sweeps
         ]
-    default = cli.CSV_CHUNK_BYTES
-    for names, values, axes in cases:
-        n_tau = len(axes[3])
+    defaults = cli.CSV_CHUNK_BYTES, verification.CHUNK_BYTES
+    for names, values, written, sweep in cases:
+        n_tau = len(written[3])
         texts = []
         for rows in (1, max(1, n_tau // 3), 2 * n_tau + 1, None):
-            size = default if rows is None else rows * len(values) * CELL_BYTES
-            monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", size)
-            text = io.StringIO()
-            _write_csv(names, values, axes, text)
-            texts.append(text.getvalue())
+            # A piece of rows value cells; a chunk of rows at 1 KiB a row.
+            sizes = (rows * len(names) * CELL_BYTES, rows << 10) if rows else defaults
+            if rows == 1 and len(values[0]) > 1000:
+                if sweep[0] == "discord" or sweep[2] == "both":
+                    continue
+                sizes = (sizes[0], defaults[1])
+            monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", sizes[0])
+            monkeypatch.setattr(verification, "CHUNK_BYTES", sizes[1])
+            if sweep is None:
+                parts = _whole(values, written)
+            else:
+                q, ax, e = sweep
+                parts = list(run_sweep(q, *ax, engine=e)[1])
+            csv_text, json_text = io.StringIO(), io.StringIO()
+            _write_csv(names, parts, written, csv_text)
+            _write_json(names, parts, written, "analytic", 2e9, json_text)
+            texts.append((csv_text.getvalue(), json_text.getvalue()))
         assert all(text == texts[-1] for text in texts)
-        _assert_matches_reference(texts[-1], names, values, axes)
+        _assert_matches_reference(texts[-1][0], names, values, written)
+        assert texts[-1][1] == _one_dumps(names, values, written, "analytic", 2e9)
 
 
 def test_discord_sweep_clamps_rounding_below_zero(tmp_path):
@@ -1078,7 +1137,7 @@ def test_discord_sweep_clamps_rounding_below_zero(tmp_path):
     argv = ["sweep", "--quantity", "discord", "--N", "2", "--beta-range", "5:5:1"]
     path = run_to_file(tmp_path, "clamp.csv", argv + ["--tau", "0"])
     assert path.read_text().splitlines()[2].split(",")[4] == "0"
-    names, values = run_sweep("discord", [2, 3, 6], [1.0, 3.0, 5.0, 7.0], [0.0])
+    names, values = sweep_columns("discord", [2, 3, 6], [1.0, 3.0, 5.0, 7.0], [0.0])
     assert min(values[names.index("discord")]) == 0.0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nanospin_qcorr
-from helpers import build_operators, dipolar_hamiltonian, site_operator
+from helpers import build_operators, dipolar_hamiltonian, grid_states, site_operator
 from nanospin_qcorr import (
     NanoporeParams,
     ResourceLimitError,
@@ -29,6 +29,7 @@ from nanospin_qcorr.exact_oracle import (
     pair_states,
 )
 from nanospin_qcorr.states import ID2, PAULI_X, PAULI_Y, PAULI_Z
+from nanospin_qcorr.verification import grid_plan
 
 
 def comm(a, b):
@@ -222,7 +223,7 @@ def test_resource_limits():
     "call, charged",
     [
         (lambda: thermal_initial(10, 1.0), 20 * 4**10),
-        (lambda: next(pair_states((16,), (1.0,), (0.3,))), 40 * 2**16),
+        (lambda: grid_states((16,), (1.0,), (0.3,)), 40 * 2**16),
         # Two taus at n = 20 run as two one-tau blocks.
         (lambda: pair_gram(20, [0.5, 1.0]), 40 * 2**20),
     ],
@@ -247,7 +248,7 @@ def test_pair_state_matches_dense_engine(n):
     taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 3.0 * math.pi / 2.0, 5.9)
     betas = (0.0, 1.7, math.inf)
     g, c = pair_gram(n, taus)
-    states = np.concatenate(list(pair_states((n,), betas, taus)))
+    states = grid_states((n,), betas, taus)
     for b, beta in enumerate(betas):
         rho0 = thermal_initial(n, beta)
         for k, tau in enumerate(taus):
@@ -265,7 +266,7 @@ def test_pair_state_thermal_factor_matches_kronecker_form(n):
     taus = (0.0, 0.37, math.pi / 2.0, 2.2)
     for beta in (0.0, 0.5, 3.0, math.inf):
         rho0 = thermal_initial(2, beta).matrix
-        for tau, got in zip(taus, next(pair_states((n,), (beta,), taus))):
+        for tau, got in zip(taus, grid_states((n,), (beta,), taus)):
             ph = np.exp(-1j * tau * m * m).reshape(4, -1)
             want = rho0 * (ph @ ph.conj().T) / ph.shape[1]
             assert np.array_equal(got, want)
@@ -273,10 +274,13 @@ def test_pair_state_thermal_factor_matches_kronecker_form(n):
 
 def test_pair_state_resource_limits():
     def one_state(n):
-        return next(pair_states((n,), (1.0,), (0.5,)))
+        return grid_states((n,), (1.0,), (0.5,))
 
     with pytest.raises(ResourceLimitError, match=r"n = 21 needs 40 \* 2\^21 bytes"):
         one_state(21)
+    # The call checks every n, before any chunk is asked for.
+    with pytest.raises(ResourceLimitError, match=r"n = 21 needs"):
+        pair_states((3, 21), (1.0,), (0.5,), [])
     # An infinite N is out of the model's domain, not past a resource limit.
     with pytest.raises(ValueError, match="needs a finite N, got inf") as info:
         one_state(math.inf)
@@ -325,8 +329,8 @@ def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
     # many as a block's bytes hold (one at n = 20, or two when patched);
     # past a part of G's that the budget holds (patched to four taus), each
     # beta takes its parts.  Either way, and across chunk boundaries, the
-    # chunks hold the per-point states bit for bit, in grid order.
-    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 7)
+    # chunks (slices of 4 and 2 taus of each block) hold the per-point
+    # states bit for bit, in grid order.
     if tau_block == 2:
         block = exact_oracle._BLOCK_BYTES
         monkeypatch.setattr(exact_oracle, "_tau_bytes", lambda n: block // tau_block)
@@ -339,40 +343,40 @@ def test_pair_states_equal_per_point_pair_states(monkeypatch, tau_block):
     # Two-tau blocks at n = 20 would hold more than the real budget.
     n_values, betas = (3, 9, 16 if tau_block == 2 else 20), (0.0, math.inf)
     taus = (0.0, 0.37, math.pi / 2.0, 2.2, math.pi, 5.9)
-    chunks = list(pair_states(n_values, betas, taus))
+    chunks = list(pair_states(n_values, betas, taus, grid_plan(6, 6, 4)))
     points = [(n, b, t) for n in n_values for b in betas for t in taus]
-    assert [len(rhos) for rhos in chunks] == [7] * 5 + [1]
+    assert [len(rhos) for rhos in chunks] == [4, 2] * 6
     per_n = [4, 2] * len(betas) if tau_block == "parts" else [6]
     assert calls == per_n * len(n_values)
     for point, rho in zip(points, np.concatenate(chunks), strict=True):
         assert np.array_equal(rho, parent_pair_state(*point))
 
 
-def per_point_chunks(n_values, betas, taus, size):
+def per_point_chunks(n_values, betas, taus, plan):
     """pair_states' chunks built point by point: a (rho0, G, c) per grid
-    point, stacked per chunk into one broadcast rho0 G / c."""
+    point, stacked per chunk of the plan into one broadcast rho0 G / c."""
     rho0 = [thermal_initial(2, beta).matrix for beta in betas]
-    rows = []
+    blocks = []
     for n in n_values:
         g, c = pair_gram(n, taus)
-        rows += [(r0, gk, c) for r0 in rho0 for gk in g]
-    for lo in range(0, len(rows), size):
-        r0, g, c = zip(*rows[lo : lo + size])
+        blocks += [[(r0, gk, c) for gk in g] for r0 in rho0]
+    for b0, b1, t0, t1 in plan:
+        r0, g, c = zip(*(point for block in blocks[b0:b1] for point in block[t0:t1]))
         yield np.array(r0) * np.array(g) / np.array(c)[:, None, None]
 
 
-def test_pair_states_slices_equal_per_point_chunks(monkeypatch):
-    # Five-point chunks over 3 N x 2 betas x 7 taus start at every offset
-    # of an (n, beta) block and span up to three blocks; each equals the
-    # point-by-point construction bit for bit.
-    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
+def test_pair_states_slices_equal_per_point_chunks():
+    # Over 3 N x 2 betas x 7 taus: chunks of one state, slices of a block
+    # (3 + 3 + 1 taus), one block, three blocks from one n into the next,
+    # and the whole grid; each equals the point-by-point construction bit
+    # for bit.
     grid = ((3, 8, 12), (0.7, math.inf), tuple(np.linspace(0.0, 6.0, 7)))
-    chunks = list(pair_states(*grid))
-    want = list(per_point_chunks(*grid, 5))
-    assert [len(rhos) for rhos in chunks] == [5] * 8 + [2]
-    assert len(chunks) == len(want)
-    for rhos, want_rhos in zip(chunks, want):
-        assert np.array_equal(rhos, want_rhos)
+    for rows, n_chunks in [(1, 42), (3, 18), (7, 6), (21, 2), (42, 1)]:
+        plan = grid_plan(6, 7, rows)
+        chunks = list(pair_states(*grid, plan))
+        assert len(chunks) == n_chunks and sum(map(len, chunks)) == 42
+        for rhos, want in zip(chunks, per_point_chunks(*grid, plan), strict=True):
+            assert np.array_equal(rhos, want)
 
 
 def test_no_package_path_uses_the_dense_engine():

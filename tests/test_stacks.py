@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import BELL_PHI_PLUS, random_cs, random_density4
+from helpers import BELL_PHI_PLUS, grid_states, random_cs, random_density4
 from nanospin_qcorr.cs_matrix import CSDensityMatrix, cs_dense
 from nanospin_qcorr.discord import discord_numeric_rows
 from nanospin_qcorr.entanglement import concurrence_cs, concurrence_cs_rows
-from nanospin_qcorr.exact_oracle import pair_correlations, pair_states
+from nanospin_qcorr.exact_oracle import pair_correlations
 from nanospin_qcorr.geometric_discord import geometric_discord_generic
 from nanospin_qcorr.nanopore import correlation_grid, cs_rows
 from nanospin_qcorr.states import (
@@ -27,7 +27,7 @@ from nanospin_qcorr.states import (
 
 
 def pair_stack():
-    return np.concatenate(list(pair_states((3, 8), (0.5, 3.0), (0.0, 0.9, 1.5))))
+    return grid_states((3, 8), (0.5, 3.0), (0.0, 0.9, 1.5))
 
 
 def mixed_stack():

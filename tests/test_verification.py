@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import grid_states
 import nanospin_qcorr
 import nanospin_qcorr.cli as cli
 import nanospin_qcorr.discord as discord
@@ -86,8 +87,8 @@ def test_format_report_marks_failure():
 
 
 def test_worst_discrepancy_is_located(monkeypatch):
-    # Five-state chunks: the 12 states' worst rows are located across chunks.
-    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
+    # Two-state chunks: the 12 states' worst rows are located across chunks.
+    monkeypatch.setattr(verification, "CHUNK_BYTES", 2 << 12)  # 4 KiB a state
     grid = dict(n_tau=3)
     report = run_verification(n_values=(3, 4), betas=(1.0, 2.0), **grid)
     assert report.worst_at
@@ -115,7 +116,7 @@ def test_diffs_compare_every_tolerance():
     # One chunk: one array over its rows per quantity, and no tolerance
     # without a comparison (it would read 0.0 and ok forever).
     n_values, betas, taus = (3, 8), (0.5, 3.0), [0.3, 1.1, 2.0]
-    (rhos,) = exact_oracle.pair_states(n_values, betas, taus)
+    rhos = grid_states(n_values, betas, taus)
     diffs = verification._diffs(correlation_grid(n_values, betas, taus), rhos)
     assert diffs.keys() == DEFAULT_TOLERANCES.keys()
     for name, diff in diffs.items():
@@ -139,7 +140,6 @@ def counted(monkeypatch):
 
     counting(exact_oracle, "pair_gram")
     counting(verification, "correlation_grid")
-    counting(cli, "correlation_grid")
     return counts
 
 
@@ -180,17 +180,68 @@ def test_grid_past_the_dense_size_passes():
     assert report.states_checked == 16
 
 
+# The grid of the CI step "Verify past the dense cap where every quantity
+# lives": five taus, so not only the zeros of cos tau, and beta = inf, where
+# concurrence lives at N = 16 and 20.
+LIVE_PAST_THE_CAP = dict(n_values=(16, 20), betas=(3.0, math.inf), n_tau=5)
+
+
+@pytest.mark.parametrize(
+    "module, name, quantity",
+    [
+        (discord, "_eta", "discord"),
+        (verification, "geometric_discord_rows", "geometric_discord"),
+        (verification, "concurrence_rows", "concurrence"),
+        (verification, "concurrence_cs_rows", "concurrence"),
+    ],
+)
+def test_past_the_cap_grid_sees_each_closed_form(monkeypatch, module, name, quantity):
+    # Each closed form scaled by 1.001 fails its own quantity, and only it,
+    # at N = 16 and 20; the step's four-tau grid, where every one of them
+    # is 0, passes all four.
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: 1.001 * original(*args))
+    report = run_verification(**LIVE_PAST_THE_CAP)
+    assert report.failures == (quantity,), format_report(report)
+    assert report.worst_at[quantity][0] in (16, 20)
+
+
+def test_past_the_cap_grid_passes():
+    report = run_verification(**LIVE_PAST_THE_CAP)
+    assert report.ok, format_report(report)
+    assert report.states_checked == 20
+
+
+def test_verify_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # CHUNK_BYTES for one state a chunk, a third of a block of 32 taus, two
+    # whole blocks and the default (the whole 896-state grid): the same
+    # reports, of the default grid and of corrupted runs, one of which
+    # leaves rows that are not states.
+    default = verification.CHUNK_BYTES
+    runs = [dict(), dict(corruption=1e-4), dict(n_values=(3,), n_tau=2, corruption=0.5)]
+    for run in runs:
+        reports = []
+        for states in (1, 32 // 3, 2 * 32, None):
+            size = default if states is None else states << 12  # 4 KiB a state
+            monkeypatch.setattr(verification, "CHUNK_BYTES", size)
+            reports.append(run_verification(**run))
+        assert all(report == reports[-1] for report in reports), run
+        assert format_report(reports[0]) == format_report(reports[-1])
+
+
 def test_chunked_grid_matches_one_chunk(monkeypatch, counted):
-    # Both sides line up across chunk boundaries: five-point chunks give the
-    # report of a single chunk, state for state.
-    grid = dict(n_values=(3, 4), betas=(1.0, 2.5), n_tau=3)
+    # Both sides line up across chunk boundaries: chunks of one state, of
+    # two (a slice of a block), of one block and of three blocks, from one n
+    # into the next, give the report of a single chunk, state for state.
+    grid = dict(n_values=(3, 4, 5), betas=(1.0, 2.5), n_tau=3)
     whole = run_verification(**grid)
-    monkeypatch.setattr(exact_oracle, "STATE_CHUNK", 5)
-    chunked = run_verification(**grid)
-    assert chunked == whole
-    assert chunked.states_checked == 12
+    for states in (1, 2, 3, 9):
+        monkeypatch.setattr(verification, "CHUNK_BYTES", states << 12)
+        chunked = run_verification(**grid)
+        assert chunked == whole
+        assert chunked.states_checked == 18
     # One phase sum per n, over its three taus, serves both betas.
-    assert counted["pair_gram"] == 4
+    assert counted["pair_gram"] == 3 * 5
 
 
 @pytest.mark.parametrize("column", ["geometric_discord", "discord"])
@@ -266,7 +317,7 @@ def test_verify_sides_share_no_function():
     # holds N = 2 and refined CS rows.
     grid = ((2, 3, 8), (0.5, 3.0), [0.0, 0.3, 1.1, 2.0])
     corr = correlation_grid(*grid)
-    (rhos,) = exact_oracle.pair_states(*grid)
+    rhos = grid_states(*grid)
     needed = DEFAULT_TOLERANCES
     model = _package_calls(verification.analytic_rows, corr, needed)
     ref = _package_calls(verification.oracle_rows, rhos, needed)
@@ -299,7 +350,7 @@ def test_wrong_eta_fails_discord(monkeypatch):
 def test_oracle_rows_decompose_each_stack_once(monkeypatch):
     # The density check's eigh gives the discord's entropies and the
     # concurrence's spin flip; no other eigensolver sees a 4x4 stack.
-    rhos, *_ = exact_oracle.pair_states((3, 8), (0.5, 3.0), [0.3, 1.1, 2.0])
+    rhos = grid_states((3, 8), (0.5, 3.0), [0.3, 1.1, 2.0])
     needed = ("concurrence", "geometric_discord", "discord")
     calls = []
 
@@ -323,7 +374,7 @@ def test_oracle_rows_decompose_each_stack_once(monkeypatch):
 
 
 def test_oracle_rows_reject_a_stack_that_is_not_a_state():
-    rhos, *_ = exact_oracle.pair_states((3,), (1.0,), [0.3, 1.1])
+    rhos = grid_states((3,), (1.0,), [0.3, 1.1])
     bad = rhos.copy()
     bad[1] = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
